@@ -17,12 +17,12 @@ import sys
 import numpy as np
 import yaml
 
-from .config import ConfigError, validate_config
+from .config import ConfigError, _parse_data, _parse_loss, validate_config
 from .datagen import GenSpec, generate, save_csv, save_records
-from .data import ParamSet
+from .data import LabeledSample
 from .experiment import run_experiment, run_repetition, _format_constants, _format_quantities
-from .losses import LINKS, LossModel, certify
-from .verify import finite_diff_gradient
+from .losses import FAMILIES
+from .verify import GRADIENT_TOLERANCE, worst_gradient_error
 
 
 def _load_yaml(path):
@@ -38,10 +38,7 @@ def _cmd_run(args) -> int:
 
         config = dataclasses.replace(config, output_dir=args.output_dir)
     report = run_experiment(config)
-    sys.stdout.write(
-        f"{len(report.repetitions)} repetitions, "
-        f"success_frequency={report.success_frequency:.4f}\n"
-    )
+    sys.stdout.write(f"{len(report.repetitions)} repetitions, {report.bound_summary()}\n")
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         sys.stdout.write(f"check {check.name}: {status} ({check.detail})\n")
@@ -50,14 +47,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    doc = _load_yaml(args.genspec)
-    if not isinstance(doc, dict):
-        raise ConfigError("genspec must be a mapping")
-    if doc.get("truth") is not None:
-        doc["truth"] = ParamSet(np.asarray(doc["truth"], dtype=float))
-    if doc.get("mix_weights") is not None:
-        doc["mix_weights"] = tuple(float(w) for w in doc["mix_weights"])
-    spec = GenSpec(**doc)
+    spec = _parse_data(_load_yaml(args.genspec))
+    if not isinstance(spec, GenSpec):
+        raise ConfigError("a genspec describes a generated dataset; 'file' is not allowed")
     dataset, _ = generate(spec)
     if args.format == "csv":
         save_csv(dataset, args.output)
@@ -69,27 +61,22 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check_gradients(args) -> int:
     doc = _load_yaml(args.loss_spec)
-    link = LINKS[doc["link"]] if doc.get("link") else None
-    model = LossModel(
-        family=doc["family"], lam=float(doc.get("lam", 0.0)), link=link
-    )
+    if not isinstance(doc, dict):
+        raise ConfigError("loss spec must be a mapping")
+    model = _parse_loss({key: doc[key] for key in doc if key not in ("seed", "d")})
     rng = np.random.default_rng(int(doc.get("seed", 0)))
     d = int(doc.get("d", 3))
-    classification = model.family in ("logistic", "squared_hinge", "plain_hinge")
-    worst = 0.0
-    from .data import LabeledSample
-    from .losses import loss_gradient
+    signed = FAMILIES[model.family].signed_labels
 
-    for _ in range(args.trials):
-        x = rng.standard_normal(d)
-        y = float(rng.choice([-1.0, 1.0])) if classification else float(rng.standard_normal())
-        theta = rng.standard_normal(d)
-        sample = LabeledSample(x, y)
-        analytic = loss_gradient(model, sample, theta)
-        numeric = finite_diff_gradient(model, sample, theta)
-        denom = max(float(np.linalg.norm(analytic)), 1.0)
-        worst = max(worst, float(np.linalg.norm(analytic - numeric) / denom))
-    ok = worst <= 1e-5
+    def label() -> float:
+        return rng.choice([-1.0, 1.0]) if signed else rng.standard_normal()
+
+    cases = (
+        (LabeledSample(rng.standard_normal(d), label()), rng.standard_normal(d))
+        for _ in range(args.trials)
+    )
+    worst = worst_gradient_error(model, cases)
+    ok = worst <= GRADIENT_TOLERANCE
     sys.stdout.write(
         f"{model.family}: worst relative error {worst:.3g} over {args.trials} trials "
         f"-> {'PASS' if ok else 'FAIL'}\n"

@@ -24,6 +24,9 @@ COVARIATES = ("gaussian", "student_t", "uniform_ball")
 
 _TRUTH_STREAM = 2 ** 63
 
+# draws per sample before giving up; 1-in-1000 acceptance fails with p = e^-10
+MAX_REJECTIONS = 10_000
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -96,16 +99,28 @@ def _draw_covariate(rng: np.random.Generator, spec: GenSpec) -> np.ndarray:
     return radius * direction
 
 
-def _accept(x: np.ndarray, z: int, truth: np.ndarray, margin: float) -> bool:
-    if margin == 0.0 or truth.shape[0] == 1:
-        return True
-    gaps = (truth - truth[z]) @ x
-    gaps = np.delete(gaps, z)
-    return bool(np.min(gaps * gaps) >= margin)
+def _gap_rows(truth: np.ndarray, weights: np.ndarray, spec: GenSpec):
+    """Per component z, the rows theta_l - theta_z (l != z) of the margin test.
+
+    On the ball of radius R, <x, theta_l - theta_z>^2 <= R^2 ||theta_l - theta_z||^2;
+    raises when that bound rules out a component of positive weight.
+    """
+    bounded = spec.covariate == "uniform_ball" and spec.kind != HEAVY_TAIL_MLR
+    radius = spec.cov_scale if bounded else math.inf
+    rows = [np.delete(truth - truth[z], z, axis=0) for z in range(spec.k)]
+    for z, gaps in enumerate(rows):
+        closest = np.min(np.sum(gaps * gaps, axis=1), initial=math.inf)
+        reach = radius ** 2 * closest if closest > 0.0 else 0.0
+        if weights[z] > 0 and reach < spec.margin:
+            raise ValueError(
+                f"margin {spec.margin:g} is unreachable for component {z}: "
+                f"R^2 * min_l ||theta_l - theta_z||^2 = {reach:.4g}"
+            )
+    return rows
 
 
 def generate(spec: GenSpec) -> tuple[DataSet, ParamSet]:
-    """Materialize the dataset and the truth ParamSet for a GenSpec."""
+    """Materialize the dataset and truth ParamSet of a GenSpec (ValueError: margin out of reach)."""
     truth = spec.truth if spec.truth is not None else _default_truth(spec)
     thetas = truth.thetas
     weights = (
@@ -113,6 +128,7 @@ def generate(spec: GenSpec) -> tuple[DataSet, ParamSet]:
         if spec.mix_weights is None
         else np.asarray(spec.mix_weights, dtype=np.float64)
     )
+    gap_rows = _gap_rows(thetas, weights, spec)
     cumw = np.cumsum(weights)
     X = np.empty((spec.n, spec.d))
     y = np.empty(spec.n)
@@ -120,10 +136,14 @@ def generate(spec: GenSpec) -> tuple[DataSet, ParamSet]:
         rng = _substream(spec.seed, i)
         z = int(np.searchsorted(cumw, rng.random(), side="right"))
         z = min(z, spec.k - 1)
-        while True:
+        for _ in range(MAX_REJECTIONS):
             x = _draw_covariate(rng, spec)
-            if _accept(x, z, thetas, spec.margin):
+            if spec.margin == 0.0 or np.all((gap_rows[z] @ x) ** 2 >= spec.margin):
                 break
+        else:
+            raise ValueError(
+                f"sample {i} (component {z}) missed margin {spec.margin:g} {MAX_REJECTIONS} times"
+            )
         pred = float(x @ thetas[z])
         if spec.kind in (GENERATIVE_MLR, HEAVY_TAIL_MLR):
             label = pred + spec.noise_sigma * rng.standard_normal()

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .data import DataSet, ParamSet
-from .losses import LossModel, batch_gradient
+from .losses import FAMILIES, LossModel
 from .softmin import SoftMinConfig, empirical_loss, weight_matrix
 
 
@@ -90,16 +90,20 @@ def gradient_em_step(
     if len(fold) == 0:
         raise ValueError("empty fold")
     weights = weight_matrix(params, fold, model, config.softmin)
-    n_prime = len(fold)
-    scale = config.step_size / n_prime
-    new_thetas = np.empty_like(params.thetas)
-    for j in range(params.k):
-        grads = batch_gradient(model, fold.X, fold.y, params.theta(j))
-        step = np.sum(weights[:, j][:, None] * grads, axis=0)
-        if not np.all(np.isfinite(step)):
-            raise ValueError("non-finite gradient in EM step")
-        new_thetas[j] = params.theta(j) - scale * step
-    return ParamSet(new_thetas)
+    # weight_matrix validated the inputs; rows as in batch_gradient keep k = 1 bit-identical
+    family = FAMILIES[model.family]
+    coefs = family.dphi(params.thetas @ fold.X.T, fold.y, model.link)
+    reg = 2.0 * family.reg * model.lam
+    grads = np.empty_like(fold.X)
+    step = np.empty_like(params.thetas)
+    for j, theta in enumerate(params.thetas):
+        np.multiply(coefs[j, :, None], fold.X, out=grads)
+        grads += reg * theta
+        grads *= weights[:, j, None]
+        step[j] = np.sum(grads, axis=0)
+    if not np.all(np.isfinite(step)):
+        raise ValueError("non-finite gradient in EM step")
+    return ParamSet(params.thetas - (config.step_size / len(fold)) * step)
 
 
 def align_to_reference(params: ParamSet, reference: ParamSet):

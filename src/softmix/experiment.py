@@ -19,15 +19,14 @@ import numpy as np
 
 from .config import (
     EXPLICIT,
-    PERTURB_REFERENCE,
     RANDOM_BALL,
     ExperimentConfig,
 )
 from .data import DataSet, ParamSet
 from .datagen import GenSpec, generate, load_csv
 from .em import EMConfig, run_gradient_em
-from .losses import LossModel, certify, default_step_size, loss_gradient
-from .softmin import SoftMinConfig
+from .losses import LossModel, certify, default_step_size
+from .softmin import empirical_loss
 from .theory import (
     ProblemConstants,
     TheoremQuantities,
@@ -36,12 +35,12 @@ from .theory import (
     theorem_quantities,
 )
 from .verify import (
+    GRADIENT_TOLERANCE,
     GridSpec,
-    LemmaReport,
     brute_force_minimize,
     check_lemma_bounds,
-    finite_diff_gradient,
     step_decomposition,
+    worst_gradient_error,
 )
 
 WORKERS_ENV = "SOFTMIX_WORKERS"
@@ -58,7 +57,7 @@ class RepetitionResult:
     fitted_floor: Optional[float]
     alignment: list
     predicted_bound: Optional[float]
-    within_bound: bool
+    within_bound: Optional[bool]  # None when no bound was evaluated
     constants: ProblemConstants
     quantities: Optional[TheoremQuantities]
     distances: np.ndarray  # (T+1, k) aligned distances
@@ -77,12 +76,28 @@ class ExperimentReport:
     config_text: str
     repetitions: List[RepetitionResult]
     checks: List[CheckResult] = field(default_factory=list)
-    success_frequency: float = 0.0
     wall_clock_s: float = 0.0
 
     @property
     def failed_checks(self) -> List[CheckResult]:
         return [c for c in self.checks if not c.passed]
+
+    @property
+    def success_frequency(self) -> Optional[float]:
+        """Share of the repetitions with an evaluated bound that stayed within
+        it; ``None`` when no repetition had one."""
+        evaluated = [r.within_bound for r in self.repetitions if r.within_bound is not None]
+        return sum(evaluated) / len(evaluated) if evaluated else None
+
+    def bound_summary(self) -> str:
+        """Success frequency plus the within / violated / not-evaluated counts."""
+        outcomes = [r.within_bound for r in self.repetitions]
+        freq = self.success_frequency
+        return (
+            f"success_frequency: {'n/a' if freq is None else f'{freq:.4f}'} "
+            f"(within={outcomes.count(True)} violated={outcomes.count(False)} "
+            f"not_evaluated={outcomes.count(None)})"
+        )
 
 
 def _materialize_data(config: ExperimentConfig, rep_seed: int):
@@ -98,8 +113,6 @@ def _multistart_reference(
 ) -> ParamSet:
     """Reference optimizer for agnostic data: best of 16 long, small-step
     full-data gradient EM runs from random-ball initializations."""
-    from .softmin import empirical_loss
-
     gamma = default_step_size(model, dataset) / 4.0
     radius = 1.0
     best, best_loss = None, math.inf
@@ -189,7 +202,7 @@ def run_repetition(config: ExperimentConfig, rep: int) -> RepetitionResult:
         elif quantities.contraction is not None:
             bound = math.inf
     final = trace.final_distance()
-    within = bound is None or final <= bound
+    within = None if bound is None else final <= bound
     return RepetitionResult(
         rep=rep,
         seed=rep_seed,
@@ -223,18 +236,13 @@ def _run_checks(config: ExperimentConfig) -> List[CheckResult]:
 
     if "gradient_oracle" in config.checks:
         rng = np.random.default_rng(config.seed)
-        worst = 0.0
-        for _ in range(100):
-            i = int(rng.integers(len(dataset)))
-            theta = rng.standard_normal(dataset.d)
-            sample = dataset.sample(i)
-            analytic = loss_gradient(model, sample, theta)
-            numeric = finite_diff_gradient(model, sample, theta)
-            denom = max(np.linalg.norm(analytic), 1.0)
-            worst = max(worst, float(np.linalg.norm(analytic - numeric) / denom))
-        results.append(
-            CheckResult("gradient_oracle", worst <= 1e-5, f"worst relative error {worst:.3g}")
-        )
+        cases = [
+            (dataset.sample(int(rng.integers(len(dataset)))), rng.standard_normal(dataset.d))
+            for _ in range(100)
+        ]
+        worst = worst_gradient_error(model, cases)
+        ok = worst <= GRADIENT_TOLERANCE
+        results.append(CheckResult("gradient_oracle", ok, f"worst relative error {worst:.3g}"))
 
     if "lemmas" in config.checks:
         c_ini = config.init.c_ini if config.init.c_ini is not None else 0.1
@@ -278,8 +286,6 @@ def _run_checks(config: ExperimentConfig) -> List[CheckResult]:
         )
 
     if "brute_force" in config.checks:
-        from .softmin import empirical_loss
-
         k = reference.k
         grid = GridSpec(-1.5, 1.5, 61)
         best = brute_force_minimize(dataset, model, config.softmin(), k, grid)
@@ -365,7 +371,7 @@ def render_report(report: ExperimentReport) -> str:
         lines.append("  constants: " + _format_constants(rr.constants))
         lines.append("  quantities: " + _format_quantities(rr.quantities))
     lines.append("")
-    lines.append(f"success_frequency: {report.success_frequency:.4f}")
+    lines.append(report.bound_summary())
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         lines.append(f"check {check.name}: {status} ({check.detail})")
@@ -387,12 +393,10 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
         results = [run_repetition(config, r) for r in reps]
     results.sort(key=lambda r: r.rep)
     checks = _run_checks(config)
-    success = sum(1 for r in results if r.within_bound) / len(results)
     report = ExperimentReport(
         config_text=serialize(config),
         repetitions=results,
         checks=checks,
-        success_frequency=success,
         wall_clock_s=time.perf_counter() - start,
     )
     if write:

@@ -1,6 +1,8 @@
 """Base loss families: value, gradient and certified convexity/smoothness constants.
 
-Four certifiable families are provided:
+Each family F(x, y; theta) = phi(<x, theta>, y) + c * lam * ||theta||^2 is one
+record of the :data:`FAMILIES` table (phi, phi', c, bounds on phi'', +-1
+labels or not), read by the values, gradients, EM step and certificates:
 
 * ``ridge``          -- (y - <x, theta>)^2 + lam * ||theta||^2
 * ``logistic``       -- log(1 + exp(-y <x, theta>)) + lam * ||theta||^2
@@ -28,9 +30,6 @@ SQUARED_HINGE = "squared_hinge"
 GLM = "glm"
 PLAIN_HINGE = "plain_hinge"
 
-FAMILIES = (RIDGE, LOGISTIC, SQUARED_HINGE, GLM, PLAIN_HINGE)
-CLASSIFICATION_FAMILIES = (LOGISTIC, SQUARED_HINGE, PLAIN_HINGE)
-
 
 class CertificationError(ValueError):
     """Raised when (m, M) constants cannot be certified for a model."""
@@ -48,7 +47,6 @@ class LinkFunction:
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
-    d2f: Callable[[np.ndarray], np.ndarray]
     value_bound: float
     d1_bound: float
     d2_bound: float
@@ -67,7 +65,6 @@ IDENTITY_LINK = LinkFunction(
     name="identity",
     f=lambda z: z,
     df=lambda z: np.ones_like(z),
-    d2f=lambda z: np.zeros_like(z),
     value_bound=math.inf,
     d1_bound=1.0,
     d2_bound=0.0,
@@ -77,7 +74,6 @@ TANH_LINK = LinkFunction(
     name="tanh",
     f=np.tanh,
     df=lambda z: 1.0 / np.cosh(z) ** 2,
-    d2f=lambda z: -2.0 * np.tanh(z) / np.cosh(z) ** 2,
     value_bound=1.0,
     d1_bound=1.0,
     # max |d^2 tanh / dz^2| = 4 / (3 sqrt(3))
@@ -88,15 +84,67 @@ SIGMOID_LINK = LinkFunction(
     name="sigmoid",
     f=lambda z: _sigmoid(np.asarray(z, dtype=np.float64)),
     df=lambda z: (lambda s: s * (1.0 - s))(_sigmoid(np.asarray(z, dtype=np.float64))),
-    d2f=lambda z: (lambda s: s * (1.0 - s) * (1.0 - 2.0 * s))(
-        _sigmoid(np.asarray(z, dtype=np.float64))
-    ),
     value_bound=1.0,
     d1_bound=0.25,
     d2_bound=1.0 / (6.0 * math.sqrt(3.0)),
 )
 
 LINKS = {lk.name: lk for lk in (IDENTITY_LINK, TANH_LINK, SIGMOID_LINK)}
+
+
+@dataclass(frozen=True)
+class LossFamily:
+    """One base loss phi(<x, theta>, y) + reg * lam * ||theta||^2.
+
+    ``phi`` and its derivative in the prediction ``dphi`` take ``(z, y, link)``
+    elementwise.  ``curvature`` maps ``(link, max |y|)`` to bounds ``(lo, hi)``
+    on phi'' over every z, or is ``None`` when phi is not smooth.
+    """
+
+    phi: Callable
+    dphi: Callable
+    reg: float
+    curvature: Optional[Callable]
+    signed_labels: bool
+
+
+def _glm_curvature(link: LinkFunction, max_abs_y: float):
+    # phi'' = 2 g'^2 - 2 (y - g) g''; an unbounded g is harmless only when g'' = 0
+    resid = 0.0 if link.d2_bound == 0.0 else (max_abs_y + link.value_bound) * link.d2_bound
+    if not (math.isfinite(link.d1_bound) and math.isfinite(resid)):
+        raise CertificationError(
+            f"link {link.name!r}: unbounded g' or curved unbounded g; GLM not certifiable"
+        )
+    return -2.0 * resid, 2.0 * (link.d1_bound ** 2 + resid)
+
+
+FAMILIES = {
+    RIDGE: LossFamily(
+        phi=lambda z, y, link: (y - z) ** 2,
+        dphi=lambda z, y, link: -2.0 * (y - z),
+        reg=1.0, curvature=lambda link, max_abs_y: (2.0, 2.0), signed_labels=False,
+    ),
+    LOGISTIC: LossFamily(
+        phi=lambda z, y, link: np.logaddexp(0.0, -y * z),
+        dphi=lambda z, y, link: -y * _sigmoid(-y * z),
+        reg=1.0, curvature=lambda link, max_abs_y: (0.0, 0.25), signed_labels=True,
+    ),
+    SQUARED_HINGE: LossFamily(
+        phi=lambda z, y, link: np.maximum(0.0, 1.0 - y * z) ** 2,
+        dphi=lambda z, y, link: -2.0 * np.maximum(0.0, 1.0 - y * z) * y,
+        reg=0.5, curvature=lambda link, max_abs_y: (0.0, 2.0), signed_labels=True,
+    ),
+    GLM: LossFamily(
+        phi=lambda z, y, link: (y - link.f(z)) ** 2,
+        dphi=lambda z, y, link: -2.0 * (y - link.f(z)) * link.df(z),
+        reg=1.0, curvature=_glm_curvature, signed_labels=False,
+    ),
+    PLAIN_HINGE: LossFamily(
+        phi=lambda z, y, link: np.maximum(0.0, 1.0 - y * z),
+        dphi=lambda z, y, link: -(y * ((1.0 - y * z) > 0.0)),
+        reg=0.5, curvature=None, signed_labels=True,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -130,102 +178,74 @@ class LossModel:
         return self.m is not None and self.M is not None
 
 
-def _check_inputs(model: LossModel, X: np.ndarray, y: np.ndarray, theta: np.ndarray):
-    if X.shape[1] != theta.shape[0]:
+def _predictions(model: LossModel, X, y, thetas: np.ndarray):
+    """Validate the inputs once; returns float arrays X, y and the (k, n)
+    Z = thetas X^T, whose rows of length n keep the family maps contiguous."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.shape[1] != thetas.shape[1]:
         raise ValueError(
-            f"dimension mismatch: covariates have d={X.shape[1]}, theta has d={theta.shape[0]}"
+            f"dimension mismatch: covariates have d={X.shape[1]}, theta has d={thetas.shape[1]}"
         )
-    if not np.all(np.isfinite(theta)):
+    if not np.all(np.isfinite(thetas)):
         raise ValueError("theta contains non-finite entries")
-    if model.family in CLASSIFICATION_FAMILIES:
-        if not np.all(np.abs(y) == 1.0):
-            raise ValueError(f"{model.family} labels must lie in {{-1, +1}}")
+    if FAMILIES[model.family].signed_labels and not np.all(np.abs(y) == 1.0):
+        raise ValueError(f"{model.family} labels must lie in {{-1, +1}}")
+    return X, y, thetas @ X.T
 
 
 def batch_loss(model: LossModel, X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Per-sample loss values F(x_i, y_i; theta), shape (n,)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """Per-sample loss values F(x_i, y_i; theta).
+
+    ``theta`` is one vector of shape (d,), giving shape (n,), or a (k, d)
+    stack, giving the (n, k) matrix of every component's losses from one
+    product theta X^T.
+    """
     theta = np.asarray(theta, dtype=np.float64)
-    _check_inputs(model, X, y, theta)
-    z = X @ theta
-    sq = float(theta @ theta)
-    lam = model.lam
-    if model.family == RIDGE:
-        return (y - z) ** 2 + lam * sq
-    if model.family == LOGISTIC:
-        margin = y * z
-        return np.logaddexp(0.0, -margin) + lam * sq
-    if model.family == SQUARED_HINGE:
-        gap = np.maximum(0.0, 1.0 - y * z)
-        return gap * gap + 0.5 * lam * sq
-    if model.family == PLAIN_HINGE:
-        return np.maximum(0.0, 1.0 - y * z) + 0.5 * lam * sq
-    # GLM
-    return (y - model.link.f(z)) ** 2 + lam * sq
+    thetas = np.atleast_2d(theta)
+    family = FAMILIES[model.family]
+    X, y, Z = _predictions(model, X, y, thetas)
+    F = family.phi(Z, y, model.link)
+    F += family.reg * model.lam * np.sum(thetas * thetas, axis=1, keepdims=True)
+    return F.T if theta.ndim == 2 else F[0]
 
 
 def batch_gradient(model: LossModel, X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Per-sample gradients of F with respect to theta, shape (n, d)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """Per-sample gradients of F with respect to one theta, shape (n, d)."""
     theta = np.asarray(theta, dtype=np.float64)
-    _check_inputs(model, X, y, theta)
-    z = X @ theta
-    lam = model.lam
-    if model.family == RIDGE:
-        return (-2.0 * (y - z))[:, None] * X + 2.0 * lam * theta
-    if model.family == LOGISTIC:
-        coef = -y * _sigmoid(-y * z)
-        return coef[:, None] * X + 2.0 * lam * theta
-    if model.family == SQUARED_HINGE:
-        gap = np.maximum(0.0, 1.0 - y * z)
-        return (-2.0 * gap * y)[:, None] * X + lam * theta
-    if model.family == PLAIN_HINGE:
-        active = (1.0 - y * z) > 0.0
-        return (-(y * active))[:, None] * X + lam * theta
-    # GLM
-    g = model.link.f(z)
-    dg = model.link.df(z)
-    return (-2.0 * (y - g) * dg)[:, None] * X + 2.0 * lam * theta
+    family = FAMILIES[model.family]
+    X, y, Z = _predictions(model, X, y, theta[None, :])
+    grads = family.dphi(Z[0], y, model.link)[:, None] * X
+    grads += 2.0 * family.reg * model.lam * theta
+    return grads
 
 
 def loss_value(model: LossModel, sample: LabeledSample, theta) -> float:
     """Single-sample base loss F(x, y; theta)."""
-    theta = np.asarray(theta, dtype=np.float64)
     out = batch_loss(model, sample.x[None, :], np.array([sample.y]), theta)
     return float(out[0])
 
 
 def loss_gradient(model: LossModel, sample: LabeledSample, theta) -> np.ndarray:
     """Single-sample analytic gradient of F with respect to theta."""
-    theta = np.asarray(theta, dtype=np.float64)
     out = batch_gradient(model, sample.x[None, :], np.array([sample.y]), theta)
     return out[0]
 
 
-def _glm_constants(model: LossModel, r_sq: float, max_abs_y: float):
-    link = model.link
-    if not math.isfinite(link.d1_bound) or not math.isfinite(link.d2_bound):
+def _hessian_bounds(model: LossModel, dataset: DataSet, r_sq: float):
+    """Eigenvalue bounds (m, M) of phi'' x x^T + 2 c lam I over ||x||^2 <= r_sq.
+
+    With phi'' in [lo, hi]: x x^T is singular for d > 1, so only a negative
+    lo lowers m = 2 c lam + min(lo, 0) r_sq, and M = hi r_sq + 2 c lam.
+    """
+    family = FAMILIES[model.family]
+    if family.curvature is None:
         raise CertificationError(
-            f"link {link.name!r} has unbounded derivatives; GLM constants not certifiable"
+            f"{model.family} loss is not smooth; no (m, M) certificate exists"
         )
-    if link.d2_bound == 0.0:
-        resid_term = 0.0
-    else:
-        if not math.isfinite(link.value_bound):
-            raise CertificationError(
-                f"link {link.name!r}: unbounded value with curved link is not certifiable"
-            )
-        resid_term = (max_abs_y + link.value_bound) * link.d2_bound
-    m = 2.0 * model.lam - 2.0 * resid_term * r_sq
-    M = 2.0 * (link.d1_bound ** 2 + resid_term) * r_sq + 2.0 * model.lam
-    if m <= 0.0:
-        raise CertificationError(
-            "GLM loss not strongly convex on this dataset: need "
-            f"lam > {resid_term * r_sq:.6g} (residual curvature bound)"
-        )
-    return m, M
+    lo, hi = family.curvature(model.link, float(np.max(np.abs(dataset.y))))
+    reg = 2.0 * family.reg * model.lam
+    return reg + min(lo, 0.0) * r_sq, hi * r_sq + reg
 
 
 def certify(model: LossModel, dataset: DataSet) -> LossModel:
@@ -243,24 +263,11 @@ def certify(model: LossModel, dataset: DataSet) -> LossModel:
                 "dataset contains covariates outside the declared domain radius"
             )
         r_sq = model.domain_radius ** 2
-    lam = model.lam
-    if model.family == RIDGE:
-        if lam <= 0:
-            raise CertificationError("ridge loss with lam = 0 is not strongly convex")
-        m, M = 2.0 * lam, 2.0 * r_sq + 2.0 * lam
-    elif model.family == LOGISTIC:
-        if lam <= 0:
-            raise CertificationError("logistic loss needs lam > 0 for strong convexity")
-        m, M = 2.0 * lam, r_sq / 4.0 + 2.0 * lam
-    elif model.family == SQUARED_HINGE:
-        if lam <= 0:
-            raise CertificationError("squared hinge loss needs lam > 0 for strong convexity")
-        m, M = lam, 2.0 * r_sq + lam
-    elif model.family == GLM:
-        m, M = _glm_constants(model, r_sq, float(np.max(np.abs(dataset.y))))
-    else:
+    m, M = _hessian_bounds(model, dataset, r_sq)
+    if m <= 0.0:
         raise CertificationError(
-            "plain hinge loss is not smooth; no (m, M) certificate exists"
+            f"{model.family} loss is not strongly convex on this dataset "
+            f"(m = {m:.6g} at lam = {model.lam:g})"
         )
     return dataclasses.replace(model, m=m, M=M, domain_radius=math.sqrt(r_sq))
 
@@ -274,7 +281,7 @@ def certify_constants(model: LossModel, dataset: DataSet) -> tuple[float, float]
 def mean_smoothness(model: LossModel, dataset: DataSet) -> float:
     """Smoothness constant of the dataset-averaged base loss.
 
-    Same family formulas as :func:`certify`, with max_i ||x_i||^2 replaced by
+    Same bound as :func:`certify`, with max_i ||x_i||^2 replaced by
     the top eigenvalue of the empirical second-moment matrix (1/n) X^T X.
     This is the constant the default step size is derived from; the
     per-sample worst case in :func:`certify` can be orders of magnitude
@@ -284,22 +291,7 @@ def mean_smoothness(model: LossModel, dataset: DataSet) -> float:
         raise ValueError("empty dataset")
     second_moment = dataset.X.T @ dataset.X / len(dataset)
     top = float(np.linalg.eigvalsh(second_moment)[-1])
-    lam = model.lam
-    if model.family == RIDGE:
-        return 2.0 * top + 2.0 * lam
-    if model.family == LOGISTIC:
-        return top / 4.0 + 2.0 * lam
-    if model.family == SQUARED_HINGE:
-        return 2.0 * top + lam
-    if model.family == GLM:
-        link = model.link
-        resid = (
-            0.0
-            if link.d2_bound == 0.0
-            else (float(np.max(np.abs(dataset.y))) + link.value_bound) * link.d2_bound
-        )
-        return 2.0 * (link.d1_bound ** 2 + resid) * top + 2.0 * lam
-    raise CertificationError("plain hinge loss has no smoothness constant")
+    return _hessian_bounds(model, dataset, top)[1]
 
 
 def default_step_size(model: LossModel, dataset: DataSet) -> float:

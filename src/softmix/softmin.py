@@ -14,8 +14,6 @@ import numpy as np
 from .data import DataSet, LabeledSample, ParamSet
 from .losses import LossModel, batch_loss
 
-INF = math.inf
-
 
 @dataclass(frozen=True)
 class SoftMinConfig:
@@ -52,8 +50,7 @@ def soft_min_weights(losses, config: SoftMinConfig) -> np.ndarray:
 
 def loss_matrix(params: ParamSet, dataset: DataSet, model: LossModel) -> np.ndarray:
     """Per-sample per-component base losses, shape (n, k)."""
-    cols = [batch_loss(model, dataset.X, dataset.y, params.theta(j)) for j in range(params.k)]
-    return np.stack(cols, axis=1)
+    return batch_loss(model, dataset.X, dataset.y, params.thetas)
 
 
 def weight_matrix(
@@ -67,10 +64,7 @@ def soft_min_loss(
     params: ParamSet, sample: LabeledSample, model: LossModel, config: SoftMinConfig
 ) -> float:
     """Soft-min mixture loss sum_j p_j F_j for one sample."""
-    losses = np.array(
-        [batch_loss(model, sample.x[None, :], np.array([sample.y]), params.theta(j))[0]
-         for j in range(params.k)]
-    )
+    losses = batch_loss(model, sample.x[None, :], np.array([sample.y]), params.thetas)[0]
     weights = soft_min_weights(losses, config)
     return float(weights @ losses)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,55 +63,40 @@ class TheoremQuantities:
 def partition_regions(dataset: DataSet, reference: ParamSet, model: LossModel):
     """Assign each sample to the component whose reference loss is strictly best.
 
-    Returns ``(regions, unassigned)``: region j holds indices i with
+    Returns ``(regions, unassigned, fmat)``: region j holds indices i with
     F(x_i, y_i; theta*_j) < F(x_i, y_i; theta*_l) for every l != j; exact
-    ties go to the unassigned set.
+    ties go to the unassigned set; ``fmat`` is the (n, k) loss matrix used.
     """
     fmat = loss_matrix(reference, dataset, model)
     best = np.argmin(fmat, axis=1)
-    regions: List[np.ndarray] = []
-    strict = np.ones(len(dataset), dtype=bool)
-    if reference.k > 1:
-        sorted_losses = np.sort(fmat, axis=1)
-        strict = sorted_losses[:, 0] < sorted_losses[:, 1]
-    for j in range(reference.k):
-        regions.append(np.nonzero((best == j) & strict)[0])
-    unassigned = np.nonzero(~strict)[0]
-    return regions, unassigned
+    strict = np.count_nonzero(fmat == np.min(fmat, axis=1, keepdims=True), axis=1) == 1
+    regions = [np.nonzero((best == j) & strict)[0] for j in range(reference.k)]
+    return regions, np.nonzero(~strict)[0], fmat
 
 
 def estimate_constants(
     dataset: DataSet, reference: ParamSet, model: LossModel
 ) -> ProblemConstants:
     """Empirical (epsilon, epsilon1, delta, pi_min) at the reference ParamSet."""
-    regions, _ = partition_regions(dataset, reference, model)
+    regions, _, fmat = partition_regions(dataset, reference, model)
     sizes = [len(r) for r in regions]
     if min(sizes) == 0:
         raise ValueError("some region is empty: pi_min = 0, constants undefined")
-    fmat = loss_matrix(reference, dataset, model)
-    epsilon = 0.0
-    epsilon1 = 0.0
+    epsilon = epsilon1 = 0.0
+    delta = math.inf
     for j, region in enumerate(regions):
         epsilon = max(epsilon, float(np.max(fmat[region, j])))
         grads = batch_gradient(
             model, dataset.X[region], dataset.y[region], reference.theta(j)
         )
         epsilon1 = max(epsilon1, float(np.max(np.linalg.norm(grads, axis=1))))
-    if reference.k == 1:
-        delta = math.inf
-    else:
-        delta = math.inf
-        for l, region in enumerate(regions):
-            for j in range(reference.k):
-                if j == l:
-                    continue
-                delta = min(delta, float(np.min(fmat[region, j])))
-    n = len(dataset)
+        others = np.delete(fmat[region], j, axis=1)
+        delta = min(delta, float(np.min(others, initial=math.inf)))
     return ProblemConstants(
         epsilon=epsilon,
         epsilon1=epsilon1,
         delta=delta,
-        pi_min=min(sizes) / n,
+        pi_min=min(sizes) / len(dataset),
         region_sizes=tuple(sizes),
     )
 

@@ -130,6 +130,20 @@ class TestExperimentDriver:
         assert report.success_frequency == 1.0
         assert all(r.final_distance < r.initial_distance for r in report.repetitions)
 
+    def test_hard_min_has_no_evaluated_bound(self, tmp_path):
+        import dataclasses
+
+        cfg = dataclasses.replace(
+            validate_config(TWO_COMPONENT.replace("beta: 10.0", 'beta: "inf"')),
+            output_dir=str(tmp_path),
+        )
+        report = run_experiment(cfg)
+        assert [r.within_bound for r in report.repetitions] == [None, None]
+        assert report.success_frequency is None
+        text = (tmp_path / "report.txt").read_text()
+        assert "within_bound=None" in text
+        assert "success_frequency: n/a (within=0 violated=0 not_evaluated=2)" in text
+
     def test_outputs_written_and_deterministic(self, tmp_path):
         import dataclasses
 
@@ -210,9 +224,30 @@ class TestCLI:
         assert main(["gen", genspec, "-o", str(out), "--format", "records"]) == 0
         assert out.read_text().startswith("# softmix-dataset d=2 n=30")
 
+    def test_gen_unknown_key_exits_2(self, tmp_path, capsys):
+        genspec = self._write(
+            tmp_path, "gen.yaml", "kind: generative_mlr\nk: 1\nd: 2\nn: 30\nnoise: 0.1\n"
+        )
+        assert main(["gen", genspec, "-o", str(tmp_path / "data.csv")]) == 2
+        assert "noise" in capsys.readouterr().err
+
+    def test_run_prints_na_without_evaluated_bound(self, tmp_path, capsys):
+        config = self._write(
+            tmp_path,
+            "cfg.yaml",
+            TWO_COMPONENT.replace("beta: 10.0", 'beta: "inf"')
+            + f"output_dir: {tmp_path / 'out'}\n",
+        )
+        assert main(["run", config]) == 0
+        assert "success_frequency: n/a" in capsys.readouterr().out
+
     def test_check_gradients_subcommand(self, tmp_path):
         spec = self._write(tmp_path, "loss.yaml", "family: logistic\nlam: 0.01\nd: 3\n")
         assert main(["check-gradients", spec, "--trials", "50"]) == 0
+
+    def test_check_gradients_unknown_link_exits_2(self, tmp_path):
+        spec = self._write(tmp_path, "loss.yaml", "family: glm\nlink: softplus\nlam: 0.1\n")
+        assert main(["check-gradients", spec, "--trials", "2"]) == 2
 
     def test_bounds_subcommand(self, tmp_path, capsys):
         config = self._write(tmp_path, "cfg.yaml", TWO_COMPONENT)

@@ -6,6 +6,7 @@ import pytest
 
 from softmix.data import ParamSet
 from softmix.datagen import (
+    MAX_REJECTIONS,
     GenSpec,
     generate,
     load_csv,
@@ -113,6 +114,28 @@ class TestGenerate:
             eps.append(estimate_constants(ds, truth, model).epsilon)
         assert eps[0] <= 1e-24
         assert eps[0] < eps[1] < eps[2]
+
+    def test_unreachable_margin_fails_fast(self):
+        # the default truth for seed 0 has R^2 * min_l ||theta_l - theta_z||^2
+        # = 0.2026 < 0.25 for components 1 and 2, so no draw can pass
+        spec = _spec(k=3, d=4, covariate="uniform_ball", cov_scale=1.5, margin=0.25, seed=0)
+        with pytest.raises(ValueError, match="unreachable for component 1"):
+            generate(spec)
+
+    def test_margin_ignores_components_without_weight(self):
+        spec = _spec(
+            k=3, d=4, covariate="uniform_ball", cov_scale=1.5, margin=0.25, seed=0,
+            mix_weights=(1.0, 0.0, 0.0), n=20,
+        )
+        ds, _ = generate(spec)
+        assert ds.n == 20
+
+    def test_rejection_cap_raises(self):
+        # unbounded covariates pass the closed-form check, but at this scale
+        # no draw reaches the margin
+        spec = _spec(cov_scale=1e-3, margin=1.0, n=5)
+        with pytest.raises(ValueError, match=f"{MAX_REJECTIONS} times"):
+            generate(spec)
 
     def test_prefix_stability_in_n(self):
         # per-sample substreams make sample i independent of n

@@ -38,7 +38,7 @@ class TestPartition:
     def test_single_component_takes_everything(self):
         rng = np.random.default_rng(0)
         ds = DataSet(rng.standard_normal((9, 2)), rng.standard_normal(9))
-        regions, unassigned = partition_regions(ds, ParamSet([[1.0, 0.0]]), LossModel("ridge"))
+        regions, unassigned, _ = partition_regions(ds, ParamSet([[1.0, 0.0]]), LossModel("ridge"))
         assert len(regions) == 1
         np.testing.assert_array_equal(regions[0], np.arange(9))
         assert unassigned.size == 0
@@ -47,7 +47,7 @@ class TestPartition:
         # x=[1], y=1: theta=[1] fits exactly; x=[1], y=-1: theta=[-1] does
         ds = DataSet(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
         ref = ParamSet([[1.0], [-1.0]])
-        regions, unassigned = partition_regions(ds, ref, LossModel("ridge", lam=0.0))
+        regions, unassigned, _ = partition_regions(ds, ref, LossModel("ridge", lam=0.0))
         np.testing.assert_array_equal(regions[0], [0])
         np.testing.assert_array_equal(regions[1], [1])
         assert unassigned.size == 0
@@ -57,7 +57,7 @@ class TestPartition:
         # regularizers coincide, so the sample is an exact tie
         ds = DataSet(np.array([[0.0]]), np.array([0.5]))
         ref = ParamSet([[1.0], [-1.0]])
-        regions, unassigned = partition_regions(ds, ref, LossModel("ridge", lam=0.1))
+        regions, unassigned, _ = partition_regions(ds, ref, LossModel("ridge", lam=0.1))
         assert all(r.size == 0 for r in regions)
         np.testing.assert_array_equal(unassigned, [0])
 
@@ -67,7 +67,7 @@ class TestPartition:
             ds = DataSet(rng.standard_normal((n, 3)), rng.standard_normal(n))
             ref = ParamSet(rng.standard_normal((k, 3)))
             model = LossModel("ridge", lam=0.01)
-            regions, unassigned = partition_regions(ds, ref, model)
+            regions, unassigned, _ = partition_regions(ds, ref, model)
             fmat = np.stack(
                 [batch_loss(model, ds.X, ds.y, ref.theta(j)) for j in range(k)], axis=1
             )
@@ -103,7 +103,7 @@ class TestEstimateConstants:
         model = LossModel("ridge", lam=0.05)
         c = estimate_constants(ds, ref, model)
 
-        regions, _ = partition_regions(ds, ref, model)
+        regions, _, _ = partition_regions(ds, ref, model)
         eps = eps1 = 0.0
         delta = math.inf
         for j in range(2):

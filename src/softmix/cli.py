@@ -20,7 +20,9 @@ import yaml
 from .config import ConfigError, _parse_data, _parse_loss, validate_config
 from .datagen import GenSpec, generate, save_csv, save_records
 from .data import LabeledSample
-from .experiment import run_experiment, run_repetition, _format_constants, _format_quantities
+from .em import align_to_reference
+from .experiment import _build_init, _format_constants, _format_quantities, run_experiment
+from .experiment import repetition_context, theory_at
 from .losses import FAMILIES
 from .verify import GRADIENT_TOLERANCE, worst_gradient_error
 
@@ -87,13 +89,15 @@ def _cmd_check_gradients(args) -> int:
 def _cmd_bounds(args) -> int:
     with open(args.config) as fh:
         config = validate_config(fh.read())
-    result = run_repetition(config, 0)
-    sys.stdout.write("constants:  " + _format_constants(result.constants) + "\n")
-    sys.stdout.write("quantities: " + _format_quantities(result.quantities) + "\n")
-    bound = "n/a" if result.predicted_bound is None else f"{result.predicted_bound:.6g}"
+    # repetition 0's bound needs its starting distances, not its EM run
+    context = repetition_context(config, 0)
+    _, d0 = align_to_reference(_build_init(config, context), context.reference)
+    constants, quantities, bound = theory_at(config, context, d0)
+    sys.stdout.write("constants:  " + _format_constants(constants) + "\n")
+    sys.stdout.write("quantities: " + _format_quantities(quantities) + "\n")
+    bound = "n/a" if bound is None else f"{bound:.6g}"
     sys.stdout.write(
-        f"gamma={result.gamma:.6g} d0={result.initial_distance:.6g} "
-        f"predicted_bound={bound}\n"
+        f"gamma={context.gamma:.6g} d0={float(np.max(d0)):.6g} predicted_bound={bound}\n"
     )
     return 0
 

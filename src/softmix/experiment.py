@@ -1,30 +1,31 @@
 """Experiment driver: data -> certification -> gradient EM -> theory checks.
 
 Repetition r runs with derived seed ``base_seed + r`` so any repetition can
-be reproduced standalone.  Repetitions may execute in parallel
-(``SOFTMIX_WORKERS``); the report and CSVs are assembled in repetition order
+be reproduced standalone.  Its context (data, certified model, step size and
+reference) is built once; the checks run on repetition 0's data and
+reference and reuse its context instead of building them again.
+Repetitions may execute in parallel (``SOFTMIX_WORKERS``), with repetition 0
+in the parent process; the report and CSVs are assembled in repetition order
 and are byte-identical regardless of worker count.
 """
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
 
-from .config import (
-    EXPLICIT,
-    RANDOM_BALL,
-    ExperimentConfig,
-)
+from .config import EXPLICIT, RANDOM_BALL, ExperimentConfig, serialize
 from .data import DataSet, ParamSet
 from .datagen import GenSpec, generate, load_csv
-from .em import EMConfig, run_gradient_em
+from .em import EMConfig, gradient_em_step, run_gradient_em
 from .losses import LossModel, certify, default_step_size
 from .softmin import empirical_loss
 from .theory import (
@@ -47,6 +48,17 @@ WORKERS_ENV = "SOFTMIX_WORKERS"
 
 
 @dataclass
+class RepetitionContext:
+    """What one repetition is fitted and measured against, built once."""
+
+    seed: int
+    dataset: DataSet
+    model: LossModel  # certified on ``dataset``
+    gamma: float
+    reference: ParamSet  # the truth, or the multistart reference; its k is the run's
+
+
+@dataclass
 class RepetitionResult:
     rep: int
     seed: int
@@ -62,6 +74,7 @@ class RepetitionResult:
     quantities: Optional[TheoremQuantities]
     distances: np.ndarray  # (T+1, k) aligned distances
     losses: np.ndarray  # (T+1,)
+    context: Optional[RepetitionContext] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -100,12 +113,28 @@ class ExperimentReport:
         )
 
 
-def _materialize_data(config: ExperimentConfig, rep_seed: int):
+def repetition_context(config: ExperimentConfig, rep: int) -> RepetitionContext:
+    """Generate (or load) repetition ``rep``'s data, certify the loss on it and
+    fix its step size and reference.
+
+    ``k`` comes from the generating truth, else from ``init.thetas``, else 1.
+    """
+    seed = config.seed + rep
     if isinstance(config.data, str):
-        return load_csv(config.data), None
-    spec: GenSpec = config.data
-    spec = GenSpec(**{**spec.__dict__, "seed": rep_seed})
-    return generate(spec)
+        dataset, truth = load_csv(config.data), None
+    else:
+        dataset, truth = generate(GenSpec(**{**config.data.__dict__, "seed": seed}))
+    if config.reference_mode == "truth" and truth is None:
+        raise ValueError("reference=truth requires generated data with a truth ParamSet")
+    model = certify(config.loss, dataset)
+    gamma = config.gamma if config.gamma is not None else default_step_size(model, dataset)
+    if config.reference_mode == "truth":
+        reference = truth
+    else:
+        thetas = config.init.thetas
+        k = truth.k if truth is not None else (1 if thetas is None else thetas.k)
+        reference = _multistart_reference(dataset, model, config, k, seed)
+    return RepetitionContext(seed, dataset, model, gamma, reference)
 
 
 def _multistart_reference(
@@ -113,100 +142,95 @@ def _multistart_reference(
 ) -> ParamSet:
     """Reference optimizer for agnostic data: best of 16 long, small-step
     full-data gradient EM runs from random-ball initializations."""
-    gamma = default_step_size(model, dataset) / 4.0
-    radius = 1.0
-    best, best_loss = None, math.inf
     smcfg = config.softmin()
+    em = EMConfig(
+        step_size=default_step_size(model, dataset) / 4.0,
+        iterations=5 * config.iterations,
+        softmin=smcfg,
+        resample=False,
+    )
+    best, best_loss = None, math.inf
     for restart in range(16):
         rng = np.random.default_rng(seed * 1_000_003 + restart)
-        init = ParamSet(radius * rng.standard_normal((k, dataset.d)))
-        em = EMConfig(
-            step_size=gamma,
-            iterations=5 * config.iterations,
-            softmin=smcfg,
-            resample=False,
-            seed=seed,
-        )
-        params, _ = run_gradient_em(init, dataset, model, em)
+        params = ParamSet(rng.standard_normal((k, dataset.d)))
+        for _ in range(em.iterations):
+            params = gradient_em_step(params, dataset, model, em)
         loss = empirical_loss(params, dataset, model, smcfg)
         if loss < best_loss:
             best, best_loss = params, loss
     return best
 
 
-def _build_init(
-    config: ExperimentConfig, reference: ParamSet, rng: np.random.Generator
-) -> ParamSet:
+def _build_init(config: ExperimentConfig, context: RepetitionContext) -> ParamSet:
+    """The repetition's initial ParamSet, drawn with its seed."""
+    reference = context.reference
     mode = config.init.mode
     if mode == EXPLICIT:
         return config.init.thetas.copy()
-    if mode == RANDOM_BALL:
-        offsets = rng.standard_normal(reference.thetas.shape)
-        offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
-        radii = config.init.radius * rng.random(reference.k) ** (1.0 / reference.d)
-        return ParamSet(reference.thetas + radii[:, None] * offsets)
-    # perturb reference: offset of exactly c_ini * ||theta*_j|| per component
+    rng = np.random.default_rng(context.seed)
     offsets = rng.standard_normal(reference.thetas.shape)
     offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
-    radii = config.init.c_ini * np.linalg.norm(reference.thetas, axis=1)
+    if mode == RANDOM_BALL:
+        radii = config.init.radius * rng.random(reference.k) ** (1.0 / reference.d)
+    else:  # perturb reference: offset of exactly c_ini * ||theta*_j|| per component
+        radii = config.init.c_ini * np.linalg.norm(reference.thetas, axis=1)
     return ParamSet(reference.thetas + radii[:, None] * offsets)
 
 
-def run_repetition(config: ExperimentConfig, rep: int) -> RepetitionResult:
-    """Run one seeded repetition: generate, certify, run EM, evaluate bounds."""
-    rep_seed = config.seed + rep
-    dataset, truth = _materialize_data(config, rep_seed)
-    model = certify(config.loss, dataset)
-    gamma = config.gamma if config.gamma is not None else default_step_size(model, dataset)
-
-    if config.reference_mode == "truth":
-        if truth is None:
-            raise ValueError("reference=truth requires generated data with a truth ParamSet")
-        reference = truth
-        k = truth.k
-    else:
-        k = truth.k if truth is not None else (config.init.thetas.k if config.init.thetas else 1)
-        reference = _multistart_reference(dataset, model, config, k, rep_seed)
-
-    rng = np.random.default_rng(rep_seed)
-    init = _build_init(config, reference, rng)
-
-    em = EMConfig(
-        step_size=gamma,
+def _em_config(
+    config: ExperimentConfig, context: RepetitionContext, resample: bool
+) -> EMConfig:
+    return EMConfig(
+        step_size=context.gamma,
         iterations=config.iterations,
         softmin=config.softmin(),
-        resample=config.resample,
-        seed=rep_seed,
+        resample=resample,
+        seed=context.seed,
     )
-    _, trace = run_gradient_em(init, dataset, model, em, reference=reference)
 
-    constants = estimate_constants(dataset, reference, model)
-    norms = np.linalg.norm(reference.thetas, axis=1)
-    d0 = trace.records[0].distances
+
+def theory_at(config: ExperimentConfig, context: RepetitionContext, d0: np.ndarray):
+    """``(constants, quantities, bound)`` for a run starting at aligned
+    distances ``d0``.  ``quantities`` is None at beta = inf; ``bound`` is None
+    when the contraction is vacuous and inf when zeta is."""
+    constants = estimate_constants(context.dataset, context.reference, context.model)
+    norms = np.linalg.norm(context.reference.thetas, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         c_eff = float(np.max(np.where(norms > 0, d0 / norms, 0.0)))
-    quantities = None
+    if math.isinf(config.beta):
+        return constants, None, None
+    q = theorem_quantities(
+        constants, context.model, config.beta, c_eff, context.gamma, context.reference.k,
+        config.c_universal,
+    )
     bound = None
-    if not math.isinf(config.beta):
-        quantities = theorem_quantities(
-            constants, model, config.beta, c_eff, gamma, k, config.c_universal
-        )
-        if quantities.contraction is not None and math.isfinite(quantities.zeta):
-            bound = float(
-                np.max(
-                    predicted_distance_bound(
-                        d0, quantities.contraction, quantities.zeta, config.iterations
-                    )
-                )
-            )
-        elif quantities.contraction is not None:
-            bound = math.inf
+    if q.contraction is not None:
+        bound = math.inf
+        if math.isfinite(q.zeta):
+            per_component = predicted_distance_bound(d0, q.contraction, q.zeta, config.iterations)
+            bound = float(np.max(per_component))
+    return constants, q, bound
+
+
+def run_repetition(config: ExperimentConfig, rep: int) -> RepetitionResult:
+    """Run one seeded repetition: build its context, run EM, evaluate bounds.
+
+    The result keeps the context for the checks to reuse.  An infinite bound
+    counts as not evaluated (``within_bound=None``).
+    """
+    context = repetition_context(config, rep)
+    _, trace = run_gradient_em(
+        _build_init(config, context), context.dataset, context.model,
+        _em_config(config, context, config.resample), reference=context.reference,
+    )
+    d0 = trace.records[0].distances
+    constants, quantities, bound = theory_at(config, context, d0)
     final = trace.final_distance()
-    within = None if bound is None else final <= bound
+    within = None if bound is None or math.isinf(bound) else final <= bound
     return RepetitionResult(
         rep=rep,
-        seed=rep_seed,
-        gamma=gamma,
+        seed=context.seed,
+        gamma=context.gamma,
         initial_distance=float(np.max(d0)),
         final_distance=final,
         fitted_rate=trace.fitted_rate,
@@ -218,24 +242,27 @@ def run_repetition(config: ExperimentConfig, rep: int) -> RepetitionResult:
         quantities=quantities,
         distances=np.stack([r.distances for r in trace.records]),
         losses=np.array([r.loss for r in trace.records]),
+        context=context,
     )
 
 
-def _run_checks(config: ExperimentConfig) -> List[CheckResult]:
+def _repetition_without_context(config: ExperimentConfig, rep: int) -> RepetitionResult:
+    """``run_repetition`` without the context, which only repetition 0 keeps."""
+    result = run_repetition(config, rep)
+    result.context = None
+    return result
+
+
+def _run_checks(config: ExperimentConfig, context: RepetitionContext) -> List[CheckResult]:
+    """The enabled checks, on repetition 0's data and reference (``context``)."""
     results: List[CheckResult] = []
     if not config.checks:
         return results
-    dataset, truth = _materialize_data(config, config.seed)
-    model = certify(config.loss, dataset)
-    gamma = config.gamma if config.gamma is not None else default_step_size(model, dataset)
-    reference = truth
-    if config.reference_mode != "truth" or truth is None:
-        reference = _multistart_reference(
-            dataset, model, config, truth.k if truth else 1, config.seed
-        )
+    dataset, model, reference = context.dataset, context.model, context.reference
+    smcfg = config.softmin()
 
     if "gradient_oracle" in config.checks:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(context.seed)
         cases = [
             (dataset.sample(int(rng.integers(len(dataset)))), rng.standard_normal(dataset.d))
             for _ in range(100)
@@ -247,17 +274,10 @@ def _run_checks(config: ExperimentConfig) -> List[CheckResult]:
     if "lemmas" in config.checks:
         c_ini = config.init.c_ini if config.init.c_ini is not None else 0.1
         rep1, rep2 = check_lemma_bounds(
-            dataset,
-            reference,
-            model,
-            beta=config.beta,
-            c_ini=c_ini,
-            trials=config.lemma_trials,
-            seed=config.seed,
+            dataset, reference, model, beta=config.beta, c_ini=c_ini,
+            trials=config.lemma_trials, seed=context.seed,
         )
-        bad = (rep1.violations if not rep1.bound_vacuous else 0) + (
-            rep2.violations if not rep2.bound_vacuous else 0
-        )
+        bad = sum(r.violations for r in (rep1, rep2) if not r.bound_vacuous)
         detail = (
             f"own-region: {rep1.violations}/{rep1.checked} violations"
             f" (vacuous={rep1.bound_vacuous}); cross-region: "
@@ -266,54 +286,25 @@ def _run_checks(config: ExperimentConfig) -> List[CheckResult]:
         results.append(CheckResult("lemmas", bad == 0, detail))
 
     if "decomposition" in config.checks:
-        rng = np.random.default_rng(config.seed)
-        init = _build_init(config, reference, rng)
-        em = EMConfig(
-            step_size=gamma,
-            iterations=config.iterations,
-            softmin=config.softmin(),
-            resample=False,
-            seed=config.seed,
-        )
-        dec = step_decomposition(init, dataset, model, em, reference)
+        em = _em_config(config, context, resample=False)
+        dec = step_decomposition(_build_init(config, context), dataset, model, em, reference)
         ok = dec.total <= dec.T1 + dec.T2 + 1e-9
-        results.append(
-            CheckResult(
-                "decomposition",
-                ok,
-                f"total={dec.total:.6g} vs T1+T2={dec.T1 + dec.T2:.6g}",
-            )
-        )
+        detail = f"total={dec.total:.6g} vs T1+T2={dec.T1 + dec.T2:.6g}"
+        results.append(CheckResult("decomposition", ok, detail))
 
     if "brute_force" in config.checks:
-        k = reference.k
         grid = GridSpec(-1.5, 1.5, 61)
-        best = brute_force_minimize(dataset, model, config.softmin(), k, grid)
-        bf_loss = empirical_loss(best, dataset, model, config.softmin())
-        rng = np.random.default_rng(config.seed)
-        init = _build_init(config, reference, rng)
-        em = EMConfig(
-            step_size=gamma,
-            iterations=config.iterations,
-            softmin=config.softmin(),
-            resample=config.resample,
-            seed=config.seed,
-        )
-        final, _ = run_gradient_em(init, dataset, model, em)
-        em_loss = empirical_loss(final, dataset, model, config.softmin())
+        best = brute_force_minimize(dataset, model, smcfg, reference.k, grid)
+        bf_loss = empirical_loss(best, dataset, model, smcfg)
+        em = _em_config(config, context, config.resample)
+        final, _ = run_gradient_em(_build_init(config, context), dataset, model, em)
+        em_loss = empirical_loss(final, dataset, model, smcfg)
         cell = (grid.hi - grid.lo) / (grid.points - 1)
         shifted = ParamSet(best.thetas + cell)
-        slack = 2.0 * abs(
-            empirical_loss(shifted, dataset, model, config.softmin()) - bf_loss
-        )
+        slack = 2.0 * abs(empirical_loss(shifted, dataset, model, smcfg) - bf_loss)
         ok = em_loss <= bf_loss + max(slack, 1e-9)
-        results.append(
-            CheckResult(
-                "brute_force",
-                ok,
-                f"EM loss {em_loss:.6g} vs grid optimum {bf_loss:.6g} (slack {slack:.3g})",
-            )
-        )
+        detail = f"EM loss {em_loss:.6g} vs grid optimum {bf_loss:.6g} (slack {slack:.3g})"
+        results.append(CheckResult("brute_force", ok, detail))
     return results
 
 
@@ -381,18 +372,22 @@ def render_report(report: ExperimentReport) -> str:
 
 def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentReport:
     """Execute all repetitions plus enabled checks; optionally persist outputs."""
-    from .config import serialize
-
     start = time.perf_counter()
     workers = int(os.environ.get(WORKERS_ENV, "1"))
-    reps = list(range(config.repetitions))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_repetition, [config] * len(reps), reps))
+    rest = range(1, config.repetitions)
+    if workers > 1 and rest:
+        # repetition 0 runs in this process, beside the pool, so that its
+        # context is at hand for the checks
+        spawn = multiprocessing.get_context("spawn")  # fork is unsafe once BLAS threads run
+        with ProcessPoolExecutor(min(workers, len(rest)), mp_context=spawn) as pool:
+            others = pool.map(_repetition_without_context, repeat(config), rest)
+            first = run_repetition(config, 0)
+            results = [first, *others]
     else:
-        results = [run_repetition(config, r) for r in reps]
-    results.sort(key=lambda r: r.rep)
-    checks = _run_checks(config)
+        first = run_repetition(config, 0)
+        results = [first, *(_repetition_without_context(config, r) for r in rest)]
+    checks = _run_checks(config, first.context)
+    first.context = None
     report = ExperimentReport(
         config_text=serialize(config),
         repetitions=results,

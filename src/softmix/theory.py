@@ -79,6 +79,11 @@ def estimate_constants(
 ) -> ProblemConstants:
     """Empirical (epsilon, epsilon1, delta, pi_min) at the reference ParamSet."""
     regions, _, fmat = partition_regions(dataset, reference, model)
+    return _region_constants(dataset, reference, model, regions, fmat)
+
+
+def _region_constants(dataset, reference, model, regions, fmat) -> ProblemConstants:
+    """``estimate_constants`` from an existing ``partition_regions`` result."""
     sizes = [len(r) for r in regions]
     if min(sizes) == 0:
         raise ValueError("some region is empty: pi_min = 0, constants undefined")

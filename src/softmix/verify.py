@@ -12,12 +12,7 @@ from .data import DataSet, LabeledSample, ParamSet
 from .em import EMConfig, align_to_reference, gradient_em_step
 from .losses import LossModel, batch_gradient, loss_gradient, loss_value
 from .softmin import SoftMinConfig, empirical_loss, weight_matrix
-from .theory import (
-    compute_eta,
-    compute_eta_prime,
-    estimate_constants,
-    partition_regions,
-)
+from .theory import _region_constants, compute_eta, compute_eta_prime, partition_regions
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -135,14 +130,14 @@ def check_lemma_bounds(
         raise ValueError("trials must be >= 1")
     if math.isinf(beta):
         raise ValueError("bounds require finite beta")
-    constants = estimate_constants(dataset, reference, model)
+    regions, unassigned, fmat = partition_regions(dataset, reference, model)
+    constants = _region_constants(dataset, reference, model, regions, fmat)
     eta = compute_eta(constants, beta, c_ini, model, reference.k)
     eta_prime = compute_eta_prime(constants, beta, c_ini, model)
     lower = 1.0 - eta
     vac1 = eta >= 1.0
     vac2 = eta_prime > 1.0
 
-    _, unassigned, fmat = partition_regions(dataset, reference, model)
     assigned = np.ones(len(dataset), dtype=bool)
     assigned[unassigned] = False
     # assigned samples have a strict argmin, so the row minimum marks their own component

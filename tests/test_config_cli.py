@@ -5,9 +5,21 @@ import textwrap
 import numpy as np
 import pytest
 
+import softmix.experiment as experiment
 from softmix.cli import main
 from softmix.config import ConfigError, serialize, validate_config
-from softmix.experiment import run_experiment, run_repetition
+from softmix.data import ParamSet
+from softmix.datagen import save_csv
+from softmix.em import EMConfig, run_gradient_em
+from softmix.experiment import (
+    _format_constants,
+    _format_quantities,
+    repetition_context,
+    run_experiment,
+    run_repetition,
+)
+from softmix.losses import default_step_size
+from softmix.softmin import empirical_loss
 
 MINIMAL = textwrap.dedent(
     """
@@ -53,6 +65,84 @@ TWO_COMPONENT = textwrap.dedent(
     seed: 5
     """
 )
+
+AGNOSTIC = textwrap.dedent(
+    """
+    data:
+      kind: agnostic_piecewise
+      k: 2
+      d: 2
+      n: 300
+      covariate: uniform_ball
+      cov_scale: 1.5
+      margin: 1.44
+      perturb_amplitude: 0.05
+      truth: [[1.0, 0.0], [-1.0, 0.0]]
+    loss:
+      family: ridge
+      lam: 0.001
+    em:
+      iterations: 6
+      beta: 5.0
+    init:
+      mode: perturb_reference
+      c_ini: 0.05
+    reference: multistart
+    checks:
+      lemmas: true
+      decomposition: true
+    lemma_trials: 2
+    repetitions: 2
+    seed: 9
+    """
+)
+
+OUTPUTS = ("trace.csv", "logdist.csv", "report.txt")
+
+
+def _outputs(out):
+    """The three output files, without the run's wall-clock line."""
+    texts = {name: (out / name).read_text() for name in OUTPUTS}
+    texts["report.txt"] = "".join(
+        line for line in texts["report.txt"].splitlines(True)
+        if not line.startswith("wall_clock_s")
+    )
+    return texts
+
+
+def _counted(monkeypatch, name):
+    """Replace ``softmix.experiment.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(experiment, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, name, wrapper)
+    return calls
+
+
+def _reference_via_run_gradient_em(dataset, model, config, k, seed):
+    """Reference for ``_multistart_reference``: each restart is a full
+    ``run_gradient_em`` whose loss trace is discarded."""
+    gamma = default_step_size(model, dataset) / 4.0
+    best, best_loss = None, math.inf
+    for restart in range(16):
+        rng = np.random.default_rng(seed * 1_000_003 + restart)
+        init = ParamSet(1.0 * rng.standard_normal((k, dataset.d)))
+        em = EMConfig(
+            step_size=gamma,
+            iterations=5 * config.iterations,
+            softmin=config.softmin(),
+            resample=False,
+            seed=seed,
+        )
+        params, _ = run_gradient_em(init, dataset, model, em)
+        loss = empirical_loss(params, dataset, model, config.softmin())
+        if loss < best_loss:
+            best, best_loss = params, loss
+    return best
 
 
 class TestValidateConfig:
@@ -176,6 +266,110 @@ class TestExperimentDriver:
         }
         assert not report.failed_checks
 
+    def test_infinite_bound_counts_as_not_evaluated(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        original = experiment.theorem_quantities
+
+        def infinite_zeta(*args, **kwargs):
+            return dataclasses.replace(original(*args, **kwargs), zeta=math.inf)
+
+        monkeypatch.setattr(experiment, "theorem_quantities", infinite_zeta)
+        cfg = dataclasses.replace(validate_config(TWO_COMPONENT), output_dir=str(tmp_path))
+        report = run_experiment(cfg)
+        assert [r.predicted_bound for r in report.repetitions] == [math.inf, math.inf]
+        assert [r.within_bound for r in report.repetitions] == [None, None]
+        assert report.success_frequency is None
+        text = (tmp_path / "report.txt").read_text()
+        assert "bound=inf within_bound=None" in text
+        assert "success_frequency: n/a (within=0 violated=0 not_evaluated=2)" in text
+
+
+class TestRepetitionContext:
+    """Each repetition's data and reference are built once; the checks reuse
+    repetition 0's."""
+
+    def test_each_piece_of_work_once_per_repetition(self, monkeypatch):
+        generated = _counted(monkeypatch, "generate")
+        references = _counted(monkeypatch, "_multistart_reference")
+        cfg = validate_config(AGNOSTIC)
+        report = run_experiment(cfg, write=False)
+        assert len(generated) == cfg.repetitions
+        assert len(references) == cfg.repetitions
+        assert [spec.seed for (spec,) in generated] == [9, 10]
+        assert {c.name for c in report.checks} == {"lemmas", "decomposition"}
+        assert all(r.context is None for r in report.repetitions)
+
+    def test_reference_loop_matches_run_gradient_em_bitwise(self):
+        cfg = validate_config(AGNOSTIC)
+        context = repetition_context(cfg, 1)
+        expected = _reference_via_run_gradient_em(
+            context.dataset, context.model, cfg, context.reference.k, context.seed
+        )
+        assert context.reference.thetas.tobytes() == expected.thetas.tobytes()
+
+    def test_report_identical_across_worker_counts(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        payloads = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(experiment.WORKERS_ENV, workers)
+            out = tmp_path / "out"  # the config text in report.txt names it
+            cfg = dataclasses.replace(
+                validate_config(AGNOSTIC.replace("repetitions: 2", "repetitions: 3")),
+                output_dir=str(out),
+            )
+            report = run_experiment(cfg)
+            assert [r.rep for r in report.repetitions] == [0, 1, 2]
+            assert len(report.checks) == 2
+            payloads.append(_outputs(out))
+        assert payloads[0] == payloads[1]
+
+    def test_file_data_takes_k_from_explicit_init_in_checks(self, tmp_path):
+        import dataclasses
+
+        dataset, _ = experiment.generate(validate_config(TWO_COMPONENT).data)
+        path = tmp_path / "data.csv"
+        save_csv(dataset, str(path))
+        text = textwrap.dedent(
+            f"""
+            data:
+              file: {path}
+            loss:
+              family: ridge
+              lam: 0.001
+            em:
+              iterations: 5
+              beta: 2.0
+            reference: multistart
+            init:
+              mode: explicit
+              thetas: [[0.9, 0.1], [-0.9, -0.1]]
+            checks:
+              decomposition: true
+            """
+        )
+        cfg = dataclasses.replace(validate_config(text), output_dir=str(tmp_path / "out"))
+        report = run_experiment(cfg)
+        assert [c.name for c in report.checks] == ["decomposition"]
+        assert not report.failed_checks
+        assert report.repetitions[0].distances.shape[1] == 2
+
+    def test_truth_reference_on_file_data_raises_once(self, tmp_path, monkeypatch):
+        dataset, _ = experiment.generate(validate_config(MINIMAL).data)
+        path = tmp_path / "data.csv"
+        save_csv(dataset, str(path))
+        contexts = _counted(monkeypatch, "repetition_context")
+        references = _counted(monkeypatch, "_multistart_reference")
+        cfg = validate_config(
+            f"data:\n  file: {path}\nloss:\n  family: ridge\n  lam: 0.001\n"
+            "em:\n  iterations: 5\nreference: truth\nchecks:\n  lemmas: true\n"
+        )
+        with pytest.raises(ValueError, match="reference=truth"):
+            run_experiment(cfg, write=False)
+        assert len(contexts) == 1
+        assert references == []
+
 
 class TestCLI:
     def _write(self, tmp_path, name, text):
@@ -254,6 +448,29 @@ class TestCLI:
         assert main(["bounds", config]) == 0
         out = capsys.readouterr().out
         assert "predicted_bound" in out and "constants" in out
+
+    @pytest.mark.parametrize("reference", ["truth", "multistart"])
+    def test_bounds_match_repetition_zero_without_em(
+        self, tmp_path, capsys, monkeypatch, reference
+    ):
+        cfg_text = TWO_COMPONENT + f"reference: {reference}\n"
+        result = run_repetition(validate_config(cfg_text), 0)
+        bound = "n/a" if result.predicted_bound is None else f"{result.predicted_bound:.6g}"
+        expected = (
+            "constants:  " + _format_constants(result.constants) + "\n"
+            "quantities: " + _format_quantities(result.quantities) + "\n"
+            f"gamma={result.gamma:.6g} d0={result.initial_distance:.6g} "
+            f"predicted_bound={bound}\n"
+        )
+        capsys.readouterr()
+
+        def no_em(*args, **kwargs):
+            raise AssertionError("softmix bounds ran gradient EM")
+
+        monkeypatch.setattr(experiment, "run_gradient_em", no_em)
+        config = self._write(tmp_path, "cfg.yaml", cfg_text)
+        assert main(["bounds", config]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_bad_config_exits_2(self, tmp_path):
         config = self._write(tmp_path, "bad.yaml", "data: 3\n")

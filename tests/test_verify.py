@@ -138,6 +138,25 @@ class TestLemmaSweeps:
         assert rep1.violations == 0
         assert abs(rep1.worst_margin) <= 1e-12
 
+    def test_one_region_partition_per_sweep(self, mlr_instance, monkeypatch):
+        import softmix.verify as verify_module
+        from softmix.theory import estimate_constants, partition_regions
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return partition_regions(*args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "partition_regions", counted)
+        ds, ref, model = mlr_instance
+        rep1, rep2 = check_lemma_bounds(ds, ref, model, beta=5.0, c_ini=0.01, trials=3, seed=4)
+        assert len(calls) == 1
+        regions, _, fmat = partition_regions(ds, ref, model)
+        shared = verify_module._region_constants(ds, ref, model, regions, fmat)
+        assert shared == estimate_constants(ds, ref, model)
+        assert rep1.checked + rep2.checked == 3 * ds.n * ref.k  # no ties here
+
     @pytest.mark.filterwarnings("ignore:separation delta")
     def test_vacuous_regime_flagged_not_counted(self):
         # overlapping noisy components with a huge beta: the eta numerator

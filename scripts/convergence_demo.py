@@ -53,7 +53,7 @@ def main() -> int:
         rate = "n/a" if rep.fitted_rate is None else f"{rep.fitted_rate:.3f}"
         print(f"  seed={rep.seed}  rate={rate}  final={rep.final_distance:.3e}")
     for check in report.checks:
-        print(f"check {check.name}: {'PASS' if check.passed else 'FAIL'} ({check.detail})")
+        print(check.line())
     print(f"CSV outputs in {output_dir} (plot logdist.csv: t vs log10 distance)")
     return 1 if report.failed_checks else 0
 

@@ -2,90 +2,74 @@
 """Error-floor sweep: measured plateau vs the predicted additive floor.
 
 Sweeps the label-perturbation amplitude of the agnostic generator (which
-drives the misspecification constants), runs gradient EM at each level, and
-compares the measured final-distance plateau against the theory floor
-zeta / (1 - r) and the full recursion-accurate bound.
+drives the misspecification constants), runs the experiment driver at each
+level, and compares the measured final-distance plateau against the theory
+floor zeta / (1 - r) and the full recursion-accurate bound.  Repetitions run
+in parallel under SOFTMIX_WORKERS, as in ``softmix run``.
 
 Usage: python scripts/error_floor_sweep.py [output_csv]
 """
 import csv
+import dataclasses
+import os
 import sys
+import textwrap
 
 import numpy as np
 
-from softmix.data import ParamSet
-from softmix.datagen import GenSpec, generate
-from softmix.em import EMConfig, run_gradient_em
-from softmix.losses import LossModel, certify, default_step_size
-from softmix.softmin import SoftMinConfig
-from softmix.theory import (
-    estimate_constants,
-    predicted_distance_bound,
-    theorem_quantities,
-)
+from softmix.config import validate_config
+from softmix.experiment import run_experiment
 
 AMPLITUDES = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
-REPS = 10
-BETA = 10.0
-ITERATIONS = 30
-C_INI = 0.05
+
+CONFIG = validate_config(
+    textwrap.dedent(
+        """
+        data:
+          kind: agnostic_piecewise
+          k: 2
+          d: 4
+          n: 6000
+          covariate: uniform_ball
+          cov_scale: 1.5
+          margin: 1.44
+          truth: [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
+        loss:
+          family: ridge
+          lam: 1.0e-3
+        em:
+          iterations: 30
+          beta: 10.0
+          resample: true
+        init:
+          mode: perturb_reference
+          c_ini: 0.05
+        repetitions: 10
+        seed: 200
+        """
+    )
+)
 
 
-def run_level(amp: float):
-    floors, bounds, limits = [], [], []
-    for rep in range(REPS):
-        seed = 200 + rep
-        spec = GenSpec(
-            kind="agnostic_piecewise",
-            k=2,
-            d=4,
-            n=6000,
-            covariate="uniform_ball",
-            cov_scale=1.5,
-            margin=1.44,
-            perturb_amplitude=amp,
-            truth=ParamSet([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]),
-            seed=seed,
-        )
-        dataset, truth = generate(spec)
-        model = certify(LossModel("ridge", lam=1e-3), dataset)
-        gamma = default_step_size(model, dataset)
-        rng = np.random.default_rng(seed)
-        offsets = rng.standard_normal(truth.thetas.shape)
-        offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
-        radii = C_INI * np.linalg.norm(truth.thetas, axis=1)
-        init = ParamSet(truth.thetas + radii[:, None] * offsets)
-        em = EMConfig(
-            step_size=gamma,
-            iterations=ITERATIONS,
-            softmin=SoftMinConfig(beta=BETA),
-            resample=True,
-            seed=seed,
-        )
-        _, trace = run_gradient_em(init, dataset, model, em, reference=truth)
-        floors.append(trace.final_distance())
-
-        constants = estimate_constants(dataset, truth, model)
-        d0 = trace.records[0].distances
-        c_eff = float(np.max(d0 / np.linalg.norm(truth.thetas, axis=1)))
-        q = theorem_quantities(constants, model, BETA, c_eff, gamma, 2, 1.0)
-        if q.contraction is not None:
-            bounds.append(
-                float(np.max(predicted_distance_bound(d0, q.contraction, q.zeta, ITERATIONS)))
-            )
-            limits.append(q.zeta / (1.0 - q.contraction))
+def run_level(config, amp: float):
+    """Per-repetition final distances, and the predicted bounds and floor
+    limits of the repetitions with a contraction, at amplitude ``amp``."""
+    data = dataclasses.replace(config.data, perturb_amplitude=amp)
+    report = run_experiment(dataclasses.replace(config, data=data), write=False)
+    floors = [r.final_distance for r in report.repetitions]
+    contracting = [r for r in report.repetitions if r.predicted_bound is not None]
+    bounds = [r.predicted_bound for r in contracting]
+    limits = [r.quantities.zeta / (1.0 - r.quantities.contraction) for r in contracting]
     return floors, bounds, limits
 
 
 def main() -> int:
     out = sys.argv[1] if len(sys.argv) > 1 else "out/error_floor_sweep.csv"
-    import os
-
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     rows = []
     print(f"{'amp':>6} {'median floor':>13} {'median bound':>13} {'floor limit':>12}")
     for amp in AMPLITUDES:
-        floors, bounds, limits = run_level(amp)
+        floors, bounds, limits = run_level(CONFIG, amp)
         med_floor = float(np.median(floors))
         med_bound = float(np.median(bounds)) if bounds else float("nan")
         med_limit = float(np.median(limits)) if limits else float("nan")

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run <config.yaml>``            -- full experiment, writes report + CSVs
-* ``gen <genspec.yaml> -o <file>`` -- generate a dataset to CSV (or records)
+* ``gen <genspec.yaml> -o <file>`` -- generate a dataset to CSV
 * ``check-gradients <loss.yaml>``  -- randomized finite-difference audit
 * ``bounds <config.yaml>``         -- print theory quantities only
 
@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .config import ConfigError, _parse_data, _parse_loss, validate_config
-from .datagen import GenSpec, generate, save_csv, save_records
+from .datagen import GenSpec, generate, save_csv
 from .data import LabeledSample
 from .em import align_to_reference
 from .experiment import _build_init, _format_constants, _format_quantities, run_experiment
@@ -42,8 +42,7 @@ def _cmd_run(args) -> int:
     report = run_experiment(config)
     sys.stdout.write(f"{len(report.repetitions)} repetitions, {report.bound_summary()}\n")
     for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        sys.stdout.write(f"check {check.name}: {status} ({check.detail})\n")
+        sys.stdout.write(check.line() + "\n")
     sys.stdout.write(f"outputs written to {config.output_dir}\n")
     return 1 if report.failed_checks else 0
 
@@ -53,10 +52,7 @@ def _cmd_gen(args) -> int:
     if not isinstance(spec, GenSpec):
         raise ConfigError("a genspec describes a generated dataset; 'file' is not allowed")
     dataset, _ = generate(spec)
-    if args.format == "csv":
-        save_csv(dataset, args.output)
-    else:
-        save_records(dataset, args.output, kind=spec.kind, seed=spec.seed)
+    save_csv(dataset, args.output)
     sys.stdout.write(f"wrote {dataset.n} samples (d={dataset.d}) to {args.output}\n")
     return 0
 
@@ -120,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a dataset from a genspec")
     p_gen.add_argument("genspec")
     p_gen.add_argument("-o", "--output", required=True)
-    p_gen.add_argument("--format", choices=("csv", "records"), default="csv")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_chk = sub.add_parser("check-gradients", help="finite-difference gradient audit")

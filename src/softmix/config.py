@@ -16,6 +16,7 @@ from .data import ParamSet
 from .datagen import GenSpec
 from .losses import GLM, LINKS, LossModel
 from .softmin import SoftMinConfig
+from .verify import CHECK_GRID, check_brute_force_budget
 
 
 class ConfigError(ValueError):
@@ -80,6 +81,12 @@ class ExperimentConfig:
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {name!r}")
+        if "brute_force" in self.checks and isinstance(self.data, GenSpec):
+            # file data is only sized once loaded, when the check runs
+            try:
+                check_brute_force_budget(self.data.d, self.data.k, CHECK_GRID)
+            except ValueError as exc:
+                raise ConfigError(f"checks.brute_force: {exc}") from exc
 
     def softmin(self) -> SoftMinConfig:
         return SoftMinConfig(beta=self.beta)

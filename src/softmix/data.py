@@ -104,9 +104,6 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         return ParamSet(self.thetas.copy())
 
-    def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.thetas, axis=1)))
-
     def __eq__(self, other):
         return isinstance(other, ParamSet) and np.array_equal(self.thetas, other.thetas)
 

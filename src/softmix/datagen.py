@@ -1,4 +1,4 @@
-"""Seeded synthetic dataset generators and bit-stable dataset file formats.
+"""Seeded synthetic dataset generators and the bit-stable dataset CSV format.
 
 Every sample draws from its own Philox substream (key = seed * 2**64 + i),
 so generation order and any future parallel split cannot change the output.
@@ -160,7 +160,7 @@ def generate(spec: GenSpec) -> tuple[DataSet, ParamSet]:
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# file format
 
 
 def save_csv(dataset: DataSet, path) -> None:
@@ -185,31 +185,3 @@ def load_csv(path) -> DataSet:
     if arr.shape[1] != d + 1:
         raise ValueError(f"{path}: inconsistent column count")
     return DataSet(arr[:, :d], arr[:, d])
-
-
-def save_records(dataset: DataSet, path, kind: str = "unknown", seed: int = 0) -> None:
-    """Line-delimited hex-float records with a one-line header."""
-    with open(path, "w") as fh:
-        fh.write(f"# softmix-dataset d={dataset.d} n={dataset.n} kind={kind} seed={seed}\n")
-        for i in range(dataset.n):
-            toks = [float(v).hex() for v in dataset.X[i]] + [float(dataset.y[i]).hex()]
-            fh.write(" ".join(toks) + "\n")
-
-
-def load_records(path) -> tuple[DataSet, dict]:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# softmix-dataset "):
-            raise ValueError(f"{path}: missing softmix-dataset header")
-        meta = {}
-        for tok in header.split()[2:]:
-            key, val = tok.split("=", 1)
-            meta[key] = val
-        d, n = int(meta["d"]), int(meta["n"])
-        rows = [
-            [float.fromhex(tok) for tok in line.split()] for line in fh if line.strip()
-        ]
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.shape != (n, d + 1):
-        raise ValueError(f"{path}: body does not match header dimensions")
-    return DataSet(arr[:, :d], arr[:, d]), meta

@@ -37,7 +37,7 @@ from .theory import (
 )
 from .verify import (
     GRADIENT_TOLERANCE,
-    GridSpec,
+    CHECK_GRID,
     brute_force_minimize,
     check_lemma_bounds,
     step_decomposition,
@@ -56,6 +56,7 @@ class RepetitionContext:
     model: LossModel  # certified on ``dataset``
     gamma: float
     reference: ParamSet  # the truth, or the multistart reference; its k is the run's
+    fitted: Optional[ParamSet] = None  # EM's final ParamSet, once the repetition ran
 
 
 @dataclass
@@ -82,6 +83,9 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+    def line(self) -> str:
+        return f"check {self.name}: {'PASS' if self.passed else 'FAIL'} ({self.detail})"
 
 
 @dataclass
@@ -215,18 +219,19 @@ def theory_at(config: ExperimentConfig, context: RepetitionContext, d0: np.ndarr
 def run_repetition(config: ExperimentConfig, rep: int) -> RepetitionResult:
     """Run one seeded repetition: build its context, run EM, evaluate bounds.
 
-    The result keeps the context for the checks to reuse.  An infinite bound
-    counts as not evaluated (``within_bound=None``).
+    The result keeps the context, with the fitted ParamSet, for the checks to
+    reuse.  A vacuous bound (``TheoremQuantities.vacuous``) is still reported
+    but counts as not evaluated (``within_bound=None``).
     """
     context = repetition_context(config, rep)
-    _, trace = run_gradient_em(
+    context.fitted, trace = run_gradient_em(
         _build_init(config, context), context.dataset, context.model,
         _em_config(config, context, config.resample), reference=context.reference,
     )
     d0 = trace.records[0].distances
     constants, quantities, bound = theory_at(config, context, d0)
     final = trace.final_distance()
-    within = None if bound is None or math.isinf(bound) else final <= bound
+    within = None if quantities is None or quantities.vacuous else final <= bound
     return RepetitionResult(
         rep=rep,
         seed=context.seed,
@@ -293,12 +298,10 @@ def _run_checks(config: ExperimentConfig, context: RepetitionContext) -> List[Ch
         results.append(CheckResult("decomposition", ok, detail))
 
     if "brute_force" in config.checks:
-        grid = GridSpec(-1.5, 1.5, 61)
+        grid = CHECK_GRID
         best = brute_force_minimize(dataset, model, smcfg, reference.k, grid)
         bf_loss = empirical_loss(best, dataset, model, smcfg)
-        em = _em_config(config, context, config.resample)
-        final, _ = run_gradient_em(_build_init(config, context), dataset, model, em)
-        em_loss = empirical_loss(final, dataset, model, smcfg)
+        em_loss = empirical_loss(context.fitted, dataset, model, smcfg)
         cell = (grid.hi - grid.lo) / (grid.points - 1)
         shifted = ParamSet(best.thetas + cell)
         slack = 2.0 * abs(empirical_loss(shifted, dataset, model, smcfg) - bf_loss)
@@ -363,9 +366,7 @@ def render_report(report: ExperimentReport) -> str:
         lines.append("  quantities: " + _format_quantities(rr.quantities))
     lines.append("")
     lines.append(report.bound_summary())
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        lines.append(f"check {check.name}: {status} ({check.detail})")
+    lines.extend(check.line() for check in report.checks)
     lines.append(f"wall_clock_s: {report.wall_clock_s:.3f}")
     return "\n".join(lines) + "\n"
 

@@ -36,14 +36,6 @@ class ProblemConstants:
     pi_min: float
     region_sizes: tuple
 
-    def __post_init__(self):
-        if self.delta <= self.epsilon:
-            warnings.warn(
-                "separation delta <= misspecification epsilon: "
-                "the convergence bounds are vacuous for this instance",
-                stacklevel=2,
-            )
-
 
 @dataclass(frozen=True)
 class TheoremQuantities:
@@ -57,7 +49,14 @@ class TheoremQuantities:
 
     @property
     def vacuous(self) -> bool:
-        return self.eta >= 1.0 or self.contraction is None
+        """True when the bound says nothing: no contraction, eta >= 1,
+        eta' > 1 (a weight bound above 1) or an infinite floor zeta."""
+        return (
+            self.contraction is None
+            or self.eta >= 1.0
+            or self.eta_prime > 1.0
+            or not math.isfinite(self.zeta)
+        )
 
 
 def partition_regions(dataset: DataSet, reference: ParamSet, model: LossModel):
@@ -83,7 +82,11 @@ def estimate_constants(
 
 
 def _region_constants(dataset, reference, model, regions, fmat) -> ProblemConstants:
-    """``estimate_constants`` from an existing ``partition_regions`` result."""
+    """``estimate_constants`` from an existing ``partition_regions`` result.
+
+    Warns, naming the caller of ``estimate_constants`` or
+    ``check_lemma_bounds``, when delta <= epsilon.
+    """
     sizes = [len(r) for r in regions]
     if min(sizes) == 0:
         raise ValueError("some region is empty: pi_min = 0, constants undefined")
@@ -97,6 +100,12 @@ def _region_constants(dataset, reference, model, regions, fmat) -> ProblemConsta
         epsilon1 = max(epsilon1, float(np.max(np.linalg.norm(grads, axis=1))))
         others = np.delete(fmat[region], j, axis=1)
         delta = min(delta, float(np.min(others, initial=math.inf)))
+    if delta <= epsilon:
+        warnings.warn(
+            "separation delta <= misspecification epsilon: "
+            "the convergence bounds are vacuous for this instance",
+            stacklevel=3,
+        )
     return ProblemConstants(
         epsilon=epsilon,
         epsilon1=epsilon1,

@@ -66,6 +66,20 @@ class GridSpec:
         return np.linspace(self.lo, self.hi, self.points)
 
 
+# the grid of the experiment driver's ``brute_force`` check
+CHECK_GRID = GridSpec(-1.5, 1.5, 61)
+
+
+def check_brute_force_budget(d: int, k: int, grid: GridSpec) -> None:
+    """ValueError unless a brute-force search over ``grid`` is at toy scale:
+    d <= 2, k <= 2 and at most 1e7 candidate ParamSets."""
+    if d > 2 or k > 2:
+        raise ValueError("brute force restricted to d <= 2 and k <= 2")
+    total = grid.points ** (d * k)
+    if total > 10 ** 7:
+        raise ValueError(f"grid budget exceeded: {total} candidate ParamSets")
+
+
 def brute_force_minimize(
     dataset: DataSet,
     model: LossModel,
@@ -75,21 +89,16 @@ def brute_force_minimize(
 ) -> ParamSet:
     """Exhaustive grid search for the empirical soft-min loss minimizer.
 
-    Only feasible at toy scale: requires d <= 2, k <= 2 and a total budget of
-    at most 1e7 candidate ParamSets.
+    Only feasible at toy scale (see ``check_brute_force_budget``).
     """
     d = dataset.d
-    if d > 2 or k > 2:
-        raise ValueError("brute force restricted to d <= 2 and k <= 2")
+    check_brute_force_budget(d, k, grid)
     axis = grid.axis()
     points = (
         axis[:, None]
         if d == 1
         else np.array(list(itertools.product(axis, axis)))
     )
-    total = len(points) ** k
-    if total > 10 ** 7:
-        raise ValueError(f"grid budget exceeded: {total} candidate ParamSets")
     best_loss = math.inf
     best = None
     for combo in itertools.product(range(len(points)), repeat=k):

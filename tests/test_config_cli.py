@@ -97,6 +97,40 @@ AGNOSTIC = textwrap.dedent(
     """
 )
 
+# d = 1, k = 2: small enough for the brute-force grid of the check
+BRUTE_FORCE = textwrap.dedent(
+    """
+    data:
+      kind: generative_mlr
+      k: 2
+      d: 1
+      n: 400
+      noise_sigma: 0.01
+      covariate: uniform_ball
+      cov_scale: 1.5
+      margin: 1.69
+      truth: [[1.0], [-1.0]]
+    loss:
+      family: ridge
+      lam: 0.001
+    em:
+      iterations: 15
+      beta: 10.0
+    init:
+      mode: perturb_reference
+      c_ini: 0.1
+    checks:
+      brute_force: true
+    repetitions: 2
+    seed: 11
+    """
+)
+
+# d = 2, k = 2: 61^4 candidate ParamSets, over the grid budget
+BRUTE_FORCE_2D = BRUTE_FORCE.replace("d: 1", "d: 2").replace(
+    "[[1.0], [-1.0]]", "[[1.0, 0.0], [-1.0, 0.0]]"
+)
+
 OUTPUTS = ("trace.csv", "logdist.csv", "report.txt")
 
 
@@ -191,6 +225,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="unknown check"):
             validate_config(MINIMAL + "checks:\n  spellcheck: true\n")
 
+    def test_brute_force_grid_budget_checked_at_validation(self):
+        with pytest.raises(ConfigError, match="grid budget exceeded: 13845841"):
+            validate_config(BRUTE_FORCE_2D)
+        assert validate_config(BRUTE_FORCE).checks == ("brute_force",)
+
     def test_round_trip(self):
         for doc in (MINIMAL, TWO_COMPONENT):
             cfg = validate_config(doc)
@@ -283,6 +322,35 @@ class TestExperimentDriver:
         text = (tmp_path / "report.txt").read_text()
         assert "bound=inf within_bound=None" in text
         assert "success_frequency: n/a (within=0 violated=0 not_evaluated=2)" in text
+
+
+    def test_eta_prime_above_one_counts_as_not_evaluated(self, tmp_path):
+        import dataclasses
+
+        # at c_ini = 0.1 repetition 1's cross-region weight bound eta' exceeds 1
+        text = AGNOSTIC.replace("c_ini: 0.05", "c_ini: 0.1").replace(
+            "  lemmas: true\n  decomposition: true\n", "  lemmas: false\n"
+        )
+        cfg = dataclasses.replace(validate_config(text), output_dir=str(tmp_path))
+        report = run_experiment(cfg)
+        first, second = report.repetitions
+        assert first.quantities.eta_prime < 1.0 < second.quantities.eta_prime
+        assert second.quantities.vacuous
+        assert math.isfinite(second.predicted_bound)
+        assert [r.within_bound for r in report.repetitions] == [True, None]
+        assert report.success_frequency == 1.0
+        text = (tmp_path / "report.txt").read_text()
+        assert f"bound={second.predicted_bound:.6g} within_bound=None" in text
+        assert "success_frequency: 1.0000 (within=1 violated=0 not_evaluated=1)" in text
+
+    def test_brute_force_check_reuses_repetition_zero_fit(self, monkeypatch):
+        runs = _counted(monkeypatch, "run_gradient_em")
+        cfg = validate_config(BRUTE_FORCE)
+        report = run_experiment(cfg, write=False)
+        assert len(runs) == cfg.repetitions
+        (check,) = report.checks
+        assert check.passed
+        assert check.detail == "EM loss 0.00111089 vs grid optimum 0.00110775 (slack 0.00578)"
 
 
 class TestRepetitionContext:
@@ -410,14 +478,6 @@ class TestCLI:
         assert main(["run", config]) == 0
         assert (tmp_path / "out" / "report.txt").exists()
 
-    def test_gen_records_format(self, tmp_path):
-        genspec = self._write(
-            tmp_path, "gen.yaml", "kind: generative_mlr\nk: 2\nd: 2\nn: 30\nseed: 1\n"
-        )
-        out = tmp_path / "data.rec"
-        assert main(["gen", genspec, "-o", str(out), "--format", "records"]) == 0
-        assert out.read_text().startswith("# softmix-dataset d=2 n=30")
-
     def test_gen_unknown_key_exits_2(self, tmp_path, capsys):
         genspec = self._write(
             tmp_path, "gen.yaml", "kind: generative_mlr\nk: 1\nd: 2\nn: 30\nnoise: 0.1\n"
@@ -471,6 +531,18 @@ class TestCLI:
         config = self._write(tmp_path, "cfg.yaml", cfg_text)
         assert main(["bounds", config]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_oversized_brute_force_exits_2_before_any_repetition(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        repetitions = _counted(monkeypatch, "run_repetition")
+        config = self._write(
+            tmp_path, "cfg.yaml", BRUTE_FORCE_2D + f"output_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", config]) == 2
+        assert "grid budget exceeded" in capsys.readouterr().err
+        assert repetitions == []
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         config = self._write(tmp_path, "bad.yaml", "data: 3\n")

@@ -1,4 +1,4 @@
-"""Synthetic data generation and the two on-disk dataset formats."""
+"""Synthetic data generation and the CSV dataset format."""
 import math
 
 import numpy as np
@@ -10,9 +10,7 @@ from softmix.datagen import (
     GenSpec,
     generate,
     load_csv,
-    load_records,
     save_csv,
-    save_records,
 )
 from softmix.losses import LossModel
 from softmix.theory import estimate_constants
@@ -165,19 +163,3 @@ class TestFileFormats:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
             load_csv(path)
-
-    def test_records_round_trip_bit_stable(self, tmp_path):
-        ds, _ = generate(_spec(n=23, seed=9))
-        path = tmp_path / "data.rec"
-        save_records(ds, path, kind="generative_mlr", seed=9)
-        back, meta = load_records(path)
-        np.testing.assert_array_equal(back.X, ds.X)
-        np.testing.assert_array_equal(back.y, ds.y)
-        assert meta["kind"] == "generative_mlr"
-        assert meta["seed"] == "9"
-
-    def test_records_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.rec"
-        path.write_text("# softmix-dataset d=2 n=3 kind=x seed=0\n0x1p0 0x1p0 0x1p0\n")
-        with pytest.raises(ValueError, match="header"):
-            load_records(path)

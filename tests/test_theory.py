@@ -119,6 +119,19 @@ class TestEstimateConstants:
         assert c.delta == delta
         assert c.pi_min == min(len(r) for r in regions) / 60
 
+    def test_separation_warning_names_the_caller(self):
+        from softmix.verify import check_lemma_bounds
+
+        rng = np.random.default_rng(12)
+        ds = DataSet(rng.standard_normal((60, 2)), rng.standard_normal(60))
+        ref = ParamSet(rng.standard_normal((2, 2)))
+        model = certify(LossModel("ridge", lam=0.05), ds)
+        with pytest.warns(UserWarning, match="separation delta") as record:
+            estimate_constants(ds, ref, model)
+        with pytest.warns(UserWarning, match="separation delta") as lemma_record:
+            check_lemma_bounds(ds, ref, model, beta=1.0, c_ini=0.1, trials=1, seed=0)
+        assert [w.filename for w in (*record, *lemma_record)] == [__file__, __file__]
+
     def test_empty_region_rejected(self):
         ds = DataSet(np.array([[1.0]]), np.array([1.0]))
         ref = ParamSet([[1.0], [0.9]])

@@ -17,13 +17,13 @@ import sys
 import numpy as np
 import yaml
 
-from .config import ConfigError, _parse_data, _parse_loss, validate_config
+from .config import ConfigError, _section, _typed, validate_config
 from .datagen import GenSpec, generate, save_csv
 from .data import LabeledSample
 from .em import align_to_reference
 from .experiment import _build_init, _format_constants, _format_quantities, run_experiment
 from .experiment import repetition_context, theory_at
-from .losses import FAMILIES
+from .losses import FAMILIES, LossModel
 from .verify import GRADIENT_TOLERANCE, worst_gradient_error
 
 
@@ -48,9 +48,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = _parse_data(_load_yaml(args.genspec))
-    if not isinstance(spec, GenSpec):
-        raise ConfigError("a genspec describes a generated dataset; 'file' is not allowed")
+    spec = _section(_load_yaml(args.genspec), GenSpec, "genspec")
     dataset, _ = generate(spec)
     save_csv(dataset, args.output)
     sys.stdout.write(f"wrote {dataset.n} samples (d={dataset.d}) to {args.output}\n")
@@ -61,9 +59,9 @@ def _cmd_check_gradients(args) -> int:
     doc = _load_yaml(args.loss_spec)
     if not isinstance(doc, dict):
         raise ConfigError("loss spec must be a mapping")
-    model = _parse_loss({key: doc[key] for key in doc if key not in ("seed", "d")})
-    rng = np.random.default_rng(int(doc.get("seed", 0)))
-    d = int(doc.get("d", 3))
+    model = _section({key: doc[key] for key in doc if key not in ("seed", "d")}, LossModel, "loss")
+    rng = np.random.default_rng(_typed(doc.get("seed", 0), int, "seed"))
+    d = _typed(doc.get("d", 3), int, "d")
     signed = FAMILIES[model.family].signed_labels
 
     def label() -> float:
@@ -102,9 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="softmix",
         description="Gradient EM for soft-min mixture fitting, with bound validation. "
-        "Defaults: beta=1.0 ('inf' selects hard min), gamma=1/(2*mean smoothness), "
-        "resample=true, init perturb_reference with c_ini=0.2, reference=truth, "
-        "repetitions=1, c_universal=1.0, output_dir=softmix-out.",
+        "Config keys and defaults are the fields of softmix.config.ExperimentConfig.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,20 +1,31 @@
 """Declarative experiment configuration: parsing, validation, serialization.
 
-Configs are YAML documents.  Unknown keys are rejected so typos fail loudly;
-``serialize`` emits a document that reparses to an equal config.
+Configs are YAML documents, and the dataclasses are their only schema:
+``ExperimentConfig`` at the top level (its :data:`EM_KEYS` fields under
+``em:``), :class:`~softmix.datagen.GenSpec` under ``data:`` (or
+``data: {file: <csv>}``), :class:`~softmix.losses.LossModel` under ``loss:``
+(less the :data:`CERTIFIED` constants) and :class:`InitSpec` under ``init:``.
+Every key is a field name, a field without a default is required, and an
+absent key takes the field default.  Each value is checked against its field
+annotation by :func:`_typed`: ints must be integral, booleans YAML booleans,
+and floats numbers or strings that ``float()`` parses (PyYAML reads ``1e-3``
+as a string; ``beta: "inf"`` selects the hard min), never NaN.  Unknown keys
+are rejected so typos fail loudly; ``serialize`` walks the same fields and
+emits a document that reparses to an equal config.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass
+from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
 from .data import ParamSet
 from .datagen import GenSpec
-from .losses import GLM, LINKS, LossModel
+from .losses import LINKS, LinkFunction, LossModel
 from .softmin import SoftMinConfig
 from .verify import CHECK_GRID, check_brute_force_budget
 
@@ -31,6 +42,9 @@ INIT_MODES = (PERTURB_REFERENCE, EXPLICIT, RANDOM_BALL)
 REFERENCE_MODES = ("truth", "multistart")
 
 CHECK_NAMES = ("lemmas", "decomposition", "gradient_oracle", "brute_force")
+
+EM_KEYS = ("iterations", "gamma", "beta", "resample")  # ExperimentConfig fields under em:
+CERTIFIED = ("m", "M")  # LossModel fields that certify() sets; not config keys
 
 
 @dataclass(frozen=True)
@@ -54,15 +68,15 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    data: object  # GenSpec or str path
+    data: Union[GenSpec, str]  # a generated dataset, or the path of a CSV file
     loss: LossModel
-    gamma: Optional[float]  # None -> 1/(2 * mean smoothness)
     iterations: int
-    beta: float
-    resample: bool
-    init: InitSpec
-    reference_mode: str = "truth"
-    checks: tuple = ()
+    gamma: Optional[float] = None  # None -> 1/(2 * mean smoothness)
+    beta: float = 1.0  # math.inf selects the hard min
+    resample: bool = True
+    init: InitSpec = InitSpec()
+    reference: str = "truth"
+    checks: Tuple[str, ...] = ()
     lemma_trials: int = 20
     repetitions: int = 1
     seed: int = 0
@@ -76,8 +90,14 @@ class ExperimentConfig:
             raise ConfigError("em.iterations must be >= 1")
         if self.gamma is not None and self.gamma <= 0:
             raise ConfigError("em.gamma must be positive when given")
-        if self.reference_mode not in REFERENCE_MODES:
+        if math.isnan(self.beta) or self.beta < 0:
+            raise ConfigError("em.beta must be >= 0")
+        if self.reference not in REFERENCE_MODES:
             raise ConfigError(f"reference must be one of {REFERENCE_MODES}")
+        if not (math.isfinite(self.c_universal) and self.c_universal > 0):
+            raise ConfigError("c_universal must be a finite number > 0")
+        if self.lemma_trials < 1:
+            raise ConfigError("lemma_trials must be >= 1")
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {name!r}")
@@ -92,41 +112,46 @@ class ExperimentConfig:
         return SoftMinConfig(beta=self.beta)
 
 
-_REQUIRED_TOP = ("data", "loss", "em")
-_ALLOWED_TOP = _REQUIRED_TOP + (
-    "init",
-    "reference",
-    "checks",
-    "lemma_trials",
-    "repetitions",
-    "seed",
-    "c_universal",
-    "output_dir",
-)
+def _typed(raw, hint, where: str):
+    """``raw``, a value read from YAML, as a value of the annotation ``hint``;
+    a ConfigError that names the key ``where`` if it is not one."""
+    if get_origin(hint) is Union:  # Optional[X]
+        if raw is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if hint is bool and isinstance(raw, bool):
+        return raw
+    if hint is int and number and (isinstance(raw, int) or raw.is_integer()):
+        return int(raw)
+    if hint is float and (number or isinstance(raw, str)):
+        try:
+            value = float(raw)
+        except (ValueError, OverflowError):
+            value = math.nan
+        if not math.isnan(value):
+            return value
+    if hint is str and isinstance(raw, str):
+        return raw
+    if get_origin(hint) is tuple and isinstance(raw, list):  # Tuple[X, ...]
+        item = get_args(hint)[0]
+        return tuple(_typed(value, item, f"{where}[{i}]") for i, value in enumerate(raw))
+    if hint is ParamSet:
+        try:
+            return ParamSet(np.asarray(raw, dtype=np.float64))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    if hint is LinkFunction:
+        if isinstance(raw, str) and raw in LINKS:
+            return LINKS[raw]
+        raise ConfigError(f"{where} must be one of {sorted(LINKS)}")
+    if dataclasses.is_dataclass(hint):
+        return _section(raw, hint, where)
+    expected = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+    raise ConfigError(f"{where}: expected {expected.get(hint, 'a list')}, got {raw!r}")
 
-_ALLOWED_DATA = (
-    "file",
-    "kind",
-    "k",
-    "d",
-    "n",
-    "noise_sigma",
-    "mix_weights",
-    "covariate",
-    "cov_scale",
-    "t_dof",
-    "seed",
-    "truth",
-    "truth_scale",
-    "perturb_amplitude",
-    "margin",
-)
-_ALLOWED_LOSS = ("family", "lam", "link", "domain_radius")
-_ALLOWED_EM = ("gamma", "iterations", "beta", "resample")
-_ALLOWED_INIT = ("mode", "c_ini", "thetas", "radius")
 
-
-def _reject_unknown(section: dict, allowed, where: str):
+def _reject_unknown(section, allowed, where: str):
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a mapping")
     unknown = sorted(set(section) - set(allowed))
@@ -134,71 +159,55 @@ def _reject_unknown(section: dict, allowed, where: str):
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
-def _parse_beta(raw) -> float:
-    if isinstance(raw, str):
-        if raw.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigError(f"em.beta: expected a number or 'inf', got {raw!r}")
-    beta = float(raw)
-    if beta < 0 or math.isnan(beta):
-        raise ConfigError("em.beta must be >= 0")
-    return beta
+def _typed_fields(cls, raw: dict, where: str, names) -> dict:
+    """The fields ``names`` of dataclass ``cls`` that ``raw`` sets, each typed
+    by its annotation; a ConfigError if a field without a default is absent."""
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in names:
+            continue
+        key = f"{where}.{f.name}" if where else f.name
+        if f.name in raw:
+            kwargs[f.name] = _typed(raw[f.name], hints[f.name], key)
+        elif f.default is MISSING:
+            raise ConfigError(f"{key} is required")
+    return kwargs
 
 
-def _parse_data(section) -> object:
-    _reject_unknown(section, _ALLOWED_DATA, "data")
-    if "file" in section:
-        extra = set(section) - {"file"}
-        if extra:
+def _section(raw, cls, where: str):
+    """Dataclass ``cls`` from the YAML mapping ``raw`` (empty when ``None``)."""
+    raw = {} if raw is None else raw
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in CERTIFIED]
+    _reject_unknown(raw, names, where)
+    kwargs = _typed_fields(cls, raw, where, names)
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _parse_data(raw) -> Union[GenSpec, str]:
+    if isinstance(raw, dict) and "file" in raw:
+        if set(raw) != {"file"}:
             raise ConfigError("data.file cannot be combined with generator keys")
-        return str(section["file"])
-    for key in ("kind", "k", "d", "n"):
-        if key not in section:
-            raise ConfigError(f"data.{key} is required for generated datasets")
-    kwargs = dict(section)
-    if kwargs.get("truth") is not None:
-        kwargs["truth"] = ParamSet(np.asarray(kwargs["truth"], dtype=np.float64))
-    if kwargs.get("mix_weights") is not None:
-        kwargs["mix_weights"] = tuple(float(w) for w in kwargs["mix_weights"])
-    try:
-        return GenSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"data: {exc}") from exc
+        return _typed(raw["file"], str, "data.file")
+    return _section(raw, GenSpec, "data")
 
 
-def _parse_loss(section) -> LossModel:
-    _reject_unknown(section, _ALLOWED_LOSS, "loss")
-    if "family" not in section:
-        raise ConfigError("loss.family is required")
-    link = None
-    if section.get("link") is not None:
-        name = str(section["link"])
-        if name not in LINKS:
-            raise ConfigError(f"loss.link must be one of {sorted(LINKS)}")
-        link = LINKS[name]
-    try:
-        return LossModel(
-            family=str(section["family"]),
-            lam=float(section.get("lam", 0.0)),
-            link=link,
-            domain_radius=(
-                float(section["domain_radius"])
-                if section.get("domain_radius") is not None
-                else None
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"loss: {exc}") from exc
-
-
-def _parse_init(section) -> InitSpec:
-    if section is None:
-        return InitSpec()
-    _reject_unknown(section, _ALLOWED_INIT, "init")
-    kwargs = dict(section)
-    if kwargs.get("thetas") is not None:
-        kwargs["thetas"] = ParamSet(np.asarray(kwargs["thetas"], dtype=np.float64))
-    return InitSpec(**kwargs)
+def _parse_checks(raw) -> Tuple[str, ...]:
+    """The enabled checks, in ``CHECK_NAMES`` order, of a name -> bool mapping."""
+    if raw is None:
+        return ()
+    if not isinstance(raw, dict):
+        raise ConfigError("checks must be a mapping of check name to boolean")
+    for name, value in raw.items():
+        if name not in CHECK_NAMES:
+            raise ConfigError(f"unknown check {name!r}")
+        _typed(value, bool, f"checks.{name}")
+    return tuple(name for name in CHECK_NAMES if raw.get(name))
 
 
 def validate_config(text: str) -> ExperimentConfig:
@@ -207,98 +216,58 @@ def validate_config(text: str) -> ExperimentConfig:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"YAML parse error: {exc}") from exc
+    fields = dataclasses.fields(ExperimentConfig)
+    top = [f.name for f in fields if f.name not in EM_KEYS]
+    required = list(dict.fromkeys(
+        "em" if f.name in EM_KEYS else f.name for f in fields if f.default is MISSING
+    ))
     if not isinstance(doc, dict):
-        missing = ", ".join(_REQUIRED_TOP)
+        missing = ", ".join(required)
         raise ConfigError(f"empty or scalar config; required sections: {missing}")
-    _reject_unknown(doc, _ALLOWED_TOP, "config")
-    missing = [key for key in _REQUIRED_TOP if key not in doc]
+    _reject_unknown(doc, top + ["em"], "config")
+    missing = [key for key in required if key not in doc]
     if missing:
         raise ConfigError(f"missing required sections: {', '.join(missing)}")
-
-    em = doc["em"]
-    _reject_unknown(em, _ALLOWED_EM, "em")
-    if "iterations" not in em:
-        raise ConfigError("em.iterations is required")
-    checks = doc.get("checks") or {}
-    if isinstance(checks, dict):
-        for name, value in checks.items():
-            if name not in CHECK_NAMES:
-                raise ConfigError(f"unknown check {name!r}")
-            if not isinstance(value, bool):
-                raise ConfigError(f"checks.{name} must be a boolean")
-        enabled = tuple(name for name in CHECK_NAMES if checks.get(name))
-    else:
-        raise ConfigError("checks must be a mapping of check name to boolean")
-
+    _reject_unknown(doc["em"], EM_KEYS, "em")
+    rest = [name for name in top if name not in ("data", "checks")]
     return ExperimentConfig(
         data=_parse_data(doc["data"]),
-        loss=_parse_loss(doc["loss"]),
-        gamma=(float(em["gamma"]) if em.get("gamma") is not None else None),
-        iterations=int(em["iterations"]),
-        beta=_parse_beta(em.get("beta", 1.0)),
-        resample=bool(em.get("resample", True)),
-        init=_parse_init(doc.get("init")),
-        reference_mode=str(doc.get("reference", "truth")),
-        checks=enabled,
-        lemma_trials=int(doc.get("lemma_trials", 20)),
-        repetitions=int(doc.get("repetitions", 1)),
-        seed=int(doc.get("seed", 0)),
-        c_universal=float(doc.get("c_universal", 1.0)),
-        output_dir=str(doc.get("output_dir", "softmix-out")),
+        checks=_parse_checks(doc.get("checks")),
+        **_typed_fields(ExperimentConfig, doc["em"], "em", EM_KEYS),
+        **_typed_fields(ExperimentConfig, doc, "", rest),
     )
+
+
+def _plain(value):
+    """``value`` as YAML data that ``_typed`` reads back to an equal value; a
+    dataclass omits its ``CERTIFIED`` fields and ``None`` where that is the
+    default."""
+    if isinstance(value, LinkFunction):
+        return value.name
+    if dataclasses.is_dataclass(value):
+        items = ((f, getattr(value, f.name)) for f in dataclasses.fields(value))
+        return {
+            f.name: _plain(item) for f, item in items
+            if f.name not in CERTIFIED and not (item is None and f.default is None)
+        }
+    if isinstance(value, ParamSet):
+        return value.thetas.tolist()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, float) and math.isinf(value):
+        return str(value)
+    return value
 
 
 def serialize(config: ExperimentConfig) -> str:
     """YAML document that reparses (via validate_config) to an equal config."""
     doc: dict = {}
+    for key, value in _plain(config).items():
+        if key in EM_KEYS:
+            doc.setdefault("em", {})[key] = value
+        else:
+            doc[key] = value
     if isinstance(config.data, str):
         doc["data"] = {"file": config.data}
-    else:
-        spec: GenSpec = config.data
-        data = {
-            "kind": spec.kind,
-            "k": spec.k,
-            "d": spec.d,
-            "n": spec.n,
-            "noise_sigma": spec.noise_sigma,
-            "covariate": spec.covariate,
-            "cov_scale": spec.cov_scale,
-            "t_dof": spec.t_dof,
-            "seed": spec.seed,
-            "truth_scale": spec.truth_scale,
-            "perturb_amplitude": spec.perturb_amplitude,
-            "margin": spec.margin,
-        }
-        if spec.mix_weights is not None:
-            data["mix_weights"] = list(spec.mix_weights)
-        if spec.truth is not None:
-            data["truth"] = spec.truth.thetas.tolist()
-        doc["data"] = data
-    loss = {"family": config.loss.family, "lam": config.loss.lam}
-    if config.loss.link is not None:
-        loss["link"] = config.loss.link.name
-    if config.loss.domain_radius is not None:
-        loss["domain_radius"] = config.loss.domain_radius
-    doc["loss"] = loss
-    doc["em"] = {
-        "gamma": config.gamma,
-        "iterations": config.iterations,
-        "beta": "inf" if math.isinf(config.beta) else config.beta,
-        "resample": config.resample,
-    }
-    init = {"mode": config.init.mode}
-    if config.init.c_ini is not None:
-        init["c_ini"] = config.init.c_ini
-    if config.init.thetas is not None:
-        init["thetas"] = config.init.thetas.thetas.tolist()
-    if config.init.radius is not None:
-        init["radius"] = config.init.radius
-    doc["init"] = init
-    doc["reference"] = config.reference_mode
-    doc["checks"] = {name: (name in config.checks) for name in CHECK_NAMES}
-    doc["lemma_trials"] = config.lemma_trials
-    doc["repetitions"] = config.repetitions
-    doc["seed"] = config.seed
-    doc["c_universal"] = config.c_universal
-    doc["output_dir"] = config.output_dir
+    doc["checks"] = {name: name in config.checks for name in CHECK_NAMES}
     return yaml.safe_dump(doc, sort_keys=False)

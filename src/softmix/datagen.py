@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class GenSpec:
     d: int
     n: int
     noise_sigma: float = 0.0
-    mix_weights: Optional[tuple] = None
+    mix_weights: Optional[Tuple[float, ...]] = None
     covariate: str = "gaussian"
     cov_scale: float = 1.0
     t_dof: int = 5

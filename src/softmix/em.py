@@ -38,7 +38,7 @@ class EMConfig:
 @dataclass
 class TraceRecord:
     t: int
-    distances: Optional[np.ndarray]  # per reference component, aligned
+    distances: np.ndarray  # per reference component, aligned
     loss: float
 
 
@@ -51,14 +51,11 @@ class ConvergenceTrace:
     fitted_floor: Optional[float] = None
     alignment: Optional[np.ndarray] = None  # params index -> reference index
 
-    def max_distances(self) -> Optional[np.ndarray]:
-        if self.records[0].distances is None:
-            return None
+    def max_distances(self) -> np.ndarray:
         return np.array([np.max(r.distances) for r in self.records])
 
-    def final_distance(self) -> Optional[float]:
-        md = self.max_distances()
-        return None if md is None else float(md[-1])
+    def final_distance(self) -> float:
+        return float(self.max_distances()[-1])
 
 
 def partition_dataset(dataset: DataSet, T: int, seed: int) -> List[DataSet]:
@@ -146,12 +143,13 @@ def run_gradient_em(
     model: LossModel,
     config: EMConfig,
     reference: Optional[ParamSet] = None,
-) -> tuple[ParamSet, ConvergenceTrace]:
-    """Run T gradient EM iterations and collect a convergence trace.
+) -> tuple[ParamSet, Optional[ConvergenceTrace]]:
+    """Run T gradient EM iterations; with a reference, collect a convergence trace.
 
-    With a reference ParamSet the trace records min-cost aligned
-    component distances at every iteration (including t=0) and fits a
-    geometric rate and floor to the max-distance sequence.
+    The trace records min-cost aligned component distances and the full-data
+    loss at every iteration (including t=0) and fits a geometric rate and
+    floor to the max-distance sequence.  Without a reference nothing is
+    recorded and the trace is ``None``.
     """
     T = config.iterations
     if config.resample:
@@ -160,22 +158,18 @@ def run_gradient_em(
         folds = None
 
     def record(t, params):
-        loss = empirical_loss(params, dataset, model, config.softmin)
-        if reference is None:
-            return TraceRecord(t, None, loss)
         _, dists = align_to_reference(params, reference)
-        return TraceRecord(t, dists, loss)
+        return TraceRecord(t, dists, empirical_loss(params, dataset, model, config.softmin))
 
     params = init.copy()
-    records = [record(0, params)]
+    trace = None if reference is None else ConvergenceTrace(records=[record(0, params)])
     for t in range(T):
         fold = folds[t] if folds is not None else dataset
         params = gradient_em_step(params, fold, model, config)
-        records.append(record(t + 1, params))
+        if trace is not None:
+            trace.records.append(record(t + 1, params))
 
-    trace = ConvergenceTrace(records=records)
-    if reference is not None:
+    if trace is not None:
         trace.alignment, _ = align_to_reference(params, reference)
-        md = trace.max_distances()
-        trace.fitted_rate, trace.fitted_floor = fit_rate_and_floor(md)
+        trace.fitted_rate, trace.fitted_floor = fit_rate_and_floor(trace.max_distances())
     return params, trace

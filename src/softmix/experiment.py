@@ -25,7 +25,8 @@ import numpy as np
 from .config import EXPLICIT, RANDOM_BALL, ExperimentConfig, serialize
 from .data import DataSet, ParamSet
 from .datagen import GenSpec, generate, load_csv
-from .em import EMConfig, gradient_em_step, run_gradient_em
+from . import em
+from .em import EMConfig, run_gradient_em
 from .losses import LossModel, certify, default_step_size
 from .softmin import empirical_loss
 from .theory import (
@@ -128,11 +129,11 @@ def repetition_context(config: ExperimentConfig, rep: int) -> RepetitionContext:
         dataset, truth = load_csv(config.data), None
     else:
         dataset, truth = generate(GenSpec(**{**config.data.__dict__, "seed": seed}))
-    if config.reference_mode == "truth" and truth is None:
+    if config.reference == "truth" and truth is None:
         raise ValueError("reference=truth requires generated data with a truth ParamSet")
     model = certify(config.loss, dataset)
     gamma = config.gamma if config.gamma is not None else default_step_size(model, dataset)
-    if config.reference_mode == "truth":
+    if config.reference == "truth":
         reference = truth
     else:
         thetas = config.init.thetas
@@ -145,9 +146,13 @@ def _multistart_reference(
     dataset: DataSet, model: LossModel, config: ExperimentConfig, k: int, seed: int
 ) -> ParamSet:
     """Reference optimizer for agnostic data: best of 16 long, small-step
-    full-data gradient EM runs from random-ball initializations."""
+    full-data gradient EM runs from random-ball initializations.
+
+    The restarts call ``em.run_gradient_em`` through its module: this
+    module's ``run_gradient_em`` binding is the repetitions' own EM run.
+    """
     smcfg = config.softmin()
-    em = EMConfig(
+    restart_em = EMConfig(
         step_size=default_step_size(model, dataset) / 4.0,
         iterations=5 * config.iterations,
         softmin=smcfg,
@@ -156,9 +161,8 @@ def _multistart_reference(
     best, best_loss = None, math.inf
     for restart in range(16):
         rng = np.random.default_rng(seed * 1_000_003 + restart)
-        params = ParamSet(rng.standard_normal((k, dataset.d)))
-        for _ in range(em.iterations):
-            params = gradient_em_step(params, dataset, model, em)
+        init = ParamSet(rng.standard_normal((k, dataset.d)))
+        params, _ = em.run_gradient_em(init, dataset, model, restart_em)
         loss = empirical_loss(params, dataset, model, smcfg)
         if loss < best_loss:
             best, best_loss = params, loss
@@ -291,8 +295,8 @@ def _run_checks(config: ExperimentConfig, context: RepetitionContext) -> List[Ch
         results.append(CheckResult("lemmas", bad == 0, detail))
 
     if "decomposition" in config.checks:
-        em = _em_config(config, context, resample=False)
-        dec = step_decomposition(_build_init(config, context), dataset, model, em, reference)
+        em_config = _em_config(config, context, resample=False)
+        dec = step_decomposition(_build_init(config, context), dataset, model, em_config, reference)
         ok = dec.total <= dec.T1 + dec.T2 + 1e-9
         detail = f"total={dec.total:.6g} vs T1+T2={dec.T1 + dec.T2:.6g}"
         results.append(CheckResult("decomposition", ok, detail))

@@ -205,14 +205,9 @@ def predicted_distance_bound(
     contraction: float,
     zeta: float,
     T: int,
-    geometric: bool = True,
 ) -> np.ndarray:
-    """T-iteration distance bound per component.
-
-    ``geometric=True`` applies the one-step bound recursively,
-    r^T d0 + zeta (1 - r^T) / (1 - r); ``geometric=False`` gives the looser
-    summary form r^T d0 + zeta.
-    """
+    """T-iteration distance bound per component: the one-step bound applied
+    recursively, r^T d0 + zeta (1 - r^T) / (1 - r)."""
     d0 = np.asarray(initial_distances, dtype=np.float64)
     if not (0.0 < contraction <= 1.0):
         raise ValueError("contraction must lie in (0, 1]")
@@ -220,8 +215,6 @@ def predicted_distance_bound(
         raise ValueError("T must be nonnegative")
     r = contraction
     rT = r ** T
-    if not geometric:
-        return rT * d0 + (zeta if T > 0 else 0.0)
     if T == 0:
         return d0.copy()
     if r == 1.0:

@@ -1,15 +1,29 @@
 """Config parsing/serialization, the experiment driver, and the CLI."""
 import math
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import softmix.experiment as experiment
 from softmix.cli import main
-from softmix.config import ConfigError, serialize, validate_config
+from softmix.config import (
+    CHECK_NAMES,
+    INIT_MODES,
+    PERTURB_REFERENCE,
+    REFERENCE_MODES,
+    ConfigError,
+    ExperimentConfig,
+    InitSpec,
+    serialize,
+    validate_config,
+)
 from softmix.data import ParamSet
-from softmix.datagen import save_csv
+from softmix.datagen import COVARIATES, KINDS, GenSpec, save_csv
 from softmix.em import EMConfig, run_gradient_em
 from softmix.experiment import (
     _format_constants,
@@ -18,7 +32,7 @@ from softmix.experiment import (
     run_experiment,
     run_repetition,
 )
-from softmix.losses import default_step_size
+from softmix.losses import FAMILIES, LINKS, LossModel, default_step_size
 from softmix.softmin import empirical_loss
 
 MINIMAL = textwrap.dedent(
@@ -133,6 +147,117 @@ BRUTE_FORCE_2D = BRUTE_FORCE.replace("d: 1", "d: 2").replace(
 
 OUTPUTS = ("trace.csv", "logdist.csv", "report.txt")
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _edited(old, new):
+    """MINIMAL with ``old`` replaced by ``new``, or ``new`` appended when
+    ``old`` is empty."""
+    return MINIMAL.replace(old, new) if old else MINIMAL + new + "\n"
+
+
+# (text of MINIMAL, its replacement, the key the ConfigError names)
+MISTYPED = [
+    ("d: 2", 'd: "4"', "data.d"),
+    ("n: 100", "n: 100.5", "data.n"),
+    ("", "seed: null", "seed"),
+    ("lam: 0.001", "lam: [1]", "loss.lam"),
+    ("beta: 2.0", 'beta: 2.0\n  resample: "false"', "em.resample"),
+    ("iterations: 10", "iterations: 2.7", "em.iterations"),
+    ("", "repetitions: 1.9", "repetitions"),
+    ("lam: 0.001", "lam: .nan", "loss.lam"),
+    ("beta: 2.0", 'beta: "nan"', "em.beta"),
+    ("", "init:\n  c_ini: [0.1]", "init.c_ini"),
+    ("", "checks:\n  lemmas: 1", "checks.lemmas"),
+    ("", "c_universal: -1", "c_universal"),
+    ("", "c_universal: .inf", "c_universal"),
+    ("", "lemma_trials: 0", "lemma_trials"),
+]
+
+# (text of MINIMAL, its replacement, attribute path, the value it parses to)
+WELL_TYPED = [
+    ("seed: 3", "seed: 3\n  noise_sigma: 1e-2", "data.noise_sigma", 0.01),
+    ("", 'init:\n  c_ini: "0.1"', "init.c_ini", 0.1),
+    ("lam: 0.001", "lam: 1e-3", "loss.lam", 0.001),
+    ("n: 100", "n: 100.0", "data.n", 100),
+]
+
+
+def _minimal_config_block(readme):
+    """The YAML block that follows "A minimal config:" in the README."""
+    match = re.search(r"A minimal config:\s*```yaml\n(.*?)```", readme, re.S)
+    assert match, "README has no minimal config block"
+    return match.group(1)
+
+
+_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
+_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=12)
+
+
+@st.composite
+def _param_sets(draw, k, d):
+    rows = st.lists(st.floats(-10, 10, allow_nan=False), min_size=d, max_size=d)
+    return ParamSet(draw(st.lists(rows, min_size=k, max_size=k)))
+
+
+@st.composite
+def _configs(draw):
+    """A valid ExperimentConfig: generated or file data, every init mode,
+    beta finite or inf, and the optional keys present or absent."""
+    k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    weights = draw(st.lists(_floats, min_size=k, max_size=k))
+    data = draw(st.one_of(_text, st.builds(
+        GenSpec,
+        kind=st.sampled_from(KINDS),
+        k=st.just(k),
+        d=st.just(d),
+        n=st.integers(k, 10 ** 6),
+        noise_sigma=st.just(0.0) | _floats,
+        mix_weights=st.none() | st.just(tuple(w / sum(weights) for w in weights)),
+        covariate=st.sampled_from(COVARIATES),
+        cov_scale=_floats,
+        t_dof=st.integers(3, 30),
+        seed=st.integers(0, 2 ** 40),
+        truth=st.none() | _param_sets(k, d),
+        truth_scale=_floats,
+        perturb_amplitude=st.just(0.0) | _floats,
+        margin=st.just(0.0) | _floats,
+    )))
+    mode = draw(st.sampled_from(INIT_MODES))
+    c_ini = st.floats(0.01, 0.99)
+    init = InitSpec(
+        mode=mode,
+        c_ini=draw(c_ini if mode == PERTURB_REFERENCE else st.none() | c_ini),
+        thetas=draw(_param_sets(k, d) if mode == "explicit" else st.none() | _param_sets(k, d)),
+        radius=draw(_floats if mode == "random_ball" else st.none() | _floats),
+    )
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    loss = LossModel(
+        family,
+        lam=draw(st.just(0.0) | _floats),
+        link=draw(st.none() | st.sampled_from(list(LINKS.values()))),
+        domain_radius=draw(st.none() | _floats),
+    )
+    checks = draw(st.sets(st.sampled_from(CHECK_NAMES)))
+    if isinstance(data, GenSpec) and d * k > 2:  # over the grid budget
+        checks.discard("brute_force")
+    return ExperimentConfig(
+        data=data,
+        loss=loss,
+        iterations=draw(st.integers(1, 500)),
+        gamma=draw(st.none() | _floats),
+        beta=draw(st.just(math.inf) | st.floats(0.0, 1e3)),
+        resample=draw(st.booleans()),
+        init=init,
+        reference=draw(st.sampled_from(REFERENCE_MODES)),
+        checks=tuple(name for name in CHECK_NAMES if name in checks),
+        lemma_trials=draw(st.integers(1, 100)),
+        repetitions=draw(st.integers(1, 50)),
+        seed=draw(st.integers(0, 2 ** 40)),
+        c_universal=draw(_floats),
+        output_dir=draw(_text),
+    )
+
 
 def _outputs(out):
     """The three output files, without the run's wall-clock line."""
@@ -235,6 +360,32 @@ class TestValidateConfig:
             cfg = validate_config(doc)
             again = validate_config(serialize(cfg))
             assert again == cfg
+
+    @pytest.mark.parametrize("old, new, key", MISTYPED)
+    def test_mistyped_value_names_its_key(self, old, new, key):
+        with pytest.raises(ConfigError, match="^" + re.escape(key) + "[: ]"):
+            validate_config(_edited(old, new))
+
+    @pytest.mark.parametrize("old, new, path, value", WELL_TYPED)
+    def test_numbers_and_float_strings_parse(self, old, new, path, value):
+        parsed = validate_config(_edited(old, new))
+        for name in path.split("."):
+            parsed = getattr(parsed, name)
+        assert parsed == value and type(parsed) is type(value)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_configs())
+    def test_serialize_round_trips_every_valid_config(self, cfg):
+        assert validate_config(serialize(cfg)) == cfg
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "perfbench" / "workloads").glob("*.yaml")))
+    def test_benchmark_workloads_parse_and_reparse_equal(self, path):
+        cfg = validate_config(path.read_text())
+        assert validate_config(serialize(cfg)) == cfg
+
+    def test_readme_minimal_config_is_valid(self):
+        cfg = validate_config(_minimal_config_block((ROOT / "README.md").read_text()))
+        assert validate_config(serialize(cfg)) == cfg
 
 
 class TestExperimentDriver:
@@ -541,6 +692,34 @@ class TestCLI:
         )
         assert main(["run", config]) == 2
         assert "grid budget exceeded" in capsys.readouterr().err
+        assert repetitions == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("run", MINIMAL.replace("iterations: 10", "iterations: 2.7"), "em.iterations"),
+        ("gen", "kind: generative_mlr\nk: 1\nd: \"2\"\nn: 30\n", "genspec.d"),
+        ("check-gradients", "family: ridge\nd: 2.5\n", "d"),
+        ("check-gradients", "family: ridge\nseed: null\n", "seed"),
+    ])
+    def test_mistyped_value_exits_2_naming_its_key(self, tmp_path, capsys, command, text, key):
+        path = self._write(tmp_path, "in.yaml", text)
+        extra = ["-o", str(tmp_path / "data.csv")] if command == "gen" else []
+        assert main([command, path, *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected an integer")
+
+    @pytest.mark.parametrize("line, message", [
+        ("c_universal: -1", "c_universal must be a finite number > 0"),
+        ("lemma_trials: 0", "lemma_trials must be >= 1"),
+    ])
+    def test_bad_bound_settings_exit_2_before_any_repetition(
+        self, tmp_path, capsys, monkeypatch, line, message
+    ):
+        repetitions = _counted(monkeypatch, "run_repetition")
+        config = self._write(
+            tmp_path, "cfg.yaml", TWO_COMPONENT + f"{line}\noutput_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", config]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert repetitions == []
         assert not (tmp_path / "out").exists()
 

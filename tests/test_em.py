@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import softmix.em as em
 from softmix.data import DataSet, ParamSet
 from softmix.em import (
     EMConfig,
@@ -231,6 +232,17 @@ class TestRun:
         assert len(trace.records) == 7
         assert all(r.distances.shape == (2,) for r in trace.records)
         assert all(math.isfinite(r.loss) for r in trace.records)
+
+    def test_without_reference_records_no_trace(self, mlr_instance, monkeypatch):
+        ds, ref, model = mlr_instance
+        init = ParamSet(ref.thetas + 0.1)
+        cfg = _config(step_size=0.1, iterations=5, beta=5.0, resample=False)
+        want, _ = run_gradient_em(init, ds, model, cfg, reference=ref)
+        losses = []
+        monkeypatch.setattr(em, "empirical_loss", lambda *args: losses.append(args))
+        final, trace = run_gradient_em(init, ds, model, cfg)
+        assert trace is None and losses == []
+        np.testing.assert_array_equal(final.thetas, want.thetas)
 
     def test_resample_needs_enough_samples(self):
         rng = np.random.default_rng(0)

@@ -62,6 +62,10 @@ def _cmd_check_gradients(args) -> int:
     model = _section({key: doc[key] for key in doc if key not in ("seed", "d")}, LossModel, "loss")
     rng = np.random.default_rng(_typed(doc.get("seed", 0), int, "seed"))
     d = _typed(doc.get("d", 3), int, "d")
+    if d < 1:
+        raise ConfigError(f"d must be >= 1, got {d}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     signed = FAMILIES[model.family].signed_labels
 
     def label() -> float:

@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .data import ParamSet
-from .datagen import GenSpec
+from .datagen import SEED_LIMIT, GenSpec
 from .losses import LINKS, LinkFunction, LossModel
 from .softmin import SoftMinConfig
 from .verify import CHECK_GRID, check_brute_force_budget
@@ -86,6 +86,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if not 0 <= self.seed <= SEED_LIMIT - self.repetitions:
+            # repetition r runs with seed + r, which must itself be a seed
+            raise ConfigError(
+                f"seed must lie in [0, 2**64 - repetitions], got {self.seed} "
+                f"with {self.repetitions} repetitions"
+            )
         if self.iterations < 1:
             raise ConfigError("em.iterations must be >= 1")
         if self.gamma is not None and self.gamma <= 0:
@@ -186,7 +192,9 @@ def _section(raw, cls, where: str):
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        # a message that opens with a field name is about that key
+        named = str(exc).split(" ", 1)[0] in names
+        raise ConfigError(f"{where}{'.' if named else ': '}{exc}") from exc
 
 
 def _parse_data(raw) -> Union[GenSpec, str]:

@@ -1,8 +1,26 @@
 """Seeded synthetic dataset generators and the bit-stable dataset CSV format.
 
-Every sample draws from its own Philox substream (key = seed * 2**64 + i),
-so generation order and any future parallel split cannot change the output.
-The reserved substream index 2**63 seeds the default truth parameters.
+Data layout v2.  Samples are made in blocks of :data:`BLOCK` rows, and block
+``b`` (samples ``b*BLOCK`` to ``(b+1)*BLOCK - 1``) draws from its own Philox
+substream, key ``seed * 2**64 + b``.  Within a block the draws are, in order:
+
+1. ``random(BLOCK)``: one uniform per row picks its component from the
+   cumulative mixture weights;
+2. the covariates of every row: ``standard_normal((BLOCK, d))`` (gaussian),
+   ``standard_t(t_dof, (BLOCK, d))`` (student_t, and every heavy_tail_mlr
+   dataset), or the directions ``standard_normal((BLOCK, d))`` followed by
+   the radii ``random(BLOCK)`` (uniform_ball);
+3. when ``margin`` > 0, rounds of redraws: the rows that miss the margin, in
+   row order, draw new covariates as in step 2 with BLOCK replaced by their
+   count, until every row meets it (at most :data:`MAX_REJECTIONS` draws per
+   row);
+4. the label draws: ``standard_normal(BLOCK)`` for the regression kinds,
+   ``random(BLOCK)`` for generative_logistic, none for agnostic_piecewise.
+
+The last block is made whole and then truncated, so sample i does not depend
+on n.  The reserved substream index 2**63 seeds the default truth parameters.
+Layout v1 drew every sample from its own substream (key ``seed * 2**64 + i``);
+a dataset generated under it differs from its layout v2 counterpart.
 """
 from __future__ import annotations
 
@@ -23,6 +41,12 @@ KINDS = (GENERATIVE_MLR, GENERATIVE_LOGISTIC, AGNOSTIC_PIECEWISE, HEAVY_TAIL_MLR
 COVARIATES = ("gaussian", "student_t", "uniform_ball")
 
 _TRUTH_STREAM = 2 ** 63
+
+# seeds are the high 64 bits of a 128-bit Philox key
+SEED_LIMIT = 2 ** 64
+
+# samples per block, one Philox substream each (layout v2)
+BLOCK = 1000
 
 # draws per sample before giving up; 1-in-1000 acceptance fails with p = e^-10
 MAX_REJECTIONS = 10_000
@@ -63,6 +87,8 @@ class GenSpec:
             raise ValueError("need k >= 1, d >= 1 and n >= k")
         if self.noise_sigma < 0 or self.margin < 0 or self.perturb_amplitude < 0:
             raise ValueError("noise_sigma, margin and perturb_amplitude must be >= 0")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.t_dof < 3:
             raise ValueError("Student-t dof must be >= 3 for finite variance")
         if self.mix_weights is not None:
@@ -86,29 +112,26 @@ def _default_truth(spec: GenSpec) -> ParamSet:
     return ParamSet(spec.truth_scale * thetas)
 
 
-def _draw_covariate(rng: np.random.Generator, spec: GenSpec) -> np.ndarray:
+def _covariates(rng: np.random.Generator, spec: GenSpec, rows: int) -> np.ndarray:
     cov = "student_t" if spec.kind == HEAVY_TAIL_MLR else spec.covariate
     if cov == "gaussian":
-        return spec.cov_scale * rng.standard_normal(spec.d)
+        return spec.cov_scale * rng.standard_normal((rows, spec.d))
     if cov == "student_t":
-        return spec.cov_scale * rng.standard_t(spec.t_dof, spec.d)
+        return spec.cov_scale * rng.standard_t(spec.t_dof, (rows, spec.d))
     # uniform over the ball of radius cov_scale
-    direction = rng.standard_normal(spec.d)
-    direction /= np.linalg.norm(direction)
-    radius = spec.cov_scale * rng.random() ** (1.0 / spec.d)
-    return radius * direction
+    directions = rng.standard_normal((rows, spec.d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = spec.cov_scale * rng.random(rows) ** (1.0 / spec.d)
+    return radii[:, None] * directions
 
 
-def _gap_rows(truth: np.ndarray, weights: np.ndarray, spec: GenSpec):
-    """Per component z, the rows theta_l - theta_z (l != z) of the margin test.
-
-    On the ball of radius R, <x, theta_l - theta_z>^2 <= R^2 ||theta_l - theta_z||^2;
-    raises when that bound rules out a component of positive weight.
-    """
+def _check_margin_reachable(truth: np.ndarray, weights: np.ndarray, spec: GenSpec) -> None:
+    """On the ball of radius R, <x, theta_l - theta_z>^2 <= R^2 ||theta_l - theta_z||^2;
+    raises when that bound rules out a component of positive weight."""
     bounded = spec.covariate == "uniform_ball" and spec.kind != HEAVY_TAIL_MLR
     radius = spec.cov_scale if bounded else math.inf
-    rows = [np.delete(truth - truth[z], z, axis=0) for z in range(spec.k)]
-    for z, gaps in enumerate(rows):
+    for z in range(spec.k):
+        gaps = np.delete(truth - truth[z], z, axis=0)
         closest = np.min(np.sum(gaps * gaps, axis=1), initial=math.inf)
         reach = radius ** 2 * closest if closest > 0.0 else 0.0
         if weights[z] > 0 and reach < spec.margin:
@@ -116,46 +139,70 @@ def _gap_rows(truth: np.ndarray, weights: np.ndarray, spec: GenSpec):
                 f"margin {spec.margin:g} is unreachable for component {z}: "
                 f"R^2 * min_l ||theta_l - theta_z||^2 = {reach:.4g}"
             )
-    return rows
+
+
+def _misses_margin(preds: np.ndarray, z: np.ndarray, margin: float) -> np.ndarray:
+    """Rows whose squared gap min_{l != z} (pred_l - pred_z)^2 is below ``margin``."""
+    rows = np.arange(len(z))
+    gaps = (preds - preds[rows, z][:, None]) ** 2
+    gaps[rows, z] = math.inf
+    return np.min(gaps, axis=1) < margin
+
+
+def _block(spec: GenSpec, b: int, thetas: np.ndarray, cumw: np.ndarray):
+    """Block ``b``'s ``(BLOCK, d)`` covariates and ``(BLOCK,)`` labels."""
+    rng = _substream(spec.seed, b)
+    rows = np.arange(BLOCK)
+    z = np.minimum(np.searchsorted(cumw, rng.random(BLOCK), side="right"), spec.k - 1)
+    X = _covariates(rng, spec, BLOCK)
+    # labels come from the product that losses and tests form, X @ thetas^T,
+    # not a per-row dot product, which rounds differently: noiseless labels
+    # then equal their component's prediction in the tests' shapes bit for bit
+    preds = X @ thetas.T
+    missing = np.flatnonzero(_misses_margin(preds, z, spec.margin))
+    for _ in range(MAX_REJECTIONS - 1):
+        if missing.size == 0:
+            break
+        X[missing] = _covariates(rng, spec, missing.size)
+        preds = X @ thetas.T
+        missing = missing[_misses_margin(preds[missing], z[missing], spec.margin)]
+    if missing.size:
+        i = missing[0]
+        raise ValueError(
+            f"sample {b * BLOCK + i} (component {z[i]}) missed margin {spec.margin:g} "
+            f"{MAX_REJECTIONS} times"
+        )
+    pred = preds[rows, z]
+    if spec.kind in (GENERATIVE_MLR, HEAVY_TAIL_MLR):
+        labels = pred + spec.noise_sigma * rng.standard_normal(BLOCK)
+    elif spec.kind == GENERATIVE_LOGISTIC:
+        with np.errstate(over="ignore"):
+            p_pos = 1.0 / (1.0 + np.exp(-pred))
+        labels = np.where(rng.random(BLOCK) < p_pos, 1.0, -1.0)
+    else:  # AGNOSTIC_PIECEWISE: deterministic, asymmetric, bounded
+        norm_z = np.linalg.norm(thetas, axis=1)[z]
+        unit_pred = np.divide(pred, norm_z, out=np.zeros(BLOCK), where=norm_z > 0)
+        labels = pred + spec.perturb_amplitude * (0.6 + 0.4 * np.tanh(unit_pred))
+    return X, labels
 
 
 def generate(spec: GenSpec) -> tuple[DataSet, ParamSet]:
     """Materialize the dataset and truth ParamSet of a GenSpec (ValueError: margin out of reach)."""
     truth = spec.truth if spec.truth is not None else _default_truth(spec)
-    thetas = truth.thetas
     weights = (
         np.full(spec.k, 1.0 / spec.k)
         if spec.mix_weights is None
         else np.asarray(spec.mix_weights, dtype=np.float64)
     )
-    gap_rows = _gap_rows(thetas, weights, spec)
+    _check_margin_reachable(truth.thetas, weights, spec)
     cumw = np.cumsum(weights)
     X = np.empty((spec.n, spec.d))
     y = np.empty(spec.n)
-    for i in range(spec.n):
-        rng = _substream(spec.seed, i)
-        z = int(np.searchsorted(cumw, rng.random(), side="right"))
-        z = min(z, spec.k - 1)
-        for _ in range(MAX_REJECTIONS):
-            x = _draw_covariate(rng, spec)
-            if spec.margin == 0.0 or np.all((gap_rows[z] @ x) ** 2 >= spec.margin):
-                break
-        else:
-            raise ValueError(
-                f"sample {i} (component {z}) missed margin {spec.margin:g} {MAX_REJECTIONS} times"
-            )
-        pred = float(x @ thetas[z])
-        if spec.kind in (GENERATIVE_MLR, HEAVY_TAIL_MLR):
-            label = pred + spec.noise_sigma * rng.standard_normal()
-        elif spec.kind == GENERATIVE_LOGISTIC:
-            p_pos = 1.0 / (1.0 + math.exp(-pred)) if pred > -700 else 0.0
-            label = 1.0 if rng.random() < p_pos else -1.0
-        else:  # AGNOSTIC_PIECEWISE: deterministic, asymmetric, bounded
-            norm_z = float(np.linalg.norm(thetas[z]))
-            unit_pred = pred / norm_z if norm_z > 0 else 0.0
-            label = pred + spec.perturb_amplitude * (0.6 + 0.4 * math.tanh(unit_pred))
-        X[i] = x
-        y[i] = label
+    for b, start in enumerate(range(0, spec.n, BLOCK)):
+        stop = min(start + BLOCK, spec.n)
+        X_block, y_block = _block(spec, b, truth.thetas, cumw)
+        X[start:stop] = X_block[: stop - start]
+        y[start:stop] = y_block[: stop - start]
     return DataSet(X, y), truth
 
 

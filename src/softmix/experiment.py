@@ -91,7 +91,7 @@ class CheckResult:
 
 @dataclass
 class ExperimentReport:
-    config_text: str
+    config: ExperimentConfig  # serialized only when the report is rendered
     repetitions: List[RepetitionResult]
     checks: List[CheckResult] = field(default_factory=list)
     wall_clock_s: float = 0.0
@@ -356,7 +356,7 @@ def write_outputs(report: ExperimentReport, output_dir) -> None:
 
 
 def render_report(report: ExperimentReport) -> str:
-    lines = ["softmix experiment report", "=" * 40, "", "config:", report.config_text, ""]
+    lines = ["softmix experiment report", "=" * 40, "", "config:", serialize(report.config), ""]
     for rr in report.repetitions:
         rate = "n/a" if rr.fitted_rate is None else f"{rr.fitted_rate:.4f}"
         bound = "n/a" if rr.predicted_bound is None else f"{rr.predicted_bound:.6g}"
@@ -394,7 +394,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     checks = _run_checks(config, first.context)
     first.context = None
     report = ExperimentReport(
-        config_text=serialize(config),
+        config=config,
         repetitions=results,
         checks=checks,
         wall_clock_s=time.perf_counter() - start,

@@ -174,6 +174,16 @@ MISTYPED = [
     ("", "lemma_trials: 0", "lemma_trials"),
 ]
 
+# (text of MINIMAL, its replacement, the key the ConfigError names): every
+# seed a repetition runs with must fit the 64 high bits of a Philox key
+SEED_OUT_OF_RANGE = [
+    ("seed: 3", "seed: -1", "data.seed"),
+    ("seed: 3", f"seed: {2 ** 64}", "data.seed"),
+    ("", "seed: -1", "seed"),
+    ("", f"seed: {2 ** 64}", "seed"),
+    ("", f"repetitions: 2\nseed: {2 ** 64 - 1}", "seed"),
+]
+
 # (text of MINIMAL, its replacement, attribute path, the value it parses to)
 WELL_TYPED = [
     ("seed: 3", "seed: 3\n  noise_sigma: 1e-2", "data.noise_sigma", 0.01),
@@ -361,6 +371,16 @@ class TestValidateConfig:
             again = validate_config(serialize(cfg))
             assert again == cfg
 
+    @pytest.mark.parametrize("old, new, key", SEED_OUT_OF_RANGE)
+    def test_seed_out_of_range_names_its_key(self, old, new, key):
+        with pytest.raises(ConfigError, match="^" + re.escape(key) + " must lie in"):
+            validate_config(_edited(old, new))
+
+    def test_largest_seeds_parse(self):
+        cfg = validate_config(_edited("", f"repetitions: 2\nseed: {2 ** 64 - 2}"))
+        assert cfg.seed + cfg.repetitions - 1 == 2 ** 64 - 1
+        assert validate_config(_edited("seed: 3", f"seed: {2 ** 64 - 1}")).data.seed == 2 ** 64 - 1
+
     @pytest.mark.parametrize("old, new, key", MISTYPED)
     def test_mistyped_value_names_its_key(self, old, new, key):
         with pytest.raises(ConfigError, match="^" + re.escape(key) + "[: ]"):
@@ -501,7 +521,14 @@ class TestExperimentDriver:
         assert len(runs) == cfg.repetitions
         (check,) = report.checks
         assert check.passed
-        assert check.detail == "EM loss 0.00111089 vs grid optimum 0.00110775 (slack 0.00578)"
+        # the reused fit must give what a fresh fit of repetition 0 gives
+        context = repetition_context(cfg, 0)
+        context.fitted, _ = run_gradient_em(
+            experiment._build_init(cfg, context), context.dataset, context.model,
+            experiment._em_config(cfg, context, cfg.resample), reference=context.reference,
+        )
+        (fresh,) = experiment._run_checks(cfg, context)
+        assert check.detail == fresh.detail
 
 
 class TestRepetitionContext:
@@ -706,6 +733,37 @@ class TestCLI:
         extra = ["-o", str(tmp_path / "data.csv")] if command == "gen" else []
         assert main([command, path, *extra]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key}: expected an integer")
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("run", MINIMAL + "seed: -1\n", "seed"),
+        ("run", MINIMAL.replace("seed: 3", f"seed: {2 ** 64}"), "data.seed"),
+        ("gen", "kind: generative_mlr\nk: 1\nd: 2\nn: 30\nseed: -1\n", "genspec.seed"),
+        ("gen", f"kind: generative_mlr\nk: 1\nd: 2\nn: 30\nseed: {2 ** 64}\n", "genspec.seed"),
+    ])
+    def test_seed_out_of_range_exits_2_naming_its_key(
+        self, tmp_path, capsys, monkeypatch, command, text, key
+    ):
+        repetitions = _counted(monkeypatch, "run_repetition")
+        path = self._write(tmp_path, "in.yaml", text)
+        extra = ["-o", str(tmp_path / "data.csv")] if command == "gen" else []
+        assert main([command, path, *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must lie in [0, 2**64")
+        assert repetitions == []
+        assert not (tmp_path / "data.csv").exists()
+
+    @pytest.mark.parametrize("text, trials, message", [
+        ("family: ridge\nd: 0\n", "5", "d must be >= 1, got 0"),
+        ("family: logistic\nlam: 0.01\nd: -2\n", "5", "d must be >= 1, got -2"),
+        ("family: ridge\n", "0", "--trials must be >= 1, got 0"),
+    ])
+    def test_check_gradients_that_checks_nothing_exits_2(
+        self, tmp_path, capsys, text, trials, message
+    ):
+        spec = self._write(tmp_path, "loss.yaml", text)
+        assert main(["check-gradients", spec, "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "PASS" not in captured.out
 
     @pytest.mark.parametrize("line, message", [
         ("c_universal: -1", "c_universal must be a finite number > 0"),

@@ -1,12 +1,20 @@
 """Synthetic data generation and the CSV dataset format."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import softmix.datagen as datagen
 from softmix.data import ParamSet
 from softmix.datagen import (
+    BLOCK,
+    COVARIATES,
+    KINDS,
     MAX_REJECTIONS,
+    SEED_LIMIT,
     GenSpec,
     generate,
     load_csv,
@@ -42,6 +50,15 @@ class TestGenSpecValidation:
     def test_truth_shape_must_match(self):
         with pytest.raises(ValueError):
             _spec(truth=ParamSet([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT, 2 ** 70])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\)"):
+            _spec(seed=seed)
+
+    def test_largest_seed_generates(self):
+        ds, _ = generate(_spec(seed=SEED_LIMIT - 1, n=5))
+        assert ds.n == 5
 
 
 class TestGenerate:
@@ -141,6 +158,115 @@ class TestGenerate:
         large, _ = generate(_spec(n=80))
         np.testing.assert_array_equal(small.X, large.X[:50])
         np.testing.assert_array_equal(small.y, large.y[:50])
+
+
+def _eye_truth(k, d, scale=1.0):
+    """k distinct unit directions (k <= d): every gap ||theta_l - theta_z||^2 is 2 scale^2."""
+    return ParamSet(scale * np.eye(k, d))
+
+
+def _components(ds, truth):
+    """Predictions and each row's generating component, for noiseless
+    generative_mlr data."""
+    preds = ds.X @ truth.thetas.T
+    return preds, np.argmin(np.abs(preds - ds.y[:, None]), axis=1)
+
+
+_seeds = st.integers(0, SEED_LIMIT - 1)
+
+
+class TestLayoutV2:
+    """Properties of the block layout: BLOCK samples per Philox substream."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        k=st.integers(1, 3), extra=st.integers(0, 2), covariate=st.sampled_from(COVARIATES),
+        share=st.floats(0.01, 0.25), n=st.integers(3, 2 * BLOCK + 7), seed=_seeds,
+    )
+    def test_margin_holds_on_every_row(self, k, extra, covariate, share, n, seed):
+        truth = _eye_truth(k, k + extra)
+        margin = share * 2 * 1.5 ** 2  # a share of R^2 min_l ||theta_l - theta_z||^2
+        spec = GenSpec(
+            "generative_mlr", k=k, d=k + extra, n=n, covariate=covariate, cov_scale=1.5,
+            margin=margin, truth=truth, seed=seed,
+        )
+        ds, _ = generate(spec)
+        preds, z = _components(ds, truth)
+        gaps = (preds - preds[np.arange(n), z][:, None]) ** 2
+        gaps[np.arange(n), z] = math.inf
+        # the block product and this full product may differ in the last bit
+        assert np.all(np.min(gaps, axis=1) >= margin * (1.0 - 1e-9))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        d=st.integers(1, 6), cov_scale=st.floats(0.1, 5.0), n=st.integers(1, 2 * BLOCK + 7),
+        kind=st.sampled_from(KINDS[:3]), seed=_seeds,
+    )
+    def test_uniform_ball_rows_stay_inside_radius(self, d, cov_scale, n, kind, seed):
+        spec = GenSpec(kind, k=1, d=d, n=n, covariate="uniform_ball", cov_scale=cov_scale, seed=seed)
+        ds, _ = generate(spec)
+        assert float(np.max(np.linalg.norm(ds.X, axis=1))) <= cov_scale * (1.0 + 1e-12)
+
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(counts=st.lists(st.integers(0, 10), min_size=2, max_size=3).filter(any), seed=_seeds)
+    def test_mixture_weight_counts_within_three_sigma(self, counts, seed):
+        weights = np.asarray(counts, dtype=np.float64) / sum(counts)
+        k, n = len(counts), 4000
+        truth = _eye_truth(k, k)
+        spec = GenSpec(
+            "generative_mlr", k=k, d=k, n=n, mix_weights=tuple(weights), truth=truth, seed=seed,
+        )
+        ds, _ = generate(spec)
+        _, z = _components(ds, truth)
+        observed = np.bincount(z, minlength=k)
+        sigma = np.sqrt(n * weights * (1.0 - weights))
+        assert np.all(np.abs(observed - n * weights) <= 3.0 * sigma)
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    @settings(deadline=None, max_examples=10)
+    @given(kind=st.sampled_from(KINDS), covariate=st.sampled_from(COVARIATES),
+           margin=st.sampled_from([0.0, 0.5]), seed=_seeds)
+    def test_prefix_stable_across_block_boundaries(self, n, kind, covariate, margin, seed):
+        def spec(size):
+            return GenSpec(
+                kind, k=2, d=3, n=size, covariate=covariate, cov_scale=1.5, margin=margin,
+                noise_sigma=0.1, perturb_amplitude=0.05, truth=_eye_truth(2, 3), seed=seed,
+            )
+
+        small, _ = generate(spec(n))
+        large, _ = generate(spec(3 * BLOCK + 1))
+        np.testing.assert_array_equal(small.X, large.X[:n])
+        np.testing.assert_array_equal(small.y, large.y[:n])
+
+    def test_rejection_cap_names_global_sample_index(self, monkeypatch):
+        # the covariates of every block after the first shrink until no
+        # draw reaches the margin, so block 1's first row fails first
+        blocks = []
+        substream, covariates = datagen._substream, datagen._covariates
+
+        def recording(seed, index):
+            blocks.append(index)
+            return substream(seed, index)
+
+        def shrunk_after_first_block(rng, spec, rows):
+            x = covariates(rng, spec, rows)
+            return x if blocks[-1] == 0 else 1e-3 * x
+
+        monkeypatch.setattr(datagen, "_substream", recording)
+        monkeypatch.setattr(datagen, "_covariates", shrunk_after_first_block)
+        spec = _spec(margin=0.5, n=BLOCK + 10, truth=_eye_truth(2, 3))
+        with pytest.raises(ValueError, match=rf"^sample {BLOCK} \(component \d\) missed margin"):
+            generate(spec)
+        assert blocks == [0, 1]
+
+    @settings(deadline=None, max_examples=30)
+    @given(n=st.integers(1, 4 * BLOCK + 1), seed=_seeds)
+    def test_one_substream_per_block(self, n, seed):
+        spec = GenSpec("generative_mlr", k=1, d=2, n=n, truth=_eye_truth(1, 2), seed=seed)
+        with mock.patch.object(datagen, "_substream", wraps=datagen._substream) as substream:
+            generate(spec)
+        blocks = [call.args[1] for call in substream.call_args_list]
+        assert blocks == list(range(math.ceil(n / BLOCK)))
 
 
 class TestFileFormats:

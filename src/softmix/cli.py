@@ -60,7 +60,10 @@ def _cmd_check_gradients(args) -> int:
     if not isinstance(doc, dict):
         raise ConfigError("loss spec must be a mapping")
     model = _section({key: doc[key] for key in doc if key not in ("seed", "d")}, LossModel, "loss")
-    rng = np.random.default_rng(_typed(doc.get("seed", 0), int, "seed"))
+    seed = _typed(doc.get("seed", 0), int, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     d = _typed(doc.get("d", 3), int, "d")
     if d < 1:
         raise ConfigError(f"d must be >= 1, got {d}")

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .data import DataSet, ParamSet
 from .losses import FAMILIES, LossModel
-from .softmin import SoftMinConfig, empirical_loss, weight_matrix
+from .softmin import SoftMinConfig, empirical_loss, mean_loss, weight_matrix
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,28 @@ def partition_dataset(dataset: DataSet, T: int, seed: int) -> List[DataSet]:
 
 
 def gradient_em_step(
-    params: ParamSet, fold: DataSet, model: LossModel, config: EMConfig
+    params: ParamSet,
+    fold: DataSet,
+    model: LossModel,
+    config: EMConfig,
+    weights: Optional[np.ndarray] = None,
 ) -> ParamSet:
     """One simultaneous update of all k components on one fold.
 
-    Weights are computed once from the incoming parameters; every component
-    is then moved by a soft-min weighted mean gradient step.  The input
-    ParamSet is not modified.
+    Weights are computed once from the incoming parameters, unless the caller
+    passes them: ``weights`` must then be the first matrix of
+    ``weight_matrix(params, fold, model, config.softmin)``.  Every component
+    is moved by a soft-min weighted mean gradient step.  The input ParamSet
+    is not modified.
     """
     if len(fold) == 0:
         raise ValueError("empty fold")
-    weights = weight_matrix(params, fold, model, config.softmin)
+    if weights is None:
+        weights, _ = weight_matrix(params, fold, model, config.softmin)
+    elif weights.shape != (len(fold), params.k):
+        raise ValueError(
+            f"weights have shape {weights.shape}, expected {(len(fold), params.k)}"
+        )
     # weight_matrix validated the inputs; rows as in batch_gradient keep k = 1 bit-identical
     family = FAMILIES[model.family]
     coefs = family.dphi(params.thetas @ fold.X.T, fold.y, model.link)
@@ -148,28 +159,41 @@ def run_gradient_em(
 
     The trace records min-cost aligned component distances and the full-data
     loss at every iteration (including t=0) and fits a geometric rate and
-    floor to the max-distance sequence.  Without a reference nothing is
-    recorded and the trace is ``None``.
+    floor to the max-distance sequence.  A full-batch run takes the loss at
+    theta_t from the weight matrices of the step out of theta_t.  Without a
+    reference nothing is recorded and the trace is ``None``.
     """
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
     T = config.iterations
     if config.resample:
         folds = partition_dataset(dataset, T, config.seed)
     else:
         folds = None
+    smcfg = config.softmin
 
-    def record(t, params):
+    def record(t, params, loss):
         _, dists = align_to_reference(params, reference)
-        return TraceRecord(t, dists, empirical_loss(params, dataset, model, config.softmin))
+        return TraceRecord(t, dists, loss)
 
     params = init.copy()
-    trace = None if reference is None else ConvergenceTrace(records=[record(0, params)])
+    trace = None if reference is None else ConvergenceTrace(records=[])
     for t in range(T):
-        fold = folds[t] if folds is not None else dataset
-        params = gradient_em_step(params, fold, model, config)
+        weights = None  # the previous iteration's matrix goes before the next is formed
         if trace is not None:
-            trace.records.append(record(t + 1, params))
+            if folds is None:
+                # full batch: the step's weights at theta_t also give the trace loss
+                weights, losses = weight_matrix(params, dataset, model, smcfg)
+                loss = mean_loss(weights, losses)
+                del losses
+            else:
+                loss = empirical_loss(params, dataset, model, smcfg)
+            trace.records.append(record(t, params, loss))
+        fold = folds[t] if folds is not None else dataset
+        params = gradient_em_step(params, fold, model, config, weights)
 
     if trace is not None:
+        trace.records.append(record(T, params, empirical_loss(params, dataset, model, smcfg)))
         trace.alignment, _ = align_to_reference(params, reference)
         trace.fitted_rate, trace.fitted_floor = fit_rate_and_floor(trace.max_distances())
     return params, trace

@@ -53,11 +53,22 @@ class LinkFunction:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """1 / (1 + e^-z) in one pass: e^-|z| never overflows, and below 0 the
+    value is e^z / (1 + e^z), so tiny outputs keep full relative accuracy."""
+    e = np.empty_like(z, dtype=np.float64)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
+def _log1pexp(u):
+    """log(1 + e^u) = max(u, 0) + log1p(e^-|u|), without overflow."""
+    out = np.log1p(np.exp(-np.abs(u)))
+    out += np.maximum(u, 0.0)
     return out
 
 
@@ -125,7 +136,7 @@ FAMILIES = {
         reg=1.0, curvature=lambda link, max_abs_y: (2.0, 2.0), signed_labels=False,
     ),
     LOGISTIC: LossFamily(
-        phi=lambda z, y, link: np.logaddexp(0.0, -y * z),
+        phi=lambda z, y, link: _log1pexp(-y * z),
         dphi=lambda z, y, link: -y * _sigmoid(-y * z),
         reg=1.0, curvature=lambda link, max_abs_y: (0.0, 0.25), signed_labels=True,
     ),

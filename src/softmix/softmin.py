@@ -55,9 +55,16 @@ def loss_matrix(params: ParamSet, dataset: DataSet, model: LossModel) -> np.ndar
 
 def weight_matrix(
     params: ParamSet, dataset: DataSet, model: LossModel, config: SoftMinConfig
-) -> np.ndarray:
-    """Soft-min weight of every component on every sample, shape (n, k)."""
-    return soft_min_weights(loss_matrix(params, dataset, model), config)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Soft-min weight of every component on every sample, and the base
+    losses they were formed from; both of shape (n, k)."""
+    losses = loss_matrix(params, dataset, model)
+    return soft_min_weights(losses, config), losses
+
+
+def mean_loss(weights: np.ndarray, losses: np.ndarray) -> float:
+    """Mean soft-min loss of a :func:`weight_matrix` pair."""
+    return float(np.mean(np.sum(weights * losses, axis=1)))
 
 
 def soft_min_loss(
@@ -75,6 +82,4 @@ def empirical_loss(
     """Mean soft-min loss over the dataset."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    fmat = loss_matrix(params, dataset, model)
-    weights = soft_min_weights(fmat, config)
-    return float(np.mean(np.sum(weights * fmat, axis=1)))
+    return mean_loss(*weight_matrix(params, dataset, model, config))

@@ -164,7 +164,7 @@ def check_lemma_bounds(
         offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
         radii = c_ini * norms * rng.random(reference.k) ** (1.0 / reference.d)
         params = ParamSet(reference.thetas + radii[:, None] * offsets)
-        weights = weight_matrix(params, dataset, model, smcfg)[assigned]
+        weights = weight_matrix(params, dataset, model, smcfg)[0][assigned]
         own_w, cross = weights[is_own], weights[~is_own]
         checked1 += own_w.size
         checked2 += cross.size
@@ -209,7 +209,7 @@ def step_decomposition(
     in_mask = np.zeros(len(fold), dtype=bool)
     in_mask[regions[0]] = True
 
-    weights = weight_matrix(params, fold, model, config.softmin)
+    weights, _ = weight_matrix(params, fold, model, config.softmin)
     grads = batch_gradient(model, fold.X, fold.y, params.theta(comp))
     weighted = weights[:, comp][:, None] * grads
     scale = config.step_size / len(fold)

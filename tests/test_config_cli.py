@@ -765,6 +765,13 @@ class TestCLI:
         assert captured.err == f"error: {message}\n"
         assert "PASS" not in captured.out
 
+    def test_check_gradients_negative_seed_exits_2_naming_seed(self, tmp_path, capsys):
+        spec = self._write(tmp_path, "loss.yaml", "family: ridge\nseed: -1\n")
+        assert main(["check-gradients", spec, "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert "PASS" not in captured.out
+
     @pytest.mark.parametrize("line, message", [
         ("c_universal: -1", "c_universal must be a finite number > 0"),
         ("lemma_trials: 0", "lemma_trials must be >= 1"),

@@ -153,7 +153,7 @@ class TestGenerate:
             generate(spec)
 
     def test_prefix_stability_in_n(self):
-        # per-sample substreams make sample i independent of n
+        # every block draws all BLOCK rows from its own substream, so sample i is independent of n
         small, _ = generate(_spec(n=50))
         large, _ = generate(_spec(n=80))
         np.testing.assert_array_equal(small.X, large.X[:50])

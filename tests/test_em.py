@@ -14,8 +14,15 @@ from softmix.em import (
     partition_dataset,
     run_gradient_em,
 )
-from softmix.losses import LossModel, batch_gradient, default_step_size
-from softmix.softmin import SoftMinConfig
+from softmix.losses import (
+    FAMILIES,
+    GLM,
+    LINKS,
+    LossModel,
+    batch_gradient,
+    default_step_size,
+)
+from softmix.softmin import SoftMinConfig, empirical_loss, weight_matrix
 
 
 def _config(step_size=0.1, iterations=1, beta=2.0, resample=False, seed=0):
@@ -122,6 +129,26 @@ class TestStep:
         ds = DataSet(np.empty((0, 2)), np.empty(0))
         with pytest.raises(ValueError):
             gradient_em_step(ParamSet([[0.0, 0.0]]), ds, LossModel("ridge", lam=0.1), _config())
+
+    def test_given_weights_give_the_same_step(self):
+        rng = np.random.default_rng(5)
+        ds = DataSet(rng.standard_normal((12, 2)), rng.standard_normal(12))
+        model = LossModel("ridge", lam=0.01)
+        params = ParamSet(rng.standard_normal((3, 2)))
+        cfg = _config(step_size=0.2, beta=3.0)
+        weights, _ = weight_matrix(params, ds, model, cfg.softmin)
+        out = gradient_em_step(params, ds, model, cfg, weights=weights)
+        np.testing.assert_array_equal(out.thetas, gradient_em_step(params, ds, model, cfg).thetas)
+
+    @pytest.mark.parametrize("shape", [(12, 2), (3, 12), (11, 3), (12,)])
+    def test_weights_of_wrong_shape_rejected(self, shape):
+        rng = np.random.default_rng(5)
+        ds = DataSet(rng.standard_normal((12, 2)), rng.standard_normal(12))
+        params = ParamSet(rng.standard_normal((3, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            gradient_em_step(
+                params, ds, LossModel("ridge", lam=0.01), _config(), weights=np.ones(shape)
+            )
 
 
 class TestAlignment:
@@ -250,3 +277,51 @@ class TestRun:
         cfg = _config(iterations=10, resample=True)
         with pytest.raises(ValueError):
             run_gradient_em(ParamSet([[0.0]]), ds, LossModel("ridge", lam=0.1), cfg)
+
+
+MODELS = [(family, None) for family in FAMILIES if family != GLM] + [
+    (GLM, link) for link in LINKS
+]
+
+
+class TestTraceReuse:
+    """Full-batch traces take each loss from the step's own weight matrices."""
+
+    @staticmethod
+    def _instance(family, link):
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((60, 3))
+        if FAMILIES[family].signed_labels:
+            y = rng.choice([-1.0, 1.0], 60)
+        else:
+            y = rng.standard_normal(60)
+        model = LossModel(family, lam=0.05, link=LINKS[link] if link else None)
+        return DataSet(X, y), model, ParamSet(rng.standard_normal((3, 3)))
+
+    @pytest.mark.parametrize("family, link", MODELS)
+    def test_trace_loss_is_empirical_loss_bitwise(self, family, link):
+        ds, model, init = self._instance(family, link)
+        cfg = _config(step_size=0.1, iterations=6, beta=2.0, resample=False)
+        final, trace = run_gradient_em(init, ds, model, cfg, reference=init)
+        params = init
+        for t, rec in enumerate(trace.records):
+            assert rec.t == t
+            assert rec.loss == empirical_loss(params, ds, model, cfg.softmin)
+            if t < cfg.iterations:
+                params = gradient_em_step(params, ds, model, cfg)
+        np.testing.assert_array_equal(final.thetas, params.thetas)
+
+    @pytest.mark.parametrize("resample, calls", [(False, 1), (True, 7)])
+    def test_empirical_loss_calls(self, mlr_instance, monkeypatch, resample, calls):
+        ds, ref, model = mlr_instance
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return empirical_loss(*args)
+
+        monkeypatch.setattr(em, "empirical_loss", counted)
+        cfg = _config(step_size=0.05, iterations=6, beta=5.0, resample=resample, seed=2)
+        _, trace = run_gradient_em(ParamSet(ref.thetas + 0.1), ds, model, cfg, reference=ref)
+        assert len(trace.records) == 7
+        assert len(seen) == calls

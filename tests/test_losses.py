@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softmix.data import DataSet, LabeledSample
 from softmix.losses import (
@@ -11,8 +14,10 @@ from softmix.losses import (
     LOGISTIC,
     PLAIN_HINGE,
     RIDGE,
+    SIGMOID_LINK,
     SQUARED_HINGE,
     TANH_LINK,
+    FAMILIES,
     CertificationError,
     LossModel,
     batch_gradient,
@@ -220,3 +225,46 @@ class TestCertification:
         bar_M = mean_smoothness(model, ds)
         assert 0.0 < bar_M <= M
         assert default_step_size(model, ds) == pytest.approx(1.0 / (2.0 * bar_M))
+
+
+def _masked_sigmoid(z):
+    """Oracle: 1 / (1 + e^-z) on z >= 0 and e^z / (1 + e^z) below, by boolean masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _within_ulps(got, want, ulps):
+    return np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
+
+
+# every z down to the last nonzero e^-|z|; the examples add the signed zeros
+REALS = st.floats(min_value=-745.0, max_value=745.0, allow_nan=False)
+VECTORS = arrays(np.float64, st.integers(1, 64), elements=REALS)
+RAISE_ALL = dict(over="raise", invalid="raise", divide="raise")
+
+
+class TestLogisticKernels:
+    """The one-pass logistic kernels against the masked and logaddexp forms."""
+
+    @given(VECTORS)
+    @example(np.array([0.0, -0.0, 745.0, -745.0, 37.0, -37.0, 1e-300, -1e-300]))
+    @settings(deadline=None, max_examples=300)
+    def test_sigmoid_within_2_ulp_of_masked_form(self, z):
+        with np.errstate(**RAISE_ALL):
+            got = SIGMOID_LINK.f(z)
+        assert _within_ulps(got, _masked_sigmoid(z), 2)
+
+    @given(VECTORS, st.sampled_from([-1.0, 1.0]))
+    @example(np.array([0.0, -0.0, 745.0, -745.0, 37.0, -37.0, 1e-300, -1e-300]), 1.0)
+    @settings(deadline=None, max_examples=300)
+    def test_logistic_phi_within_4_ulp_of_logaddexp(self, z, y):
+        family = FAMILIES[LOGISTIC]
+        with np.errstate(**RAISE_ALL):
+            phi = family.phi(z, y, None)
+            dphi = family.dphi(z, y, None)
+        assert _within_ulps(phi, np.logaddexp(0.0, -y * z), 4)
+        assert _within_ulps(dphi, -y * _masked_sigmoid(-y * z), 2)

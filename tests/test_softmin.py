@@ -159,6 +159,6 @@ class TestEmpiricalLoss:
         ds = self._dataset(n=25)
         model = LossModel("ridge", lam=0.01)
         params = ParamSet([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        W = weight_matrix(params, ds, model, SoftMinConfig(beta=4.0))
+        W, _ = weight_matrix(params, ds, model, SoftMinConfig(beta=4.0))
         assert W.shape == (25, 3)
         np.testing.assert_allclose(np.sum(W, axis=1), 1.0, atol=1e-12)

@@ -5,7 +5,7 @@ Sweeps the label-perturbation amplitude of the agnostic generator (which
 drives the misspecification constants), runs the experiment driver at each
 level, and compares the measured final-distance plateau against the theory
 floor zeta / (1 - r) and the full recursion-accurate bound.  Repetitions run
-in parallel under SOFTMIX_WORKERS, as in ``softmix run``.
+in order in one process, as in ``softmix run``.
 
 Usage: python scripts/error_floor_sweep.py [output_csv]
 """

@@ -7,7 +7,7 @@ Subcommands:
 * ``check-gradients <loss.yaml>``  -- randomized finite-difference audit
 * ``bounds <config.yaml>``         -- print theory quantities only
 
-Worker count for repetitions comes from the SOFTMIX_WORKERS env var.
+A bad config or dataset exits 2 with a one-line error.
 """
 from __future__ import annotations
 

@@ -107,6 +107,13 @@ class ExperimentConfig:
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {name!r}")
+        if self.init.mode == EXPLICIT and isinstance(self.data, GenSpec):
+            # file data is only sized once loaded, in repetition_context
+            shape, expected = self.init.thetas.thetas.shape, (self.data.k, self.data.d)
+            if shape != expected:
+                raise ConfigError(
+                    f"init.thetas has shape {shape}, the data's (k, d) is {expected}"
+                )
         if "brute_force" in self.checks and isinstance(self.data, GenSpec):
             # file data is only sized once loaded, when the check runs
             try:

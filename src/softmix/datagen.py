@@ -25,7 +25,7 @@ a dataset generated under it differs from its layout v2 counterpart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -222,13 +222,24 @@ def save_csv(dataset: DataSet, path) -> None:
 
 
 def load_csv(path) -> DataSet:
+    """A dataset CSV as :func:`save_csv` writes it (ValueError, naming the path
+    and line: a bad header, a non-numeric or ragged row, no data rows)."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "y" or not header[0].startswith("x_"):
             raise ValueError(f"{path}: not a softmix dataset CSV (bad header)")
-        d = len(header) - 1
-        rows = [[float(tok) for tok in line.split(",")] for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(row)} columns, expected {len(header)}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
-    if arr.shape[1] != d + 1:
-        raise ValueError(f"{path}: inconsistent column count")
-    return DataSet(arr[:, :d], arr[:, d])
+    return DataSet(arr[:, :-1], arr[:, -1])

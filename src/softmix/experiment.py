@@ -4,19 +4,14 @@ Repetition r runs with derived seed ``base_seed + r`` so any repetition can
 be reproduced standalone.  Its context (data, certified model, step size and
 reference) is built once; the checks run on repetition 0's data and
 reference and reuse its context instead of building them again.
-Repetitions may execute in parallel (``SOFTMIX_WORKERS``), with repetition 0
-in the parent process; the report and CSVs are assembled in repetition order
-and are byte-identical regardless of worker count.
+Repetitions run in order in the calling process, so the CSVs, and the report
+apart from its wall-clock time, depend on the config alone.
 """
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import List, Optional
 
@@ -44,8 +39,6 @@ from .verify import (
     step_decomposition,
     worst_gradient_error,
 )
-
-WORKERS_ENV = "SOFTMIX_WORKERS"
 
 
 @dataclass
@@ -125,8 +118,11 @@ def repetition_context(config: ExperimentConfig, rep: int) -> RepetitionContext:
     ``k`` comes from the generating truth, else from ``init.thetas``, else 1.
     """
     seed = config.seed + rep
+    thetas = config.init.thetas
     if isinstance(config.data, str):
         dataset, truth = load_csv(config.data), None
+        if config.init.mode == EXPLICIT and thetas.d != dataset.d:
+            raise ValueError(f"init.thetas has d={thetas.d}, the data file's d is {dataset.d}")
     else:
         dataset, truth = generate(GenSpec(**{**config.data.__dict__, "seed": seed}))
     if config.reference == "truth" and truth is None:
@@ -136,7 +132,6 @@ def repetition_context(config: ExperimentConfig, rep: int) -> RepetitionContext:
     if config.reference == "truth":
         reference = truth
     else:
-        thetas = config.init.thetas
         k = truth.k if truth is not None else (1 if thetas is None else thetas.k)
         reference = _multistart_reference(dataset, model, config, k, seed)
     return RepetitionContext(seed, dataset, model, gamma, reference)
@@ -255,13 +250,6 @@ def run_repetition(config: ExperimentConfig, rep: int) -> RepetitionResult:
     )
 
 
-def _repetition_without_context(config: ExperimentConfig, rep: int) -> RepetitionResult:
-    """``run_repetition`` without the context, which only repetition 0 keeps."""
-    result = run_repetition(config, rep)
-    result.context = None
-    return result
-
-
 def _run_checks(config: ExperimentConfig, context: RepetitionContext) -> List[CheckResult]:
     """The enabled checks, on repetition 0's data and reference (``context``)."""
     results: List[CheckResult] = []
@@ -378,19 +366,11 @@ def render_report(report: ExperimentReport) -> str:
 def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentReport:
     """Execute all repetitions plus enabled checks; optionally persist outputs."""
     start = time.perf_counter()
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    rest = range(1, config.repetitions)
-    if workers > 1 and rest:
-        # repetition 0 runs in this process, beside the pool, so that its
-        # context is at hand for the checks
-        spawn = multiprocessing.get_context("spawn")  # fork is unsafe once BLAS threads run
-        with ProcessPoolExecutor(min(workers, len(rest)), mp_context=spawn) as pool:
-            others = pool.map(_repetition_without_context, repeat(config), rest)
-            first = run_repetition(config, 0)
-            results = [first, *others]
-    else:
-        first = run_repetition(config, 0)
-        results = [first, *(_repetition_without_context(config, r) for r in rest)]
+    first = run_repetition(config, 0)
+    results = [first]
+    for rep in range(1, config.repetitions):
+        results.append(run_repetition(config, rep))
+        results[-1].context = None  # only repetition 0's is reused, by the checks
     checks = _run_checks(config, first.context)
     first.context = None
     report = ExperimentReport(

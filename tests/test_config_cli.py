@@ -145,8 +145,6 @@ BRUTE_FORCE_2D = BRUTE_FORCE.replace("d: 1", "d: 2").replace(
     "[[1.0], [-1.0]]", "[[1.0, 0.0], [-1.0, 0.0]]"
 )
 
-OUTPUTS = ("trace.csv", "logdist.csv", "report.txt")
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -267,16 +265,6 @@ def _configs(draw):
         c_universal=draw(_floats),
         output_dir=draw(_text),
     )
-
-
-def _outputs(out):
-    """The three output files, without the run's wall-clock line."""
-    texts = {name: (out / name).read_text() for name in OUTPUTS}
-    texts["report.txt"] = "".join(
-        line for line in texts["report.txt"].splitlines(True)
-        if not line.startswith("wall_clock_s")
-    )
-    return texts
 
 
 def _counted(monkeypatch, name):
@@ -554,23 +542,6 @@ class TestRepetitionContext:
         )
         assert context.reference.thetas.tobytes() == expected.thetas.tobytes()
 
-    def test_report_identical_across_worker_counts(self, tmp_path, monkeypatch):
-        import dataclasses
-
-        payloads = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv(experiment.WORKERS_ENV, workers)
-            out = tmp_path / "out"  # the config text in report.txt names it
-            cfg = dataclasses.replace(
-                validate_config(AGNOSTIC.replace("repetitions: 2", "repetitions: 3")),
-                output_dir=str(out),
-            )
-            report = run_experiment(cfg)
-            assert [r.rep for r in report.repetitions] == [0, 1, 2]
-            assert len(report.checks) == 2
-            payloads.append(_outputs(out))
-        assert payloads[0] == payloads[1]
-
     def test_file_data_takes_k_from_explicit_init_in_checks(self, tmp_path):
         import dataclasses
 
@@ -614,6 +585,22 @@ class TestRepetitionContext:
         with pytest.raises(ValueError, match="reference=truth"):
             run_experiment(cfg, write=False)
         assert len(contexts) == 1
+        assert references == []
+
+    def test_file_data_explicit_init_of_other_d_raises_before_reference(
+        self, tmp_path, monkeypatch
+    ):
+        dataset, _ = experiment.generate(validate_config(TWO_COMPONENT).data)
+        path = tmp_path / "data.csv"
+        save_csv(dataset, str(path))
+        references = _counted(monkeypatch, "_multistart_reference")
+        cfg = validate_config(
+            f"data:\n  file: {path}\nloss:\n  family: ridge\n  lam: 0.001\n"
+            "em:\n  iterations: 5\nreference: multistart\n"
+            "init:\n  mode: explicit\n  thetas: [[0.9, 0.1, 0.0], [-0.9, -0.1, 0.0]]\n"
+        )
+        with pytest.raises(ValueError, match=r"init\.thetas has d=3, the data file's d is 2"):
+            run_experiment(cfg, write=False)
         assert references == []
 
 
@@ -786,6 +773,44 @@ class TestCLI:
         assert main(["run", config]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert repetitions == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("thetas, shape", [
+        ("[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]", "(3, 2)"),
+        ("[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]", "(2, 3)"),
+    ])
+    def test_explicit_init_of_wrong_shape_exits_2_before_any_repetition(
+        self, tmp_path, capsys, monkeypatch, thetas, shape
+    ):
+        repetitions = _counted(monkeypatch, "run_repetition")
+        text = TWO_COMPONENT.replace(
+            "  mode: perturb_reference\n  c_ini: 0.1\n",
+            f"  mode: explicit\n  thetas: {thetas}\n",
+        )
+        config = self._write(tmp_path, "cfg.yaml", text + f"output_dir: {tmp_path / 'out'}\n")
+        assert main(["run", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: init.thetas has shape {shape}, the data's (k, d) is (2, 2)\n"
+        )
+        assert repetitions == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("", ": no data rows"),
+        ("\n", ": no data rows"),
+        ("1.0,2.0,3.0\n1.0,2.0\n", ":3: 2 columns, expected 3"),
+        ("1.0,2.0,3.0\n\n1.0,abc,3.0\n", ":4: could not convert string to float: 'abc'"),
+    ])
+    def test_bad_data_file_exits_2_naming_path_and_line(self, tmp_path, capsys, rows, message):
+        data = self._write(tmp_path, "data.csv", "x_0,x_1,y\n" + rows)
+        config = self._write(
+            tmp_path,
+            "cfg.yaml",
+            f"data:\n  file: {data}\nloss:\n  family: ridge\n  lam: 0.001\n"
+            f"em:\n  iterations: 5\nreference: multistart\noutput_dir: {tmp_path / 'out'}\n",
+        )
+        assert main(["run", config]) == 2
+        assert capsys.readouterr().err == f"error: {data}{message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_2(self, tmp_path):

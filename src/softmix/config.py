@@ -94,8 +94,8 @@ class ExperimentConfig:
             )
         if self.iterations < 1:
             raise ConfigError("em.iterations must be >= 1")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigError("em.gamma must be positive when given")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError("em.gamma must be a finite number > 0 when given")
         if math.isnan(self.beta) or self.beta < 0:
             raise ConfigError("em.beta must be >= 0")
         if self.reference not in REFERENCE_MODES:

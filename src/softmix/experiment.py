@@ -2,8 +2,9 @@
 
 Repetition r runs with derived seed ``base_seed + r`` so any repetition can
 be reproduced standalone.  Its context (data, certified model, step size and
-reference) is built once; the checks run on repetition 0's data and
-reference and reuse its context instead of building them again.
+reference) is built once, and a data file is read and certified once per
+run; the checks run on repetition 0's data and reference and reuse its
+context instead of building them again.
 Repetitions run in order in the calling process, so the CSVs, and the report
 apart from its wall-clock time, depend on the config alone.
 """
@@ -111,13 +112,22 @@ class ExperimentReport:
         )
 
 
-def repetition_context(config: ExperimentConfig, rep: int) -> RepetitionContext:
+def repetition_context(
+    config: ExperimentConfig, rep: int, first: Optional[RepetitionContext] = None
+) -> RepetitionContext:
     """Generate (or load) repetition ``rep``'s data, certify the loss on it and
     fix its step size and reference.
 
     ``k`` comes from the generating truth, else from ``init.thetas``, else 1.
+    Every repetition reads the same data file, so given repetition 0's
+    context ``first``, file data and its certified model and step size are
+    taken from it; only the multistart reference is built again.
     """
     seed = config.seed + rep
+    if first is not None and isinstance(config.data, str):
+        dataset, model = first.dataset, first.model
+        reference = _multistart_reference(dataset, model, config, first.reference.k, seed)
+        return RepetitionContext(seed, dataset, model, first.gamma, reference)
     thetas = config.init.thetas
     if isinstance(config.data, str):
         dataset, truth = load_csv(config.data), None
@@ -215,14 +225,17 @@ def theory_at(config: ExperimentConfig, context: RepetitionContext, d0: np.ndarr
     return constants, q, bound
 
 
-def run_repetition(config: ExperimentConfig, rep: int) -> RepetitionResult:
+def run_repetition(
+    config: ExperimentConfig, rep: int, first: Optional[RepetitionContext] = None
+) -> RepetitionResult:
     """Run one seeded repetition: build its context, run EM, evaluate bounds.
 
+    ``first`` is repetition 0's context (see :func:`repetition_context`).
     The result keeps the context, with the fitted ParamSet, for the checks to
     reuse.  A vacuous bound (``TheoremQuantities.vacuous``) is still reported
     but counts as not evaluated (``within_bound=None``).
     """
-    context = repetition_context(config, rep)
+    context = repetition_context(config, rep, first)
     context.fitted, trace = run_gradient_em(
         _build_init(config, context), context.dataset, context.model,
         _em_config(config, context, config.resample), reference=context.reference,
@@ -369,7 +382,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     first = run_repetition(config, 0)
     results = [first]
     for rep in range(1, config.repetitions):
-        results.append(run_repetition(config, rep))
+        results.append(run_repetition(config, rep, first.context))
         results[-1].context = None  # only repetition 0's is reused, by the checks
     checks = _run_checks(config, first.context)
     first.context = None

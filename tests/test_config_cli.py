@@ -603,6 +603,32 @@ class TestRepetitionContext:
             run_experiment(cfg, write=False)
         assert references == []
 
+    def test_file_data_read_and_certified_once_per_run(self, tmp_path, monkeypatch):
+        dataset, _ = experiment.generate(validate_config(TWO_COMPONENT).data)
+        assert len(dataset) == 400
+        path = tmp_path / "data.csv"
+        save_csv(dataset, str(path))
+        cfg = validate_config(
+            f"data:\n  file: {path}\nloss:\n  family: ridge\n  lam: 0.001\n"
+            "em:\n  iterations: 5\n  beta: 2.0\nreference: multistart\n"
+            "init:\n  mode: explicit\n  thetas: [[0.9, 0.1], [-0.9, -0.1]]\n"
+            "repetitions: 4\nseed: 7\n"
+        )
+        loads = _counted(monkeypatch, "load_csv")
+        certified = _counted(monkeypatch, "certify")
+        references = _counted(monkeypatch, "_multistart_reference")
+        report = run_experiment(cfg, write=False)
+        assert len(loads) == 1
+        assert len(certified) == 1
+        assert [args[-1] for args in references] == [7, 8, 9, 10]
+        # each repetition built alone reads and certifies the file itself
+        for result in report.repetitions:
+            alone = run_repetition(cfg, result.rep)
+            assert alone.gamma == result.gamma
+            assert alone.alignment == result.alignment
+            assert alone.distances.tobytes() == result.distances.tobytes()
+            assert alone.losses.tobytes() == result.losses.tobytes()
+
 
 class TestCLI:
     def _write(self, tmp_path, name, text):
@@ -772,6 +798,20 @@ class TestCLI:
         )
         assert main(["run", config]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert repetitions == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gamma", [".inf", '"inf"', "-.inf"])
+    def test_non_finite_gamma_exits_2_before_any_repetition(
+        self, tmp_path, capsys, monkeypatch, gamma
+    ):
+        repetitions = _counted(monkeypatch, "run_repetition")
+        text = TWO_COMPONENT.replace("beta: 10.0", f"beta: 10.0\n  gamma: {gamma}")
+        config = self._write(tmp_path, "cfg.yaml", text + f"output_dir: {tmp_path / 'out'}\n")
+        assert main(["run", config]) == 2
+        assert capsys.readouterr().err == (
+            "error: em.gamma must be a finite number > 0 when given\n"
+        )
         assert repetitions == []
         assert not (tmp_path / "out").exists()
 

@@ -35,6 +35,12 @@ def _config(step_size=0.1, iterations=1, beta=2.0, resample=False, seed=0):
     )
 
 
+@pytest.mark.parametrize("step_size", [math.nan, math.inf, -1.0])
+def test_config_rejects_step_size_that_is_not_finite_and_nonnegative(step_size):
+    with pytest.raises(ValueError, match="step_size must be a finite number >= 0"):
+        _config(step_size=step_size)
+
+
 class TestPartition:
     def _dataset(self, n):
         rng = np.random.default_rng(n)

@@ -1,10 +1,13 @@
 """Every loss family and GLM link through the (n, k) kernels.
 
 ``loss_matrix`` and ``gradient_em_step`` evaluate all components from one
-product X Theta^T; here they are compared with per-component oracles built
-from ``batch_loss``, ``batch_gradient`` and ``soft_min_weights``.  The two
-differ only in the summation order of <x, theta>, so agreement is checked to
-a tolerance far below the scale of the inputs (entries of magnitude <= 3).
+product X Theta^T, and the step sums over samples with one product
+(phi'(Theta X^T) * W^T) @ X; here they are compared with per-component
+oracles built from ``batch_loss``, ``batch_gradient`` and
+``soft_min_weights``.  The two differ only in the summation order of
+<x, theta> and, for the step, of the sum over samples, so agreement is
+checked to a tolerance far below the scale of the inputs (entries of
+magnitude <= 3).
 """
 import numpy as np
 from hypothesis import given, settings

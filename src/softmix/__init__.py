@@ -1,18 +1,10 @@
 """Gradient EM for fitting k parametric functions under a soft-min loss."""
 
-from .data import DataSet, LabeledSample, ParamSet
+from .data import DataSet, ParamSet
 from .datagen import GenSpec, generate
 from .em import ConvergenceTrace, EMConfig, gradient_em_step, partition_dataset, run_gradient_em
-from .losses import (
-    CertificationError,
-    LossModel,
-    certify,
-    certify_constants,
-    default_step_size,
-    loss_gradient,
-    loss_value,
-)
-from .softmin import SoftMinConfig, empirical_loss, soft_min_loss, soft_min_weights
+from .losses import CertificationError, LossModel, certify, default_step_size
+from .softmin import SoftMinConfig, empirical_loss, soft_min_weights
 from .theory import (
     ProblemConstants,
     TheoremQuantities,

@@ -19,7 +19,6 @@ import yaml
 
 from .config import ConfigError, _section, _typed, validate_config
 from .datagen import GenSpec, generate, save_csv
-from .data import LabeledSample
 from .em import align_to_reference
 from .experiment import _build_init, _format_constants, _format_quantities, run_experiment
 from .experiment import repetition_context, theory_at
@@ -75,7 +74,7 @@ def _cmd_check_gradients(args) -> int:
         return rng.choice([-1.0, 1.0]) if signed else rng.standard_normal()
 
     cases = (
-        (LabeledSample(rng.standard_normal(d), label()), rng.standard_normal(d))
+        (rng.standard_normal(d), label(), rng.standard_normal(d))
         for _ in range(args.trials)
     )
     worst = worst_gradient_error(model, cases)

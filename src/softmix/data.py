@@ -1,34 +1,11 @@
-"""Shared containers: labeled samples, datasets and parameter sets."""
+"""Shared containers: datasets and parameter sets."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """One observation: covariate vector ``x`` and scalar label ``y``."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError("covariate must be a 1-d vector")
-        if not np.all(np.isfinite(x)) or not np.isfinite(float(self.y)):
-            raise ValueError("sample contains non-finite entries")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", float(self.y))
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[0]
-
-
 class DataSet:
-    """Dense, index-addressable collection of labeled samples.
+    """Dense collection of labeled samples, held as arrays.
 
     Parameters
     ----------
@@ -60,9 +37,6 @@ class DataSet:
 
     def __len__(self) -> int:
         return self.n
-
-    def sample(self, i: int) -> LabeledSample:
-        return LabeledSample(self.X[i], self.y[i])
 
     def subset(self, indices) -> "DataSet":
         indices = np.asarray(indices, dtype=np.intp)

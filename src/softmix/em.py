@@ -36,23 +36,24 @@ class EMConfig:
 
 
 @dataclass
-class TraceRecord:
-    t: int
-    distances: np.ndarray  # per reference component, aligned
-    loss: float
-
-
-@dataclass
 class ConvergenceTrace:
-    """Per-iteration distances/losses plus a fitted geometric rate and floor."""
+    """Per-iteration aligned distances and losses of one run, t = 0..T, plus
+    the final alignment and a fitted geometric rate and floor.
 
-    records: List[TraceRecord]
-    fitted_rate: Optional[float] = None
-    fitted_floor: Optional[float] = None
-    alignment: Optional[np.ndarray] = None  # params index -> reference index
+    ``distances[t, j]`` is the distance from reference component j to its
+    matched iterate at theta_t, shape (T+1, k); ``losses[t]`` is the
+    full-data soft-min loss at theta_t, shape (T+1,).  ``alignment[i]`` is
+    the reference index matched to component i of theta_T.
+    """
+
+    distances: np.ndarray
+    losses: np.ndarray
+    alignment: np.ndarray
+    fitted_rate: Optional[float]
+    fitted_floor: float
 
     def max_distances(self) -> np.ndarray:
-        return np.array([np.max(r.distances) for r in self.records])
+        return np.max(self.distances, axis=1)
 
     def final_distance(self) -> float:
         return float(self.max_distances()[-1])
@@ -164,11 +165,13 @@ def run_gradient_em(
 ) -> tuple[ParamSet, Optional[ConvergenceTrace]]:
     """Run T gradient EM iterations; with a reference, collect a convergence trace.
 
-    The trace records min-cost aligned component distances and the full-data
-    loss at every iteration (including t=0) and fits a geometric rate and
-    floor to the max-distance sequence.  A full-batch run takes the loss at
-    theta_t from the weight matrices of the step out of theta_t.  Without a
-    reference nothing is recorded and the trace is ``None``.
+    The trace fills one row of its distance and loss arrays per iterate
+    theta_0..theta_T: the min-cost aligned component distances and the
+    full-data soft-min loss.  theta_T is aligned once, for its distances and
+    the trace's ``alignment``.  A geometric rate and floor are fitted to the
+    max-distance sequence.  A full-batch run takes the loss at theta_t from
+    the weight matrices of the step out of theta_t.  Without a reference
+    nothing is recorded and the trace is ``None``.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -179,28 +182,27 @@ def run_gradient_em(
         folds = None
     smcfg = config.softmin
 
-    def record(t, params, loss):
-        _, dists = align_to_reference(params, reference)
-        return TraceRecord(t, dists, loss)
-
     params = init.copy()
-    trace = None if reference is None else ConvergenceTrace(records=[])
+    if reference is not None:
+        distances = np.empty((T + 1, reference.k))
+        losses = np.empty(T + 1)
     for t in range(T):
         weights = None  # the previous iteration's matrix goes before the next is formed
-        if trace is not None:
+        if reference is not None:
             if folds is None:
                 # full batch: the step's weights at theta_t also give the trace loss
-                weights, losses = weight_matrix(params, dataset, model, smcfg)
-                loss = mean_loss(weights, losses)
-                del losses
+                weights, F = weight_matrix(params, dataset, model, smcfg)
+                losses[t] = mean_loss(weights, F)
+                del F
             else:
-                loss = empirical_loss(params, dataset, model, smcfg)
-            trace.records.append(record(t, params, loss))
+                losses[t] = empirical_loss(params, dataset, model, smcfg)
+            _, distances[t] = align_to_reference(params, reference)
         fold = folds[t] if folds is not None else dataset
         params = gradient_em_step(params, fold, model, config, weights)
 
-    if trace is not None:
-        trace.records.append(record(T, params, empirical_loss(params, dataset, model, smcfg)))
-        trace.alignment, _ = align_to_reference(params, reference)
-        trace.fitted_rate, trace.fitted_floor = fit_rate_and_floor(trace.max_distances())
-    return params, trace
+    if reference is None:
+        return params, None
+    losses[T] = empirical_loss(params, dataset, model, smcfg)
+    alignment, distances[T] = align_to_reference(params, reference)
+    rate, floor = fit_rate_and_floor(np.max(distances, axis=1))
+    return params, ConvergenceTrace(distances, losses, alignment, rate, floor)

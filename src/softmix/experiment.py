@@ -240,7 +240,7 @@ def run_repetition(
         _build_init(config, context), context.dataset, context.model,
         _em_config(config, context, config.resample), reference=context.reference,
     )
-    d0 = trace.records[0].distances
+    d0 = trace.distances[0]
     constants, quantities, bound = theory_at(config, context, d0)
     final = trace.final_distance()
     within = None if quantities is None or quantities.vacuous else final <= bound
@@ -257,8 +257,8 @@ def run_repetition(
         within_bound=within,
         constants=constants,
         quantities=quantities,
-        distances=np.stack([r.distances for r in trace.records]),
-        losses=np.array([r.loss for r in trace.records]),
+        distances=trace.distances,
+        losses=trace.losses,
         context=context,
     )
 
@@ -273,10 +273,10 @@ def _run_checks(config: ExperimentConfig, context: RepetitionContext) -> List[Ch
 
     if "gradient_oracle" in config.checks:
         rng = np.random.default_rng(context.seed)
-        cases = [
-            (dataset.sample(int(rng.integers(len(dataset)))), rng.standard_normal(dataset.d))
-            for _ in range(100)
-        ]
+        cases = []
+        for _ in range(100):
+            i = int(rng.integers(len(dataset)))
+            cases.append((dataset.X[i], dataset.y[i], rng.standard_normal(dataset.d)))
         worst = worst_gradient_error(model, cases)
         ok = worst <= GRADIENT_TOLERANCE
         results.append(CheckResult("gradient_oracle", ok, f"worst relative error {worst:.3g}"))

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import DataSet, LabeledSample
+from .data import DataSet
 
 RIDGE = "ridge"
 LOGISTIC = "logistic"
@@ -231,18 +231,6 @@ def batch_gradient(model: LossModel, X: np.ndarray, y: np.ndarray, theta: np.nda
     return grads
 
 
-def loss_value(model: LossModel, sample: LabeledSample, theta) -> float:
-    """Single-sample base loss F(x, y; theta)."""
-    out = batch_loss(model, sample.x[None, :], np.array([sample.y]), theta)
-    return float(out[0])
-
-
-def loss_gradient(model: LossModel, sample: LabeledSample, theta) -> np.ndarray:
-    """Single-sample analytic gradient of F with respect to theta."""
-    out = batch_gradient(model, sample.x[None, :], np.array([sample.y]), theta)
-    return out[0]
-
-
 def _hessian_bounds(model: LossModel, dataset: DataSet, r_sq: float):
     """Eigenvalue bounds (m, M) of phi'' x x^T + 2 c lam I over ||x||^2 <= r_sq.
 
@@ -281,12 +269,6 @@ def certify(model: LossModel, dataset: DataSet) -> LossModel:
             f"(m = {m:.6g} at lam = {model.lam:g})"
         )
     return dataclasses.replace(model, m=m, M=M, domain_radius=math.sqrt(r_sq))
-
-
-def certify_constants(model: LossModel, dataset: DataSet) -> tuple[float, float]:
-    """Analytic (m, M) valid over ``dataset`` (see :func:`certify`)."""
-    certified = certify(model, dataset)
-    return certified.m, certified.M
 
 
 def mean_smoothness(model: LossModel, dataset: DataSet) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataSet, LabeledSample, ParamSet
+from .data import DataSet, ParamSet
 from .losses import LossModel, batch_loss
 
 
@@ -65,15 +65,6 @@ def weight_matrix(
 def mean_loss(weights: np.ndarray, losses: np.ndarray) -> float:
     """Mean soft-min loss of a :func:`weight_matrix` pair."""
     return float(np.mean(np.sum(weights * losses, axis=1)))
-
-
-def soft_min_loss(
-    params: ParamSet, sample: LabeledSample, model: LossModel, config: SoftMinConfig
-) -> float:
-    """Soft-min mixture loss sum_j p_j F_j for one sample."""
-    losses = batch_loss(model, sample.x[None, :], np.array([sample.y]), params.thetas)[0]
-    weights = soft_min_weights(losses, config)
-    return float(weights @ losses)
 
 
 def empirical_loss(

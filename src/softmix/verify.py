@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataSet, LabeledSample, ParamSet
+from .data import DataSet, ParamSet
 from .em import EMConfig, align_to_reference, gradient_em_step
-from .losses import LossModel, batch_gradient, loss_gradient, loss_value
+from .losses import LossModel, batch_gradient, batch_loss
 from .softmin import SoftMinConfig, empirical_loss, weight_matrix
 from .theory import _region_constants, compute_eta, compute_eta_prime, partition_regions
 
@@ -25,29 +25,35 @@ _LEMMA_SLACK = 1e-10
 
 
 def finite_diff_gradient(
-    model: LossModel, sample: LabeledSample, theta, h: float = DEFAULT_FD_STEP
+    model: LossModel, x, y: float, theta, h: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
-    """Central-difference gradient oracle, one coordinate at a time."""
+    """Central-difference gradient of F(x, y; theta) in theta, one coordinate
+    at a time.  ``x`` is one covariate vector of shape (d,) and ``y`` its
+    label; each perturbed theta is scored by a one-row
+    :func:`~softmix.losses.batch_loss`."""
     if h <= 0:
         raise ValueError("finite-difference step h must be positive")
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    Y = np.array([y], dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
     grad = np.empty_like(theta)
     for i in range(theta.shape[0]):
         hi = np.zeros_like(theta)
         hi[i] = h
         grad[i] = (
-            loss_value(model, sample, theta + hi) - loss_value(model, sample, theta - hi)
+            batch_loss(model, X, Y, theta + hi)[0] - batch_loss(model, X, Y, theta - hi)[0]
         ) / (2.0 * h)
     return grad
 
 
 def worst_gradient_error(model: LossModel, cases) -> float:
     """Largest ||analytic - finite difference|| / max(||analytic||, 1) over an
-    iterable of ``(sample, theta)`` cases."""
+    iterable of ``(x, y, theta)`` cases: a covariate vector, its label and the
+    parameter vector at which both gradients are taken."""
     worst = 0.0
-    for sample, theta in cases:
-        analytic = loss_gradient(model, sample, theta)
-        numeric = finite_diff_gradient(model, sample, theta)
+    for x, y, theta in cases:
+        analytic = batch_gradient(model, np.asarray(x)[None, :], np.array([y]), theta)[0]
+        numeric = finite_diff_gradient(model, x, y, theta)
         denom = max(float(np.linalg.norm(analytic)), 1.0)
         worst = max(worst, float(np.linalg.norm(analytic - numeric) / denom))
     return worst
@@ -219,6 +225,6 @@ def step_decomposition(
         np.linalg.norm(theta - theta_ref - scale * np.sum(weighted[in_mask], axis=0))
     )
     t2 = float(scale * np.linalg.norm(np.sum(weighted[~in_mask], axis=0)))
-    stepped = gradient_em_step(params, fold, model, config)
+    stepped = gradient_em_step(params, fold, model, config, weights)
     total = float(np.linalg.norm(stepped.theta(comp) - theta_ref))
     return StepDecomposition(T1=t1, T2=t2, total=total)

@@ -22,10 +22,9 @@ from softmix.losses import (
     TANH_LINK,
     LossModel,
     batch_gradient,
+    batch_loss,
     certify,
     default_step_size,
-    loss_gradient,
-    loss_value,
 )
 from softmix.softmin import SoftMinConfig, empirical_loss
 from softmix.theory import (
@@ -139,7 +138,7 @@ def test_criterion_02_error_floor_scaling():
 
             constants = estimate_constants(dataset, truth, model)
             norms = np.linalg.norm(truth.thetas, axis=1)
-            d0 = trace.records[0].distances
+            d0 = trace.distances[0]
             c_eff = float(np.max(d0 / norms))
             q = theorem_quantities(
                 constants, model, 10.0, c_eff, gamma, 2, c_universal=1.0
@@ -212,11 +211,8 @@ def test_criterion_04_gradient_oracle():
             x = rng.standard_normal(3)
             y = float(rng.choice([-1.0, 1.0])) if classification else float(rng.standard_normal())
             theta = rng.standard_normal(3)
-            from softmix.data import LabeledSample
-
-            sample = LabeledSample(x, y)
-            analytic = loss_gradient(model, sample, theta)
-            numeric = finite_diff_gradient(model, sample, theta)
+            analytic = batch_gradient(model, x[None, :], np.array([y]), theta)[0]
+            numeric = finite_diff_gradient(model, x, y, theta)
             denom = max(float(np.linalg.norm(analytic)), 1.0)
             if float(np.linalg.norm(analytic - numeric)) / denom > 1e-5:
                 ok = False
@@ -242,11 +238,12 @@ def test_criterion_05_bregman_sandwich():
         for _ in range(100):
             theta_a = rng.standard_normal(3)
             theta_b = rng.standard_normal(3)
-            s = dataset.sample(int(rng.integers(10)))
+            i = int(rng.integers(10))
+            s = dataset.X[i : i + 1], dataset.y[i : i + 1]
             gap = (
-                loss_value(model, s, theta_b)
-                - loss_value(model, s, theta_a)
-                - float(np.dot(loss_gradient(model, s, theta_a), theta_b - theta_a))
+                batch_loss(model, *s, theta_b)[0]
+                - batch_loss(model, *s, theta_a)[0]
+                - float(np.dot(batch_gradient(model, *s, theta_a)[0], theta_b - theta_a))
             )
             sq = float(np.sum((theta_b - theta_a) ** 2))
             if gap < 0.5 * model.m * sq - 1e-9 or gap > 0.5 * model.M * sq + 1e-9:

@@ -258,13 +258,24 @@ class TestRun:
             assert md[t + 1] <= md[t] + 1e-9
         assert trace.fitted_rate is not None and trace.fitted_rate < 1.0
 
-    def test_trace_shape_and_loss_column(self, mlr_instance):
+    def test_trace_shape_and_loss_column(self, mlr_instance, monkeypatch):
         ds, ref, model = mlr_instance
+        aligned = []
+
+        def counted(params, reference):
+            aligned.append(params)
+            return align_to_reference(params, reference)
+
+        monkeypatch.setattr(em, "align_to_reference", counted)
         cfg = _config(step_size=0.05, iterations=6, beta=5.0, resample=True, seed=2)
-        _, trace = run_gradient_em(ParamSet(ref.thetas + 0.1), ds, model, cfg, reference=ref)
-        assert len(trace.records) == 7
-        assert all(r.distances.shape == (2,) for r in trace.records)
-        assert all(math.isfinite(r.loss) for r in trace.records)
+        init = ParamSet(ref.thetas + 0.1)
+        _, trace = run_gradient_em(init, ds, model, cfg, reference=ref)
+        assert trace.distances.shape == (7, 2)
+        assert trace.losses.shape == (7,)
+        assert all(math.isfinite(loss) for loss in trace.losses)
+        np.testing.assert_array_equal(trace.distances[0], align_to_reference(init, ref)[1])
+        # theta_T is aligned once, for its distances and the alignment
+        assert len(aligned) == cfg.iterations + 1
 
     def test_without_reference_records_no_trace(self, mlr_instance, monkeypatch):
         ds, ref, model = mlr_instance
@@ -310,9 +321,8 @@ class TestTraceReuse:
         cfg = _config(step_size=0.1, iterations=6, beta=2.0, resample=False)
         final, trace = run_gradient_em(init, ds, model, cfg, reference=init)
         params = init
-        for t, rec in enumerate(trace.records):
-            assert rec.t == t
-            assert rec.loss == empirical_loss(params, ds, model, cfg.softmin)
+        for t, loss in enumerate(trace.losses):
+            assert loss == empirical_loss(params, ds, model, cfg.softmin)
             if t < cfg.iterations:
                 params = gradient_em_step(params, ds, model, cfg)
         np.testing.assert_array_equal(final.thetas, params.thetas)
@@ -329,5 +339,5 @@ class TestTraceReuse:
         monkeypatch.setattr(em, "empirical_loss", counted)
         cfg = _config(step_size=0.05, iterations=6, beta=5.0, resample=resample, seed=2)
         _, trace = run_gradient_em(ParamSet(ref.thetas + 0.1), ds, model, cfg, reference=ref)
-        assert len(trace.records) == 7
+        assert len(trace.losses) == 7
         assert len(seen) == calls

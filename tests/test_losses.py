@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from softmix.data import DataSet, LabeledSample
+from softmix.data import DataSet
 from softmix.losses import (
     GLM,
     LINKS,
@@ -23,18 +23,16 @@ from softmix.losses import (
     batch_gradient,
     batch_loss,
     certify,
-    certify_constants,
     default_step_size,
-    loss_gradient,
-    loss_value,
     mean_smoothness,
 )
 
 ALL_CERTIFIABLE = (RIDGE, LOGISTIC, SQUARED_HINGE, GLM)
 
 
-def _sample(x, y):
-    return LabeledSample(x=np.asarray(x, dtype=np.float64), y=float(y))
+def _row(x, y):
+    """One sample as the one-row ``(X, y)`` arrays the batch functions take."""
+    return np.asarray(x, dtype=np.float64)[None, :], np.array([float(y)])
 
 
 def _random_instance(family, rng, d=3):
@@ -45,27 +43,27 @@ def _random_instance(family, rng, d=3):
         y = float(rng.standard_normal())
     link = TANH_LINK if family == GLM else None
     model = LossModel(family, lam=0.05, link=link)
-    return model, _sample(x, y)
+    return model, x, y
 
 
 class TestLossValues:
     def test_ridge_zero_prediction(self):
         model = LossModel(RIDGE, lam=0.0)
-        assert loss_value(model, _sample([1.0, 0.0], 1.0), [0.0, 0.0]) == 1.0
+        assert batch_loss(model, *_row([1.0, 0.0], 1.0), [0.0, 0.0])[0] == 1.0
 
     def test_ridge_regularizer_only(self):
         model = LossModel(RIDGE, lam=0.1)
-        got = loss_value(model, _sample([1.0, 0.0], 1.0), [1.0, 0.0])
+        got = batch_loss(model, *_row([1.0, 0.0], 1.0), [1.0, 0.0])[0]
         assert got == pytest.approx(0.1, abs=1e-15)
 
     def test_logistic_at_zero_margin(self):
         model = LossModel(LOGISTIC, lam=0.0)
-        got = loss_value(model, _sample([1.0], 1.0), [0.0])
+        got = batch_loss(model, *_row([1.0], 1.0), [0.0])[0]
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_squared_hinge_inactive(self):
         model = LossModel(SQUARED_HINGE, lam=0.0)
-        assert loss_value(model, _sample([1.0], 1.0), [2.0]) == 0.0
+        assert batch_loss(model, *_row([1.0], 1.0), [2.0])[0] == 0.0
 
     def test_glm_identity_matches_ridge(self):
         rng = np.random.default_rng(0)
@@ -73,38 +71,38 @@ class TestLossValues:
         theta = rng.standard_normal(3)
         ridge = LossModel(RIDGE, lam=0.2)
         glm = LossModel(GLM, lam=0.2, link=LINKS["identity"])
-        s = _sample(x, 0.7)
-        assert loss_value(glm, s, theta) == pytest.approx(
-            loss_value(ridge, s, theta), rel=1e-14
+        s = _row(x, 0.7)
+        assert batch_loss(glm, *s, theta)[0] == pytest.approx(
+            batch_loss(ridge, *s, theta)[0], rel=1e-14
         )
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(3)
         for family in ALL_CERTIFIABLE + (PLAIN_HINGE,):
             for _ in range(20):
-                model, sample = _random_instance(family, rng)
-                assert loss_value(model, sample, rng.standard_normal(3)) >= 0.0
+                model, x, y = _random_instance(family, rng)
+                assert batch_loss(model, *_row(x, y), rng.standard_normal(3))[0] >= 0.0
 
     def test_dimension_mismatch_rejected(self):
         model = LossModel(RIDGE, lam=0.1)
         with pytest.raises(ValueError):
-            loss_value(model, _sample([1.0, 0.0], 1.0), [1.0])
+            batch_loss(model, *_row([1.0, 0.0], 1.0), [1.0])
 
     def test_bad_classification_label_rejected(self):
         model = LossModel(LOGISTIC, lam=0.1)
         with pytest.raises(ValueError):
-            loss_value(model, _sample([1.0], 0.5), [1.0])
+            batch_loss(model, *_row([1.0], 0.5), [1.0])
 
 
 class TestLossGradients:
     def test_ridge_gradient_hand_value(self):
         model = LossModel(RIDGE, lam=0.1)
-        got = loss_gradient(model, _sample([1.0, 0.0], 1.0), [0.0, 0.0])
+        got = batch_gradient(model, *_row([1.0, 0.0], 1.0), [0.0, 0.0])[0]
         np.testing.assert_allclose(got, [-2.0, 0.0], atol=1e-15)
 
     def test_logistic_gradient_hand_value(self):
         model = LossModel(LOGISTIC, lam=0.0)
-        got = loss_gradient(model, _sample([1.0], 1.0), [0.0])
+        got = batch_gradient(model, *_row([1.0], 1.0), [0.0])[0]
         np.testing.assert_allclose(got, [-0.5], atol=1e-15)
 
     def test_gradient_vanishes_at_single_sample_minimizer(self):
@@ -115,7 +113,7 @@ class TestLossGradients:
         lam = 0.25
         theta_star = np.linalg.solve(np.outer(x, x) + lam * np.eye(3), y * x)
         model = LossModel(RIDGE, lam=lam)
-        grad = loss_gradient(model, _sample(x, y), theta_star)
+        grad = batch_gradient(model, *_row(x, y), theta_star)[0]
         assert np.linalg.norm(grad) <= 1e-8
 
     @pytest.mark.parametrize("family", ALL_CERTIFIABLE)
@@ -124,10 +122,10 @@ class TestLossGradients:
 
         rng = np.random.default_rng(17)
         for _ in range(100):
-            model, sample = _random_instance(family, rng)
+            model, x, y = _random_instance(family, rng)
             theta = rng.standard_normal(3)
-            analytic = loss_gradient(model, sample, theta)
-            numeric = finite_diff_gradient(model, sample, theta)
+            analytic = batch_gradient(model, *_row(x, y), theta)[0]
+            numeric = finite_diff_gradient(model, x, y, theta)
             denom = max(np.linalg.norm(analytic), 1.0)
             assert np.linalg.norm(analytic - numeric) / denom <= 1e-5
 
@@ -140,9 +138,9 @@ class TestLossGradients:
         losses = batch_loss(model, X, y, theta)
         grads = batch_gradient(model, X, y, theta)
         for i in range(10):
-            s = _sample(X[i], y[i])
-            assert losses[i] == pytest.approx(loss_value(model, s, theta), rel=1e-14)
-            np.testing.assert_allclose(grads[i], loss_gradient(model, s, theta))
+            s = _row(X[i], y[i])
+            assert losses[i] == pytest.approx(batch_loss(model, *s, theta)[0], rel=1e-14)
+            np.testing.assert_allclose(grads[i], batch_gradient(model, *s, theta)[0])
 
 
 class TestCertification:
@@ -155,35 +153,38 @@ class TestCertification:
 
     def test_ridge_constants(self):
         ds = self._dataset(1.0)
-        m, M = certify_constants(LossModel(RIDGE, lam=0.5), ds)
+        certified = certify(LossModel(RIDGE, lam=0.5), ds)
+        m, M = certified.m, certified.M
         assert (m, M) == pytest.approx((1.0, 3.0), rel=1e-12)
 
     def test_ridge_lam_zero_rejected(self):
         ds = self._dataset(1.0)
         with pytest.raises(CertificationError, match="strongly convex"):
-            certify_constants(LossModel(RIDGE, lam=0.0), ds)
+            certify(LossModel(RIDGE, lam=0.0), ds)
 
     def test_logistic_constants(self):
         ds = self._dataset(4.0, classification=True)
-        m, M = certify_constants(LossModel(LOGISTIC, lam=0.25), ds)
+        certified = certify(LossModel(LOGISTIC, lam=0.25), ds)
+        m, M = certified.m, certified.M
         assert (m, M) == pytest.approx((0.5, 1.5), rel=1e-12)
 
     def test_squared_hinge_constants(self):
         ds = self._dataset(1.0, classification=True)
-        m, M = certify_constants(LossModel(SQUARED_HINGE, lam=0.4), ds)
+        certified = certify(LossModel(SQUARED_HINGE, lam=0.4), ds)
+        m, M = certified.m, certified.M
         assert (m, M) == pytest.approx((0.4, 2.4), rel=1e-12)
 
     def test_plain_hinge_uncertifiable(self):
         ds = self._dataset(1.0, classification=True)
         with pytest.raises(CertificationError):
-            certify_constants(LossModel(PLAIN_HINGE, lam=0.5), ds)
+            certify(LossModel(PLAIN_HINGE, lam=0.5), ds)
 
     def test_glm_curvature_can_defeat_convexity(self):
         # tanh has nonzero second derivative; with small lam and large
         # covariates the strong-convexity certificate fails
         ds = self._dataset(25.0)
         with pytest.raises(CertificationError):
-            certify_constants(LossModel(GLM, lam=1e-4, link=TANH_LINK), ds)
+            certify(LossModel(GLM, lam=1e-4, link=TANH_LINK), ds)
 
     def test_certify_returns_new_model(self):
         ds = self._dataset(1.0)
@@ -206,11 +207,11 @@ class TestCertification:
                 theta_a = rng.standard_normal(3)
                 theta_b = rng.standard_normal(3)
                 i = int(rng.integers(ds.n))
-                s = ds.sample(i)
+                s = ds.X[i : i + 1], ds.y[i : i + 1]
                 gap = (
-                    loss_value(model, s, theta_b)
-                    - loss_value(model, s, theta_a)
-                    - float(np.dot(loss_gradient(model, s, theta_a), theta_b - theta_a))
+                    batch_loss(model, *s, theta_b)[0]
+                    - batch_loss(model, *s, theta_a)[0]
+                    - float(np.dot(batch_gradient(model, *s, theta_a)[0], theta_b - theta_a))
                 )
                 sq = float(np.sum((theta_b - theta_a) ** 2))
                 assert gap >= 0.5 * model.m * sq - 1e-9
@@ -221,7 +222,7 @@ class TestCertification:
         X = rng.standard_normal((50, 4))
         ds = DataSet(X, rng.standard_normal(50))
         model = LossModel(RIDGE, lam=0.01)
-        _, M = certify_constants(model, ds)
+        M = certify(model, ds).M
         bar_M = mean_smoothness(model, ds)
         assert 0.0 < bar_M <= M
         assert default_step_size(model, ds) == pytest.approx(1.0 / (2.0 * bar_M))

@@ -59,7 +59,7 @@ def _sweep_level_by_hand(amp, n, reps):
         _, trace = run_gradient_em(init, dataset, model, em, reference=truth)
         floors.append(trace.final_distance())
         constants = estimate_constants(dataset, truth, model)
-        d0 = trace.records[0].distances
+        d0 = trace.distances[0]
         c_eff = float(np.max(d0 / np.linalg.norm(truth.thetas, axis=1)))
         q = theorem_quantities(constants, model, 10.0, c_eff, gamma, 2, 1.0)
         if q.contraction is not None:

@@ -1,4 +1,4 @@
-"""Soft-min weights and the induced per-sample / empirical losses."""
+"""Soft-min weights and the induced soft-min loss, on one sample and on a dataset."""
 import math
 
 import numpy as np
@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softmix.data import DataSet, LabeledSample, ParamSet
+from softmix.data import DataSet, ParamSet
 from softmix.losses import LossModel
 from softmix.softmin import (
     SoftMinConfig,
     empirical_loss,
-    soft_min_loss,
     soft_min_weights,
     weight_matrix,
 )
@@ -95,24 +94,24 @@ class TestSoftMinLoss:
     def _instance(self, thetas):
         # 1-d ridge with lam=0 so per-component losses are transparent
         model = LossModel("ridge", lam=0.0)
-        sample = LabeledSample(x=np.array([1.0]), y=0.0)
-        return ParamSet(np.asarray(thetas, dtype=np.float64)[:, None]), sample, model
+        row = DataSet(np.array([[1.0]]), np.array([0.0]))
+        return ParamSet(np.asarray(thetas, dtype=np.float64)[:, None]), row, model
 
     def test_equal_losses_any_beta(self):
-        params, sample, model = self._instance([2.0, -2.0])  # both losses 4
+        params, row, model = self._instance([2.0, -2.0])  # both losses 4
         for beta in (0.0, 1.0, 7.0, INF):
-            got = soft_min_loss(params, sample, model, SoftMinConfig(beta=beta))
+            got = empirical_loss(params, row, model, SoftMinConfig(beta=beta))
             assert got == pytest.approx(4.0, rel=1e-14)
 
     def test_hand_value_beta_one(self):
         # losses [0, ln 3] -> weights [0.75, 0.25] -> 0.25 * ln 3
-        params, sample, model = self._instance([0.0, math.sqrt(math.log(3.0))])
-        got = soft_min_loss(params, sample, model, SoftMinConfig(beta=1.0))
+        params, row, model = self._instance([0.0, math.sqrt(math.log(3.0))])
+        got = empirical_loss(params, row, model, SoftMinConfig(beta=1.0))
         assert got == pytest.approx(0.25 * math.log(3.0), rel=1e-12)
 
     def test_infinite_beta_is_min(self):
-        params, sample, model = self._instance([math.sqrt(2.0), 1.0, -1.0])
-        got = soft_min_loss(params, sample, model, SoftMinConfig(beta=INF))
+        params, row, model = self._instance([math.sqrt(2.0), 1.0, -1.0])
+        got = empirical_loss(params, row, model, SoftMinConfig(beta=INF))
         assert got == pytest.approx(1.0, rel=1e-14)
 
 
@@ -140,7 +139,7 @@ class TestEmpiricalLoss:
         params = ParamSet([[1.0, 0.0], [0.0, 1.0]])
         cfg = SoftMinConfig(beta=2.0)
         got = empirical_loss(params, ds, model, cfg)
-        want = soft_min_loss(params, LabeledSample(x=x, y=0.7), model, cfg)
+        want = empirical_loss(params, DataSet(x[None, :], np.array([0.7])), model, cfg)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_infinite_beta_matches_per_sample_min_oracle(self):

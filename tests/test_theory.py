@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from softmix.data import DataSet, ParamSet
-from softmix.losses import LossModel, batch_loss, certify, loss_gradient, loss_value
+from softmix.losses import LossModel, batch_gradient, batch_loss, certify
 from softmix.theory import (
     ProblemConstants,
     compute_contraction,
@@ -108,12 +108,12 @@ class TestEstimateConstants:
         delta = math.inf
         for j in range(2):
             for i in regions[j]:
-                s = ds.sample(int(i))
-                eps = max(eps, loss_value(model, s, ref.theta(j)))
-                eps1 = max(eps1, float(np.linalg.norm(loss_gradient(model, s, ref.theta(j)))))
+                s = ds.X[i : i + 1], ds.y[i : i + 1]
+                eps = max(eps, float(batch_loss(model, *s, ref.theta(j))[0]))
+                eps1 = max(eps1, float(np.linalg.norm(batch_gradient(model, *s, ref.theta(j))[0])))
                 for l in range(2):
                     if l != j:
-                        delta = min(delta, loss_value(model, s, ref.theta(l)))
+                        delta = min(delta, float(batch_loss(model, *s, ref.theta(l))[0]))
         assert c.epsilon == eps
         assert c.epsilon1 == eps1
         assert c.delta == delta

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from softmix.data import DataSet, LabeledSample, ParamSet
+from softmix.data import DataSet, ParamSet
 from softmix.em import EMConfig
-from softmix.losses import LossModel, certify, loss_gradient
+from softmix.losses import LossModel, batch_gradient, certify
 from softmix.softmin import SoftMinConfig, empirical_loss
 from softmix.verify import (
     GridSpec,
@@ -22,23 +22,22 @@ from softmix.verify import (
 class TestFiniteDifferences:
     def test_exact_on_quadratics(self):
         model = LossModel("ridge", lam=0.3)
-        sample = LabeledSample(x=np.array([0.7, -1.1]), y=0.4)
+        x, y = np.array([0.7, -1.1]), 0.4
         theta = np.array([0.2, 0.5])
         for h in (1e-3, 1e-5):
-            got = finite_diff_gradient(model, sample, theta, h=h)
-            np.testing.assert_allclose(got, loss_gradient(model, sample, theta), atol=1e-8)
+            got = finite_diff_gradient(model, x, y, theta, h=h)
+            want = batch_gradient(model, x[None, :], np.array([y]), theta)[0]
+            np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_logistic_hand_value(self):
         model = LossModel("logistic", lam=0.0)
-        sample = LabeledSample(x=np.array([1.0]), y=1.0)
-        got = finite_diff_gradient(model, sample, np.array([0.0]), h=1e-5)
+        got = finite_diff_gradient(model, np.array([1.0]), 1.0, np.array([0.0]), h=1e-5)
         np.testing.assert_allclose(got, [-0.5], atol=1e-8)
 
     def test_zero_step_rejected(self):
         model = LossModel("ridge", lam=0.1)
-        sample = LabeledSample(x=np.array([1.0]), y=1.0)
         with pytest.raises(ValueError):
-            finite_diff_gradient(model, sample, np.array([0.0]), h=0.0)
+            finite_diff_gradient(model, np.array([1.0]), 1.0, np.array([0.0]), h=0.0)
 
 
 class TestBruteForce:
@@ -201,3 +200,21 @@ class TestStepDecomposition:
             params = ParamSet(ref.thetas + 0.2 * rng.standard_normal(ref.thetas.shape))
             dec = step_decomposition(params, ds, model, self._em(gamma), ref)
             assert dec.total <= dec.T1 + dec.T2 + 1e-12
+
+    def test_weights_formed_once(self, mlr_instance, monkeypatch):
+        import softmix.em as em_module
+        import softmix.verify as verify_module
+        from softmix.softmin import weight_matrix
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return weight_matrix(*args, **kwargs)
+
+        for module in (verify_module, em_module):
+            monkeypatch.setattr(module, "weight_matrix", counted)
+        ds, ref, model = mlr_instance
+        params = ParamSet(ref.thetas + [[0.2, 0.0], [0.0, -0.1]])
+        step_decomposition(params, ds, model, self._em(0.1), ref)
+        assert len(calls) == 1

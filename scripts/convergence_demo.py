@@ -50,8 +50,9 @@ def main() -> int:
     report = run_experiment(config)
     print(f"{len(report.repetitions)} repetitions (seed, rate, final distance):")
     for rep in report.repetitions:
-        rate = "n/a" if rep.fitted_rate is None else f"{rep.fitted_rate:.3f}"
-        print(f"  seed={rep.seed}  rate={rate}  final={rep.final_distance:.3e}")
+        trace = rep.trace
+        rate = "n/a" if trace.fitted_rate is None else f"{trace.fitted_rate:.3f}"
+        print(f"  seed={rep.seed}  rate={rate}  final={trace.final_distance():.3e}")
     for check in report.checks:
         print(check.line())
     print(f"CSV outputs in {output_dir} (plot logdist.csv: t vs log10 distance)")

@@ -56,10 +56,10 @@ def run_level(config, amp: float):
     limits of the repetitions with a contraction, at amplitude ``amp``."""
     data = dataclasses.replace(config.data, perturb_amplitude=amp)
     report = run_experiment(dataclasses.replace(config, data=data), write=False)
-    floors = [r.final_distance for r in report.repetitions]
-    contracting = [r for r in report.repetitions if r.predicted_bound is not None]
-    bounds = [r.predicted_bound for r in contracting]
-    limits = [r.quantities.zeta / (1.0 - r.quantities.contraction) for r in contracting]
+    floors = [r.trace.final_distance() for r in report.repetitions]
+    contracting = [r.quantities for r in report.repetitions if r.quantities.bound is not None]
+    bounds = [q.bound for q in contracting]
+    limits = [q.zeta / (1.0 - q.contraction) for q in contracting]
     return floors, bounds, limits
 
 

@@ -7,33 +7,28 @@ Subcommands:
 * ``check-gradients <loss.yaml>``  -- randomized finite-difference audit
 * ``bounds <config.yaml>``         -- print theory quantities only
 
-A bad config or dataset exits 2 with a one-line error.
+A bad config or dataset, or an input file that cannot be read, exits 2 with
+a one-line error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .config import ConfigError, _section, _typed, validate_config
+from .config import ConfigError, _section, _typed, parse_yaml, validate_config
 from .datagen import GenSpec, generate, save_csv
 from .em import align_to_reference
-from .experiment import _build_init, _format_constants, _format_quantities, run_experiment
-from .experiment import repetition_context, theory_at
+from .experiment import _build_init, _format_bound, _format_constants, _format_quantities
+from .experiment import repetition_context, run_experiment, theory_at
 from .losses import FAMILIES, LossModel
 from .verify import GRADIENT_TOLERANCE, worst_gradient_error
 
 
-def _load_yaml(path):
-    with open(path) as fh:
-        return yaml.safe_load(fh)
-
-
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        config = validate_config(fh.read())
+    config = validate_config(Path(args.config).read_text())
     if args.output_dir:
         import dataclasses
 
@@ -47,7 +42,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = _section(_load_yaml(args.genspec), GenSpec, "genspec")
+    spec = _section(parse_yaml(Path(args.genspec).read_text()), GenSpec, "genspec")
     dataset, _ = generate(spec)
     save_csv(dataset, args.output)
     sys.stdout.write(f"wrote {dataset.n} samples (d={dataset.d}) to {args.output}\n")
@@ -55,7 +50,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check_gradients(args) -> int:
-    doc = _load_yaml(args.loss_spec)
+    doc = parse_yaml(Path(args.loss_spec).read_text())
     if not isinstance(doc, dict):
         raise ConfigError("loss spec must be a mapping")
     model = _section({key: doc[key] for key in doc if key not in ("seed", "d")}, LossModel, "loss")
@@ -87,17 +82,16 @@ def _cmd_check_gradients(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    with open(args.config) as fh:
-        config = validate_config(fh.read())
+    config = validate_config(Path(args.config).read_text())
     # repetition 0's bound needs its starting distances, not its EM run
     context = repetition_context(config, 0)
     _, d0 = align_to_reference(_build_init(config, context), context.reference)
-    constants, quantities, bound = theory_at(config, context, d0)
+    constants, quantities = theory_at(config, context, d0)
     sys.stdout.write("constants:  " + _format_constants(constants) + "\n")
     sys.stdout.write("quantities: " + _format_quantities(quantities) + "\n")
-    bound = "n/a" if bound is None else f"{bound:.6g}"
     sys.stdout.write(
-        f"gamma={context.gamma:.6g} d0={float(np.max(d0)):.6g} predicted_bound={bound}\n"
+        f"gamma={context.gamma:.6g} d0={float(np.max(d0)):.6g} "
+        f"predicted_bound={_format_bound(quantities)}\n"
     )
     return 0
 
@@ -136,7 +130,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -107,6 +107,14 @@ class ExperimentConfig:
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {name!r}")
+        if "lemmas" in self.checks and math.isinf(self.beta):
+            raise ConfigError("checks.lemmas requires a finite em.beta")
+        if "lemmas" in self.checks and not 0.0 < (self.init.c_ini or 0.0) < 1.0:
+            raise ConfigError("checks.lemmas requires init.c_ini in (0, 1), the radius it sweeps")
+        if self.resample and isinstance(self.data, GenSpec) and self.data.n < self.iterations:
+            # one fold per iteration; file data is only sized once loaded
+            n, T = self.data.n, self.iterations
+            raise ConfigError(f"em.resample needs data.n >= em.iterations, got {n} < {T}")
         if self.init.mode == EXPLICIT and isinstance(self.data, GenSpec):
             # file data is only sized once loaded, in repetition_context
             shape, expected = self.init.thetas.thetas.shape, (self.data.k, self.data.d)
@@ -225,12 +233,21 @@ def _parse_checks(raw) -> Tuple[str, ...]:
     return tuple(name for name in CHECK_NAMES if raw.get(name))
 
 
+def parse_yaml(text: str):
+    """The data of a YAML document; a one-line ConfigError, naming the line
+    and column where PyYAML gives them, if it does not parse."""
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = "" if mark is None else f" at line {mark.line + 1}, column {mark.column + 1}"
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"YAML parse error{where}: {problem}") from exc
+
+
 def validate_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML experiment config document."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"YAML parse error: {exc}") from exc
+    doc = parse_yaml(text)
     fields = dataclasses.fields(ExperimentConfig)
     top = [f.name for f in fields if f.name not in EM_KEYS]
     required = list(dict.fromkeys(

@@ -105,6 +105,15 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed * 2 ** 64 + index))
 
 
+def uniform_ball(rng: np.random.Generator, radius, rows: int, d: int) -> np.ndarray:
+    """``(rows, d)`` points uniform in the ball of ``radius`` (a scalar, or one
+    per row) about 0: normalized ``standard_normal((rows, d))`` directions,
+    then the radii ``radius * random(rows) ** (1/d)``."""
+    directions = rng.standard_normal((rows, d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return (radius * rng.random(rows) ** (1.0 / d))[:, None] * directions
+
+
 def _default_truth(spec: GenSpec) -> ParamSet:
     rng = _substream(spec.seed, _TRUTH_STREAM)
     thetas = rng.standard_normal((spec.k, spec.d))
@@ -118,11 +127,7 @@ def _covariates(rng: np.random.Generator, spec: GenSpec, rows: int) -> np.ndarra
         return spec.cov_scale * rng.standard_normal((rows, spec.d))
     if cov == "student_t":
         return spec.cov_scale * rng.standard_t(spec.t_dof, (rows, spec.d))
-    # uniform over the ball of radius cov_scale
-    directions = rng.standard_normal((rows, spec.d))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = spec.cov_scale * rng.random(rows) ** (1.0 / spec.d)
-    return radii[:, None] * directions
+    return uniform_ball(rng, spec.cov_scale, rows, spec.d)
 
 
 def _check_margin_reachable(truth: np.ndarray, weights: np.ndarray, spec: GenSpec) -> None:

@@ -38,19 +38,19 @@ class EMConfig:
 @dataclass
 class ConvergenceTrace:
     """Per-iteration aligned distances and losses of one run, t = 0..T, plus
-    the final alignment and a fitted geometric rate and floor.
+    the final alignment and a fitted geometric rate.
 
     ``distances[t, j]`` is the distance from reference component j to its
     matched iterate at theta_t, shape (T+1, k); ``losses[t]`` is the
     full-data soft-min loss at theta_t, shape (T+1,).  ``alignment[i]`` is
-    the reference index matched to component i of theta_T.
+    the reference index matched to component i of theta_T.  The final
+    distance is the run's floor: :func:`fit_rate` excludes the plateau near it.
     """
 
     distances: np.ndarray
     losses: np.ndarray
     alignment: np.ndarray
     fitted_rate: Optional[float]
-    fitted_floor: float
 
     def max_distances(self) -> np.ndarray:
         return np.max(self.distances, axis=1)
@@ -139,21 +139,21 @@ def align_to_reference(params: ParamSet, reference: ParamSet):
     return cols, distances
 
 
-def fit_rate_and_floor(max_distances: np.ndarray):
+def fit_rate(max_distances: np.ndarray) -> Optional[float]:
     """Geometric-rate fit of the pre-floor segment of a distance sequence.
 
     The floor is the final distance; the fit covers iterations whose distance
-    exceeds twice the floor (the plateau is excluded).  Returns
-    ``(rate, floor)`` with ``rate=None`` when fewer than two points remain.
+    exceeds twice the floor (the plateau is excluded).  ``None`` when fewer
+    than two points remain.
     """
     max_distances = np.asarray(max_distances, dtype=np.float64)
     floor = float(max_distances[-1])
     mask = (max_distances > 2.0 * floor) & (max_distances > 0.0)
     ts = np.nonzero(mask)[0]
     if ts.size < 2:
-        return None, floor
+        return None
     slope = np.polyfit(ts, np.log(max_distances[ts]), 1)[0]
-    return float(math.exp(slope)), floor
+    return float(math.exp(slope))
 
 
 def run_gradient_em(
@@ -168,8 +168,8 @@ def run_gradient_em(
     The trace fills one row of its distance and loss arrays per iterate
     theta_0..theta_T: the min-cost aligned component distances and the
     full-data soft-min loss.  theta_T is aligned once, for its distances and
-    the trace's ``alignment``.  A geometric rate and floor are fitted to the
-    max-distance sequence.  A full-batch run takes the loss at theta_t from
+    the trace's ``alignment``.  A geometric rate is fitted to the max-distance
+    sequence.  A full-batch run takes the loss at theta_t from
     the weight matrices of the step out of theta_t.  Without a reference
     nothing is recorded and the trace is ``None``.
     """
@@ -204,5 +204,5 @@ def run_gradient_em(
         return params, None
     losses[T] = empirical_loss(params, dataset, model, smcfg)
     alignment, distances[T] = align_to_reference(params, reference)
-    rate, floor = fit_rate_and_floor(np.max(distances, axis=1))
-    return params, ConvergenceTrace(distances, losses, alignment, rate, floor)
+    rate = fit_rate(np.max(distances, axis=1))
+    return params, ConvergenceTrace(distances, losses, alignment, rate)

@@ -20,16 +20,15 @@ import numpy as np
 
 from .config import EXPLICIT, RANDOM_BALL, ExperimentConfig, serialize
 from .data import DataSet, ParamSet
-from .datagen import GenSpec, generate, load_csv
+from .datagen import GenSpec, generate, load_csv, uniform_ball
 from . import em
-from .em import EMConfig, run_gradient_em
+from .em import ConvergenceTrace, EMConfig, run_gradient_em
 from .losses import LossModel, certify, default_step_size
 from .softmin import empirical_loss
 from .theory import (
     ProblemConstants,
     TheoremQuantities,
     estimate_constants,
-    predicted_distance_bound,
     theorem_quantities,
 )
 from .verify import (
@@ -51,26 +50,30 @@ class RepetitionContext:
     model: LossModel  # certified on ``dataset``
     gamma: float
     reference: ParamSet  # the truth, or the multistart reference; its k is the run's
-    fitted: Optional[ParamSet] = None  # EM's final ParamSet, once the repetition ran
 
 
 @dataclass
 class RepetitionResult:
+    """One repetition's records, each value held once: EM's ``fitted``
+    ParamSet and its ``trace``, the ``constants`` at the reference, and the
+    theorem's ``quantities`` and bound from the trace's initial distances
+    (None at beta = inf).  Only repetition 0 keeps its ``context``, until the
+    checks have reused it."""
+
     rep: int
     seed: int
     gamma: float
-    initial_distance: float
-    final_distance: float
-    fitted_rate: Optional[float]
-    fitted_floor: Optional[float]
-    alignment: list
-    predicted_bound: Optional[float]
-    within_bound: Optional[bool]  # None when no bound was evaluated
+    fitted: ParamSet
+    trace: ConvergenceTrace
     constants: ProblemConstants
     quantities: Optional[TheoremQuantities]
-    distances: np.ndarray  # (T+1, k) aligned distances
-    losses: np.ndarray  # (T+1,)
     context: Optional[RepetitionContext] = field(default=None, repr=False, compare=False)
+
+    @property
+    def within_bound(self) -> Optional[bool]:
+        """Whether the final distance met the bound; None if none was evaluated."""
+        q = self.quantities
+        return None if q is None else q.within(self.trace.final_distance())
 
 
 @dataclass
@@ -181,12 +184,13 @@ def _build_init(config: ExperimentConfig, context: RepetitionContext) -> ParamSe
     if mode == EXPLICIT:
         return config.init.thetas.copy()
     rng = np.random.default_rng(context.seed)
-    offsets = rng.standard_normal(reference.thetas.shape)
-    offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
+    k, d = reference.thetas.shape
     if mode == RANDOM_BALL:
-        radii = config.init.radius * rng.random(reference.k) ** (1.0 / reference.d)
-    else:  # perturb reference: offset of exactly c_ini * ||theta*_j|| per component
-        radii = config.init.c_ini * np.linalg.norm(reference.thetas, axis=1)
+        return ParamSet(reference.thetas + uniform_ball(rng, config.init.radius, k, d))
+    # perturb reference: offset of exactly c_ini * ||theta*_j|| per component
+    offsets = rng.standard_normal((k, d))
+    offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
+    radii = config.init.c_ini * np.linalg.norm(reference.thetas, axis=1)
     return ParamSet(reference.thetas + radii[:, None] * offsets)
 
 
@@ -203,26 +207,18 @@ def _em_config(
 
 
 def theory_at(config: ExperimentConfig, context: RepetitionContext, d0: np.ndarray):
-    """``(constants, quantities, bound)`` for a run starting at aligned
-    distances ``d0``.  ``quantities`` is None at beta = inf; ``bound`` is None
-    when the contraction is vacuous and inf when zeta is."""
+    """``(constants, quantities)`` for a run starting at aligned distances
+    ``d0``; ``quantities`` is None at beta = inf."""
     constants = estimate_constants(context.dataset, context.reference, context.model)
+    if math.isinf(config.beta):
+        return constants, None
     norms = np.linalg.norm(context.reference.thetas, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         c_eff = float(np.max(np.where(norms > 0, d0 / norms, 0.0)))
-    if math.isinf(config.beta):
-        return constants, None, None
-    q = theorem_quantities(
-        constants, context.model, config.beta, c_eff, context.gamma, context.reference.k,
-        config.c_universal,
+    return constants, theorem_quantities(
+        constants, context.model, config.beta, c_eff, context.gamma, d0,
+        config.iterations, config.c_universal,
     )
-    bound = None
-    if q.contraction is not None:
-        bound = math.inf
-        if math.isfinite(q.zeta):
-            per_component = predicted_distance_bound(d0, q.contraction, q.zeta, config.iterations)
-            bound = float(np.max(per_component))
-    return constants, q, bound
 
 
 def run_repetition(
@@ -231,40 +227,26 @@ def run_repetition(
     """Run one seeded repetition: build its context, run EM, evaluate bounds.
 
     ``first`` is repetition 0's context (see :func:`repetition_context`).
-    The result keeps the context, with the fitted ParamSet, for the checks to
-    reuse.  A vacuous bound (``TheoremQuantities.vacuous``) is still reported
-    but counts as not evaluated (``within_bound=None``).
+    The result keeps the context for the checks to reuse.  A vacuous bound
+    (``TheoremQuantities.vacuous``) is still reported but counts as not
+    evaluated (``within_bound=None``).
     """
     context = repetition_context(config, rep, first)
-    context.fitted, trace = run_gradient_em(
+    fitted, trace = run_gradient_em(
         _build_init(config, context), context.dataset, context.model,
         _em_config(config, context, config.resample), reference=context.reference,
     )
-    d0 = trace.distances[0]
-    constants, quantities, bound = theory_at(config, context, d0)
-    final = trace.final_distance()
-    within = None if quantities is None or quantities.vacuous else final <= bound
+    constants, quantities = theory_at(config, context, trace.distances[0])
     return RepetitionResult(
-        rep=rep,
-        seed=context.seed,
-        gamma=context.gamma,
-        initial_distance=float(np.max(d0)),
-        final_distance=final,
-        fitted_rate=trace.fitted_rate,
-        fitted_floor=trace.fitted_floor,
-        alignment=list(map(int, trace.alignment)),
-        predicted_bound=bound,
-        within_bound=within,
-        constants=constants,
-        quantities=quantities,
-        distances=trace.distances,
-        losses=trace.losses,
-        context=context,
+        rep, context.seed, context.gamma, fitted, trace, constants, quantities, context
     )
 
 
-def _run_checks(config: ExperimentConfig, context: RepetitionContext) -> List[CheckResult]:
-    """The enabled checks, on repetition 0's data and reference (``context``)."""
+def _run_checks(
+    config: ExperimentConfig, context: RepetitionContext, fitted: ParamSet
+) -> List[CheckResult]:
+    """The enabled checks, on repetition 0's data and reference (``context``)
+    and its fitted ParamSet."""
     results: List[CheckResult] = []
     if not config.checks:
         return results
@@ -282,9 +264,8 @@ def _run_checks(config: ExperimentConfig, context: RepetitionContext) -> List[Ch
         results.append(CheckResult("gradient_oracle", ok, f"worst relative error {worst:.3g}"))
 
     if "lemmas" in config.checks:
-        c_ini = config.init.c_ini if config.init.c_ini is not None else 0.1
         rep1, rep2 = check_lemma_bounds(
-            dataset, reference, model, beta=config.beta, c_ini=c_ini,
+            dataset, reference, model, beta=config.beta, c_ini=config.init.c_ini,
             trials=config.lemma_trials, seed=context.seed,
         )
         bad = sum(r.violations for r in (rep1, rep2) if not r.bound_vacuous)
@@ -306,7 +287,7 @@ def _run_checks(config: ExperimentConfig, context: RepetitionContext) -> List[Ch
         grid = CHECK_GRID
         best = brute_force_minimize(dataset, model, smcfg, reference.k, grid)
         bf_loss = empirical_loss(best, dataset, model, smcfg)
-        em_loss = empirical_loss(context.fitted, dataset, model, smcfg)
+        em_loss = empirical_loss(fitted, dataset, model, smcfg)
         cell = (grid.hi - grid.lo) / (grid.points - 1)
         shifted = ParamSet(best.thetas + cell)
         slack = 2.0 * abs(empirical_loss(shifted, dataset, model, smcfg) - bf_loss)
@@ -321,6 +302,10 @@ def _format_constants(c: ProblemConstants) -> str:
         f"epsilon={c.epsilon:.6g} epsilon1={c.epsilon1:.6g} delta={c.delta:.6g} "
         f"pi_min={c.pi_min:.6g} region_sizes={list(c.region_sizes)}"
     )
+
+
+def _format_bound(q: Optional[TheoremQuantities]) -> str:
+    return "n/a" if q is None or q.bound is None else f"{q.bound:.6g}"
 
 
 def _format_quantities(q: Optional[TheoremQuantities]) -> str:
@@ -339,17 +324,12 @@ def write_outputs(report: ExperimentReport, output_dir) -> None:
     with open(out / "trace.csv", "w") as fh:
         fh.write("rep,t,j,distance,loss\n")
         for rr in report.repetitions:
-            T, k = rr.distances.shape
-            for t in range(T):
-                for j in range(k):
-                    fh.write(
-                        f"{rr.rep},{t},{j},{rr.distances[t, j]:.17g},{rr.losses[t]:.17g}\n"
-                    )
+            for (t, j), distance in np.ndenumerate(rr.trace.distances):
+                fh.write(f"{rr.rep},{t},{j},{distance:.17g},{rr.trace.losses[t]:.17g}\n")
     with open(out / "logdist.csv", "w") as fh:
         fh.write("rep,t,log10_max_distance\n")
         for rr in report.repetitions:
-            md = np.max(rr.distances, axis=1)
-            for t, v in enumerate(md):
+            for t, v in enumerate(rr.trace.max_distances()):
                 logv = math.log10(v) if v > 0 else -math.inf
                 fh.write(f"{rr.rep},{t},{logv:.17g}\n")
     with open(out / "report.txt", "w") as fh:
@@ -359,13 +339,15 @@ def write_outputs(report: ExperimentReport, output_dir) -> None:
 def render_report(report: ExperimentReport) -> str:
     lines = ["softmix experiment report", "=" * 40, "", "config:", serialize(report.config), ""]
     for rr in report.repetitions:
-        rate = "n/a" if rr.fitted_rate is None else f"{rr.fitted_rate:.4f}"
-        bound = "n/a" if rr.predicted_bound is None else f"{rr.predicted_bound:.6g}"
+        trace = rr.trace
+        rate = "n/a" if trace.fitted_rate is None else f"{trace.fitted_rate:.4f}"
+        d0, final = trace.max_distances()[[0, -1]]
+        # the floor is the final distance, printed under both names
         lines.append(
             f"rep {rr.rep} (seed {rr.seed}): gamma={rr.gamma:.6g} "
-            f"d0={rr.initial_distance:.6g} final={rr.final_distance:.6g} "
-            f"rate={rate} floor={rr.fitted_floor:.6g} bound={bound} "
-            f"within_bound={rr.within_bound} alignment={rr.alignment}"
+            f"d0={d0:.6g} final={final:.6g} rate={rate} floor={final:.6g} "
+            f"bound={_format_bound(rr.quantities)} within_bound={rr.within_bound} "
+            f"alignment={trace.alignment.tolist()}"
         )
         lines.append("  constants: " + _format_constants(rr.constants))
         lines.append("  quantities: " + _format_quantities(rr.quantities))
@@ -384,7 +366,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     for rep in range(1, config.repetitions):
         results.append(run_repetition(config, rep, first.context))
         results[-1].context = None  # only repetition 0's is reused, by the checks
-    checks = _run_checks(config, first.context)
+    checks = _run_checks(config, first.context, first.fitted)
     first.context = None
     report = ExperimentReport(
         config=config,

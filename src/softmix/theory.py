@@ -39,13 +39,17 @@ class ProblemConstants:
 
 @dataclass(frozen=True)
 class TheoremQuantities:
-    """Closed-form bound quantities for one (instance, step-size) pair."""
+    """The theorem's quantities at one instance, step size and start: weight
+    bounds eta and eta', floor zeta, contraction factor (None when vacuous),
+    and the T-iteration distance bound, None without a contraction or a T and
+    inf when zeta is."""
 
     eta: float
     eta_prime: float
     zeta: float
     contraction: Optional[float]
     c_universal: float = 1.0
+    bound: Optional[float] = None
 
     @property
     def vacuous(self) -> bool:
@@ -57,6 +61,12 @@ class TheoremQuantities:
             or self.eta_prime > 1.0
             or not math.isfinite(self.zeta)
         )
+
+    def within(self, final: float) -> Optional[bool]:
+        """Whether ``final`` meets the bound; None when none was evaluated."""
+        if self.vacuous or self.bound is None:
+            return None
+        return final <= self.bound
 
 
 def partition_regions(dataset: DataSet, reference: ParamSet, model: LossModel):
@@ -230,25 +240,26 @@ def theorem_quantities(
     beta: float,
     c_ini: float,
     gamma: float,
-    k: int,
+    d0,
+    T: Optional[int] = None,
     c_universal: float = 1.0,
 ) -> TheoremQuantities:
-    """Bundle eta, eta', zeta and the contraction factor for one instance."""
+    """The quantities for a run of T iterations from aligned distances ``d0``,
+    one per component (k = len(d0)); the bound is the max over components of
+    :func:`predicted_distance_bound`.  An integer ``d0`` is k, with no bound."""
+    d0 = np.asarray(d0, dtype=np.float64)
+    k = len(d0) if d0.ndim else int(d0)
     eta = compute_eta(constants, beta, c_ini, model, k)
     eta_prime = compute_eta_prime(constants, beta, c_ini, model)
     zeta = compute_error_floor(constants, gamma, c_ini, eta_prime, model)
-    contraction = None
+    contraction = bound = None
     if eta < 1.0:
         try:
-            contraction = compute_contraction(
-                gamma, constants.pi_min, model.m, eta, c_universal
-            )
-        except ValueError:
-            contraction = None
-    return TheoremQuantities(
-        eta=eta,
-        eta_prime=eta_prime,
-        zeta=zeta,
-        contraction=contraction,
-        c_universal=c_universal,
-    )
+            contraction = compute_contraction(gamma, constants.pi_min, model.m, eta, c_universal)
+        except ValueError:  # a step too large for the bound
+            pass
+    if contraction is not None and T is not None:
+        bound = math.inf
+        if math.isfinite(zeta):
+            bound = float(np.max(predicted_distance_bound(d0, contraction, zeta, T)))
+    return TheoremQuantities(eta, eta_prime, zeta, contraction, c_universal, bound)

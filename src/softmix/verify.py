@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataSet, ParamSet
+from .datagen import _substream, uniform_ball
 from .em import EMConfig, align_to_reference, gradient_em_step
 from .losses import LossModel, batch_gradient, batch_loss
 from .softmin import SoftMinConfig, empirical_loss, weight_matrix
@@ -118,12 +119,21 @@ def brute_force_minimize(
 
 @dataclass
 class LemmaReport:
-    """Tally of one pointwise weight-bound sweep."""
+    """Tally of one pointwise weight-bound sweep.  ``worst_margin`` is the
+    smallest measured margin to the bound: NaN when the bound is vacuous or
+    nothing was checked."""
 
     checked: int
     violations: int
     worst_margin: float
     bound_vacuous: bool
+
+    def add(self, margins: np.ndarray) -> None:
+        """Count one trial's margins to the bound (negative: on the wrong side)."""
+        self.checked += margins.size
+        if not self.bound_vacuous and margins.size:
+            self.worst_margin = float(np.fmin(self.worst_margin, np.min(margins)))
+            self.violations += int(np.sum(margins < -_LEMMA_SLACK))
 
 
 def check_lemma_bounds(
@@ -143,15 +153,10 @@ def check_lemma_bounds(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if math.isinf(beta):
-        raise ValueError("bounds require finite beta")
     regions, unassigned, fmat = partition_regions(dataset, reference, model)
     constants = _region_constants(dataset, reference, model, regions, fmat)
     eta = compute_eta(constants, beta, c_ini, model, reference.k)
     eta_prime = compute_eta_prime(constants, beta, c_ini, model)
-    lower = 1.0 - eta
-    vac1 = eta >= 1.0
-    vac2 = eta_prime > 1.0
 
     assigned = np.ones(len(dataset), dtype=bool)
     assigned[unassigned] = False
@@ -159,33 +164,16 @@ def check_lemma_bounds(
     is_own = fmat[assigned] == np.min(fmat[assigned], axis=1, keepdims=True)
 
     smcfg = SoftMinConfig(beta=beta)
-    norms = np.linalg.norm(reference.thetas, axis=1)
-    checked1 = violations1 = 0
-    checked2 = violations2 = 0
-    worst1 = math.inf
-    worst2 = math.inf
+    radii = c_ini * np.linalg.norm(reference.thetas, axis=1)
+    own = LemmaReport(0, 0, math.nan, bound_vacuous=eta >= 1.0)
+    cross = LemmaReport(0, 0, math.nan, bound_vacuous=eta_prime > 1.0)
     for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=seed * 2 ** 64 + trial))
-        offsets = rng.standard_normal((reference.k, reference.d))
-        offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
-        radii = c_ini * norms * rng.random(reference.k) ** (1.0 / reference.d)
-        params = ParamSet(reference.thetas + radii[:, None] * offsets)
+        offsets = uniform_ball(_substream(seed, trial), radii, reference.k, reference.d)
+        params = ParamSet(reference.thetas + offsets)
         weights = weight_matrix(params, dataset, model, smcfg)[0][assigned]
-        own_w, cross = weights[is_own], weights[~is_own]
-        checked1 += own_w.size
-        checked2 += cross.size
-        if not vac1:
-            margins = own_w - lower
-            worst1 = min(worst1, float(np.min(margins)))
-            violations1 += int(np.sum(margins < -_LEMMA_SLACK))
-        if not vac2 and cross.size:
-            margins = eta_prime - cross
-            worst2 = min(worst2, float(np.min(margins)))
-            violations2 += int(np.sum(margins < -_LEMMA_SLACK))
-
-    rep1 = LemmaReport(checked1, violations1, worst1 if checked1 else math.nan, vac1)
-    rep2 = LemmaReport(checked2, violations2, worst2 if checked2 else math.nan, vac2)
-    return rep1, rep2
+        own.add(weights[is_own] - (1.0 - eta))
+        cross.add(eta_prime - weights[~is_own])
+    return own, cross
 
 
 @dataclass

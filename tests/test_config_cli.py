@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import softmix.experiment as experiment
+import softmix.theory as theory
 from softmix.cli import main
 from softmix.config import (
     CHECK_NAMES,
@@ -26,6 +27,7 @@ from softmix.data import ParamSet
 from softmix.datagen import COVARIATES, KINDS, GenSpec, save_csv
 from softmix.em import EMConfig, run_gradient_em
 from softmix.experiment import (
+    _format_bound,
     _format_constants,
     _format_quantities,
     repetition_context,
@@ -249,13 +251,19 @@ def _configs(draw):
     checks = draw(st.sets(st.sampled_from(CHECK_NAMES)))
     if isinstance(data, GenSpec) and d * k > 2:  # over the grid budget
         checks.discard("brute_force")
+    beta = draw(st.just(math.inf) | st.floats(0.0, 1e3))
+    if math.isinf(beta) or init.c_ini is None:  # the lemma sweep needs both
+        checks.discard("lemmas")
+    resample = draw(st.booleans())
+    # resampling takes one fold of generated data per iteration
+    folds = data.n if resample and isinstance(data, GenSpec) else 500
     return ExperimentConfig(
         data=data,
         loss=loss,
-        iterations=draw(st.integers(1, 500)),
+        iterations=draw(st.integers(1, min(folds, 500))),
         gamma=draw(st.none() | _floats),
-        beta=draw(st.just(math.inf) | st.floats(0.0, 1e3)),
-        resample=draw(st.booleans()),
+        beta=beta,
+        resample=resample,
         init=init,
         reference=draw(st.sampled_from(REFERENCE_MODES)),
         checks=tuple(name for name in CHECK_NAMES if name in checks),
@@ -407,7 +415,7 @@ class TestExperimentDriver:
         report = run_experiment(cfg, write=False)
         assert report.success_frequency == 1.0
         rep = report.repetitions[0]
-        assert rep.fitted_rate is not None and rep.fitted_rate < 1.0
+        assert rep.trace.fitted_rate is not None and rep.trace.fitted_rate < 1.0
         assert not report.failed_checks
 
     def test_two_component_within_bound(self):
@@ -416,7 +424,9 @@ class TestExperimentDriver:
         assert len(report.repetitions) == 2
         assert [r.rep for r in report.repetitions] == [0, 1]
         assert report.success_frequency == 1.0
-        assert all(r.final_distance < r.initial_distance for r in report.repetitions)
+        assert all(
+            r.trace.final_distance() < r.trace.max_distances()[0] for r in report.repetitions
+        )
 
     def test_hard_min_has_no_evaluated_bound(self, tmp_path):
         import dataclasses
@@ -467,15 +477,10 @@ class TestExperimentDriver:
     def test_infinite_bound_counts_as_not_evaluated(self, tmp_path, monkeypatch):
         import dataclasses
 
-        original = experiment.theorem_quantities
-
-        def infinite_zeta(*args, **kwargs):
-            return dataclasses.replace(original(*args, **kwargs), zeta=math.inf)
-
-        monkeypatch.setattr(experiment, "theorem_quantities", infinite_zeta)
+        monkeypatch.setattr(theory, "compute_error_floor", lambda *args: math.inf)
         cfg = dataclasses.replace(validate_config(TWO_COMPONENT), output_dir=str(tmp_path))
         report = run_experiment(cfg)
-        assert [r.predicted_bound for r in report.repetitions] == [math.inf, math.inf]
+        assert [r.quantities.bound for r in report.repetitions] == [math.inf, math.inf]
         assert [r.within_bound for r in report.repetitions] == [None, None]
         assert report.success_frequency is None
         text = (tmp_path / "report.txt").read_text()
@@ -495,11 +500,11 @@ class TestExperimentDriver:
         first, second = report.repetitions
         assert first.quantities.eta_prime < 1.0 < second.quantities.eta_prime
         assert second.quantities.vacuous
-        assert math.isfinite(second.predicted_bound)
+        assert math.isfinite(second.quantities.bound)
         assert [r.within_bound for r in report.repetitions] == [True, None]
         assert report.success_frequency == 1.0
         text = (tmp_path / "report.txt").read_text()
-        assert f"bound={second.predicted_bound:.6g} within_bound=None" in text
+        assert f"bound={second.quantities.bound:.6g} within_bound=None" in text
         assert "success_frequency: 1.0000 (within=1 violated=0 not_evaluated=1)" in text
 
     def test_brute_force_check_reuses_repetition_zero_fit(self, monkeypatch):
@@ -511,11 +516,11 @@ class TestExperimentDriver:
         assert check.passed
         # the reused fit must give what a fresh fit of repetition 0 gives
         context = repetition_context(cfg, 0)
-        context.fitted, _ = run_gradient_em(
+        fitted, _ = run_gradient_em(
             experiment._build_init(cfg, context), context.dataset, context.model,
             experiment._em_config(cfg, context, cfg.resample), reference=context.reference,
         )
-        (fresh,) = experiment._run_checks(cfg, context)
+        (fresh,) = experiment._run_checks(cfg, context, fitted)
         assert check.detail == fresh.detail
 
 
@@ -570,7 +575,7 @@ class TestRepetitionContext:
         report = run_experiment(cfg)
         assert [c.name for c in report.checks] == ["decomposition"]
         assert not report.failed_checks
-        assert report.repetitions[0].distances.shape[1] == 2
+        assert report.repetitions[0].trace.distances.shape[1] == 2
 
     def test_truth_reference_on_file_data_raises_once(self, tmp_path, monkeypatch):
         dataset, _ = experiment.generate(validate_config(MINIMAL).data)
@@ -625,9 +630,9 @@ class TestRepetitionContext:
         for result in report.repetitions:
             alone = run_repetition(cfg, result.rep)
             assert alone.gamma == result.gamma
-            assert alone.alignment == result.alignment
-            assert alone.distances.tobytes() == result.distances.tobytes()
-            assert alone.losses.tobytes() == result.losses.tobytes()
+            assert alone.trace.alignment.tolist() == result.trace.alignment.tolist()
+            assert alone.trace.distances.tobytes() == result.trace.distances.tobytes()
+            assert alone.trace.losses.tobytes() == result.trace.losses.tobytes()
 
 
 class TestCLI:
@@ -706,12 +711,11 @@ class TestCLI:
     ):
         cfg_text = TWO_COMPONENT + f"reference: {reference}\n"
         result = run_repetition(validate_config(cfg_text), 0)
-        bound = "n/a" if result.predicted_bound is None else f"{result.predicted_bound:.6g}"
         expected = (
             "constants:  " + _format_constants(result.constants) + "\n"
             "quantities: " + _format_quantities(result.quantities) + "\n"
-            f"gamma={result.gamma:.6g} d0={result.initial_distance:.6g} "
-            f"predicted_bound={bound}\n"
+            f"gamma={result.gamma:.6g} d0={result.trace.max_distances()[0]:.6g} "
+            f"predicted_bound={_format_bound(result.quantities)}\n"
         )
         capsys.readouterr()
 
@@ -859,3 +863,48 @@ class TestCLI:
 
     def test_missing_file_exits_2(self):
         assert main(["run", "/nonexistent/config.yaml"]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "gen", "check-gradients", "bounds"])
+    @pytest.mark.parametrize("unreadable", ["malformed_yaml", "directory"])
+    def test_unreadable_input_exits_2_with_one_error_line(
+        self, tmp_path, capsys, command, unreadable
+    ):
+        if unreadable == "directory":
+            path = str(tmp_path)
+        else:
+            path = self._write(tmp_path, "bad.yaml", "data: [1, 2\nloss: {family: ridge\n")
+        output = ["-o", str(tmp_path / "data.csv")] if command == "gen" else []
+        assert main([command, path, *output]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edits, message", [
+        ([("beta: 10.0", 'beta: "inf"')], "checks.lemmas requires a finite em.beta"),
+        (
+            [("mode: perturb_reference\n  c_ini: 0.1", "mode: random_ball\n  radius: 0.1\n  c_ini:")],
+            "checks.lemmas requires init.c_ini in (0, 1), the radius it sweeps",
+        ),
+        (
+            [("mode: perturb_reference\n  c_ini: 0.1", "mode: random_ball\n  radius: 0.1\n  c_ini: -3")],
+            "checks.lemmas requires init.c_ini in (0, 1), the radius it sweeps",
+        ),
+        (
+            [("n: 400", "n: 10"), ("resample: false", "resample: true")],
+            "em.resample needs data.n >= em.iterations, got 10 < 15",
+        ),
+    ])
+    def test_late_failing_configs_exit_2_before_any_repetition(
+        self, tmp_path, capsys, monkeypatch, edits, message
+    ):
+        text = TWO_COMPONENT + "checks:\n  lemmas: true\n"
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(text)
+        repetitions = _counted(monkeypatch, "run_repetition")
+        config = self._write(tmp_path, "cfg.yaml", text + f"output_dir: {tmp_path / 'out'}\n")
+        assert main(["run", config]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert repetitions == []
+        assert not (tmp_path / "out").exists()

@@ -9,7 +9,7 @@ from softmix.data import DataSet, ParamSet
 from softmix.em import (
     EMConfig,
     align_to_reference,
-    fit_rate_and_floor,
+    fit_rate,
     gradient_em_step,
     partition_dataset,
     run_gradient_em,
@@ -177,20 +177,15 @@ class TestRateFit:
     def test_recovers_pure_geometric_rate(self):
         rate = 0.7
         seq = 1.0 * rate ** np.arange(30)
-        fitted, floor = fit_rate_and_floor(seq)
-        assert fitted == pytest.approx(rate, rel=1e-6)
-        assert floor == pytest.approx(seq[-1])
+        assert fit_rate(seq) == pytest.approx(rate, rel=1e-6)
 
     def test_plateau_excluded_from_fit(self):
         decay = 1.0 * 0.5 ** np.arange(15)
         seq = np.concatenate([decay, np.full(10, decay[-1])])
-        fitted, _ = fit_rate_and_floor(seq)
-        assert fitted == pytest.approx(0.5, rel=1e-6)
+        assert fit_rate(seq) == pytest.approx(0.5, rel=1e-6)
 
     def test_flat_sequence_has_no_rate(self):
-        fitted, floor = fit_rate_and_floor(np.full(10, 0.3))
-        assert fitted is None
-        assert floor == pytest.approx(0.3)
+        assert fit_rate(np.full(10, 0.3)) is None
 
 
 class TestRun:
@@ -251,7 +246,7 @@ class TestRun:
         cfg = _config(step_size=gamma, iterations=25, beta=10.0, resample=False)
         _, trace = run_gradient_em(init, ds, model, cfg, reference=ref)
         md = trace.max_distances()
-        floor = trace.fitted_floor
+        floor = trace.final_distance()
         for t in range(1, len(md) - 1):
             if md[t] <= 2.0 * floor:
                 break

@@ -1,5 +1,6 @@
 """Region partitioning, empirical problem constants, and the convergence
 bound quantities (eta, eta', zeta, contraction factor, distance bound)."""
+import dataclasses
 import math
 
 import numpy as np
@@ -270,9 +271,23 @@ class TestBundle:
         ds, ref, _ = mlr_instance
         model = certify(LossModel("ridge", lam=1e-3), ds)
         c = estimate_constants(ds, ref, model)
-        q = theorem_quantities(c, model, beta=5.0, c_ini=0.01, gamma=0.05, k=2, c_universal=1.0)
+        d0 = np.array([0.01, 0.005])
+        q = theorem_quantities(c, model, beta=5.0, c_ini=0.01, gamma=0.05, d0=d0, c_universal=1.0)
         assert q.eta == compute_eta(c, 5.0, 0.01, model, 2)
         assert q.eta_prime == compute_eta_prime(c, 5.0, 0.01, model)
         assert q.zeta == compute_error_floor(c, 0.05, 0.01, q.eta_prime, model)
         assert q.contraction is not None and 0.0 < q.contraction < 1.0
         assert not q.vacuous
+
+    def test_bound_is_the_worst_component_and_within_reads_it(self, mlr_instance):
+        ds, ref, _ = mlr_instance
+        model = certify(LossModel("ridge", lam=1e-3), ds)
+        c = estimate_constants(ds, ref, model)
+        d0 = np.array([0.01, 0.005])
+        q = theorem_quantities(c, model, 5.0, 0.01, 0.05, d0, 30, 1.0)
+        assert q.bound == float(np.max(predicted_distance_bound(d0, q.contraction, q.zeta, 30)))
+        assert q.within(q.bound) is True and q.within(2.0 * q.bound) is False
+        assert theorem_quantities(c, model, 5.0, 0.01, 0.05, d0).bound is None
+        assert theorem_quantities(c, model, 5.0, 0.01, 0.05, 2).eta == q.eta
+        vacuous = dataclasses.replace(q, eta_prime=2.0)
+        assert vacuous.vacuous and vacuous.within(0.0) is None

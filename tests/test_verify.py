@@ -170,6 +170,20 @@ class TestLemmaSweeps:
         assert rep1.bound_vacuous
         assert rep1.violations == 0
 
+    @pytest.mark.filterwarnings("ignore:separation delta")
+    def test_vacuous_bound_has_no_worst_margin(self):
+        # as above: delta < epsilon, so at a huge beta both bounds are vacuous;
+        # the weights were checked, but against no bound
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((60, 2))
+        ds = DataSet(X, X[:, 0] + 0.5 * rng.standard_normal(60))
+        ref = ParamSet([[1.0, 0.1], [0.9, -0.1]])
+        model = certify(LossModel("ridge", lam=1e-3), ds)
+        reports = check_lemma_bounds(ds, ref, model, beta=1e5, c_ini=0.1, trials=2, seed=0)
+        for report in reports:
+            assert report.bound_vacuous and report.checked > 0
+            assert report.violations == 0 and math.isnan(report.worst_margin)
+
 
 class TestStepDecomposition:
     def _em(self, step_size, beta=5.0):

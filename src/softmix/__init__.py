@@ -4,7 +4,7 @@ from .data import DataSet, ParamSet
 from .datagen import GenSpec, generate
 from .em import ConvergenceTrace, EMConfig, gradient_em_step, partition_dataset, run_gradient_em
 from .losses import CertificationError, LossModel, certify, default_step_size
-from .softmin import SoftMinConfig, empirical_loss, soft_min_weights
+from .softmin import empirical_loss, soft_min_weights
 from .theory import (
     ProblemConstants,
     TheoremQuantities,

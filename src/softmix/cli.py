@@ -90,7 +90,7 @@ def _cmd_bounds(args) -> int:
     sys.stdout.write("constants:  " + _format_constants(constants) + "\n")
     sys.stdout.write("quantities: " + _format_quantities(quantities) + "\n")
     sys.stdout.write(
-        f"gamma={context.gamma:.6g} d0={float(np.max(d0)):.6g} "
+        f"gamma={context.em.gamma:.6g} d0={float(np.max(d0)):.6g} "
         f"predicted_bound={_format_bound(quantities)}\n"
     )
     return 0

@@ -1,17 +1,19 @@
 """Declarative experiment configuration: parsing, validation, serialization.
 
 Configs are YAML documents, and the dataclasses are their only schema:
-``ExperimentConfig`` at the top level (its :data:`EM_KEYS` fields under
-``em:``), :class:`~softmix.datagen.GenSpec` under ``data:`` (or
-``data: {file: <csv>}``), :class:`~softmix.losses.LossModel` under ``loss:``
-(less the :data:`CERTIFIED` constants) and :class:`InitSpec` under ``init:``.
-Every key is a field name, a field without a default is required, and an
-absent key takes the field default.  Each value is checked against its field
-annotation by :func:`_typed`: ints must be integral, booleans YAML booleans,
-and floats numbers or strings that ``float()`` parses (PyYAML reads ``1e-3``
-as a string; ``beta: "inf"`` selects the hard min), never NaN.  Unknown keys
-are rejected so typos fail loudly; ``serialize`` walks the same fields and
-emits a document that reparses to an equal config.
+``ExperimentConfig`` at the top level, :class:`~softmix.datagen.GenSpec`
+under ``data:`` (or ``data: {file: <csv>}``),
+:class:`~softmix.losses.LossModel` under ``loss:``,
+:class:`~softmix.em.EMConfig` under ``em:`` and :class:`InitSpec` under
+``init:``.  The fields that :data:`NOT_KEYS` lists for a class are set by
+the run, not by the config.  Every other field is a key, a field without a
+default is required, and an absent key takes the field default.  Each value
+is checked against its field annotation by :func:`_typed`: ints must be
+integral, booleans YAML booleans, and floats numbers or strings that
+``float()`` parses (PyYAML reads ``1e-3`` as a string; ``beta: "inf"``
+selects the hard min), never NaN.  Unknown keys are rejected so typos fail
+loudly; ``serialize`` walks the same fields and emits a document that
+reparses to an equal config.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ import yaml
 
 from .data import ParamSet
 from .datagen import SEED_LIMIT, GenSpec
+from .em import EMConfig
 from .losses import LINKS, LinkFunction, LossModel
-from .softmin import SoftMinConfig
 from .verify import CHECK_GRID, check_brute_force_budget
 
 
@@ -43,8 +45,9 @@ REFERENCE_MODES = ("truth", "multistart")
 
 CHECK_NAMES = ("lemmas", "decomposition", "gradient_oracle", "brute_force")
 
-EM_KEYS = ("iterations", "gamma", "beta", "resample")  # ExperimentConfig fields under em:
-CERTIFIED = ("m", "M")  # LossModel fields that certify() sets; not config keys
+# fields that the run sets, not config keys: certify() sets a LossModel's
+# m and M, and each repetition its EMConfig's seed
+NOT_KEYS = {LossModel: ("m", "M"), EMConfig: ("seed",)}
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,7 @@ class InitSpec:
 class ExperimentConfig:
     data: Union[GenSpec, str]  # a generated dataset, or the path of a CSV file
     loss: LossModel
-    iterations: int
-    gamma: Optional[float] = None  # None -> 1/(2 * mean smoothness)
-    beta: float = 1.0  # math.inf selects the hard min
-    resample: bool = True
+    em: EMConfig  # em.gamma None -> 1/(2 * mean smoothness)
     init: InitSpec = InitSpec()
     reference: str = "truth"
     checks: Tuple[str, ...] = ()
@@ -92,12 +92,9 @@ class ExperimentConfig:
                 f"seed must lie in [0, 2**64 - repetitions], got {self.seed} "
                 f"with {self.repetitions} repetitions"
             )
-        if self.iterations < 1:
-            raise ConfigError("em.iterations must be >= 1")
-        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+        if self.em.gamma is not None and self.em.gamma <= 0:
+            # a zero step leaves every iterate at d0, which is then its own bound
             raise ConfigError("em.gamma must be a finite number > 0 when given")
-        if math.isnan(self.beta) or self.beta < 0:
-            raise ConfigError("em.beta must be >= 0")
         if self.reference not in REFERENCE_MODES:
             raise ConfigError(f"reference must be one of {REFERENCE_MODES}")
         if not (math.isfinite(self.c_universal) and self.c_universal > 0):
@@ -107,13 +104,13 @@ class ExperimentConfig:
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {name!r}")
-        if "lemmas" in self.checks and math.isinf(self.beta):
+        if "lemmas" in self.checks and math.isinf(self.em.beta):
             raise ConfigError("checks.lemmas requires a finite em.beta")
         if "lemmas" in self.checks and not 0.0 < (self.init.c_ini or 0.0) < 1.0:
             raise ConfigError("checks.lemmas requires init.c_ini in (0, 1), the radius it sweeps")
-        if self.resample and isinstance(self.data, GenSpec) and self.data.n < self.iterations:
-            # one fold per iteration; file data is only sized once loaded
-            n, T = self.data.n, self.iterations
+        if isinstance(self.data, GenSpec) and self.em.resample and self.data.n < self.em.iterations:
+            # one fold per iteration; file data is checked once loaded, in repetition_context
+            n, T = self.data.n, self.em.iterations
             raise ConfigError(f"em.resample needs data.n >= em.iterations, got {n} < {T}")
         if self.init.mode == EXPLICIT and isinstance(self.data, GenSpec):
             # file data is only sized once loaded, in repetition_context
@@ -123,14 +120,11 @@ class ExperimentConfig:
                     f"init.thetas has shape {shape}, the data's (k, d) is {expected}"
                 )
         if "brute_force" in self.checks and isinstance(self.data, GenSpec):
-            # file data is only sized once loaded, when the check runs
+            # file data is checked once loaded, in repetition_context
             try:
                 check_brute_force_budget(self.data.d, self.data.k, CHECK_GRID)
             except ValueError as exc:
                 raise ConfigError(f"checks.brute_force: {exc}") from exc
-
-    def softmin(self) -> SoftMinConfig:
-        return SoftMinConfig(beta=self.beta)
 
 
 def _typed(raw, hint, where: str):
@@ -199,7 +193,7 @@ def _typed_fields(cls, raw: dict, where: str, names) -> dict:
 def _section(raw, cls, where: str):
     """Dataclass ``cls`` from the YAML mapping ``raw`` (empty when ``None``)."""
     raw = {} if raw is None else raw
-    names = [f.name for f in dataclasses.fields(cls) if f.name not in CERTIFIED]
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in NOT_KEYS.get(cls, ())]
     _reject_unknown(raw, names, where)
     kwargs = _typed_fields(cls, raw, where, names)
     try:
@@ -249,38 +243,34 @@ def validate_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML experiment config document."""
     doc = parse_yaml(text)
     fields = dataclasses.fields(ExperimentConfig)
-    top = [f.name for f in fields if f.name not in EM_KEYS]
-    required = list(dict.fromkeys(
-        "em" if f.name in EM_KEYS else f.name for f in fields if f.default is MISSING
-    ))
+    required = [f.name for f in fields if f.default is MISSING]
     if not isinstance(doc, dict):
         missing = ", ".join(required)
         raise ConfigError(f"empty or scalar config; required sections: {missing}")
-    _reject_unknown(doc, top + ["em"], "config")
+    _reject_unknown(doc, [f.name for f in fields], "config")
     missing = [key for key in required if key not in doc]
     if missing:
         raise ConfigError(f"missing required sections: {', '.join(missing)}")
-    _reject_unknown(doc["em"], EM_KEYS, "em")
-    rest = [name for name in top if name not in ("data", "checks")]
+    rest = [f.name for f in fields if f.name not in ("data", "checks")]
     return ExperimentConfig(
         data=_parse_data(doc["data"]),
         checks=_parse_checks(doc.get("checks")),
-        **_typed_fields(ExperimentConfig, doc["em"], "em", EM_KEYS),
         **_typed_fields(ExperimentConfig, doc, "", rest),
     )
 
 
 def _plain(value):
     """``value`` as YAML data that ``_typed`` reads back to an equal value; a
-    dataclass omits its ``CERTIFIED`` fields and ``None`` where that is the
+    dataclass omits its ``NOT_KEYS`` fields and ``None`` where that is the
     default."""
     if isinstance(value, LinkFunction):
         return value.name
     if dataclasses.is_dataclass(value):
         items = ((f, getattr(value, f.name)) for f in dataclasses.fields(value))
+        skip = NOT_KEYS.get(type(value), ())
         return {
             f.name: _plain(item) for f, item in items
-            if f.name not in CERTIFIED and not (item is None and f.default is None)
+            if f.name not in skip and not (item is None and f.default is None)
         }
     if isinstance(value, ParamSet):
         return value.thetas.tolist()
@@ -293,12 +283,7 @@ def _plain(value):
 
 def serialize(config: ExperimentConfig) -> str:
     """YAML document that reparses (via validate_config) to an equal config."""
-    doc: dict = {}
-    for key, value in _plain(config).items():
-        if key in EM_KEYS:
-            doc.setdefault("em", {})[key] = value
-        else:
-            doc[key] = value
+    doc = _plain(config)
     if isinstance(config.data, str):
         doc["data"] = {"file": config.data}
     doc["checks"] = {name: name in config.checks for name in CHECK_NAMES}

@@ -1,8 +1,11 @@
-"""Gradient EM: soft-min weighted gradient steps over disjoint data folds."""
+"""Gradient EM: soft-min weighted gradient steps over disjoint data folds.
+
+:class:`EMConfig`, less its ``seed``, is the ``em:`` section of a config.
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -10,29 +13,34 @@ from scipy.optimize import linear_sum_assignment
 
 from .data import DataSet, ParamSet
 from .losses import FAMILIES, LossModel, batch_gradient
-from .softmin import SoftMinConfig, empirical_loss, mean_loss, weight_matrix
+from .softmin import empirical_loss, mean_loss, weight_matrix
 
 
 @dataclass(frozen=True)
 class EMConfig:
     """Run parameters for gradient EM.
 
-    ``resample=True`` splits the data into ``iterations`` disjoint folds and
-    consumes fold t at iteration t; ``resample=False`` reuses the full
-    dataset every iteration.
+    ``gamma`` is None until the run fixes it (an experiment takes the default
+    step size of its data); a step needs it set.  ``beta = math.inf``
+    selects the hard min.  ``resample=True`` splits the data into
+    ``iterations`` disjoint folds, shuffled with ``seed``, and consumes fold
+    t at iteration t; ``resample=False`` reuses the full dataset every
+    iteration.
     """
 
-    step_size: float
     iterations: int
-    softmin: SoftMinConfig = field(default_factory=SoftMinConfig)
+    gamma: Optional[float] = None
+    beta: float = 1.0
     resample: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.step_size) and self.step_size >= 0):
-            raise ValueError("step_size must be a finite number >= 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError("gamma must be a finite number >= 0 when given")
+        if math.isnan(self.beta) or self.beta < 0:
+            raise ValueError("beta must be >= 0")
 
 
 @dataclass
@@ -87,7 +95,7 @@ def gradient_em_step(
 
     Weights are computed once from the incoming parameters, unless the caller
     passes them: ``weights`` must then be the first matrix of
-    ``weight_matrix(params, fold, model, config.softmin)``.  Every family's
+    ``weight_matrix(params, fold, model, config.beta)``.  Every family's
     per-sample gradient is phi'(<x_i, theta_j>, y_i) x_i + 2 c lam theta_j, so
     the weighted sums of all k components are one product
     ``(phi'(Theta X^T) * W^T) @ X`` of shape (k, d), plus the regularizer term
@@ -97,8 +105,10 @@ def gradient_em_step(
     """
     if len(fold) == 0:
         raise ValueError("empty fold")
+    if config.gamma is None:
+        raise ValueError("gamma is None: a step needs a step size")
     if weights is None:
-        weights, _ = weight_matrix(params, fold, model, config.softmin)
+        weights, _ = weight_matrix(params, fold, model, config.beta)
     elif weights.shape != (len(fold), params.k):
         raise ValueError(
             f"weights have shape {weights.shape}, expected {(len(fold), params.k)}"
@@ -119,7 +129,7 @@ def gradient_em_step(
         step += (2.0 * family.reg * model.lam * mass)[:, None] * params.thetas
     if not np.all(np.isfinite(step)):
         raise ValueError("non-finite gradient in EM step")
-    return ParamSet(params.thetas - (config.step_size / len(fold)) * step)
+    return ParamSet(params.thetas - (config.gamma / len(fold)) * step)
 
 
 def align_to_reference(params: ParamSet, reference: ParamSet):
@@ -180,7 +190,6 @@ def run_gradient_em(
         folds = partition_dataset(dataset, T, config.seed)
     else:
         folds = None
-    smcfg = config.softmin
 
     params = init.copy()
     if reference is not None:
@@ -191,18 +200,18 @@ def run_gradient_em(
         if reference is not None:
             if folds is None:
                 # full batch: the step's weights at theta_t also give the trace loss
-                weights, F = weight_matrix(params, dataset, model, smcfg)
+                weights, F = weight_matrix(params, dataset, model, config.beta)
                 losses[t] = mean_loss(weights, F)
                 del F
             else:
-                losses[t] = empirical_loss(params, dataset, model, smcfg)
+                losses[t] = empirical_loss(params, dataset, model, config.beta)
             _, distances[t] = align_to_reference(params, reference)
         fold = folds[t] if folds is not None else dataset
         params = gradient_em_step(params, fold, model, config, weights)
 
     if reference is None:
         return params, None
-    losses[T] = empirical_loss(params, dataset, model, smcfg)
+    losses[T] = empirical_loss(params, dataset, model, config.beta)
     alignment, distances[T] = align_to_reference(params, reference)
     rate = fit_rate(np.max(distances, axis=1))
     return params, ConvergenceTrace(distances, losses, alignment, rate)

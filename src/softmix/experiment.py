@@ -1,10 +1,11 @@
 """Experiment driver: data -> certification -> gradient EM -> theory checks.
 
 Repetition r runs with derived seed ``base_seed + r`` so any repetition can
-be reproduced standalone.  Its context (data, certified model, step size and
-reference) is built once, and a data file is read and certified once per
-run; the checks run on repetition 0's data and reference and reuse its
-context instead of building them again.
+be reproduced standalone.  Its context (data, certified model, reference,
+and ``config.em`` with the step size and the seed fixed) is built once, and
+a data file is read, checked against the config and certified once per run;
+the checks run on repetition 0's data and reference and reuse its context
+instead of building them again.
 Repetitions run in order in the calling process, so the CSVs, and the report
 apart from its wall-clock time, depend on the config alone.
 """
@@ -12,13 +13,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
 
-from .config import EXPLICIT, RANDOM_BALL, ExperimentConfig, serialize
+from .config import EXPLICIT, RANDOM_BALL, ConfigError, ExperimentConfig, serialize
 from .data import DataSet, ParamSet
 from .datagen import GenSpec, generate, load_csv, uniform_ball
 from . import em
@@ -35,6 +36,7 @@ from .verify import (
     GRADIENT_TOLERANCE,
     CHECK_GRID,
     brute_force_minimize,
+    check_brute_force_budget,
     check_lemma_bounds,
     step_decomposition,
     worst_gradient_error,
@@ -48,7 +50,7 @@ class RepetitionContext:
     seed: int
     dataset: DataSet
     model: LossModel  # certified on ``dataset``
-    gamma: float
+    em: EMConfig  # the config's, with the step size and ``seed`` fixed
     reference: ParamSet  # the truth, or the multistart reference; its k is the run's
 
 
@@ -119,35 +121,52 @@ def repetition_context(
     config: ExperimentConfig, rep: int, first: Optional[RepetitionContext] = None
 ) -> RepetitionContext:
     """Generate (or load) repetition ``rep``'s data, certify the loss on it and
-    fix its step size and reference.
+    fix its EM run parameters and reference.
 
     ``k`` comes from the generating truth, else from ``init.thetas``, else 1.
-    Every repetition reads the same data file, so given repetition 0's
-    context ``first``, file data and its certified model and step size are
-    taken from it; only the multistart reference is built again.
+    A data file is checked against the keys that need its size before any
+    other work.  Every repetition reads the same data file, so given
+    repetition 0's context ``first``, file data and its certified model and
+    step size are taken from it; only the multistart reference is built again.
     """
     seed = config.seed + rep
     if first is not None and isinstance(config.data, str):
         dataset, model = first.dataset, first.model
         reference = _multistart_reference(dataset, model, config, first.reference.k, seed)
-        return RepetitionContext(seed, dataset, model, first.gamma, reference)
+        return RepetitionContext(seed, dataset, model, replace(first.em, seed=seed), reference)
     thetas = config.init.thetas
+    k = 1 if thetas is None else thetas.k  # unless a generating truth gives it
     if isinstance(config.data, str):
         dataset, truth = load_csv(config.data), None
-        if config.init.mode == EXPLICIT and thetas.d != dataset.d:
-            raise ValueError(f"init.thetas has d={thetas.d}, the data file's d is {dataset.d}")
+        n, d, T = len(dataset), dataset.d, config.em.iterations
+        if config.init.mode == EXPLICIT and thetas.d != d:
+            raise ValueError(f"init.thetas has d={thetas.d}, the data file's d is {d}")
+        if config.em.resample and n < T:
+            raise ConfigError(
+                f"em.iterations={T} exceeds the {n} rows of {config.data}: "
+                "em.resample takes one fold per iteration"
+            )
+        if "brute_force" in config.checks:
+            try:
+                check_brute_force_budget(d, k, CHECK_GRID)
+            except ValueError as exc:
+                raise ConfigError(f"checks.brute_force on {config.data}: {exc}") from exc
     else:
         dataset, truth = generate(GenSpec(**{**config.data.__dict__, "seed": seed}))
+        if truth is not None:
+            k = truth.k
     if config.reference == "truth" and truth is None:
         raise ValueError("reference=truth requires generated data with a truth ParamSet")
     model = certify(config.loss, dataset)
-    gamma = config.gamma if config.gamma is not None else default_step_size(model, dataset)
+    gamma = config.em.gamma
+    if gamma is None:
+        gamma = default_step_size(model, dataset)
+    em_config = replace(config.em, gamma=gamma, seed=seed)
     if config.reference == "truth":
         reference = truth
     else:
-        k = truth.k if truth is not None else (1 if thetas is None else thetas.k)
         reference = _multistart_reference(dataset, model, config, k, seed)
-    return RepetitionContext(seed, dataset, model, gamma, reference)
+    return RepetitionContext(seed, dataset, model, em_config, reference)
 
 
 def _multistart_reference(
@@ -159,11 +178,10 @@ def _multistart_reference(
     The restarts call ``em.run_gradient_em`` through its module: this
     module's ``run_gradient_em`` binding is the repetitions' own EM run.
     """
-    smcfg = config.softmin()
-    restart_em = EMConfig(
-        step_size=default_step_size(model, dataset) / 4.0,
-        iterations=5 * config.iterations,
-        softmin=smcfg,
+    restart_em = replace(
+        config.em,
+        gamma=default_step_size(model, dataset) / 4.0,
+        iterations=5 * config.em.iterations,
         resample=False,
     )
     best, best_loss = None, math.inf
@@ -171,7 +189,7 @@ def _multistart_reference(
         rng = np.random.default_rng(seed * 1_000_003 + restart)
         init = ParamSet(rng.standard_normal((k, dataset.d)))
         params, _ = em.run_gradient_em(init, dataset, model, restart_em)
-        loss = empirical_loss(params, dataset, model, smcfg)
+        loss = empirical_loss(params, dataset, model, config.em.beta)
         if loss < best_loss:
             best, best_loss = params, loss
     return best
@@ -194,30 +212,18 @@ def _build_init(config: ExperimentConfig, context: RepetitionContext) -> ParamSe
     return ParamSet(reference.thetas + radii[:, None] * offsets)
 
 
-def _em_config(
-    config: ExperimentConfig, context: RepetitionContext, resample: bool
-) -> EMConfig:
-    return EMConfig(
-        step_size=context.gamma,
-        iterations=config.iterations,
-        softmin=config.softmin(),
-        resample=resample,
-        seed=context.seed,
-    )
-
-
 def theory_at(config: ExperimentConfig, context: RepetitionContext, d0: np.ndarray):
     """``(constants, quantities)`` for a run starting at aligned distances
     ``d0``; ``quantities`` is None at beta = inf."""
     constants = estimate_constants(context.dataset, context.reference, context.model)
-    if math.isinf(config.beta):
+    if math.isinf(context.em.beta):
         return constants, None
     norms = np.linalg.norm(context.reference.thetas, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         c_eff = float(np.max(np.where(norms > 0, d0 / norms, 0.0)))
     return constants, theorem_quantities(
-        constants, context.model, config.beta, c_eff, context.gamma, d0,
-        config.iterations, config.c_universal,
+        constants, context.model, context.em.beta, c_eff, context.em.gamma, d0,
+        context.em.iterations, config.c_universal,
     )
 
 
@@ -233,12 +239,12 @@ def run_repetition(
     """
     context = repetition_context(config, rep, first)
     fitted, trace = run_gradient_em(
-        _build_init(config, context), context.dataset, context.model,
-        _em_config(config, context, config.resample), reference=context.reference,
+        _build_init(config, context), context.dataset, context.model, context.em,
+        reference=context.reference,
     )
     constants, quantities = theory_at(config, context, trace.distances[0])
     return RepetitionResult(
-        rep, context.seed, context.gamma, fitted, trace, constants, quantities, context
+        rep, context.seed, context.em.gamma, fitted, trace, constants, quantities, context
     )
 
 
@@ -251,7 +257,7 @@ def _run_checks(
     if not config.checks:
         return results
     dataset, model, reference = context.dataset, context.model, context.reference
-    smcfg = config.softmin()
+    beta = config.em.beta
 
     if "gradient_oracle" in config.checks:
         rng = np.random.default_rng(context.seed)
@@ -265,7 +271,7 @@ def _run_checks(
 
     if "lemmas" in config.checks:
         rep1, rep2 = check_lemma_bounds(
-            dataset, reference, model, beta=config.beta, c_ini=config.init.c_ini,
+            dataset, reference, model, beta=beta, c_ini=config.init.c_ini,
             trials=config.lemma_trials, seed=context.seed,
         )
         bad = sum(r.violations for r in (rep1, rep2) if not r.bound_vacuous)
@@ -277,20 +283,19 @@ def _run_checks(
         results.append(CheckResult("lemmas", bad == 0, detail))
 
     if "decomposition" in config.checks:
-        em_config = _em_config(config, context, resample=False)
-        dec = step_decomposition(_build_init(config, context), dataset, model, em_config, reference)
+        dec = step_decomposition(_build_init(config, context), dataset, model, context.em, reference)
         ok = dec.total <= dec.T1 + dec.T2 + 1e-9
         detail = f"total={dec.total:.6g} vs T1+T2={dec.T1 + dec.T2:.6g}"
         results.append(CheckResult("decomposition", ok, detail))
 
     if "brute_force" in config.checks:
         grid = CHECK_GRID
-        best = brute_force_minimize(dataset, model, smcfg, reference.k, grid)
-        bf_loss = empirical_loss(best, dataset, model, smcfg)
-        em_loss = empirical_loss(fitted, dataset, model, smcfg)
+        best = brute_force_minimize(dataset, model, beta, reference.k, grid)
+        bf_loss = empirical_loss(best, dataset, model, beta)
+        em_loss = empirical_loss(fitted, dataset, model, beta)
         cell = (grid.hi - grid.lo) / (grid.points - 1)
         shifted = ParamSet(best.thetas + cell)
-        slack = 2.0 * abs(empirical_loss(shifted, dataset, model, smcfg) - bf_loss)
+        slack = 2.0 * abs(empirical_loss(shifted, dataset, model, beta) - bf_loss)
         ok = em_loss <= bf_loss + max(slack, 1e-9)
         detail = f"EM loss {em_loss:.6g} vs grid optimum {bf_loss:.6g} (slack {slack:.3g})"
         results.append(CheckResult("brute_force", ok, detail))

@@ -2,12 +2,13 @@
 
 The component weight is p_j = exp(-beta F_j) / sum_l exp(-beta F_l).
 ``beta = math.inf`` selects the hard-min limit (indicator of the argmin,
-lowest index on ties); ``beta = 0`` gives uniform averaging.
+lowest index on ties); ``beta = 0`` gives uniform averaging.  Every
+function takes ``beta`` as a plain float, and :func:`soft_min_weights`,
+which they all reach, rejects a NaN or negative one.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,36 +16,28 @@ from .data import DataSet, ParamSet
 from .losses import LossModel, batch_loss
 
 
-@dataclass(frozen=True)
-class SoftMinConfig:
-    """Inverse temperature for the soft-min weights (math.inf = hard min)."""
-
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if math.isnan(self.beta) or self.beta < 0:
-            raise ValueError("beta must be >= 0 (math.inf allowed)")
-
-
-def soft_min_weights(losses, config: SoftMinConfig) -> np.ndarray:
-    """Soft-min probabilities for one loss vector (or a batch of them).
+def soft_min_weights(losses, beta: float) -> np.ndarray:
+    """Soft-min probabilities at inverse temperature ``beta`` for one loss
+    vector (or a batch of them).
 
     ``losses`` has shape (..., k); the returned array has the same shape and
     rows summing to 1.  The componentwise minimum is subtracted before
     exponentiation, so losses as large as 1e300 stay finite.
     """
+    if math.isnan(beta) or beta < 0:
+        raise ValueError("beta must be >= 0 (math.inf allowed)")
     losses = np.asarray(losses, dtype=np.float64)
     if losses.shape[-1] < 1:
         raise ValueError("loss vector must have at least one component")
     if np.any(np.isnan(losses)):
         raise ValueError("NaN in component losses")
-    if math.isinf(config.beta):
+    if math.isinf(beta):
         idx = np.argmin(losses, axis=-1)
         out = np.zeros_like(losses)
         np.put_along_axis(out, np.expand_dims(idx, -1), 1.0, axis=-1)
         return out
     shifted = losses - np.min(losses, axis=-1, keepdims=True)
-    w = np.exp(-config.beta * shifted)
+    w = np.exp(-beta * shifted)
     return w / np.sum(w, axis=-1, keepdims=True)
 
 
@@ -54,12 +47,12 @@ def loss_matrix(params: ParamSet, dataset: DataSet, model: LossModel) -> np.ndar
 
 
 def weight_matrix(
-    params: ParamSet, dataset: DataSet, model: LossModel, config: SoftMinConfig
+    params: ParamSet, dataset: DataSet, model: LossModel, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Soft-min weight of every component on every sample, and the base
     losses they were formed from; both of shape (n, k)."""
     losses = loss_matrix(params, dataset, model)
-    return soft_min_weights(losses, config), losses
+    return soft_min_weights(losses, beta), losses
 
 
 def mean_loss(weights: np.ndarray, losses: np.ndarray) -> float:
@@ -68,9 +61,9 @@ def mean_loss(weights: np.ndarray, losses: np.ndarray) -> float:
 
 
 def empirical_loss(
-    params: ParamSet, dataset: DataSet, model: LossModel, config: SoftMinConfig
+    params: ParamSet, dataset: DataSet, model: LossModel, beta: float
 ) -> float:
     """Mean soft-min loss over the dataset."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    return mean_loss(*weight_matrix(params, dataset, model, config))
+    return mean_loss(*weight_matrix(params, dataset, model, beta))

@@ -12,7 +12,7 @@ from .data import DataSet, ParamSet
 from .datagen import _substream, uniform_ball
 from .em import EMConfig, align_to_reference, gradient_em_step
 from .losses import LossModel, batch_gradient, batch_loss
-from .softmin import SoftMinConfig, empirical_loss, weight_matrix
+from .softmin import empirical_loss, weight_matrix
 from .theory import _region_constants, compute_eta, compute_eta_prime, partition_regions
 
 DEFAULT_FD_STEP = 1e-5
@@ -90,11 +90,12 @@ def check_brute_force_budget(d: int, k: int, grid: GridSpec) -> None:
 def brute_force_minimize(
     dataset: DataSet,
     model: LossModel,
-    config: SoftMinConfig,
+    beta: float,
     k: int,
     grid: GridSpec,
 ) -> ParamSet:
-    """Exhaustive grid search for the empirical soft-min loss minimizer.
+    """Exhaustive grid search for the minimizer of the empirical soft-min
+    loss at inverse temperature ``beta``.
 
     Only feasible at toy scale (see ``check_brute_force_budget``).
     """
@@ -110,7 +111,7 @@ def brute_force_minimize(
     best = None
     for combo in itertools.product(range(len(points)), repeat=k):
         params = ParamSet(points[list(combo)])
-        loss = empirical_loss(params, dataset, model, config)
+        loss = empirical_loss(params, dataset, model, beta)
         if loss < best_loss:
             best_loss = loss
             best = params
@@ -163,14 +164,13 @@ def check_lemma_bounds(
     # assigned samples have a strict argmin, so the row minimum marks their own component
     is_own = fmat[assigned] == np.min(fmat[assigned], axis=1, keepdims=True)
 
-    smcfg = SoftMinConfig(beta=beta)
     radii = c_ini * np.linalg.norm(reference.thetas, axis=1)
     own = LemmaReport(0, 0, math.nan, bound_vacuous=eta >= 1.0)
     cross = LemmaReport(0, 0, math.nan, bound_vacuous=eta_prime > 1.0)
     for trial in range(trials):
         offsets = uniform_ball(_substream(seed, trial), radii, reference.k, reference.d)
         params = ParamSet(reference.thetas + offsets)
-        weights = weight_matrix(params, dataset, model, smcfg)[0][assigned]
+        weights = weight_matrix(params, dataset, model, beta)[0][assigned]
         own.add(weights[is_own] - (1.0 - eta))
         cross.add(eta_prime - weights[~is_own])
     return own, cross
@@ -203,16 +203,17 @@ def step_decomposition(
     in_mask = np.zeros(len(fold), dtype=bool)
     in_mask[regions[0]] = True
 
-    weights, _ = weight_matrix(params, fold, model, config.softmin)
+    weights, _ = weight_matrix(params, fold, model, config.beta)
+    # the step rejects gamma=None before the split below divides it
+    stepped = gradient_em_step(params, fold, model, config, weights)
     grads = batch_gradient(model, fold.X, fold.y, params.theta(comp))
     weighted = weights[:, comp][:, None] * grads
-    scale = config.step_size / len(fold)
+    scale = config.gamma / len(fold)
     theta = params.theta(comp)
     theta_ref = reference.theta(0)
     t1 = float(
         np.linalg.norm(theta - theta_ref - scale * np.sum(weighted[in_mask], axis=0))
     )
     t2 = float(scale * np.linalg.norm(np.sum(weighted[~in_mask], axis=0)))
-    stepped = gradient_em_step(params, fold, model, config, weights)
     total = float(np.linalg.norm(stepped.theta(comp) - theta_ref))
     return StepDecomposition(T1=t1, T2=t2, total=total)

@@ -26,7 +26,7 @@ from softmix.losses import (
     certify,
     default_step_size,
 )
-from softmix.softmin import SoftMinConfig, empirical_loss
+from softmix.softmin import empirical_loss
 from softmix.theory import (
     estimate_constants,
     predicted_distance_bound,
@@ -72,9 +72,9 @@ def _convergence_run(seed: int, kind: str = "generative_mlr", t_dof: int = 5):
     gamma = default_step_size(model, dataset)
     init = _perturbed_init(truth, CONVERGENCE_C_INI, np.random.default_rng(seed))
     em = EMConfig(
-        step_size=gamma,
+        gamma=gamma,
         iterations=CONVERGENCE_T,
-        softmin=SoftMinConfig(beta=CONVERGENCE_BETA),
+        beta=CONVERGENCE_BETA,
         resample=True,
         seed=seed,
     )
@@ -127,9 +127,9 @@ def test_criterion_02_error_floor_scaling():
             gamma = default_step_size(model, dataset)
             init = _perturbed_init(truth, 0.05, np.random.default_rng(seed))
             em = EMConfig(
-                step_size=gamma,
+                gamma=gamma,
                 iterations=30,
-                softmin=SoftMinConfig(beta=10.0),
+                beta=10.0,
                 resample=True,
                 seed=seed,
             )
@@ -260,7 +260,7 @@ def test_criterion_06_single_component_degeneracy():
     gamma = default_step_size(model, dataset)
     init = ParamSet([np.zeros(3)])
     em = EMConfig(
-        step_size=gamma, iterations=50, softmin=SoftMinConfig(beta=3.0), resample=False
+        gamma=gamma, iterations=50, beta=3.0, resample=False
     )
     final, _ = run_gradient_em(init, dataset, model, em)
 
@@ -289,8 +289,8 @@ def test_criterion_07_hard_min_consistency():
     )
     gaps = np.abs(per[:, 0] - per[:, 1])
     assert float(np.min(gaps)) >= 0.01  # instance precondition
-    soft = empirical_loss(params, dataset, model, SoftMinConfig(beta=1e6))
-    hard = empirical_loss(params, dataset, model, SoftMinConfig(beta=math.inf))
+    soft = empirical_loss(params, dataset, model, 1e6)
+    hard = empirical_loss(params, dataset, model, math.inf)
     _report("criterion 7 (hard-min consistency)", abs(soft - hard) <= 1e-6)
 
 
@@ -301,14 +301,14 @@ def test_criterion_08_brute_force_oracle():
     )
     dataset, _ = generate(spec)
     model = certify(LossModel(RIDGE, lam=1e-3), dataset)
-    cfg = SoftMinConfig(beta=math.inf)
+    cfg = math.inf
     grid = GridSpec(-1.5, 1.5, 121)
     best = brute_force_minimize(dataset, model, cfg, 2, grid)
     bf_loss = empirical_loss(best, dataset, model, cfg)
 
     gamma = default_step_size(model, dataset)
     init = ParamSet(truth.thetas + 0.1 * np.random.default_rng(0).standard_normal((2, 1)))
-    em = EMConfig(step_size=gamma, iterations=200, softmin=cfg, resample=False)
+    em = EMConfig(gamma=gamma, iterations=200, beta=cfg, resample=False)
     final, _ = run_gradient_em(init, dataset, model, em)
     em_loss = empirical_loss(final, dataset, model, cfg)
 

@@ -167,6 +167,10 @@ MISTYPED = [
     ("", "repetitions: 1.9", "repetitions"),
     ("lam: 0.001", "lam: .nan", "loss.lam"),
     ("beta: 2.0", 'beta: "nan"', "em.beta"),
+    ("beta: 2.0", "beta: -1", "em.beta"),
+    ("iterations: 10", "iterations: 0", "em.iterations"),
+    ("beta: 2.0", "beta: 2.0\n  gamma: 0", "em.gamma"),
+    ("beta: 2.0", "beta: 2.0\n  gamma: -1", "em.gamma"),
     ("", "init:\n  c_ini: [0.1]", "init.c_ini"),
     ("", "checks:\n  lemmas: 1", "checks.lemmas"),
     ("", "c_universal: -1", "c_universal"),
@@ -260,10 +264,12 @@ def _configs(draw):
     return ExperimentConfig(
         data=data,
         loss=loss,
-        iterations=draw(st.integers(1, min(folds, 500))),
-        gamma=draw(st.none() | _floats),
-        beta=beta,
-        resample=resample,
+        em=EMConfig(
+            iterations=draw(st.integers(1, min(folds, 500))),
+            gamma=draw(st.none() | _floats),
+            beta=beta,
+            resample=resample,
+        ),
         init=init,
         reference=draw(st.sampled_from(REFERENCE_MODES)),
         checks=tuple(name for name in CHECK_NAMES if name in checks),
@@ -297,14 +303,14 @@ def _reference_via_run_gradient_em(dataset, model, config, k, seed):
         rng = np.random.default_rng(seed * 1_000_003 + restart)
         init = ParamSet(1.0 * rng.standard_normal((k, dataset.d)))
         em = EMConfig(
-            step_size=gamma,
-            iterations=5 * config.iterations,
-            softmin=config.softmin(),
+            gamma=gamma,
+            iterations=5 * config.em.iterations,
+            beta=config.em.beta,
             resample=False,
             seed=seed,
         )
         params, _ = run_gradient_em(init, dataset, model, em)
-        loss = empirical_loss(params, dataset, model, config.softmin())
+        loss = empirical_loss(params, dataset, model, config.em.beta)
         if loss < best_loss:
             best, best_loss = params, loss
     return best
@@ -313,9 +319,9 @@ def _reference_via_run_gradient_em(dataset, model, config, k, seed):
 class TestValidateConfig:
     def test_minimal_parses(self):
         cfg = validate_config(MINIMAL)
-        assert cfg.gamma is None
-        assert cfg.beta == 2.0
-        assert cfg.iterations == 10
+        assert cfg.em.gamma is None
+        assert cfg.em.beta == 2.0
+        assert cfg.em.iterations == 10
         assert cfg.repetitions == 1
 
     def test_empty_document_lists_required_sections(self):
@@ -337,7 +343,7 @@ class TestValidateConfig:
 
     def test_beta_inf_sentinel(self):
         cfg = validate_config(MINIMAL.replace("beta: 2.0", 'beta: "inf"'))
-        assert math.isinf(cfg.beta)
+        assert math.isinf(cfg.em.beta)
 
     def test_bad_beta_string_rejected(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -518,7 +524,7 @@ class TestExperimentDriver:
         context = repetition_context(cfg, 0)
         fitted, _ = run_gradient_em(
             experiment._build_init(cfg, context), context.dataset, context.model,
-            experiment._em_config(cfg, context, cfg.resample), reference=context.reference,
+            context.em, reference=context.reference,
         )
         (fresh,) = experiment._run_checks(cfg, context, fitted)
         assert check.detail == fresh.detail
@@ -814,7 +820,7 @@ class TestCLI:
         config = self._write(tmp_path, "cfg.yaml", text + f"output_dir: {tmp_path / 'out'}\n")
         assert main(["run", config]) == 2
         assert capsys.readouterr().err == (
-            "error: em.gamma must be a finite number > 0 when given\n"
+            "error: em.gamma must be a finite number >= 0 when given\n"
         )
         assert repetitions == []
         assert not (tmp_path / "out").exists()
@@ -857,6 +863,36 @@ class TestCLI:
         assert capsys.readouterr().err == f"error: {data}{message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n, d, lines, message", [
+        (
+            10, 2, "em:\n  iterations: 15\n  resample: true\n",
+            "em.iterations=15 exceeds the 10 rows of {path}: "
+            "em.resample takes one fold per iteration",
+        ),
+        (
+            60, 3, "em:\n  iterations: 5\nchecks:\n  brute_force: true\nrepetitions: 3\n",
+            "checks.brute_force on {path}: brute force restricted to d <= 2 and k <= 2",
+        ),
+    ], ids=["fewer_rows_than_folds", "brute_force_at_d3"])
+    def test_file_data_checked_before_certify_and_reference(
+        self, tmp_path, capsys, monkeypatch, n, d, lines, message
+    ):
+        dataset, _ = experiment.generate(GenSpec(kind="generative_mlr", k=1, d=d, n=n))
+        path = tmp_path / "data.csv"
+        save_csv(dataset, str(path))
+        certified = _counted(monkeypatch, "certify")
+        references = _counted(monkeypatch, "_multistart_reference")
+        config = self._write(
+            tmp_path,
+            "cfg.yaml",
+            f"data:\n  file: {path}\nloss:\n  family: ridge\n  lam: 0.001\n{lines}"
+            f"reference: multistart\noutput_dir: {tmp_path / 'out'}\n",
+        )
+        assert main(["run", config]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert certified == [] and references == []
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exits_2(self, tmp_path):
         config = self._write(tmp_path, "bad.yaml", "data: 3\n")
         assert main(["run", config]) == 2
@@ -892,6 +928,8 @@ class TestCLI:
             [("n: 400", "n: 10"), ("resample: false", "resample: true")],
             "em.resample needs data.n >= em.iterations, got 10 < 15",
         ),
+        # each repetition sets the fold seed; it is not a config key
+        ([("resample: false", "resample: false\n  seed: 1")], "unknown keys in em: seed"),
     ])
     def test_late_failing_configs_exit_2_before_any_repetition(
         self, tmp_path, capsys, monkeypatch, edits, message

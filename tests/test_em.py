@@ -22,14 +22,14 @@ from softmix.losses import (
     batch_gradient,
     default_step_size,
 )
-from softmix.softmin import SoftMinConfig, empirical_loss, weight_matrix
+from softmix.softmin import empirical_loss, weight_matrix
 
 
 def _config(step_size=0.1, iterations=1, beta=2.0, resample=False, seed=0):
     return EMConfig(
-        step_size=step_size,
+        gamma=step_size,
         iterations=iterations,
-        softmin=SoftMinConfig(beta=beta),
+        beta=beta,
         resample=resample,
         seed=seed,
     )
@@ -37,8 +37,17 @@ def _config(step_size=0.1, iterations=1, beta=2.0, resample=False, seed=0):
 
 @pytest.mark.parametrize("step_size", [math.nan, math.inf, -1.0])
 def test_config_rejects_step_size_that_is_not_finite_and_nonnegative(step_size):
-    with pytest.raises(ValueError, match="step_size must be a finite number >= 0"):
+    with pytest.raises(ValueError, match="gamma must be a finite number >= 0"):
         _config(step_size=step_size)
+
+
+def test_step_and_run_without_gamma_raise_naming_gamma():
+    ds = DataSet(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]))
+    params, model, cfg = ParamSet([[0.0], [1.0]]), LossModel("ridge", lam=0.1), _config(None)
+    with pytest.raises(ValueError, match="^gamma is None"):
+        gradient_em_step(params, ds, model, cfg)
+    with pytest.raises(ValueError, match="^gamma is None"):
+        run_gradient_em(params, ds, model, cfg, reference=params)
 
 
 class TestPartition:
@@ -142,7 +151,7 @@ class TestStep:
         model = LossModel("ridge", lam=0.01)
         params = ParamSet(rng.standard_normal((3, 2)))
         cfg = _config(step_size=0.2, beta=3.0)
-        weights, _ = weight_matrix(params, ds, model, cfg.softmin)
+        weights, _ = weight_matrix(params, ds, model, cfg.beta)
         out = gradient_em_step(params, ds, model, cfg, weights=weights)
         np.testing.assert_array_equal(out.thetas, gradient_em_step(params, ds, model, cfg).thetas)
 
@@ -317,7 +326,7 @@ class TestTraceReuse:
         final, trace = run_gradient_em(init, ds, model, cfg, reference=init)
         params = init
         for t, loss in enumerate(trace.losses):
-            assert loss == empirical_loss(params, ds, model, cfg.softmin)
+            assert loss == empirical_loss(params, ds, model, cfg.beta)
             if t < cfg.iterations:
                 params = gradient_em_step(params, ds, model, cfg)
         np.testing.assert_array_equal(final.thetas, params.thetas)

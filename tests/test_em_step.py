@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from softmix.data import DataSet, ParamSet
 from softmix.em import EMConfig, gradient_em_step
 from softmix.losses import FAMILIES, GLM, LINKS, LossModel, batch_gradient
-from softmix.softmin import SoftMinConfig, weight_matrix
+from softmix.softmin import weight_matrix
 
 MODELS = [(family, None) for family in FAMILIES if family != GLM] + [
     (GLM, link) for link in LINKS
@@ -42,7 +42,7 @@ def _instance(family, link, seed, n, d, k):
 
 def _config(gamma, beta):
     return EMConfig(
-        step_size=gamma, iterations=1, softmin=SoftMinConfig(beta=beta), resample=False
+        gamma=gamma, iterations=1, beta=beta, resample=False
     )
 
 
@@ -93,7 +93,7 @@ def test_step_matches_per_component_oracle(model_index, seed, n, d, k, beta, gam
     family, link = MODELS[model_index]
     model, ds, params = _instance(family, link, seed, n, d, k)
     config = _config(gamma, beta)
-    weights, _ = weight_matrix(params, ds, model, config.softmin)
+    weights, _ = weight_matrix(params, ds, model, config.beta)
     spec = FAMILIES[family]
     reg = 2.0 * spec.reg * model.lam
     magnitude = np.zeros((k, d))
@@ -119,7 +119,7 @@ def test_step_matches_per_component_oracle(model_index, seed, n, d, k, beta, gam
 def test_given_weights_give_the_same_step_bitwise(family, link, seed, n, d, k, beta):
     model, ds, params = _instance(family, link, seed, n, d, k)
     config = _config(0.2, beta)
-    weights, _ = weight_matrix(params, ds, model, config.softmin)
+    weights, _ = weight_matrix(params, ds, model, config.beta)
     given_weights = gradient_em_step(params, ds, model, config, weights=weights)
     np.testing.assert_array_equal(
         given_weights.thetas, gradient_em_step(params, ds, model, config).thetas

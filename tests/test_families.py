@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from softmix.data import DataSet, ParamSet
 from softmix.em import EMConfig, gradient_em_step
 from softmix.losses import FAMILIES, GLM, LINKS, LossModel, batch_gradient, batch_loss
-from softmix.softmin import SoftMinConfig, loss_matrix, soft_min_weights
+from softmix.softmin import loss_matrix, soft_min_weights
 
 MODELS = [(family, None) for family in FAMILIES if family != GLM] + [
     (GLM, link) for link in LINKS
@@ -62,9 +62,9 @@ def test_loss_matrix_columns_match_batch_loss(instance):
 def test_em_step_matches_per_component_oracle(instance, beta, gamma):
     model, ds, params = instance
     config = EMConfig(
-        step_size=gamma, iterations=1, softmin=SoftMinConfig(beta=beta), resample=False
+        gamma=gamma, iterations=1, beta=beta, resample=False
     )
-    weights = soft_min_weights(_columns(model, ds, params), config.softmin)
+    weights = soft_min_weights(_columns(model, ds, params), config.beta)
     want = np.stack(
         [
             params.theta(j)

@@ -10,7 +10,6 @@ from softmix.data import ParamSet
 from softmix.datagen import GenSpec, generate
 from softmix.em import EMConfig, run_gradient_em
 from softmix.losses import LossModel, certify, default_step_size
-from softmix.softmin import SoftMinConfig
 from softmix.theory import estimate_constants, predicted_distance_bound, theorem_quantities
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -50,9 +49,9 @@ def _sweep_level_by_hand(amp, n, reps):
         radii = 0.05 * np.linalg.norm(truth.thetas, axis=1)
         init = ParamSet(truth.thetas + radii[:, None] * offsets)
         em = EMConfig(
-            step_size=gamma,
+            gamma=gamma,
             iterations=30,
-            softmin=SoftMinConfig(beta=10.0),
+            beta=10.0,
             resample=True,
             seed=seed,
         )

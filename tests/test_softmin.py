@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from softmix.data import DataSet, ParamSet
 from softmix.losses import LossModel
 from softmix.softmin import (
-    SoftMinConfig,
     empirical_loss,
     soft_min_weights,
     weight_matrix,
@@ -28,38 +27,49 @@ class TestSoftMinWeights:
     def test_single_component(self):
         for beta in (0.0, 1.0, INF):
             np.testing.assert_array_equal(
-                soft_min_weights([7.3], SoftMinConfig(beta=beta)), [1.0]
+                soft_min_weights([7.3], beta), [1.0]
             )
 
     def test_two_component_hand_value(self):
-        got = soft_min_weights([0.0, math.log(3.0)], SoftMinConfig(beta=1.0))
+        got = soft_min_weights([0.0, math.log(3.0)], 1.0)
         np.testing.assert_allclose(got, [0.75, 0.25], atol=1e-14)
 
     def test_beta_zero_is_uniform(self):
-        got = soft_min_weights([5.0, 1.0, 9.0], SoftMinConfig(beta=0.0))
+        got = soft_min_weights([5.0, 1.0, 9.0], 0.0)
         np.testing.assert_allclose(got, [1.0 / 3.0] * 3, atol=1e-15)
 
     def test_infinite_beta_lowest_index_tie(self):
-        got = soft_min_weights([2.0, 1.0, 1.0], SoftMinConfig(beta=INF))
+        got = soft_min_weights([2.0, 1.0, 1.0], INF)
         np.testing.assert_array_equal(got, [0.0, 1.0, 0.0])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            soft_min_weights([1.0, math.nan], SoftMinConfig(beta=1.0))
+            soft_min_weights([1.0, math.nan], 1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            soft_min_weights([], SoftMinConfig(beta=1.0))
+            soft_min_weights([], 1.0)
+
+    @pytest.mark.parametrize("beta", [-1.0, math.nan])
+    def test_negative_or_nan_beta_rejected_through_every_entry(self, beta):
+        ds = DataSet(np.array([[1.0]]), np.array([0.5]))
+        params, model = ParamSet([[0.0], [1.0]]), LossModel("ridge", lam=0.1)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            soft_min_weights([1.0, 2.0], beta)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            weight_matrix(params, ds, model, beta)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            empirical_loss(params, ds, model, beta)
 
     def test_huge_losses_no_overflow(self):
-        got = soft_min_weights([1e8, 1e8 + 1.0], SoftMinConfig(beta=5.0))
+        got = soft_min_weights([1e8, 1e8 + 1.0], 5.0)
         assert np.all(np.isfinite(got))
         assert got[0] > got[1]
 
     @given(losses=finite_losses, beta=st.floats(min_value=0.0, max_value=100.0))
     @settings(deadline=None, max_examples=200)
     def test_row_stochastic_and_nonnegative(self, losses, beta):
-        w = soft_min_weights(losses, SoftMinConfig(beta=beta))
+        w = soft_min_weights(losses, beta)
         assert np.all(w >= 0.0)
         assert abs(float(np.sum(w)) - 1.0) <= 1e-12
 
@@ -70,7 +80,7 @@ class TestSoftMinWeights:
     )
     @settings(deadline=None, max_examples=200)
     def test_shift_invariance(self, losses, beta, shift):
-        cfg = SoftMinConfig(beta=beta)
+        cfg = beta
         base = soft_min_weights(losses, cfg)
         shifted = soft_min_weights(np.asarray(losses) + shift, cfg)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
@@ -79,14 +89,14 @@ class TestSoftMinWeights:
         losses = [0.3, 0.7, 1.1]
         prev = 0.0
         for beta in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0):
-            cur = float(soft_min_weights(losses, SoftMinConfig(beta=beta))[0])
+            cur = float(soft_min_weights(losses, beta)[0])
             assert cur >= prev - 1e-15
             prev = cur
 
     def test_large_beta_matches_hard_min(self):
         losses = np.array([0.50, 0.53, 0.51])
-        soft = soft_min_weights(losses, SoftMinConfig(beta=1e6))
-        hard = soft_min_weights(losses, SoftMinConfig(beta=INF))
+        soft = soft_min_weights(losses, 1e6)
+        hard = soft_min_weights(losses, INF)
         np.testing.assert_allclose(soft, hard, atol=1e-6)
 
 
@@ -100,18 +110,18 @@ class TestSoftMinLoss:
     def test_equal_losses_any_beta(self):
         params, row, model = self._instance([2.0, -2.0])  # both losses 4
         for beta in (0.0, 1.0, 7.0, INF):
-            got = empirical_loss(params, row, model, SoftMinConfig(beta=beta))
+            got = empirical_loss(params, row, model, beta)
             assert got == pytest.approx(4.0, rel=1e-14)
 
     def test_hand_value_beta_one(self):
         # losses [0, ln 3] -> weights [0.75, 0.25] -> 0.25 * ln 3
         params, row, model = self._instance([0.0, math.sqrt(math.log(3.0))])
-        got = empirical_loss(params, row, model, SoftMinConfig(beta=1.0))
+        got = empirical_loss(params, row, model, 1.0)
         assert got == pytest.approx(0.25 * math.log(3.0), rel=1e-12)
 
     def test_infinite_beta_is_min(self):
         params, row, model = self._instance([math.sqrt(2.0), 1.0, -1.0])
-        got = empirical_loss(params, row, model, SoftMinConfig(beta=INF))
+        got = empirical_loss(params, row, model, INF)
         assert got == pytest.approx(1.0, rel=1e-14)
 
 
@@ -128,7 +138,7 @@ class TestEmpiricalLoss:
         ds = self._dataset()
         model = LossModel("ridge", lam=0.1)
         theta = np.array([0.4, -0.2])
-        got = empirical_loss(ParamSet([theta]), ds, model, SoftMinConfig(beta=3.0))
+        got = empirical_loss(ParamSet([theta]), ds, model, 3.0)
         want = float(np.mean(batch_loss(model, ds.X, ds.y, theta)))
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -137,7 +147,7 @@ class TestEmpiricalLoss:
         x = np.array([0.3, 1.1])
         ds = DataSet(np.stack([x, x]), np.array([0.7, 0.7]))
         params = ParamSet([[1.0, 0.0], [0.0, 1.0]])
-        cfg = SoftMinConfig(beta=2.0)
+        cfg = 2.0
         got = empirical_loss(params, ds, model, cfg)
         want = empirical_loss(params, DataSet(x[None, :], np.array([0.7])), model, cfg)
         assert got == pytest.approx(want, rel=1e-14)
@@ -148,7 +158,7 @@ class TestEmpiricalLoss:
         ds = self._dataset(n=10)
         model = LossModel("ridge", lam=0.01)
         params = ParamSet([[1.0, 0.0], [-0.5, 0.5]])
-        got = empirical_loss(params, ds, model, SoftMinConfig(beta=INF))
+        got = empirical_loss(params, ds, model, INF)
         per = np.stack(
             [batch_loss(model, ds.X, ds.y, params.theta(j)) for j in range(2)], axis=1
         )
@@ -158,6 +168,6 @@ class TestEmpiricalLoss:
         ds = self._dataset(n=25)
         model = LossModel("ridge", lam=0.01)
         params = ParamSet([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        W, _ = weight_matrix(params, ds, model, SoftMinConfig(beta=4.0))
+        W, _ = weight_matrix(params, ds, model, 4.0)
         assert W.shape == (25, 3)
         np.testing.assert_allclose(np.sum(W, axis=1), 1.0, atol=1e-12)

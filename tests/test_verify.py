@@ -9,7 +9,7 @@ import pytest
 from softmix.data import DataSet, ParamSet
 from softmix.em import EMConfig
 from softmix.losses import LossModel, batch_gradient, certify
-from softmix.softmin import SoftMinConfig, empirical_loss
+from softmix.softmin import empirical_loss
 from softmix.verify import (
     GridSpec,
     brute_force_minimize,
@@ -51,7 +51,7 @@ class TestBruteForce:
         ds = self._dataset()
         model = LossModel("ridge", lam=0.0)
         grid = GridSpec(-2.0, 2.0, 401)
-        best = brute_force_minimize(ds, model, SoftMinConfig(beta=1.0), 1, grid)
+        best = brute_force_minimize(ds, model, 1.0, 1, grid)
         closed = float(np.sum(ds.X[:, 0] * ds.y) / np.sum(ds.X[:, 0] ** 2))
         axis = grid.axis()
         nearest = axis[np.argmin(np.abs(axis - closed))]
@@ -65,7 +65,7 @@ class TestBruteForce:
         y = np.take(truth[:, 0], z) * X[:, 0]
         ds = DataSet(X, y)
         model = LossModel("ridge", lam=1e-3)
-        cfg = SoftMinConfig(beta=math.inf)
+        cfg = math.inf
         # 41-point grid over [-2, 2] contains +-1 exactly
         best = brute_force_minimize(ds, model, cfg, 2, GridSpec(-2.0, 2.0, 41))
         assert empirical_loss(best, ds, model, cfg) <= empirical_loss(
@@ -81,7 +81,7 @@ class TestBruteForce:
         ds = DataSet(X, y)
         lam = 1e-3
         model = LossModel("ridge", lam=lam)
-        cfg = SoftMinConfig(beta=math.inf)
+        cfg = math.inf
         grid = GridSpec(-2.0, 2.0, 201)
         best = brute_force_minimize(ds, model, cfg, 2, grid)
         bf_loss = empirical_loss(best, ds, model, cfg)
@@ -106,7 +106,7 @@ class TestBruteForce:
     def test_budget_and_dimension_guards(self):
         ds = self._dataset()
         model = LossModel("ridge", lam=0.1)
-        cfg = SoftMinConfig(beta=1.0)
+        cfg = 1.0
         with pytest.raises(ValueError):
             brute_force_minimize(ds, model, cfg, 2, GridSpec(-1.0, 1.0, 4000))
         wide = DataSet(np.zeros((3, 3)), np.zeros(3))
@@ -187,9 +187,7 @@ class TestLemmaSweeps:
 
 class TestStepDecomposition:
     def _em(self, step_size, beta=5.0):
-        return EMConfig(
-            step_size=step_size, iterations=1, softmin=SoftMinConfig(beta=beta), resample=False
-        )
+        return EMConfig(gamma=step_size, iterations=1, beta=beta, resample=False)
 
     def test_single_component_has_no_cross_term(self, tiny_ridge):
         ds, model = tiny_ridge
@@ -205,6 +203,11 @@ class TestStepDecomposition:
         assert dec.T1 == pytest.approx(0.2, rel=1e-12)
         assert dec.T2 == 0.0
         assert dec.total == pytest.approx(0.2, rel=1e-12)
+
+    def test_gamma_none_raises_naming_gamma(self, mlr_instance):
+        ds, ref, model = mlr_instance
+        with pytest.raises(ValueError, match="^gamma is None"):
+            step_decomposition(ParamSet(ref.thetas + 0.1), ds, model, self._em(None), ref)
 
     def test_triangle_inequality_on_random_instances(self, mlr_instance):
         ds, ref, model = mlr_instance

@@ -4,23 +4,26 @@ Configs are YAML documents, and the dataclasses are their only schema:
 ``ExperimentConfig`` at the top level, :class:`~softmix.datagen.GenSpec`
 under ``data:`` (or ``data: {file: <csv>}``),
 :class:`~softmix.losses.LossModel` under ``loss:``,
-:class:`~softmix.em.EMConfig` under ``em:`` and :class:`InitSpec` under
-``init:``.  The fields that :data:`NOT_KEYS` lists for a class are set by
-the run, not by the config.  Every other field is a key, a field without a
-default is required, and an absent key takes the field default.  Each value
-is checked against its field annotation by :func:`_typed`: ints must be
+:class:`~softmix.em.EMConfig` under ``em:``, :class:`InitSpec` under
+``init:`` and :class:`Checks` under ``checks:``.  The fields that
+:data:`NOT_KEYS` lists for a class are set by the run, not by the config.
+Every other field is a key, a field without a default is required, and an
+absent key (or a ``null`` section) takes the field default.  Each value is
+checked against its field annotation by :func:`_typed`: ints must be
 integral, booleans YAML booleans, and floats numbers or strings that
 ``float()`` parses (PyYAML reads ``1e-3`` as a string; ``beta: "inf"``
 selects the hard min), never NaN.  Unknown keys are rejected so typos fail
 loudly; ``serialize`` walks the same fields and emits a document that
-reparses to an equal config.
+reparses to an equal config.  The keys that need the size of the data are
+checked by :func:`check_data`: for generated data when the config is built,
+for a data file as soon as it is read.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 from dataclasses import MISSING, dataclass
-from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -42,8 +45,6 @@ RANDOM_BALL = "random_ball"
 INIT_MODES = (PERTURB_REFERENCE, EXPLICIT, RANDOM_BALL)
 
 REFERENCE_MODES = ("truth", "multistart")
-
-CHECK_NAMES = ("lemmas", "decomposition", "gradient_oracle", "brute_force")
 
 # fields that the run sets, not config keys: certify() sets a LossModel's
 # m and M, and each repetition its EMConfig's seed
@@ -70,13 +71,30 @@ class InitSpec:
 
 
 @dataclass(frozen=True)
+class Checks:
+    """The oracles run on repetition 0 after the repetitions."""
+
+    lemmas: bool = False
+    decomposition: bool = False
+    gradient_oracle: bool = False
+    brute_force: bool = False
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A whole experiment; its fields are the top-level config keys.
+
+    Building one checks every key that is known before the data is read:
+    each key's range, the combinations of keys, and for generated data the
+    keys that need its size (:func:`check_data`).
+    """
+
     data: Union[GenSpec, str]  # a generated dataset, or the path of a CSV file
     loss: LossModel
     em: EMConfig  # em.gamma None -> 1/(2 * mean smoothness)
     init: InitSpec = InitSpec()
     reference: str = "truth"
-    checks: Tuple[str, ...] = ()
+    checks: Checks = Checks()
     lemma_trials: int = 20
     repetitions: int = 1
     seed: int = 0
@@ -101,30 +119,34 @@ class ExperimentConfig:
             raise ConfigError("c_universal must be a finite number > 0")
         if self.lemma_trials < 1:
             raise ConfigError("lemma_trials must be >= 1")
-        for name in self.checks:
-            if name not in CHECK_NAMES:
-                raise ConfigError(f"unknown check {name!r}")
-        if "lemmas" in self.checks and math.isinf(self.em.beta):
+        if self.checks.lemmas and math.isinf(self.em.beta):
             raise ConfigError("checks.lemmas requires a finite em.beta")
-        if "lemmas" in self.checks and not 0.0 < (self.init.c_ini or 0.0) < 1.0:
+        if self.checks.lemmas and not 0.0 < (self.init.c_ini or 0.0) < 1.0:
             raise ConfigError("checks.lemmas requires init.c_ini in (0, 1), the radius it sweeps")
-        if isinstance(self.data, GenSpec) and self.em.resample and self.data.n < self.em.iterations:
-            # one fold per iteration; file data is checked once loaded, in repetition_context
-            n, T = self.data.n, self.em.iterations
-            raise ConfigError(f"em.resample needs data.n >= em.iterations, got {n} < {T}")
-        if self.init.mode == EXPLICIT and isinstance(self.data, GenSpec):
-            # file data is only sized once loaded, in repetition_context
-            shape, expected = self.init.thetas.thetas.shape, (self.data.k, self.data.d)
-            if shape != expected:
-                raise ConfigError(
-                    f"init.thetas has shape {shape}, the data's (k, d) is {expected}"
-                )
-        if "brute_force" in self.checks and isinstance(self.data, GenSpec):
-            # file data is checked once loaded, in repetition_context
-            try:
-                check_brute_force_budget(self.data.d, self.data.k, CHECK_GRID)
-            except ValueError as exc:
-                raise ConfigError(f"checks.brute_force: {exc}") from exc
+        if isinstance(self.data, GenSpec):
+            check_data(self, self.data.n, self.data.d, self.data.k, "data")
+        elif self.reference == "truth":
+            raise ConfigError("reference=truth requires generated data, not data.file")
+
+
+def check_data(config: ExperimentConfig, n: int, d: int, k: int, source: str) -> None:
+    """ConfigError unless ``config`` fits ``n`` rows of dimension ``d`` fitted
+    with ``k`` components; ``source`` names the data in the message: ``data``
+    for generated data, else the file's path."""
+    T = config.em.iterations
+    if config.em.resample and n < T:
+        raise ConfigError(
+            f"em.resample takes one fold per iteration: em.iterations={T} exceeds "
+            f"the {n} rows of {source}"
+        )
+    shape = config.init.thetas.thetas.shape if config.init.mode == EXPLICIT else (k, d)
+    if shape != (k, d):
+        raise ConfigError(f"init.thetas has shape {shape}, the (k, d) of {source} is {(k, d)}")
+    if config.checks.brute_force:
+        try:
+            check_brute_force_budget(d, k, CHECK_GRID)
+        except ValueError as exc:
+            raise ConfigError(f"checks.brute_force on {source}: {exc}") from exc
 
 
 def _typed(raw, hint, where: str):
@@ -214,19 +236,6 @@ def _parse_data(raw) -> Union[GenSpec, str]:
     return _section(raw, GenSpec, "data")
 
 
-def _parse_checks(raw) -> Tuple[str, ...]:
-    """The enabled checks, in ``CHECK_NAMES`` order, of a name -> bool mapping."""
-    if raw is None:
-        return ()
-    if not isinstance(raw, dict):
-        raise ConfigError("checks must be a mapping of check name to boolean")
-    for name, value in raw.items():
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown check {name!r}")
-        _typed(value, bool, f"checks.{name}")
-    return tuple(name for name in CHECK_NAMES if raw.get(name))
-
-
 def parse_yaml(text: str):
     """The data of a YAML document; a one-line ConfigError, naming the line
     and column where PyYAML gives them, if it does not parse."""
@@ -251,11 +260,9 @@ def validate_config(text: str) -> ExperimentConfig:
     missing = [key for key in required if key not in doc]
     if missing:
         raise ConfigError(f"missing required sections: {', '.join(missing)}")
-    rest = [f.name for f in fields if f.name not in ("data", "checks")]
+    rest = [f.name for f in fields if f.name != "data"]
     return ExperimentConfig(
-        data=_parse_data(doc["data"]),
-        checks=_parse_checks(doc.get("checks")),
-        **_typed_fields(ExperimentConfig, doc, "", rest),
+        data=_parse_data(doc["data"]), **_typed_fields(ExperimentConfig, doc, "", rest)
     )
 
 
@@ -286,5 +293,4 @@ def serialize(config: ExperimentConfig) -> str:
     doc = _plain(config)
     if isinstance(config.data, str):
         doc["data"] = {"file": config.data}
-    doc["checks"] = {name: name in config.checks for name in CHECK_NAMES}
     return yaml.safe_dump(doc, sort_keys=False)

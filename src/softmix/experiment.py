@@ -2,10 +2,11 @@
 
 Repetition r runs with derived seed ``base_seed + r`` so any repetition can
 be reproduced standalone.  Its context (data, certified model, reference,
-and ``config.em`` with the step size and the seed fixed) is built once, and
-a data file is read, checked against the config and certified once per run;
-the checks run on repetition 0's data and reference and reuse its context
-instead of building them again.
+and ``config.em`` with the step size and the seed fixed) is built once.  A
+data file is read once per run, checked against the config by
+:func:`~softmix.config.check_data` before any other work, and certified
+once; the checks enabled in ``config.checks`` run on repetition 0's data and
+reference and reuse its context instead of building them again.
 Repetitions run in order in the calling process, so the CSVs, and the report
 apart from its wall-clock time, depend on the config alone.
 """
@@ -19,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import EXPLICIT, RANDOM_BALL, ConfigError, ExperimentConfig, serialize
+from .config import EXPLICIT, RANDOM_BALL, ExperimentConfig, check_data, serialize
 from .data import DataSet, ParamSet
 from .datagen import GenSpec, generate, load_csv, uniform_ball
 from . import em
@@ -36,7 +37,6 @@ from .verify import (
     GRADIENT_TOLERANCE,
     CHECK_GRID,
     brute_force_minimize,
-    check_brute_force_budget,
     check_lemma_bounds,
     step_decomposition,
     worst_gradient_error,
@@ -124,7 +124,7 @@ def repetition_context(
     fix its EM run parameters and reference.
 
     ``k`` comes from the generating truth, else from ``init.thetas``, else 1.
-    A data file is checked against the keys that need its size before any
+    A data file is checked against the config (:func:`check_data`) before any
     other work.  Every repetition reads the same data file, so given
     repetition 0's context ``first``, file data and its certified model and
     step size are taken from it; only the multistart reference is built again.
@@ -134,29 +134,13 @@ def repetition_context(
         dataset, model = first.dataset, first.model
         reference = _multistart_reference(dataset, model, config, first.reference.k, seed)
         return RepetitionContext(seed, dataset, model, replace(first.em, seed=seed), reference)
-    thetas = config.init.thetas
-    k = 1 if thetas is None else thetas.k  # unless a generating truth gives it
     if isinstance(config.data, str):
         dataset, truth = load_csv(config.data), None
-        n, d, T = len(dataset), dataset.d, config.em.iterations
-        if config.init.mode == EXPLICIT and thetas.d != d:
-            raise ValueError(f"init.thetas has d={thetas.d}, the data file's d is {d}")
-        if config.em.resample and n < T:
-            raise ConfigError(
-                f"em.iterations={T} exceeds the {n} rows of {config.data}: "
-                "em.resample takes one fold per iteration"
-            )
-        if "brute_force" in config.checks:
-            try:
-                check_brute_force_budget(d, k, CHECK_GRID)
-            except ValueError as exc:
-                raise ConfigError(f"checks.brute_force on {config.data}: {exc}") from exc
+        k = 1 if config.init.thetas is None else config.init.thetas.k
+        check_data(config, len(dataset), dataset.d, k, config.data)
     else:
         dataset, truth = generate(GenSpec(**{**config.data.__dict__, "seed": seed}))
-        if truth is not None:
-            k = truth.k
-    if config.reference == "truth" and truth is None:
-        raise ValueError("reference=truth requires generated data with a truth ParamSet")
+        k = truth.k
     model = certify(config.loss, dataset)
     gamma = config.em.gamma
     if gamma is None:
@@ -254,12 +238,10 @@ def _run_checks(
     """The enabled checks, on repetition 0's data and reference (``context``)
     and its fitted ParamSet."""
     results: List[CheckResult] = []
-    if not config.checks:
-        return results
     dataset, model, reference = context.dataset, context.model, context.reference
     beta = config.em.beta
 
-    if "gradient_oracle" in config.checks:
+    if config.checks.gradient_oracle:
         rng = np.random.default_rng(context.seed)
         cases = []
         for _ in range(100):
@@ -269,7 +251,7 @@ def _run_checks(
         ok = worst <= GRADIENT_TOLERANCE
         results.append(CheckResult("gradient_oracle", ok, f"worst relative error {worst:.3g}"))
 
-    if "lemmas" in config.checks:
+    if config.checks.lemmas:
         rep1, rep2 = check_lemma_bounds(
             dataset, reference, model, beta=beta, c_ini=config.init.c_ini,
             trials=config.lemma_trials, seed=context.seed,
@@ -282,13 +264,13 @@ def _run_checks(
         )
         results.append(CheckResult("lemmas", bad == 0, detail))
 
-    if "decomposition" in config.checks:
+    if config.checks.decomposition:
         dec = step_decomposition(_build_init(config, context), dataset, model, context.em, reference)
         ok = dec.total <= dec.T1 + dec.T2 + 1e-9
         detail = f"total={dec.total:.6g} vs T1+T2={dec.T1 + dec.T2:.6g}"
         results.append(CheckResult("decomposition", ok, detail))
 
-    if "brute_force" in config.checks:
+    if config.checks.brute_force:
         grid = CHECK_GRID
         best = brute_force_minimize(dataset, model, beta, reference.k, grid)
         bf_loss = empirical_loss(best, dataset, model, beta)

@@ -1,4 +1,5 @@
 """Config parsing/serialization, the experiment driver, and the CLI."""
+import dataclasses
 import math
 import re
 import textwrap
@@ -13,10 +14,10 @@ import softmix.experiment as experiment
 import softmix.theory as theory
 from softmix.cli import main
 from softmix.config import (
-    CHECK_NAMES,
     INIT_MODES,
     PERTURB_REFERENCE,
     REFERENCE_MODES,
+    Checks,
     ConfigError,
     ExperimentConfig,
     InitSpec,
@@ -252,7 +253,7 @@ def _configs(draw):
         link=draw(st.none() | st.sampled_from(list(LINKS.values()))),
         domain_radius=draw(st.none() | _floats),
     )
-    checks = draw(st.sets(st.sampled_from(CHECK_NAMES)))
+    checks = draw(st.sets(st.sampled_from([f.name for f in dataclasses.fields(Checks)])))
     if isinstance(data, GenSpec) and d * k > 2:  # over the grid budget
         checks.discard("brute_force")
     beta = draw(st.just(math.inf) | st.floats(0.0, 1e3))
@@ -261,6 +262,8 @@ def _configs(draw):
     resample = draw(st.booleans())
     # resampling takes one fold of generated data per iteration
     folds = data.n if resample and isinstance(data, GenSpec) else 500
+    # a data file has no truth to serve as the reference
+    references = REFERENCE_MODES if isinstance(data, GenSpec) else ("multistart",)
     return ExperimentConfig(
         data=data,
         loss=loss,
@@ -271,8 +274,8 @@ def _configs(draw):
             resample=resample,
         ),
         init=init,
-        reference=draw(st.sampled_from(REFERENCE_MODES)),
-        checks=tuple(name for name in CHECK_NAMES if name in checks),
+        reference=draw(st.sampled_from(references)),
+        checks=Checks(**{name: True for name in checks}),
         lemma_trials=draw(st.integers(1, 100)),
         repetitions=draw(st.integers(1, 50)),
         seed=draw(st.integers(0, 2 ** 40)),
@@ -359,13 +362,13 @@ class TestValidateConfig:
             validate_config(bad)
 
     def test_unknown_check_rejected(self):
-        with pytest.raises(ConfigError, match="unknown check"):
+        with pytest.raises(ConfigError, match="unknown keys in checks: spellcheck"):
             validate_config(MINIMAL + "checks:\n  spellcheck: true\n")
 
     def test_brute_force_grid_budget_checked_at_validation(self):
         with pytest.raises(ConfigError, match="grid budget exceeded: 13845841"):
             validate_config(BRUTE_FORCE_2D)
-        assert validate_config(BRUTE_FORCE).checks == ("brute_force",)
+        assert validate_config(BRUTE_FORCE).checks == Checks(brute_force=True)
 
     def test_round_trip(self):
         for doc in (MINIMAL, TWO_COMPONENT):
@@ -589,13 +592,13 @@ class TestRepetitionContext:
         save_csv(dataset, str(path))
         contexts = _counted(monkeypatch, "repetition_context")
         references = _counted(monkeypatch, "_multistart_reference")
-        cfg = validate_config(
-            f"data:\n  file: {path}\nloss:\n  family: ridge\n  lam: 0.001\n"
-            "em:\n  iterations: 5\nreference: truth\nchecks:\n  lemmas: true\n"
-        )
-        with pytest.raises(ValueError, match="reference=truth"):
+        with pytest.raises(ConfigError, match="reference=truth .*data.file"):
+            cfg = validate_config(
+                f"data:\n  file: {path}\nloss:\n  family: ridge\n  lam: 0.001\n"
+                "em:\n  iterations: 5\nreference: truth\nchecks:\n  lemmas: true\n"
+            )
             run_experiment(cfg, write=False)
-        assert len(contexts) == 1
+        assert contexts == []
         assert references == []
 
     def test_file_data_explicit_init_of_other_d_raises_before_reference(
@@ -610,7 +613,8 @@ class TestRepetitionContext:
             "em:\n  iterations: 5\nreference: multistart\n"
             "init:\n  mode: explicit\n  thetas: [[0.9, 0.1, 0.0], [-0.9, -0.1, 0.0]]\n"
         )
-        with pytest.raises(ValueError, match=r"init\.thetas has d=3, the data file's d is 2"):
+        message = f"init.thetas has shape (2, 3), the (k, d) of {path} is (2, 2)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             run_experiment(cfg, write=False)
         assert references == []
 
@@ -840,7 +844,7 @@ class TestCLI:
         config = self._write(tmp_path, "cfg.yaml", text + f"output_dir: {tmp_path / 'out'}\n")
         assert main(["run", config]) == 2
         assert capsys.readouterr().err == (
-            f"error: init.thetas has shape {shape}, the data's (k, d) is (2, 2)\n"
+            f"error: init.thetas has shape {shape}, the (k, d) of data is (2, 2)\n"
         )
         assert repetitions == []
         assert not (tmp_path / "out").exists()
@@ -863,33 +867,46 @@ class TestCLI:
         assert capsys.readouterr().err == f"error: {data}{message}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("n, d, lines, message", [
+    @pytest.mark.parametrize("genspec, lines, message", [
         (
-            10, 2, "em:\n  iterations: 15\n  resample: true\n",
-            "em.iterations=15 exceeds the 10 rows of {path}: "
-            "em.resample takes one fold per iteration",
+            "d: 2\nn: 10\n", "em:\n  iterations: 15\n  resample: true\n",
+            "em.resample takes one fold per iteration: em.iterations=15 exceeds "
+            "the 10 rows of {source}",
         ),
         (
-            60, 3, "em:\n  iterations: 5\nchecks:\n  brute_force: true\nrepetitions: 3\n",
-            "checks.brute_force on {path}: brute force restricted to d <= 2 and k <= 2",
+            "d: 2\nn: 60\n", "em:\n  iterations: 5\ninit:\n  mode: explicit\n"
+            "  thetas: [[1.0, 0.0, 0.0]]\n",
+            "init.thetas has shape (1, 3), the (k, d) of {source} is (1, 2)",
         ),
-    ], ids=["fewer_rows_than_folds", "brute_force_at_d3"])
+        (
+            "d: 3\nn: 60\n",
+            "em:\n  iterations: 5\nchecks:\n  brute_force: true\nrepetitions: 3\n",
+            "checks.brute_force on {source}: brute force restricted to d <= 2 and k <= 2",
+        ),
+    ], ids=["fewer_rows_than_folds", "thetas_of_other_d", "brute_force_at_d3"])
     def test_file_data_checked_before_certify_and_reference(
-        self, tmp_path, capsys, monkeypatch, n, d, lines, message
+        self, tmp_path, capsys, monkeypatch, genspec, lines, message
     ):
-        dataset, _ = experiment.generate(GenSpec(kind="generative_mlr", k=1, d=d, n=n))
+        """Generated data, and the same data read from a file, fail with one
+        message apart from the source, before certify or any reference."""
+        genspec = "kind: generative_mlr\nk: 1\nseed: 4\n" + genspec
         path = tmp_path / "data.csv"
-        save_csv(dataset, str(path))
+        assert main(["gen", self._write(tmp_path, "gen.yaml", genspec), "-o", str(path)]) == 0
+        capsys.readouterr()
         certified = _counted(monkeypatch, "certify")
         references = _counted(monkeypatch, "_multistart_reference")
-        config = self._write(
-            tmp_path,
-            "cfg.yaml",
-            f"data:\n  file: {path}\nloss:\n  family: ridge\n  lam: 0.001\n{lines}"
-            f"reference: multistart\noutput_dir: {tmp_path / 'out'}\n",
-        )
-        assert main(["run", config]) == 2
-        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        repetitions = _counted(monkeypatch, "run_repetition")
+        for source, data in (("data", textwrap.indent(genspec, "  ")), (path, f"  file: {path}\n")):
+            config = self._write(
+                tmp_path,
+                "cfg.yaml",
+                f"data:\n{data}loss:\n  family: ridge\n  lam: 0.001\n{lines}"
+                f"reference: multistart\noutput_dir: {tmp_path / 'out'}\n",
+            )
+            assert main(["run", config]) == 2
+            assert capsys.readouterr().err == f"error: {message.format(source=source)}\n"
+            # generated data fails validation; a file fails as repetition 0 reads it
+            assert len(repetitions) == (source != "data")
         assert certified == [] and references == []
         assert not (tmp_path / "out").exists()
 
@@ -926,7 +943,7 @@ class TestCLI:
         ),
         (
             [("n: 400", "n: 10"), ("resample: false", "resample: true")],
-            "em.resample needs data.n >= em.iterations, got 10 < 15",
+            "em.resample takes one fold per iteration: em.iterations=15 exceeds the 10 rows of data",
         ),
         # each repetition sets the fold seed; it is not a config key
         ([("resample: false", "resample: false\n  seed: 1")], "unknown keys in em: seed"),

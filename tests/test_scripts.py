@@ -5,7 +5,9 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from softmix.config import serialize, validate_config
 from softmix.data import ParamSet
 from softmix.datagen import GenSpec, generate
 from softmix.em import EMConfig, run_gradient_em
@@ -20,6 +22,14 @@ def _load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("name", ["convergence_demo", "error_floor_sweep"])
+def test_inline_config_parses_and_reparses_equal(name):
+    config = _load(name).CONFIG
+    # the sweep holds the config that validate_config parsed at import
+    cfg = validate_config(config) if isinstance(config, str) else config
+    assert validate_config(serialize(cfg)) == cfg
 
 
 def _sweep_level_by_hand(amp, n, reps):

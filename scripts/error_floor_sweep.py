@@ -53,13 +53,14 @@ CONFIG = validate_config(
 
 def run_level(config, amp: float):
     """Per-repetition final distances, and the predicted bounds and floor
-    limits of the repetitions with a contraction, at amplitude ``amp``."""
+    limits of the repetitions whose bound was evaluated (``within_bound`` is
+    not None, the rule ``report.txt`` counts by), at amplitude ``amp``."""
     data = dataclasses.replace(config.data, perturb_amplitude=amp)
     report = run_experiment(dataclasses.replace(config, data=data), write=False)
     floors = [r.trace.final_distance() for r in report.repetitions]
-    contracting = [r.quantities for r in report.repetitions if r.quantities.bound is not None]
-    bounds = [q.bound for q in contracting]
-    limits = [q.zeta / (1.0 - q.contraction) for q in contracting]
+    evaluated = [r.quantities for r in report.repetitions if r.within_bound is not None]
+    bounds = [q.bound for q in evaluated]
+    limits = [q.zeta / (1.0 - q.contraction) for q in evaluated]
     return floors, bounds, limits
 
 

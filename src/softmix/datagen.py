@@ -219,11 +219,8 @@ def save_csv(dataset: DataSet, path) -> None:
     """CSV with header x_0..x_{d-1},y; 17 significant digits round-trips
     float64 exactly."""
     header = ",".join([f"x_{i}" for i in range(dataset.d)] + ["y"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(dataset.n):
-            row = list(dataset.X[i]) + [dataset.y[i]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    rows = np.column_stack([dataset.X, dataset.y])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def load_csv(path) -> DataSet:

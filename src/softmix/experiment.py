@@ -1,14 +1,16 @@
 """Experiment driver: data -> certification -> gradient EM -> theory checks.
 
-Repetition r runs with derived seed ``base_seed + r`` so any repetition can
-be reproduced standalone.  Its context (data, certified model, reference,
-and ``config.em`` with the step size and the seed fixed) is built once.  A
-data file is read once per run, checked against the config by
+:func:`run_experiment` is the one path from a config to its frozen records,
+for ``softmix run`` and for the loops under ``scripts/``.  Repetition r runs
+with derived seed ``base_seed + r`` so any repetition can be reproduced
+standalone.  Its context (data, certified model, reference, and
+``config.em`` with the step size and the seed fixed) is built once.  A data
+file is read once per run, checked against the config by
 :func:`~softmix.config.check_data` before any other work, and certified
 once; the checks enabled in ``config.checks`` run on repetition 0's data and
-reference and reuse its context instead of building them again.
-Repetitions run in order in the calling process, so the CSVs, and the report
-apart from its wall-clock time, depend on the config alone.
+reference and reuse its context.  Repetitions run in order in the calling
+process, so the CSVs, and the report apart from its wall-clock time, depend
+on the config alone.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -54,13 +56,12 @@ class RepetitionContext:
     reference: ParamSet  # the truth, or the multistart reference; its k is the run's
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepetitionResult:
     """One repetition's records, each value held once: EM's ``fitted``
     ParamSet and its ``trace``, the ``constants`` at the reference, and the
     theorem's ``quantities`` and bound from the trace's initial distances
-    (None at beta = inf).  Only repetition 0 keeps its ``context``, until the
-    checks have reused it."""
+    (None at beta = inf)."""
 
     rep: int
     seed: int
@@ -69,7 +70,6 @@ class RepetitionResult:
     trace: ConvergenceTrace
     constants: ProblemConstants
     quantities: Optional[TheoremQuantities]
-    context: Optional[RepetitionContext] = field(default=None, repr=False, compare=False)
 
     @property
     def within_bound(self) -> Optional[bool]:
@@ -78,7 +78,7 @@ class RepetitionResult:
         return None if q is None else q.within(self.trace.final_distance())
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -88,7 +88,7 @@ class CheckResult:
         return f"check {self.name}: {'PASS' if self.passed else 'FAIL'} ({self.detail})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig  # serialized only when the report is rendered
     repetitions: List[RepetitionResult]
@@ -213,13 +213,13 @@ def theory_at(config: ExperimentConfig, context: RepetitionContext, d0: np.ndarr
 
 def run_repetition(
     config: ExperimentConfig, rep: int, first: Optional[RepetitionContext] = None
-) -> RepetitionResult:
+) -> Tuple[RepetitionResult, RepetitionContext]:
     """Run one seeded repetition: build its context, run EM, evaluate bounds.
 
     ``first`` is repetition 0's context (see :func:`repetition_context`).
-    The result keeps the context for the checks to reuse.  A vacuous bound
-    (``TheoremQuantities.vacuous``) is still reported but counts as not
-    evaluated (``within_bound=None``).
+    Returns ``(result, context)``; the context is what the later repetitions
+    and the checks reuse.  A vacuous bound (``TheoremQuantities.vacuous``) is
+    still reported but counts as not evaluated (``within_bound=None``).
     """
     context = repetition_context(config, rep, first)
     fitted, trace = run_gradient_em(
@@ -228,8 +228,8 @@ def run_repetition(
     )
     constants, quantities = theory_at(config, context, trace.distances[0])
     return RepetitionResult(
-        rep, context.seed, context.em.gamma, fitted, trace, constants, quantities, context
-    )
+        rep, context.seed, context.em.gamma, fitted, trace, constants, quantities
+    ), context
 
 
 def _run_checks(
@@ -346,15 +346,14 @@ def render_report(report: ExperimentReport) -> str:
 
 
 def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentReport:
-    """Execute all repetitions plus enabled checks; optionally persist outputs."""
+    """Execute all repetitions plus enabled checks; optionally persist outputs.
+    Repetition 0's context serves the later repetitions and the checks."""
     start = time.perf_counter()
-    first = run_repetition(config, 0)
-    results = [first]
+    result, first = run_repetition(config, 0)
+    results = [result]
     for rep in range(1, config.repetitions):
-        results.append(run_repetition(config, rep, first.context))
-        results[-1].context = None  # only repetition 0's is reused, by the checks
-    checks = _run_checks(config, first.context, first.fitted)
-    first.context = None
+        results.append(run_repetition(config, rep, first)[0])
+    checks = _run_checks(config, first, result.fitted)
     report = ExperimentReport(
         config=config,
         repetitions=results,

@@ -28,6 +28,7 @@ from softmix.data import ParamSet
 from softmix.datagen import COVARIATES, KINDS, GenSpec, save_csv
 from softmix.em import EMConfig, run_gradient_em
 from softmix.experiment import (
+    RepetitionResult,
     _format_bound,
     _format_constants,
     _format_quantities,
@@ -408,6 +409,13 @@ class TestValidateConfig:
         cfg = validate_config(path.read_text())
         assert validate_config(serialize(cfg)) == cfg
 
+    @pytest.mark.parametrize(
+        "path", sorted((ROOT / "scripts").glob("*.yaml")), ids=lambda path: path.name
+    )
+    def test_script_configs_parse_and_reparse_equal(self, path):
+        cfg = validate_config(path.read_text())
+        assert validate_config(serialize(cfg)) == cfg
+
     def test_readme_minimal_config_is_valid(self):
         cfg = validate_config(_minimal_config_block((ROOT / "README.md").read_text()))
         assert validate_config(serialize(cfg)) == cfg
@@ -416,7 +424,7 @@ class TestValidateConfig:
 class TestExperimentDriver:
     def test_default_gamma_recorded(self):
         cfg = validate_config(MINIMAL)
-        result = run_repetition(cfg, 0)
+        result, _ = run_repetition(cfg, 0)
         assert result.gamma > 0.0  # 1/(2 * mean smoothness) of the instance
 
     def test_convex_single_component_converges(self):
@@ -546,7 +554,8 @@ class TestRepetitionContext:
         assert len(references) == cfg.repetitions
         assert [spec.seed for (spec,) in generated] == [9, 10]
         assert {c.name for c in report.checks} == {"lemmas", "decomposition"}
-        assert all(r.context is None for r in report.repetitions)
+        assert "context" not in {f.name for f in dataclasses.fields(RepetitionResult)}
+        assert RepetitionResult.__dataclass_params__.frozen
 
     def test_reference_loop_matches_run_gradient_em_bitwise(self):
         cfg = validate_config(AGNOSTIC)
@@ -638,7 +647,7 @@ class TestRepetitionContext:
         assert [args[-1] for args in references] == [7, 8, 9, 10]
         # each repetition built alone reads and certifies the file itself
         for result in report.repetitions:
-            alone = run_repetition(cfg, result.rep)
+            alone, _ = run_repetition(cfg, result.rep)
             assert alone.gamma == result.gamma
             assert alone.trace.alignment.tolist() == result.trace.alignment.tolist()
             assert alone.trace.distances.tobytes() == result.trace.distances.tobytes()
@@ -720,7 +729,7 @@ class TestCLI:
         self, tmp_path, capsys, monkeypatch, reference
     ):
         cfg_text = TWO_COMPONENT + f"reference: {reference}\n"
-        result = run_repetition(validate_config(cfg_text), 0)
+        result, _ = run_repetition(validate_config(cfg_text), 0)
         expected = (
             "constants:  " + _format_constants(result.constants) + "\n"
             "quantities: " + _format_quantities(result.quantities) + "\n"

@@ -1,12 +1,16 @@
 """The experiment scripts under ``scripts/``: they load, run through the
-experiment driver, and reproduce the library computations they stand for."""
+experiment driver, and reproduce the library computations they stand for.
+A single run there is a config for ``softmix run``."""
 import dataclasses
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from softmix import theory
+from softmix.cli import main
 from softmix.config import serialize, validate_config
 from softmix.data import ParamSet
 from softmix.datagen import GenSpec, generate
@@ -24,11 +28,10 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["convergence_demo", "error_floor_sweep"])
+@pytest.mark.parametrize("name", ["error_floor_sweep"])
 def test_inline_config_parses_and_reparses_equal(name):
-    config = _load(name).CONFIG
     # the sweep holds the config that validate_config parsed at import
-    cfg = validate_config(config) if isinstance(config, str) else config
+    cfg = _load(name).CONFIG
     assert validate_config(serialize(cfg)) == cfg
 
 
@@ -91,15 +94,30 @@ def test_error_floor_sweep_matches_library_computation():
         assert (floors, bounds, limits) == _sweep_level_by_hand(amp, n, reps)
 
 
-def test_convergence_demo_runs_and_prints_checks(tmp_path, monkeypatch, capsys):
-    demo = _load("convergence_demo")
-    shrunk = demo.CONFIG.replace("n: 4000", "n: 400").replace("repetitions: 10", "repetitions: 2")
-    assert shrunk != demo.CONFIG
-    monkeypatch.setattr(demo, "CONFIG", shrunk)
-    monkeypatch.setattr("sys.argv", ["convergence_demo.py", str(tmp_path)])
-    assert demo.main() == 0
+def test_error_floor_sweep_skips_bounds_not_evaluated(monkeypatch):
+    # an infinite floor zeta makes every bound vacuous: report.txt counts none
+    monkeypatch.setattr(theory, "compute_error_floor", lambda *args: math.inf)
+    sweep = _load("error_floor_sweep")
+    config = dataclasses.replace(
+        sweep.CONFIG,
+        data=dataclasses.replace(sweep.CONFIG.data, n=600),
+        repetitions=2,
+    )
+    floors, bounds, limits = sweep.run_level(config, 0.0)
+    assert len(floors) == 2
+    assert bounds == [] and limits == []
+
+
+def test_convergence_demo_runs_and_prints_checks(tmp_path, capsys):
+    text = (SCRIPTS / "convergence_demo.yaml").read_text()
+    shrunk = text.replace("n: 4000", "n: 400").replace("repetitions: 10", "repetitions: 2")
+    assert shrunk.count("n: 400\n") == 1 and "repetitions: 2\n" in shrunk
+    config = tmp_path / "demo.yaml"
+    config.write_text(shrunk)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(config), "-o", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "check gradient_oracle: PASS (" in out
     assert "check decomposition: PASS (" in out
-    assert (tmp_path / "logdist.csv").exists()
+    assert (out_dir / "logdist.csv").exists()
 

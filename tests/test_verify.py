@@ -13,6 +13,7 @@ from softmix.softmin import empirical_loss
 from softmix.verify import (
     GridSpec,
     brute_force_minimize,
+    check_brute_force_budget,
     check_lemma_bounds,
     finite_diff_gradient,
     step_decomposition,
@@ -112,6 +113,12 @@ class TestBruteForce:
         wide = DataSet(np.zeros((3, 3)), np.zeros(3))
         with pytest.raises(ValueError):
             brute_force_minimize(wide, model, cfg, 1, GridSpec(-1.0, 1.0, 3))
+
+    def test_budget_caps_candidates_at_1e5(self):
+        # at d = 1, k = 2 the grid has points^2 candidates; no search runs
+        with pytest.raises(ValueError, match="grid budget exceeded: 100489 candidate"):
+            check_brute_force_budget(1, 2, GridSpec(-1.0, 1.0, 317))
+        check_brute_force_budget(1, 2, GridSpec(-1.0, 1.0, 316))
 
 
 class TestLemmaSweeps:

@@ -198,15 +198,13 @@ def _build_init(config: ExperimentConfig, context: RepetitionContext) -> ParamSe
 
 def theory_at(config: ExperimentConfig, context: RepetitionContext, d0: np.ndarray):
     """``(constants, quantities)`` for a run starting at aligned distances
-    ``d0``; ``quantities`` is None at beta = inf."""
+    ``d0``, at the theorem's absolute start radius ``max(d0)``;
+    ``quantities`` is None at beta = inf."""
     constants = estimate_constants(context.dataset, context.reference, context.model)
     if math.isinf(context.em.beta):
         return constants, None
-    norms = np.linalg.norm(context.reference.thetas, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_eff = float(np.max(np.where(norms > 0, d0 / norms, 0.0)))
     return constants, theorem_quantities(
-        constants, context.model, context.em.beta, c_eff, context.em.gamma, d0,
+        constants, context.model, context.em.beta, float(np.max(d0)), context.em.gamma, d0,
         context.em.iterations, config.c_universal,
     )
 
@@ -218,8 +216,8 @@ def run_repetition(
 
     ``first`` is repetition 0's context (see :func:`repetition_context`).
     Returns ``(result, context)``; the context is what the later repetitions
-    and the checks reuse.  A vacuous bound (``TheoremQuantities.vacuous``) is
-    still reported but counts as not evaluated (``within_bound=None``).
+    and the checks reuse.  Where the theorem does not apply, the bound is None
+    and the repetition counts as not evaluated (``within_bound=None``).
     """
     context = repetition_context(config, rep, first)
     fitted, trace = run_gradient_em(

@@ -41,8 +41,8 @@ class ProblemConstants:
 class TheoremQuantities:
     """The theorem's quantities at one instance, step size and start: weight
     bounds eta and eta', floor zeta, contraction factor (None when vacuous),
-    and the T-iteration distance bound, None without a contraction or a T and
-    inf when zeta is."""
+    and the T-iteration distance bound, None unless the theorem applies (see
+    :func:`theorem_quantities`)."""
 
     eta: float
     eta_prime: float
@@ -51,22 +51,9 @@ class TheoremQuantities:
     c_universal: float = 1.0
     bound: Optional[float] = None
 
-    @property
-    def vacuous(self) -> bool:
-        """True when the bound says nothing: no contraction, eta >= 1,
-        eta' > 1 (a weight bound above 1) or an infinite floor zeta."""
-        return (
-            self.contraction is None
-            or self.eta >= 1.0
-            or self.eta_prime > 1.0
-            or not math.isfinite(self.zeta)
-        )
-
     def within(self, final: float) -> Optional[bool]:
         """Whether ``final`` meets the bound; None when none was evaluated."""
-        if self.vacuous or self.bound is None:
-            return None
-        return final <= self.bound
+        return None if self.bound is None else final <= self.bound
 
 
 def partition_regions(dataset: DataSet, reference: ParamSet, model: LossModel):
@@ -200,13 +187,13 @@ def compute_error_floor(
 
 def compute_contraction(
     gamma: float, pi_min: float, m: float, eta: float, c_universal: float = 1.0
-) -> float:
-    """One-step contraction factor (1 - c * gamma * pi_min * m * (1 - eta))^(1/2)."""
-    if eta >= 1.0:
-        raise ValueError("eta >= 1: contraction bound is vacuous")
+) -> Optional[float]:
+    """One-step contraction factor (1 - c * gamma * pi_min * m * (1 - eta))^(1/2);
+    None (vacuous) when eta >= 1 or the step is too large for the bound,
+    c * gamma * pi_min * m * (1 - eta) >= 1."""
     inner = c_universal * gamma * pi_min * m * (1.0 - eta)
-    if inner >= 1.0:
-        raise ValueError("step too large for the bound: c*gamma*pi_min*m*(1-eta) >= 1")
+    if eta >= 1.0 or inner >= 1.0:
+        return None
     return math.sqrt(1.0 - inner)
 
 
@@ -245,21 +232,20 @@ def theorem_quantities(
     c_universal: float = 1.0,
 ) -> TheoremQuantities:
     """The quantities for a run of T iterations from aligned distances ``d0``,
-    one per component (k = len(d0)); the bound is the max over components of
-    :func:`predicted_distance_bound`.  An integer ``d0`` is k, with no bound."""
+    one per component (k = len(d0)), at absolute start radius ``c_ini``.  An
+    integer ``d0`` is k, with no bound.
+
+    The one place that decides whether the theorem applies: ``bound`` is the
+    max over components of :func:`predicted_distance_bound` when there is a
+    contraction, eta' <= 1, zeta is finite and T is given, and None otherwise.
+    """
     d0 = np.asarray(d0, dtype=np.float64)
     k = len(d0) if d0.ndim else int(d0)
     eta = compute_eta(constants, beta, c_ini, model, k)
     eta_prime = compute_eta_prime(constants, beta, c_ini, model)
     zeta = compute_error_floor(constants, gamma, c_ini, eta_prime, model)
-    contraction = bound = None
-    if eta < 1.0:
-        try:
-            contraction = compute_contraction(gamma, constants.pi_min, model.m, eta, c_universal)
-        except ValueError:  # a step too large for the bound
-            pass
-    if contraction is not None and T is not None:
-        bound = math.inf
-        if math.isfinite(zeta):
-            bound = float(np.max(predicted_distance_bound(d0, contraction, zeta, T)))
+    contraction = compute_contraction(gamma, constants.pi_min, model.m, eta, c_universal)
+    bound = None
+    if contraction is not None and eta_prime <= 1.0 and math.isfinite(zeta) and T is not None:
+        bound = float(np.max(predicted_distance_bound(d0, contraction, zeta, T)))
     return TheoremQuantities(eta, eta_prime, zeta, contraction, c_universal, bound)

@@ -146,8 +146,10 @@ def check_lemma_bounds(
     trials: int,
     seed: int,
 ) -> tuple[LemmaReport, LemmaReport]:
-    """Sweep random ParamSets in the initialization ball and compare measured
-    soft-min weights against the closed-form bounds.
+    """Sweep random ParamSets in the initialization ball (radius
+    ``c_ini * ||theta*_j||`` about each reference component) and compare
+    measured soft-min weights against the closed-form bounds, taken at the
+    ball's absolute radius ``max_j c_ini * ||theta*_j||``.
 
     Returns (own-region report, other-region report): own-region weights must
     be >= 1 - eta, cross-region weights <= eta'.  Tie samples are skipped.
@@ -156,15 +158,16 @@ def check_lemma_bounds(
         raise ValueError("trials must be >= 1")
     regions, unassigned, fmat = partition_regions(dataset, reference, model)
     constants = _region_constants(dataset, reference, model, regions, fmat)
-    eta = compute_eta(constants, beta, c_ini, model, reference.k)
-    eta_prime = compute_eta_prime(constants, beta, c_ini, model)
+    radii = c_ini * np.linalg.norm(reference.thetas, axis=1)
+    c = float(np.max(radii))
+    eta = compute_eta(constants, beta, c, model, reference.k)
+    eta_prime = compute_eta_prime(constants, beta, c, model)
 
     assigned = np.ones(len(dataset), dtype=bool)
     assigned[unassigned] = False
     # assigned samples have a strict argmin, so the row minimum marks their own component
     is_own = fmat[assigned] == np.min(fmat[assigned], axis=1, keepdims=True)
 
-    radii = c_ini * np.linalg.norm(reference.thetas, axis=1)
     own = LemmaReport(0, 0, math.nan, bound_vacuous=eta >= 1.0)
     cross = LemmaReport(0, 0, math.nan, bound_vacuous=eta_prime > 1.0)
     for trial in range(trials):

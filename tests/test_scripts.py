@@ -117,6 +117,7 @@ def test_convergence_demo_runs_and_prints_checks(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["run", str(config), "-o", str(out_dir)]) == 0
     out = capsys.readouterr().out
+    assert "(within=2 violated=0 not_evaluated=0)" in out
     assert "check gradient_oracle: PASS (" in out
     assert "check decomposition: PASS (" in out
     assert (out_dir / "logdist.csv").exists()

@@ -1,10 +1,11 @@
 """Region partitioning, empirical problem constants, and the convergence
 bound quantities (eta, eta', zeta, contraction factor, distance bound)."""
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softmix.data import DataSet, ParamSet
 from softmix.losses import LossModel, batch_gradient, batch_loss, certify
@@ -239,12 +240,10 @@ class TestContraction:
         assert got == pytest.approx(1.0, abs=1e-8)
 
     def test_saturated_eta_rejected(self):
-        with pytest.raises(ValueError):
-            compute_contraction(0.5, 0.5, 1.0, 1.0, 1.0)
+        assert compute_contraction(0.5, 0.5, 1.0, 1.0, 1.0) is None
 
     def test_overlong_step_rejected(self):
-        with pytest.raises(ValueError):
-            compute_contraction(3.0, 1.0, 1.0, 0.0, 1.0)
+        assert compute_contraction(3.0, 1.0, 1.0, 0.0, 1.0) is None
 
 
 class TestDistanceBound:
@@ -277,7 +276,7 @@ class TestBundle:
         assert q.eta_prime == compute_eta_prime(c, 5.0, 0.01, model)
         assert q.zeta == compute_error_floor(c, 0.05, 0.01, q.eta_prime, model)
         assert q.contraction is not None and 0.0 < q.contraction < 1.0
-        assert not q.vacuous
+        assert q.eta < 1.0 and q.eta_prime <= 1.0 and q.bound is None  # no T given
 
     def test_bound_is_the_worst_component_and_within_reads_it(self, mlr_instance):
         ds, ref, _ = mlr_instance
@@ -289,5 +288,39 @@ class TestBundle:
         assert q.within(q.bound) is True and q.within(2.0 * q.bound) is False
         assert theorem_quantities(c, model, 5.0, 0.01, 0.05, d0).bound is None
         assert theorem_quantities(c, model, 5.0, 0.01, 0.05, 2).eta == q.eta
-        vacuous = dataclasses.replace(q, eta_prime=2.0)
-        assert vacuous.vacuous and vacuous.within(0.0) is None
+        # at c = 0.2 the contraction stands but eta' > 1: the theorem does not apply
+        leaky = theorem_quantities(c, model, 5.0, 0.2, 0.05, d0, 30, 1.0)
+        assert leaky.contraction is not None and leaky.eta_prime > 1.0
+        assert leaky.bound is None and leaky.within(0.0) is None
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        epsilon=st.floats(0.0, 2.0),
+        epsilon1=st.floats(0.0, 2.0),
+        delta=st.floats(0.0, 5.0) | st.just(math.inf),
+        pi_min=st.floats(0.01, 1.0),
+        M=st.floats(0.1, 10.0),
+        m_share=st.floats(0.0, 1.0),
+        beta=st.floats(0.0, 50.0),
+        gamma=st.floats(0.0, 3.0),
+        c=st.floats(0.0, 2.0),
+        d0=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
+        T=st.none() | st.integers(0, 200),
+    )
+    def test_bound_is_evaluated_exactly_where_the_theorem_applies(
+        self, epsilon, epsilon1, delta, pi_min, M, m_share, beta, gamma, c, d0, T
+    ):
+        constants = _constants(epsilon, epsilon1, delta, pi_min)
+        model = _certified(M=M, m=m_share * M)
+        q = theorem_quantities(constants, model, beta, c, gamma, np.array(d0), T)
+        applies = (
+            q.contraction is not None
+            and q.eta < 1.0
+            and q.eta_prime <= 1.0
+            and math.isfinite(q.zeta)
+            and T is not None
+        )
+        if applies:
+            assert math.isfinite(q.bound) and q.within(q.bound) is True
+        else:
+            assert q.bound is None and q.within(0.0) is None

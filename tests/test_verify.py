@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from softmix.data import DataSet, ParamSet
+from softmix.datagen import GenSpec, generate
 from softmix.em import EMConfig
 from softmix.losses import LossModel, batch_gradient, certify
 from softmix.softmin import empirical_loss
@@ -162,6 +163,24 @@ class TestLemmaSweeps:
         shared = verify_module._region_constants(ds, ref, model, regions, fmat)
         assert shared == estimate_constants(ds, ref, model)
         assert rep1.checked + rep2.checked == 3 * ds.n * ref.k  # no ties here
+
+    @pytest.mark.parametrize("margin", [0.0, 1.69], ids=["no_margin", "margin"])
+    @pytest.mark.parametrize("norm", [0.3, 1.0, 3.0, 10.0])
+    def test_bounds_hold_at_every_reference_norm(self, norm, margin):
+        # the bounds take the ball's absolute radius c_ini * ||theta*||; at the
+        # relative radius c_ini, ||theta*|| = 10 broke the own-region bound and
+        # ||theta*|| = 3 with a margin broke the cross-region one
+        truth = ParamSet([[norm, 0.0], [-norm, 0.0]])
+        spec = GenSpec(
+            kind="generative_mlr", k=2, d=2, n=300, noise_sigma=0.0,
+            covariate="uniform_ball", cov_scale=1.5, margin=margin * norm ** 2,
+            seed=11, truth=truth,
+        )
+        ds, ref = generate(spec)
+        model = certify(LossModel("ridge", lam=1e-3), ds)
+        own, cross = check_lemma_bounds(ds, ref, model, beta=1.0, c_ini=0.1, trials=200, seed=11)
+        assert not own.bound_vacuous and own.checked == cross.checked == 200 * ds.n
+        assert own.violations == 0 and cross.violations == 0
 
     @pytest.mark.filterwarnings("ignore:separation delta")
     def test_vacuous_regime_flagged_not_counted(self):

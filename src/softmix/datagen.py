@@ -29,6 +29,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+# an eager import: numpy 2 loads numpy.random lazily, on first attribute
+# access, and set-up rather than the first generated block should pay for it
+from numpy.random import Generator, Philox
 
 from .data import DataSet, ParamSet
 
@@ -101,11 +104,11 @@ class GenSpec:
             raise ValueError("truth ParamSet shape does not match (k, d)")
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed * 2 ** 64 + index))
+def _substream(seed: int, index: int) -> Generator:
+    return Generator(Philox(key=seed * 2 ** 64 + index))
 
 
-def uniform_ball(rng: np.random.Generator, radius, rows: int, d: int) -> np.ndarray:
+def uniform_ball(rng: Generator, radius, rows: int, d: int) -> np.ndarray:
     """``(rows, d)`` points uniform in the ball of ``radius`` (a scalar, or one
     per row) about 0: normalized ``standard_normal((rows, d))`` directions,
     then the radii ``radius * random(rows) ** (1/d)``."""
@@ -121,7 +124,7 @@ def _default_truth(spec: GenSpec) -> ParamSet:
     return ParamSet(spec.truth_scale * thetas)
 
 
-def _covariates(rng: np.random.Generator, spec: GenSpec, rows: int) -> np.ndarray:
+def _covariates(rng: Generator, spec: GenSpec, rows: int) -> np.ndarray:
     cov = "student_t" if spec.kind == HEAVY_TAIL_MLR else spec.covariate
     if cov == "gaussian":
         return spec.cov_scale * rng.standard_normal((rows, spec.d))

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data import DataSet, ParamSet
 from .losses import FAMILIES, LossModel, batch_gradient
@@ -132,20 +131,75 @@ def gradient_em_step(
     return ParamSet(params.thetas - (config.gamma / len(fold)) * step)
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Columns of a min-cost perfect matching of a square cost matrix:
+    row i is matched to column ``cols[i]``.
+
+    Shortest augmenting paths with row and column potentials (the Hungarian
+    method, O(k^3)): each row is added in turn along the cheapest path in
+    reduced costs to a free column.  Every scan of that search moves one
+    column from ``free`` to ``used``, so a row takes at most k + 1 scans.
+    Plain Python over a nested list beats numpy at the k of a mixture.
+    """
+    k = len(cost)
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix has a non-finite entry")
+    rows = cost.tolist()
+    # columns are 1-based: column 0 roots each search, with p[0] the row being added
+    u = [0.0] * (k + 1)  # row potentials, by row + 1
+    v = [0.0] * (k + 1)  # column potentials
+    p = [0] * (k + 1)  # p[j]: row + 1 matched to column j, 0 while j is unmatched
+    way = [0] * (k + 1)  # way[j]: the column before j on the shortest path
+    for i in range(1, k + 1):
+        p[0] = i
+        j0 = 0
+        minv = [math.inf] * (k + 1)
+        used, free = [0], list(range(1, k + 1))
+        for _ in range(k + 1):
+            row, ui = rows[p[j0] - 1], u[p[j0]]
+            delta, j1 = math.inf, 0
+            for j in free:
+                reduced = row[j - 1] - ui - v[j]
+                if reduced < minv[j]:
+                    minv[j], way[j] = reduced, j0
+                if minv[j] < delta:
+                    delta, j1 = minv[j], j
+            if j1 == 0:
+                raise ValueError("no augmenting path: the reduced costs overflowed")
+            for j in used:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+            free.remove(j0)
+            used.append(j0)
+        while j0:
+            p[j0] = p[way[j0]]
+            j0 = way[j0]
+    cols = [0] * k
+    for j in range(1, k + 1):
+        cols[p[j] - 1] = j - 1
+    return np.array(cols, dtype=np.intp)
+
+
 def align_to_reference(params: ParamSet, reference: ParamSet):
     """Min-cost component matching against a reference ParamSet.
 
     Returns ``(perm, distances)`` where ``perm[i]`` is the reference index
     matched to component i, and ``distances[j]`` is the distance from
-    reference component j to its matched iterate.
+    reference component j to its matched iterate.  Raises ValueError when a
+    distance is not finite.
     """
     if params.k != reference.k:
         raise ValueError("component counts differ")
     diff = params.thetas[:, None, :] - reference.thetas[None, :, :]
     cost = np.linalg.norm(diff, axis=2)
-    rows, cols = linear_sum_assignment(cost)
+    cols = _min_cost_assignment(cost)
     distances = np.empty(reference.k)
-    distances[cols] = cost[rows, cols]
+    distances[cols] = cost[np.arange(params.k), cols]
     return cols, distances
 
 

@@ -189,12 +189,14 @@ def compute_contraction(
     gamma: float, pi_min: float, m: float, eta: float, c_universal: float = 1.0
 ) -> Optional[float]:
     """One-step contraction factor (1 - c * gamma * pi_min * m * (1 - eta))^(1/2);
-    None (vacuous) when eta >= 1 or the step is too large for the bound,
-    c * gamma * pi_min * m * (1 - eta) >= 1."""
+    None (vacuous) when eta >= 1, when the step is too large for the bound,
+    c * gamma * pi_min * m * (1 - eta) >= 1, or when the factor rounds to
+    1.0 and so contracts nothing (a zero step, or 1 - eta below rounding)."""
     inner = c_universal * gamma * pi_min * m * (1.0 - eta)
     if eta >= 1.0 or inner >= 1.0:
         return None
-    return math.sqrt(1.0 - inner)
+    r = math.sqrt(1.0 - inner)
+    return r if r < 1.0 else None
 
 
 def predicted_distance_bound(

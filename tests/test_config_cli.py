@@ -1,7 +1,11 @@
 """Config parsing/serialization, the experiment driver, and the CLI."""
 import dataclasses
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import softmix
 import softmix.experiment as experiment
 import softmix.theory as theory
 from softmix.cli import main
@@ -691,6 +696,37 @@ class TestCLI:
         )
         assert main(["run", config]) == 0
         assert (tmp_path / "out" / "report.txt").exists()
+
+    def test_fresh_run_loads_numpy_random_at_import_and_no_scipy(self, tmp_path):
+        config = self._write(
+            tmp_path, "cfg.yaml", TWO_COMPONENT + f"output_dir: {tmp_path / 'out'}\n"
+        )
+        probe = textwrap.dedent(
+            """
+            import json, sys
+            import softmix.cli
+            imported = "numpy.random" in sys.modules
+            rc = softmix.cli.main(["run", sys.argv[1]])
+            scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            print(json.dumps({"imported": imported, "rc": rc, "scipy": scipy}))
+            """
+        )
+        src = str(Path(softmix.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, config],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout.strip().splitlines()[-1])
+        # numpy 2 loads numpy.random lazily; datagen imports it eagerly so
+        # that set-up, not the first generated block of the run, pays for it
+        assert got["imported"]
+        assert got["rc"] == 0
+        assert got["scipy"] == []
 
     def test_gen_unknown_key_exits_2(self, tmp_path, capsys):
         genspec = self._write(

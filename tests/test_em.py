@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import softmix.em as em
 from softmix.data import DataSet, ParamSet
@@ -180,6 +183,59 @@ class TestAlignment:
         perm, dists = align_to_reference(params, ref)
         np.testing.assert_array_equal(perm, [1, 0])
         np.testing.assert_allclose(dists, [0.5, 1.0], atol=1e-15)
+
+
+@pytest.fixture(scope="module")
+def scipy_assignment():
+    """scipy's solver, the oracle for the matching; scipy is a test dependency only."""
+    return pytest.importorskip("scipy.optimize").linear_sum_assignment
+
+
+def _assignment_cost(cost, cols):
+    return float(np.sum(cost[np.arange(len(cols)), cols]))
+
+
+class TestMinCostAssignment:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e3, 1e12]),
+    )
+    def test_continuous_costs_match_scipy_exactly(self, scipy_assignment, k, seed, scale):
+        # continuous costs have one optimum (almost surely), so the columns agree
+        cost = np.random.default_rng(seed).random((k, k)) * scale
+        _, want = scipy_assignment(cost)
+        np.testing.assert_array_equal(em._min_cost_assignment(cost), want)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 8).flatmap(lambda k: arrays(np.int64, (k, k), elements=st.integers(0, 3))))
+    def test_tied_costs_reach_scipy_total(self, scipy_assignment, cost):
+        cost = cost.astype(np.float64)
+        cols = em._min_cost_assignment(cost)
+        _, want = scipy_assignment(cost)
+        assert sorted(cols.tolist()) == list(range(len(cost)))
+        assert _assignment_cost(cost, cols) == pytest.approx(
+            _assignment_cost(cost, want), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            em._min_cost_assignment(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    def test_overflowing_reduced_costs_raise(self):
+        # finite costs whose potentials overflow: the search finds no free
+        # column, and an unbounded augmentation loop would never end
+        cost = np.array([[-1.7e308, 1e308], [-1.7e308, 1e308]])
+        with pytest.raises(ValueError, match="no augmenting path"):
+            em._min_cost_assignment(cost)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_distance_rejected(self):
+        params = ParamSet([[1e200, 1e200], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            align_to_reference(params, ParamSet([[0.0, 0.0], [1.0, 0.0]]))
 
 
 class TestRateFit:

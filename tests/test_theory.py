@@ -229,7 +229,7 @@ class TestErrorFloor:
 
 class TestContraction:
     def test_zero_step_no_contraction(self):
-        assert compute_contraction(0.0, 0.5, 1.0, 0.0, 1.0) == 1.0
+        assert compute_contraction(0.0, 0.5, 1.0, 0.0, 1.0) is None
 
     def test_hand_value(self):
         got = compute_contraction(0.5, 0.5, 1.0, 0.0, 1.0)
@@ -238,6 +238,10 @@ class TestContraction:
     def test_approaches_one_as_eta_saturates(self):
         got = compute_contraction(0.5, 0.5, 1.0, 1.0 - 1e-9, 1.0)
         assert got == pytest.approx(1.0, abs=1e-8)
+
+    def test_factor_rounding_to_one_is_vacuous(self):
+        # 1 - eta below rounding: sqrt(1 - inner) is exactly 1.0
+        assert compute_contraction(0.5, 0.5, 1.0, 1.0 - 2.0 ** -52, 1.0) is None
 
     def test_saturated_eta_rejected(self):
         assert compute_contraction(0.5, 0.5, 1.0, 1.0, 1.0) is None

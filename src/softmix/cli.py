@@ -21,7 +21,7 @@ import numpy as np
 from .config import ConfigError, _section, _typed, parse_yaml, validate_config
 from .datagen import GenSpec, generate, save_csv
 from .em import align_to_reference
-from .experiment import _build_init, _format_bound, _format_constants, _format_quantities
+from .experiment import _format_bound, _format_constants, _format_quantities
 from .experiment import repetition_context, run_experiment, theory_at
 from .losses import FAMILIES, LossModel
 from .verify import GRADIENT_TOLERANCE, worst_gradient_error
@@ -85,9 +85,9 @@ def _cmd_bounds(args) -> int:
     config = validate_config(Path(args.config).read_text())
     # repetition 0's bound needs its starting distances, not its EM run
     context = repetition_context(config, 0)
-    _, d0 = align_to_reference(_build_init(config, context), context.reference)
-    constants, quantities = theory_at(config, context, d0)
-    sys.stdout.write("constants:  " + _format_constants(constants) + "\n")
+    _, d0 = align_to_reference(context.init, context.reference)
+    quantities = theory_at(config, context, d0)
+    sys.stdout.write("constants:  " + _format_constants(context.constants) + "\n")
     sys.stdout.write("quantities: " + _format_quantities(quantities) + "\n")
     sys.stdout.write(
         f"gamma={context.em.gamma:.6g} d0={float(np.max(d0)):.6g} "

@@ -47,8 +47,8 @@ INIT_MODES = (PERTURB_REFERENCE, EXPLICIT, RANDOM_BALL)
 REFERENCE_MODES = ("truth", "multistart")
 
 # fields that the run sets, not config keys: certify() sets a LossModel's
-# m and M, and each repetition its EMConfig's seed
-NOT_KEYS = {LossModel: ("m", "M"), EMConfig: ("seed",)}
+# m, M and domain_radius, and each repetition its EMConfig's seed
+NOT_KEYS = {LossModel: ("m", "M", "domain_radius"), EMConfig: ("seed",)}
 
 
 @dataclass(frozen=True)

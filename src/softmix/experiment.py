@@ -3,8 +3,8 @@
 :func:`run_experiment` is the one path from a config to its frozen records,
 for ``softmix run`` and for the loops under ``scripts/``.  Repetition r runs
 with derived seed ``base_seed + r`` so any repetition can be reproduced
-standalone.  Its context (data, certified model, reference, and
-``config.em`` with the step size and the seed fixed) is built once.  A data
+standalone.  Its context (data, certified model, ``config.em`` with the
+step size and the seed fixed, reference, constants and start) is built once.  A data
 file is read once per run, checked against the config by
 :func:`~softmix.config.check_data` before any other work, and certified
 once; the checks enabled in ``config.checks`` run on repetition 0's data and
@@ -54,6 +54,8 @@ class RepetitionContext:
     model: LossModel  # certified on ``dataset``
     em: EMConfig  # the config's, with the step size and ``seed`` fixed
     reference: ParamSet  # the truth, or the multistart reference; its k is the run's
+    constants: ProblemConstants  # at ``reference``, with its regions of ``dataset``
+    init: ParamSet  # the start, drawn with ``seed``
 
 
 @dataclass(frozen=True)
@@ -120,37 +122,39 @@ class ExperimentReport:
 def repetition_context(
     config: ExperimentConfig, rep: int, first: Optional[RepetitionContext] = None
 ) -> RepetitionContext:
-    """Generate (or load) repetition ``rep``'s data, certify the loss on it and
-    fix its EM run parameters and reference.
+    """Generate (or load) repetition ``rep``'s data, certify the loss on it,
+    and fix its EM run parameters, reference, constants and start.
 
     ``k`` comes from the generating truth, else from ``init.thetas``, else 1.
     A data file is checked against the config (:func:`check_data`) before any
     other work.  Every repetition reads the same data file, so given
     repetition 0's context ``first``, file data and its certified model and
-    step size are taken from it; only the multistart reference is built again.
+    step size are taken from it, and the reference, constants and start built anew.
     """
     seed = config.seed + rep
     if first is not None and isinstance(config.data, str):
-        dataset, model = first.dataset, first.model
+        dataset, model, em_config = first.dataset, first.model, replace(first.em, seed=seed)
         reference = _multistart_reference(dataset, model, config, first.reference.k, seed)
-        return RepetitionContext(seed, dataset, model, replace(first.em, seed=seed), reference)
-    if isinstance(config.data, str):
-        dataset, truth = load_csv(config.data), None
-        k = 1 if config.init.thetas is None else config.init.thetas.k
-        check_data(config, len(dataset), dataset.d, k, config.data)
     else:
-        dataset, truth = generate(GenSpec(**{**config.data.__dict__, "seed": seed}))
-        k = truth.k
-    model = certify(config.loss, dataset)
-    gamma = config.em.gamma
-    if gamma is None:
-        gamma = default_step_size(model, dataset)
-    em_config = replace(config.em, gamma=gamma, seed=seed)
-    if config.reference == "truth":
-        reference = truth
-    else:
-        reference = _multistart_reference(dataset, model, config, k, seed)
-    return RepetitionContext(seed, dataset, model, em_config, reference)
+        if isinstance(config.data, str):
+            dataset, truth = load_csv(config.data), None
+            k = 1 if config.init.thetas is None else config.init.thetas.k
+            check_data(config, len(dataset), dataset.d, k, config.data)
+        else:
+            dataset, truth = generate(GenSpec(**{**config.data.__dict__, "seed": seed}))
+            k = truth.k
+        model = certify(config.loss, dataset)
+        gamma = config.em.gamma
+        if gamma is None:
+            gamma = default_step_size(model, dataset)
+        em_config = replace(config.em, gamma=gamma, seed=seed)
+        if config.reference == "truth":
+            reference = truth
+        else:
+            reference = _multistart_reference(dataset, model, config, k, seed)
+    constants = estimate_constants(dataset, reference, model)
+    init = _build_init(config, reference, seed)
+    return RepetitionContext(seed, dataset, model, em_config, reference, constants, init)
 
 
 def _multistart_reference(
@@ -179,13 +183,12 @@ def _multistart_reference(
     return best
 
 
-def _build_init(config: ExperimentConfig, context: RepetitionContext) -> ParamSet:
-    """The repetition's initial ParamSet, drawn with its seed."""
-    reference = context.reference
+def _build_init(config: ExperimentConfig, reference: ParamSet, seed: int) -> ParamSet:
+    """The repetition's initial ParamSet about ``reference``, drawn with ``seed``."""
     mode = config.init.mode
     if mode == EXPLICIT:
         return config.init.thetas.copy()
-    rng = np.random.default_rng(context.seed)
+    rng = np.random.default_rng(seed)
     k, d = reference.thetas.shape
     if mode == RANDOM_BALL:
         return ParamSet(reference.thetas + uniform_ball(rng, config.init.radius, k, d))
@@ -197,15 +200,13 @@ def _build_init(config: ExperimentConfig, context: RepetitionContext) -> ParamSe
 
 
 def theory_at(config: ExperimentConfig, context: RepetitionContext, d0: np.ndarray):
-    """``(constants, quantities)`` for a run starting at aligned distances
-    ``d0``, at the theorem's absolute start radius ``max(d0)``;
-    ``quantities`` is None at beta = inf."""
-    constants = estimate_constants(context.dataset, context.reference, context.model)
+    """The theorem's quantities for a run starting at aligned distances
+    ``d0``, at the absolute start radius ``max(d0)``; None at beta = inf."""
     if math.isinf(context.em.beta):
-        return constants, None
-    return constants, theorem_quantities(
-        constants, context.model, context.em.beta, float(np.max(d0)), context.em.gamma, d0,
-        context.em.iterations, config.c_universal,
+        return None
+    return theorem_quantities(
+        context.constants, context.model, context.em.beta, float(np.max(d0)),
+        context.em.gamma, d0, context.em.iterations, config.c_universal,
     )
 
 
@@ -221,12 +222,11 @@ def run_repetition(
     """
     context = repetition_context(config, rep, first)
     fitted, trace = run_gradient_em(
-        _build_init(config, context), context.dataset, context.model, context.em,
-        reference=context.reference,
+        context.init, context.dataset, context.model, context.em, reference=context.reference
     )
-    constants, quantities = theory_at(config, context, trace.distances[0])
+    quantities = theory_at(config, context, trace.distances[0])
     return RepetitionResult(
-        rep, context.seed, context.em.gamma, fitted, trace, constants, quantities
+        rep, context.seed, context.em.gamma, fitted, trace, context.constants, quantities
     ), context
 
 
@@ -237,7 +237,7 @@ def _run_checks(
     and its fitted ParamSet."""
     results: List[CheckResult] = []
     dataset, model, reference = context.dataset, context.model, context.reference
-    beta = config.em.beta
+    beta, constants = config.em.beta, context.constants
 
     if config.checks.gradient_oracle:
         rng = np.random.default_rng(context.seed)
@@ -251,7 +251,7 @@ def _run_checks(
 
     if config.checks.lemmas:
         rep1, rep2 = check_lemma_bounds(
-            dataset, reference, model, beta=beta, c_ini=config.init.c_ini,
+            dataset, reference, model, constants, beta=beta, c_ini=config.init.c_ini,
             trials=config.lemma_trials, seed=context.seed,
         )
         bad = sum(r.violations for r in (rep1, rep2) if not r.bound_vacuous)
@@ -263,7 +263,7 @@ def _run_checks(
         results.append(CheckResult("lemmas", bad == 0, detail))
 
     if config.checks.decomposition:
-        dec = step_decomposition(_build_init(config, context), dataset, model, context.em, reference)
+        dec = step_decomposition(context.init, dataset, model, context.em, reference, constants)
         ok = dec.total <= dec.T1 + dec.T2 + 1e-9
         detail = f"total={dec.total:.6g} vs T1+T2={dec.T1 + dec.T2:.6g}"
         results.append(CheckResult("decomposition", ok, detail))

@@ -8,10 +8,6 @@ labels or not), read by the values, gradients, EM step and certificates:
 * ``logistic``       -- log(1 + exp(-y <x, theta>)) + lam * ||theta||^2
 * ``squared_hinge``  -- max(0, 1 - y <x, theta>)^2 + (lam / 2) * ||theta||^2
 * ``glm``            -- (y - g(<x, theta>))^2 + lam * ||theta||^2
-
-``plain_hinge`` (non-squared hinge plus (lam/2)||theta||^2) is also evaluable
-but cannot be certified: its gradient is discontinuous, so no smoothness
-constant exists.
 """
 from __future__ import annotations
 
@@ -28,7 +24,6 @@ RIDGE = "ridge"
 LOGISTIC = "logistic"
 SQUARED_HINGE = "squared_hinge"
 GLM = "glm"
-PLAIN_HINGE = "plain_hinge"
 
 
 class CertificationError(ValueError):
@@ -109,13 +104,13 @@ class LossFamily:
 
     ``phi`` and its derivative in the prediction ``dphi`` take ``(z, y, link)``
     elementwise.  ``curvature`` maps ``(link, max |y|)`` to bounds ``(lo, hi)``
-    on phi'' over every z, or is ``None`` when phi is not smooth.
+    on phi'' over every z.
     """
 
     phi: Callable
     dphi: Callable
     reg: float
-    curvature: Optional[Callable]
+    curvature: Callable
     signed_labels: bool
 
 
@@ -150,11 +145,6 @@ FAMILIES = {
         dphi=lambda z, y, link: -2.0 * (y - link.f(z)) * link.df(z),
         reg=1.0, curvature=_glm_curvature, signed_labels=False,
     ),
-    PLAIN_HINGE: LossFamily(
-        phi=lambda z, y, link: np.maximum(0.0, 1.0 - y * z),
-        dphi=lambda z, y, link: -(y * ((1.0 - y * z) > 0.0)),
-        reg=0.5, curvature=None, signed_labels=True,
-    ),
 }
 
 
@@ -162,9 +152,9 @@ FAMILIES = {
 class LossModel:
     """A base loss family with regularization weight and certified constants.
 
-    ``m`` and ``M`` are ``None`` until :func:`certify` has been run against a
-    dataset; ``domain_radius`` records the covariate-norm bound those
-    constants were certified for.
+    ``m``, ``M`` and ``domain_radius`` are ``None`` until :func:`certify` has
+    been run against a dataset; ``domain_radius`` records the covariate-norm
+    bound those constants were certified for.
     """
 
     family: str
@@ -238,10 +228,6 @@ def _hessian_bounds(model: LossModel, dataset: DataSet, r_sq: float):
     lo lowers m = 2 c lam + min(lo, 0) r_sq, and M = hi r_sq + 2 c lam.
     """
     family = FAMILIES[model.family]
-    if family.curvature is None:
-        raise CertificationError(
-            f"{model.family} loss is not smooth; no (m, M) certificate exists"
-        )
     lo, hi = family.curvature(model.link, float(np.max(np.abs(dataset.y))))
     reg = 2.0 * family.reg * model.lam
     return reg + min(lo, 0.0) * r_sq, hi * r_sq + reg
@@ -250,18 +236,13 @@ def _hessian_bounds(model: LossModel, dataset: DataSet, r_sq: float):
 def certify(model: LossModel, dataset: DataSet) -> LossModel:
     """Return a copy of ``model`` carrying (m, M) valid over ``dataset``.
 
+    The constants hold over the ball of the dataset's largest covariate norm.
     Raises :class:`CertificationError` when strong convexity fails (for
-    instance lam = 0) or when the family admits no smoothness constant.
+    instance lam = 0) or when a GLM link admits no smoothness constant.
     """
     if len(dataset) == 0:
         raise ValueError("cannot certify constants against an empty dataset")
     r_sq = dataset.max_sq_norm()
-    if model.domain_radius is not None:
-        if r_sq > model.domain_radius ** 2 * (1.0 + 1e-12):
-            raise CertificationError(
-                "dataset contains covariates outside the declared domain radius"
-            )
-        r_sq = model.domain_radius ** 2
     m, M = _hessian_bounds(model, dataset, r_sq)
     if m <= 0.0:
         raise CertificationError(

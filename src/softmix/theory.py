@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ class ProblemConstants:
     epsilon1  -- max gradient norm at the reference over its own region
     delta     -- min cross-region base loss (inf when k = 1)
     pi_min    -- smallest region mass |S_j| / n
+    regions   -- the sample indices of each region (see partition_regions)
     """
 
     epsilon: float
@@ -35,6 +36,7 @@ class ProblemConstants:
     delta: float
     pi_min: float
     region_sizes: tuple
+    regions: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -73,17 +75,12 @@ def partition_regions(dataset: DataSet, reference: ParamSet, model: LossModel):
 def estimate_constants(
     dataset: DataSet, reference: ParamSet, model: LossModel
 ) -> ProblemConstants:
-    """Empirical (epsilon, epsilon1, delta, pi_min) at the reference ParamSet."""
-    regions, _, fmat = partition_regions(dataset, reference, model)
-    return _region_constants(dataset, reference, model, regions, fmat)
+    """Empirical (epsilon, epsilon1, delta, pi_min) at the reference ParamSet,
+    with the regions they were measured on.
 
-
-def _region_constants(dataset, reference, model, regions, fmat) -> ProblemConstants:
-    """``estimate_constants`` from an existing ``partition_regions`` result.
-
-    Warns, naming the caller of ``estimate_constants`` or
-    ``check_lemma_bounds``, when delta <= epsilon.
+    Warns, naming the caller, when delta <= epsilon.
     """
+    regions, _, fmat = partition_regions(dataset, reference, model)
     sizes = [len(r) for r in regions]
     if min(sizes) == 0:
         raise ValueError("some region is empty: pi_min = 0, constants undefined")
@@ -101,7 +98,7 @@ def _region_constants(dataset, reference, model, regions, fmat) -> ProblemConsta
         warnings.warn(
             "separation delta <= misspecification epsilon: "
             "the convergence bounds are vacuous for this instance",
-            stacklevel=3,
+            stacklevel=2,
         )
     return ProblemConstants(
         epsilon=epsilon,
@@ -109,6 +106,7 @@ def _region_constants(dataset, reference, model, regions, fmat) -> ProblemConsta
         delta=delta,
         pi_min=min(sizes) / len(dataset),
         region_sizes=tuple(sizes),
+        regions=tuple(regions),
     )
 
 
@@ -208,19 +206,14 @@ def predicted_distance_bound(
     """T-iteration distance bound per component: the one-step bound applied
     recursively, r^T d0 + zeta (1 - r^T) / (1 - r)."""
     d0 = np.asarray(initial_distances, dtype=np.float64)
-    if not (0.0 < contraction <= 1.0):
-        raise ValueError("contraction must lie in (0, 1]")
+    if not (0.0 < contraction < 1.0):
+        raise ValueError("contraction must lie in (0, 1)")
     if T < 0:
         raise ValueError("T must be nonnegative")
-    r = contraction
-    rT = r ** T
     if T == 0:
         return d0.copy()
-    if r == 1.0:
-        accum = zeta * T
-    else:
-        accum = zeta * (1.0 - rT) / (1.0 - r)
-    return rT * d0 + accum
+    rT = contraction ** T
+    return rT * d0 + zeta * (1.0 - rT) / (1.0 - contraction)
 
 
 def theorem_quantities(

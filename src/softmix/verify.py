@@ -13,7 +13,7 @@ from .datagen import _substream, uniform_ball
 from .em import EMConfig, align_to_reference, gradient_em_step
 from .losses import LossModel, batch_gradient, batch_loss
 from .softmin import empirical_loss, weight_matrix
-from .theory import _region_constants, compute_eta, compute_eta_prime, partition_regions
+from .theory import ProblemConstants, compute_eta, compute_eta_prime
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -141,6 +141,7 @@ def check_lemma_bounds(
     dataset: DataSet,
     reference: ParamSet,
     model: LossModel,
+    constants: ProblemConstants,
     beta: float,
     c_ini: float,
     trials: int,
@@ -149,24 +150,24 @@ def check_lemma_bounds(
     """Sweep random ParamSets in the initialization ball (radius
     ``c_ini * ||theta*_j||`` about each reference component) and compare
     measured soft-min weights against the closed-form bounds, taken at the
-    ball's absolute radius ``max_j c_ini * ||theta*_j||``.
+    ball's absolute radius ``max_j c_ini * ||theta*_j||``.  ``constants`` are
+    the instance's, from :func:`~softmix.theory.estimate_constants`.
 
     Returns (own-region report, other-region report): own-region weights must
     be >= 1 - eta, cross-region weights <= eta'.  Tie samples are skipped.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    regions, unassigned, fmat = partition_regions(dataset, reference, model)
-    constants = _region_constants(dataset, reference, model, regions, fmat)
     radii = c_ini * np.linalg.norm(reference.thetas, axis=1)
     c = float(np.max(radii))
     eta = compute_eta(constants, beta, c, model, reference.k)
     eta_prime = compute_eta_prime(constants, beta, c, model)
 
-    assigned = np.ones(len(dataset), dtype=bool)
-    assigned[unassigned] = False
-    # assigned samples have a strict argmin, so the row minimum marks their own component
-    is_own = fmat[assigned] == np.min(fmat[assigned], axis=1, keepdims=True)
+    region_of = np.full(len(dataset), -1)
+    for j, region in enumerate(constants.regions):
+        region_of[region] = j
+    assigned = region_of >= 0
+    is_own = region_of[assigned, None] == np.arange(reference.k)
 
     own = LemmaReport(0, 0, math.nan, bound_vacuous=eta >= 1.0)
     cross = LemmaReport(0, 0, math.nan, bound_vacuous=eta_prime > 1.0)
@@ -194,17 +195,16 @@ def step_decomposition(
     model: LossModel,
     config: EMConfig,
     reference: ParamSet,
+    constants: ProblemConstants,
 ) -> StepDecomposition:
     """Split the post-step distance of the first reference component into the
-    own-region term T1 and the cross-region term T2 (total <= T1 + T2)."""
+    own-region term T1 and the cross-region term T2 (total <= T1 + T2), with
+    the regions of ``constants``, measured on ``fold`` at ``reference``."""
     perm, _ = align_to_reference(params, reference)
     # component of params matched to reference component 0
     comp = int(np.nonzero(perm == 0)[0][0])
-    regions, _, _ = partition_regions(fold, reference, model)
-    if len(regions[0]) == 0:
-        raise ValueError("region of the first reference component is empty")
     in_mask = np.zeros(len(fold), dtype=bool)
-    in_mask[regions[0]] = True
+    in_mask[constants.regions[0]] = True
 
     weights, _ = weight_matrix(params, fold, model, config.beta)
     # the step rejects gamma=None before the split below divides it

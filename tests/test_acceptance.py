@@ -182,15 +182,16 @@ def test_criterion_03_lemma_validation():
     )
     dataset, truth = generate(spec)
     model = certify(LossModel(RIDGE, lam=1e-3), dataset)
+    constants = estimate_constants(dataset, truth, model)
     rep1, rep2 = check_lemma_bounds(
-        dataset, truth, model, beta=5.0, c_ini=0.01, trials=100, seed=0
+        dataset, truth, model, constants, beta=5.0, c_ini=0.01, trials=100, seed=0
     )
     nonvacuous = not rep1.bound_vacuous and not rep2.bound_vacuous
     clean = rep1.violations == 0 and rep2.violations == 0
 
     # beta = 0: the own-region bound collapses to p >= 1/k with equality
     edge1, _ = check_lemma_bounds(
-        dataset, truth, model, beta=0.0, c_ini=0.01, trials=5, seed=1
+        dataset, truth, model, constants, beta=0.0, c_ini=0.01, trials=5, seed=1
     )
     exact = edge1.violations == 0 and abs(edge1.worst_margin) <= 1e-12
     elapsed = time.perf_counter() - start

@@ -1,64 +1,51 @@
-"""The layers a full-batch logistic run goes through, seen from outside.
+"""Every layer the benchmark requires still fires on every workload.
 
 ``perfbench/spans.py`` times a run by replacing softmix functions at every
-module binding that refers to them.  A refactor that stops calling one of
-them through such a binding would silently zero that layer of the benchmark,
-so this test wraps the same bindings with counters and checks that each
-layer still fires on a shrunk copy of the ``logistic_fullbatch`` workload.
+module binding that refers to them, and ``perfbench/run.py`` fails a traced
+run in which a span of ``run.must_fire`` never fired.  A refactor that stops
+calling one of them through such a binding would fail the benchmark, so this
+test wraps the same bindings with counters and runs each workload's smoke
+config as the benchmark's child does.  Both files are loaded read-only from
+``perfbench/``, as ``test_bench_outputs.py`` loads them.
 """
 import functools
 import importlib
+import importlib.util
 import sys
-import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
+import yaml
 
-from softmix.config import validate_config
-from softmix.experiment import run_experiment
+import softmix.cli
 
-# (module, attribute) of every layer that a full-batch traced run must reach
-LAYERS = (
-    ("softmix.em", "gradient_em_step"),
-    ("softmix.softmin", "weight_matrix"),
-    ("softmix.softmin", "loss_matrix"),
-    ("softmix.losses", "batch_loss"),
-    ("softmix.softmin", "empirical_loss"),
-)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-ITERATIONS = 5
 
-LOGISTIC_FULLBATCH = textwrap.dedent(
-    f"""
-    data:
-      kind: generative_logistic
-      k: 2
-      d: 4
-      n: 400
-      truth_scale: 3.0
-    loss:
-      family: logistic
-      lam: 0.001
-    em:
-      iterations: {ITERATIONS}
-      beta: 2.0
-      resample: false
-    init:
-      mode: perturb_reference
-      c_ini: 0.1
-    reference: truth
-    repetitions: 1
-    """
-)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# run.py imports its sibling modules by their bare names
+sys.path.insert(0, str(PERFBENCH))
+try:
+    run = _load("run")
+finally:
+    sys.path.remove(str(PERFBENCH))
+spans = _load("spans")
 
 
 def _count_calls(monkeypatch, counts):
-    """Wrap every layer at each ``softmix`` module attribute bound to it."""
+    """Wrap every span target at each ``softmix`` module attribute bound to it."""
     modules = [m for n, m in sys.modules.items() if n == "softmix" or n.startswith("softmix.")]
-    for module_name, attr in LAYERS:
+    for name, module_name, attr, _, _ in spans.TARGETS:
         original = getattr(importlib.import_module(module_name), attr)
 
-        def counted(*args, _name=attr, _fn=original, **kwargs):
+        def counted(*args, _name=name, _fn=original, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
@@ -69,13 +56,23 @@ def _count_calls(monkeypatch, counts):
                     monkeypatch.setattr(module, key, wrapper)
 
 
-# the workload's bound is vacuous by design; the run says so with a UserWarning
+# some workloads have delta <= epsilon by design; the run says so with a UserWarning
 @pytest.mark.filterwarnings("ignore:separation delta:UserWarning")
-def test_every_benchmarked_layer_fires(tmp_path, monkeypatch):
+def test_every_benchmarked_layer_fires(tmp_path, monkeypatch, capsys):
     counts = Counter()
     _count_calls(monkeypatch, counts)
-    config = validate_config(LOGISTIC_FULLBATCH + f"output_dir: {tmp_path / 'out'}\n")
-    report = run_experiment(config)
-    assert len(report.repetitions) == 1
-    assert {attr for _, attr in LAYERS} <= {name for name, n in counts.items() if n > 0}
-    assert counts["gradient_em_step"] == ITERATIONS
+    for name in sorted(run.WORKLOADS):
+        doc = run.load_config(name, 0, True)
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(yaml.safe_dump(doc, sort_keys=False))
+        counts.clear()
+        assert softmix.cli.main(["run", str(config), "-o", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        fired = {span for span, calls in counts.items() if calls}
+        assert sorted(run.must_fire(doc) - fired) == [], name
+        shape = run.shape_of(doc)
+        if doc["reference"] == "truth":
+            # a step per iteration of each repetition, and one for the decomposition check
+            steps = shape["repetitions"] * shape["iterations"]
+            steps += "decomposition" in shape["checks"]
+            assert counts["em.gradient_em_step"] == steps, name

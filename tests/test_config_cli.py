@@ -257,7 +257,6 @@ def _configs(draw):
         family,
         lam=draw(st.just(0.0) | _floats),
         link=draw(st.none() | st.sampled_from(list(LINKS.values()))),
-        domain_radius=draw(st.none() | _floats),
     )
     checks = draw(st.sets(st.sampled_from([f.name for f in dataclasses.fields(Checks)])))
     if isinstance(data, GenSpec) and d * k > 2:  # over the grid budget
@@ -300,6 +299,23 @@ def _counted(monkeypatch, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(experiment, name, wrapper)
+    return calls
+
+
+def _counted_everywhere(monkeypatch, module, name):
+    """Replace ``module.<name>`` at every softmix module attribute bound to it
+    by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for loaded in [m for n, m in sys.modules.items() if n.startswith("softmix")]:
+        for key, value in list(vars(loaded).items()):
+            if value is original:
+                monkeypatch.setattr(loaded, key, wrapper)
     return calls
 
 
@@ -538,8 +554,7 @@ class TestExperimentDriver:
         # the reused fit must give what a fresh fit of repetition 0 gives
         context = repetition_context(cfg, 0)
         fitted, _ = run_gradient_em(
-            experiment._build_init(cfg, context), context.dataset, context.model,
-            context.em, reference=context.reference,
+            context.init, context.dataset, context.model, context.em, reference=context.reference
         )
         (fresh,) = experiment._run_checks(cfg, context, fitted)
         assert check.detail == fresh.detail
@@ -552,10 +567,14 @@ class TestRepetitionContext:
     def test_each_piece_of_work_once_per_repetition(self, monkeypatch):
         generated = _counted(monkeypatch, "generate")
         references = _counted(monkeypatch, "_multistart_reference")
+        partitions = _counted_everywhere(monkeypatch, theory, "partition_regions")
+        constants = _counted_everywhere(monkeypatch, theory, "estimate_constants")
         cfg = validate_config(AGNOSTIC)
         report = run_experiment(cfg, write=False)
         assert len(generated) == cfg.repetitions
         assert len(references) == cfg.repetitions
+        # the checks read repetition 0's regions and constants from its context
+        assert len(partitions) == len(constants) == cfg.repetitions
         assert [spec.seed for (spec,) in generated] == [9, 10]
         assert {c.name for c in report.checks} == {"lemmas", "decomposition"}
         assert "context" not in {f.name for f in dataclasses.fields(RepetitionResult)}
@@ -752,6 +771,11 @@ class TestCLI:
     def test_check_gradients_unknown_link_exits_2(self, tmp_path):
         spec = self._write(tmp_path, "loss.yaml", "family: glm\nlink: softplus\nlam: 0.1\n")
         assert main(["check-gradients", spec, "--trials", "2"]) == 2
+
+    def test_check_gradients_plain_hinge_is_an_unknown_family(self, tmp_path, capsys):
+        spec = self._write(tmp_path, "loss.yaml", "family: plain_hinge\nlam: 0.5\n")
+        assert main(["check-gradients", spec, "--trials", "2"]) == 2
+        assert "unknown loss family 'plain_hinge'" in capsys.readouterr().err
 
     def test_bounds_subcommand(self, tmp_path, capsys):
         config = self._write(tmp_path, "cfg.yaml", TWO_COMPONENT)
@@ -991,6 +1015,8 @@ class TestCLI:
         ),
         # each repetition sets the fold seed; it is not a config key
         ([("resample: false", "resample: false\n  seed: 1")], "unknown keys in em: seed"),
+        # certify() takes the radius from the data; it is not a config key
+        ([("lam: 0.001", "lam: 0.001\n  domain_radius: 2")], "unknown keys in loss: domain_radius"),
     ])
     def test_late_failing_configs_exit_2_before_any_repetition(
         self, tmp_path, capsys, monkeypatch, edits, message

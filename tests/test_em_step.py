@@ -87,8 +87,7 @@ def test_step_matches_per_component_oracle(model_index, seed, n, d, k, beta, gam
     S_jl = sum_i w_ij (|phi'_ij x_il| + |r theta_jl| + L sum_m |x_im theta_jm| |x_il|),
     and after the update theta - (gamma / n) sum the entries differ by at
     most (gamma / n) times that plus the rounding 4 u |theta_jl| of the
-    subtraction.  ``plain_hinge`` has no such L: its phi' jumps at
-    y z = 1, which continuous draws reach with probability zero.
+    subtraction.
     """
     family, link = MODELS[model_index]
     model, ds, params = _instance(family, link, seed, n, d, k)
@@ -98,9 +97,7 @@ def test_step_matches_per_component_oracle(model_index, seed, n, d, k, beta, gam
     reg = 2.0 * spec.reg * model.lam
     magnitude = np.zeros((k, d))
     want = np.empty((k, d))
-    curvature = 0.0
-    if spec.curvature is not None:
-        curvature = max(map(abs, spec.curvature(model.link, float(np.max(np.abs(ds.y))))))
+    curvature = max(map(abs, spec.curvature(model.link, float(np.max(np.abs(ds.y))))))
     for j, theta in enumerate(params.thetas):
         grads = batch_gradient(model, ds.X, ds.y, theta)
         want[j] = theta - (gamma / n) * np.sum(weights[:, j, None] * grads, axis=0)

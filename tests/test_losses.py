@@ -12,7 +12,6 @@ from softmix.losses import (
     GLM,
     LINKS,
     LOGISTIC,
-    PLAIN_HINGE,
     RIDGE,
     SIGMOID_LINK,
     SQUARED_HINGE,
@@ -37,7 +36,7 @@ def _row(x, y):
 
 def _random_instance(family, rng, d=3):
     x = rng.standard_normal(d)
-    if family in (LOGISTIC, SQUARED_HINGE, PLAIN_HINGE):
+    if family in (LOGISTIC, SQUARED_HINGE):
         y = float(rng.choice([-1.0, 1.0]))
     else:
         y = float(rng.standard_normal())
@@ -78,7 +77,7 @@ class TestLossValues:
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(3)
-        for family in ALL_CERTIFIABLE + (PLAIN_HINGE,):
+        for family in ALL_CERTIFIABLE:
             for _ in range(20):
                 model, x, y = _random_instance(family, rng)
                 assert batch_loss(model, *_row(x, y), rng.standard_normal(3))[0] >= 0.0
@@ -173,11 +172,6 @@ class TestCertification:
         certified = certify(LossModel(SQUARED_HINGE, lam=0.4), ds)
         m, M = certified.m, certified.M
         assert (m, M) == pytest.approx((0.4, 2.4), rel=1e-12)
-
-    def test_plain_hinge_uncertifiable(self):
-        ds = self._dataset(1.0, classification=True)
-        with pytest.raises(CertificationError):
-            certify(LossModel(PLAIN_HINGE, lam=0.5), ds)
 
     def test_glm_curvature_can_defeat_convexity(self):
         # tanh has nonzero second derivative; with small lam and large

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from softmix.data import DataSet, ParamSet
@@ -33,7 +33,19 @@ def _constants(epsilon=0.0, epsilon1=0.0, delta=math.inf, pi_min=0.5, sizes=(1, 
         delta=delta,
         pi_min=pi_min,
         region_sizes=sizes,
+        regions=(),
     )
+
+
+@st.composite
+def _integer_instances(draw):
+    """Rows (x_1, x_2, y) and 2 or 3 components (theta_1, theta_2), all
+    entries integers in [-2, 2]."""
+    k = draw(st.integers(2, 3))
+    entries = st.integers(-2, 2)
+    rows = draw(st.lists(st.tuples(entries, entries, entries), min_size=k, max_size=12))
+    thetas = draw(st.lists(st.tuples(entries, entries), min_size=k, max_size=k))
+    return np.array(rows, dtype=np.float64), thetas
 
 
 class TestPartition:
@@ -122,17 +134,34 @@ class TestEstimateConstants:
         assert c.pi_min == min(len(r) for r in regions) / 60
 
     def test_separation_warning_names_the_caller(self):
-        from softmix.verify import check_lemma_bounds
-
         rng = np.random.default_rng(12)
         ds = DataSet(rng.standard_normal((60, 2)), rng.standard_normal(60))
         ref = ParamSet(rng.standard_normal((2, 2)))
         model = certify(LossModel("ridge", lam=0.05), ds)
         with pytest.warns(UserWarning, match="separation delta") as record:
             estimate_constants(ds, ref, model)
-        with pytest.warns(UserWarning, match="separation delta") as lemma_record:
-            check_lemma_bounds(ds, ref, model, beta=1.0, c_ini=0.1, trials=1, seed=0)
-        assert [w.filename for w in (*record, *lemma_record)] == [__file__, __file__]
+        assert [w.filename for w in record] == [__file__]
+
+    @pytest.mark.filterwarnings("ignore:separation delta")
+    @given(_integer_instances())
+    @settings(deadline=None, max_examples=200)
+    def test_regions_are_the_strict_row_minima(self, instance):
+        # integer data and parameters at lam = 0 give integer losses, so
+        # exact ties are common; the own-component mask of the regions must
+        # be the row minimum on the tie-free rows, and a tied row in no region
+        rows, thetas = instance
+        ds, ref = DataSet(rows[:, :2], rows[:, 2]), ParamSet(thetas)
+        model = LossModel("ridge", lam=0.0)
+        assume(all(r.size for r in partition_regions(ds, ref, model)[0]))
+        constants = estimate_constants(ds, ref, model)
+        own = np.zeros((len(ds), ref.k), dtype=bool)
+        for j, region in enumerate(constants.regions):
+            own[region, j] = True
+        fmat = batch_loss(model, ds.X, ds.y, ref.thetas)
+        is_min = fmat == np.min(fmat, axis=1, keepdims=True)
+        strict = np.count_nonzero(is_min, axis=1) == 1
+        np.testing.assert_array_equal(own[strict], is_min[strict])
+        assert not np.any(own[~strict])
 
     def test_empty_region_rejected(self):
         ds = DataSet(np.array([[1.0]]), np.array([1.0]))
@@ -267,6 +296,10 @@ class TestDistanceBound:
         r, zeta = 0.8, 0.05
         got = float(predicted_distance_bound(np.array([0.0]), r, zeta, 10000)[0])
         assert got == pytest.approx(zeta / (1.0 - r), rel=1e-9)
+
+    def test_contraction_of_one_rejected(self):
+        with pytest.raises(ValueError, match=r"contraction must lie in \(0, 1\)"):
+            predicted_distance_bound(np.array([1.0]), 1.0, 0.1, 3)
 
 
 class TestBundle:

@@ -11,6 +11,7 @@ from softmix.datagen import GenSpec, generate
 from softmix.em import EMConfig
 from softmix.losses import LossModel, batch_gradient, certify
 from softmix.softmin import empirical_loss
+from softmix.theory import estimate_constants
 from softmix.verify import (
     GridSpec,
     brute_force_minimize,
@@ -125,44 +126,34 @@ class TestBruteForce:
 class TestLemmaSweeps:
     def test_reference_params_zero_violations(self, mlr_instance):
         ds, ref, model = mlr_instance
-        rep1, rep2 = check_lemma_bounds(ds, ref, model, beta=5.0, c_ini=1e-12, trials=5, seed=0)
+        constants = estimate_constants(ds, ref, model)
+        rep1, rep2 = check_lemma_bounds(
+            ds, ref, model, constants, beta=5.0, c_ini=1e-12, trials=5, seed=0
+        )
         assert not rep1.bound_vacuous and not rep2.bound_vacuous
         assert rep1.violations == 0 and rep2.violations == 0
         assert rep1.checked >= 5 * ds.n * 0.9
 
     def test_perturbed_params_zero_violations(self, mlr_instance):
         ds, ref, model = mlr_instance
-        rep1, rep2 = check_lemma_bounds(ds, ref, model, beta=5.0, c_ini=0.01, trials=30, seed=1)
+        constants = estimate_constants(ds, ref, model)
+        rep1, rep2 = check_lemma_bounds(
+            ds, ref, model, constants, beta=5.0, c_ini=0.01, trials=30, seed=1
+        )
         assert rep1.violations == 0 and rep2.violations == 0
         assert rep1.checked + rep2.checked >= 10_000
 
     def test_beta_zero_exact_equality(self, mlr_instance):
         ds, ref, model = mlr_instance
-        rep1, _ = check_lemma_bounds(ds, ref, model, beta=0.0, c_ini=0.01, trials=3, seed=2)
+        constants = estimate_constants(ds, ref, model)
+        rep1, _ = check_lemma_bounds(
+            ds, ref, model, constants, beta=0.0, c_ini=0.01, trials=3, seed=2
+        )
         # the own-region bound collapses to p >= 1/k, met with equality by
         # uniform weights
         assert not rep1.bound_vacuous
         assert rep1.violations == 0
         assert abs(rep1.worst_margin) <= 1e-12
-
-    def test_one_region_partition_per_sweep(self, mlr_instance, monkeypatch):
-        import softmix.verify as verify_module
-        from softmix.theory import estimate_constants, partition_regions
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return partition_regions(*args, **kwargs)
-
-        monkeypatch.setattr(verify_module, "partition_regions", counted)
-        ds, ref, model = mlr_instance
-        rep1, rep2 = check_lemma_bounds(ds, ref, model, beta=5.0, c_ini=0.01, trials=3, seed=4)
-        assert len(calls) == 1
-        regions, _, fmat = partition_regions(ds, ref, model)
-        shared = verify_module._region_constants(ds, ref, model, regions, fmat)
-        assert shared == estimate_constants(ds, ref, model)
-        assert rep1.checked + rep2.checked == 3 * ds.n * ref.k  # no ties here
 
     @pytest.mark.parametrize("margin", [0.0, 1.69], ids=["no_margin", "margin"])
     @pytest.mark.parametrize("norm", [0.3, 1.0, 3.0, 10.0])
@@ -178,7 +169,10 @@ class TestLemmaSweeps:
         )
         ds, ref = generate(spec)
         model = certify(LossModel("ridge", lam=1e-3), ds)
-        own, cross = check_lemma_bounds(ds, ref, model, beta=1.0, c_ini=0.1, trials=200, seed=11)
+        constants = estimate_constants(ds, ref, model)
+        own, cross = check_lemma_bounds(
+            ds, ref, model, constants, beta=1.0, c_ini=0.1, trials=200, seed=11
+        )
         assert not own.bound_vacuous and own.checked == cross.checked == 200 * ds.n
         assert own.violations == 0 and cross.violations == 0
 
@@ -192,7 +186,10 @@ class TestLemmaSweeps:
         ds = DataSet(X, y)
         ref = ParamSet([[1.0, 0.1], [0.9, -0.1]])
         model = certify(LossModel("ridge", lam=1e-3), ds)
-        rep1, _ = check_lemma_bounds(ds, ref, model, beta=1e5, c_ini=0.1, trials=2, seed=0)
+        constants = estimate_constants(ds, ref, model)
+        rep1, _ = check_lemma_bounds(
+            ds, ref, model, constants, beta=1e5, c_ini=0.1, trials=2, seed=0
+        )
         assert rep1.bound_vacuous
         assert rep1.violations == 0
 
@@ -205,7 +202,10 @@ class TestLemmaSweeps:
         ds = DataSet(X, X[:, 0] + 0.5 * rng.standard_normal(60))
         ref = ParamSet([[1.0, 0.1], [0.9, -0.1]])
         model = certify(LossModel("ridge", lam=1e-3), ds)
-        reports = check_lemma_bounds(ds, ref, model, beta=1e5, c_ini=0.1, trials=2, seed=0)
+        constants = estimate_constants(ds, ref, model)
+        reports = check_lemma_bounds(
+            ds, ref, model, constants, beta=1e5, c_ini=0.1, trials=2, seed=0
+        )
         for report in reports:
             assert report.bound_vacuous and report.checked > 0
             assert report.violations == 0 and math.isnan(report.worst_margin)
@@ -218,30 +218,35 @@ class TestStepDecomposition:
     def test_single_component_has_no_cross_term(self, tiny_ridge):
         ds, model = tiny_ridge
         params = ParamSet([[0.3]])
-        dec = step_decomposition(params, ds, model, self._em(0.1), ParamSet([[0.8]]))
+        ref = ParamSet([[0.8]])
+        constants = estimate_constants(ds, ref, model)
+        dec = step_decomposition(params, ds, model, self._em(0.1), ref, constants)
         assert dec.T2 == 0.0
         assert dec.total <= dec.T1 + dec.T2 + 1e-12
 
     def test_zero_step_reduces_to_distance(self, mlr_instance):
         ds, ref, model = mlr_instance
         params = ParamSet(ref.thetas + [[0.2, 0.0], [0.0, -0.1]])
-        dec = step_decomposition(params, ds, model, self._em(0.0), ref)
+        constants = estimate_constants(ds, ref, model)
+        dec = step_decomposition(params, ds, model, self._em(0.0), ref, constants)
         assert dec.T1 == pytest.approx(0.2, rel=1e-12)
         assert dec.T2 == 0.0
         assert dec.total == pytest.approx(0.2, rel=1e-12)
 
     def test_gamma_none_raises_naming_gamma(self, mlr_instance):
         ds, ref, model = mlr_instance
+        params, constants = ParamSet(ref.thetas + 0.1), estimate_constants(ds, ref, model)
         with pytest.raises(ValueError, match="^gamma is None"):
-            step_decomposition(ParamSet(ref.thetas + 0.1), ds, model, self._em(None), ref)
+            step_decomposition(params, ds, model, self._em(None), ref, constants)
 
     def test_triangle_inequality_on_random_instances(self, mlr_instance):
         ds, ref, model = mlr_instance
         rng = np.random.default_rng(7)
         gamma = 0.1
+        constants = estimate_constants(ds, ref, model)
         for _ in range(25):
             params = ParamSet(ref.thetas + 0.2 * rng.standard_normal(ref.thetas.shape))
-            dec = step_decomposition(params, ds, model, self._em(gamma), ref)
+            dec = step_decomposition(params, ds, model, self._em(gamma), ref, constants)
             assert dec.total <= dec.T1 + dec.T2 + 1e-12
 
     def test_weights_formed_once(self, mlr_instance, monkeypatch):
@@ -259,5 +264,6 @@ class TestStepDecomposition:
             monkeypatch.setattr(module, "weight_matrix", counted)
         ds, ref, model = mlr_instance
         params = ParamSet(ref.thetas + [[0.2, 0.0], [0.0, -0.1]])
-        step_decomposition(params, ds, model, self._em(0.1), ref)
+        constants = estimate_constants(ds, ref, model)
+        step_decomposition(params, ds, model, self._em(0.1), ref, constants)
         assert len(calls) == 1

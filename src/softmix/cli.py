@@ -86,7 +86,7 @@ def _cmd_bounds(args) -> int:
     # repetition 0's bound needs its starting distances, not its EM run
     context = repetition_context(config, 0)
     _, d0 = align_to_reference(context.init, context.reference)
-    quantities = theory_at(config, context, d0)
+    quantities = theory_at(context, d0)
     sys.stdout.write("constants:  " + _format_constants(context.constants) + "\n")
     sys.stdout.write("quantities: " + _format_quantities(quantities) + "\n")
     sys.stdout.write(

@@ -47,8 +47,8 @@ INIT_MODES = (PERTURB_REFERENCE, EXPLICIT, RANDOM_BALL)
 REFERENCE_MODES = ("truth", "multistart")
 
 # fields that the run sets, not config keys: certify() sets a LossModel's
-# m, M and domain_radius, and each repetition its EMConfig's seed
-NOT_KEYS = {LossModel: ("m", "M", "domain_radius"), EMConfig: ("seed",)}
+# m and M, and each repetition its EMConfig's seed
+NOT_KEYS = {LossModel: ("m", "M"), EMConfig: ("seed",)}
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,6 @@ class ExperimentConfig:
     lemma_trials: int = 20
     repetitions: int = 1
     seed: int = 0
-    c_universal: float = 1.0
     output_dir: str = "softmix-out"
 
     def __post_init__(self):
@@ -115,14 +114,10 @@ class ExperimentConfig:
             raise ConfigError("em.gamma must be a finite number > 0 when given")
         if self.reference not in REFERENCE_MODES:
             raise ConfigError(f"reference must be one of {REFERENCE_MODES}")
-        if not (math.isfinite(self.c_universal) and self.c_universal > 0):
-            raise ConfigError("c_universal must be a finite number > 0")
         if self.lemma_trials < 1:
             raise ConfigError("lemma_trials must be >= 1")
         if self.checks.lemmas and math.isinf(self.em.beta):
             raise ConfigError("checks.lemmas requires a finite em.beta")
-        if self.checks.lemmas and not 0.0 < (self.init.c_ini or 0.0) < 1.0:
-            raise ConfigError("checks.lemmas requires init.c_ini in (0, 1), the radius it sweeps")
         if isinstance(self.data, GenSpec):
             check_data(self, self.data.n, self.data.d, self.data.k, "data")
         elif self.reference == "truth":

@@ -199,14 +199,14 @@ def _build_init(config: ExperimentConfig, reference: ParamSet, seed: int) -> Par
     return ParamSet(reference.thetas + radii[:, None] * offsets)
 
 
-def theory_at(config: ExperimentConfig, context: RepetitionContext, d0: np.ndarray):
+def theory_at(context: RepetitionContext, d0: np.ndarray):
     """The theorem's quantities for a run starting at aligned distances
-    ``d0``, at the absolute start radius ``max(d0)``; None at beta = inf."""
+    ``d0``; None at beta = inf."""
     if math.isinf(context.em.beta):
         return None
     return theorem_quantities(
-        context.constants, context.model, context.em.beta, float(np.max(d0)),
-        context.em.gamma, d0, context.em.iterations, config.c_universal,
+        context.constants, context.model, context.em.beta, context.em.gamma, d0,
+        context.em.iterations,
     )
 
 
@@ -224,17 +224,17 @@ def run_repetition(
     fitted, trace = run_gradient_em(
         context.init, context.dataset, context.model, context.em, reference=context.reference
     )
-    quantities = theory_at(config, context, trace.distances[0])
+    quantities = theory_at(context, trace.distances[0])
     return RepetitionResult(
         rep, context.seed, context.em.gamma, fitted, trace, context.constants, quantities
     ), context
 
 
 def _run_checks(
-    config: ExperimentConfig, context: RepetitionContext, fitted: ParamSet
+    config: ExperimentConfig, context: RepetitionContext, result: RepetitionResult
 ) -> List[CheckResult]:
     """The enabled checks, on repetition 0's data and reference (``context``)
-    and its fitted ParamSet."""
+    and its records (``result``)."""
     results: List[CheckResult] = []
     dataset, model, reference = context.dataset, context.model, context.reference
     beta, constants = config.em.beta, context.constants
@@ -251,7 +251,7 @@ def _run_checks(
 
     if config.checks.lemmas:
         rep1, rep2 = check_lemma_bounds(
-            dataset, reference, model, constants, beta=beta, c_ini=config.init.c_ini,
+            dataset, reference, model, constants, beta=beta, radii=result.trace.distances[0],
             trials=config.lemma_trials, seed=context.seed,
         )
         bad = sum(r.violations for r in (rep1, rep2) if not r.bound_vacuous)
@@ -272,7 +272,7 @@ def _run_checks(
         grid = CHECK_GRID
         best = brute_force_minimize(dataset, model, beta, reference.k, grid)
         bf_loss = empirical_loss(best, dataset, model, beta)
-        em_loss = empirical_loss(fitted, dataset, model, beta)
+        em_loss = empirical_loss(result.fitted, dataset, model, beta)
         cell = (grid.hi - grid.lo) / (grid.points - 1)
         shifted = ParamSet(best.thetas + cell)
         slack = 2.0 * abs(empirical_loss(shifted, dataset, model, beta) - bf_loss)
@@ -299,7 +299,7 @@ def _format_quantities(q: Optional[TheoremQuantities]) -> str:
     contraction = "vacuous" if q.contraction is None else f"{q.contraction:.6g}"
     return (
         f"eta={q.eta:.6g} eta_prime={q.eta_prime:.6g} zeta={q.zeta:.6g} "
-        f"contraction={contraction} c_universal={q.c_universal:.6g}"
+        f"contraction={contraction}"
     )
 
 
@@ -351,7 +351,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     results = [result]
     for rep in range(1, config.repetitions):
         results.append(run_repetition(config, rep, first)[0])
-    checks = _run_checks(config, first, result.fitted)
+    checks = _run_checks(config, first, result)
     report = ExperimentReport(
         config=config,
         repetitions=results,

@@ -152,15 +152,13 @@ FAMILIES = {
 class LossModel:
     """A base loss family with regularization weight and certified constants.
 
-    ``m``, ``M`` and ``domain_radius`` are ``None`` until :func:`certify` has
-    been run against a dataset; ``domain_radius`` records the covariate-norm
-    bound those constants were certified for.
+    ``m`` and ``M`` are ``None`` until :func:`certify` has been run against a
+    dataset.
     """
 
     family: str
     lam: float = 0.0
     link: Optional[LinkFunction] = None
-    domain_radius: Optional[float] = None
     m: Optional[float] = None
     M: Optional[float] = None
 
@@ -249,7 +247,7 @@ def certify(model: LossModel, dataset: DataSet) -> LossModel:
             f"{model.family} loss is not strongly convex on this dataset "
             f"(m = {m:.6g} at lam = {model.lam:g})"
         )
-    return dataclasses.replace(model, m=m, M=M, domain_radius=math.sqrt(r_sq))
+    return dataclasses.replace(model, m=m, M=M)
 
 
 def mean_smoothness(model: LossModel, dataset: DataSet) -> float:

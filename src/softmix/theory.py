@@ -35,8 +35,11 @@ class ProblemConstants:
     epsilon1: float
     delta: float
     pi_min: float
-    region_sizes: tuple
     regions: tuple = field(compare=False, repr=False)
+
+    @property
+    def region_sizes(self) -> tuple:
+        return tuple(len(r) for r in self.regions)
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,6 @@ class TheoremQuantities:
     eta_prime: float
     zeta: float
     contraction: Optional[float]
-    c_universal: float = 1.0
     bound: Optional[float] = None
 
     def within(self, final: float) -> Optional[bool]:
@@ -105,7 +107,6 @@ def estimate_constants(
         epsilon1=epsilon1,
         delta=delta,
         pi_min=min(sizes) / len(dataset),
-        region_sizes=tuple(sizes),
         regions=tuple(regions),
     )
 
@@ -120,10 +121,10 @@ def _exp(z: float) -> float:
 
 
 def compute_eta(
-    constants: ProblemConstants, beta: float, c_ini: float, model: LossModel, k: int
+    constants: ProblemConstants, beta: float, radius: float, model: LossModel, k: int
 ) -> float:
-    """Weight deficit bound: on its own region the correct component's
-    soft-min weight is at least 1 - eta."""
+    """Weight deficit bound: within distance ``radius`` of the reference, on its
+    own region the correct component's soft-min weight is at least 1 - eta."""
     if not model.is_certified:
         raise ValueError("model must carry certified constants")
     if math.isinf(beta):
@@ -131,21 +132,22 @@ def compute_eta(
     if beta == 0.0:
         return 1.0 - 1.0 / k
     M = model.M
-    num = _exp(-beta * (constants.epsilon + constants.epsilon1 * c_ini + 0.5 * M * c_ini ** 2))
+    num = _exp(-beta * (constants.epsilon + constants.epsilon1 * radius + 0.5 * M * radius ** 2))
     if k == 1:
         den = 1.0
     else:
         den = 1.0 + (k - 1) * _exp(
-            -beta * (constants.delta - (constants.epsilon1 + 2.0 * M) * c_ini)
+            -beta * (constants.delta - (constants.epsilon1 + 2.0 * M) * radius)
         )
     return 1.0 - num / den
 
 
 def compute_eta_prime(
-    constants: ProblemConstants, beta: float, c_ini: float, model: LossModel
+    constants: ProblemConstants, beta: float, radius: float, model: LossModel
 ) -> float:
-    """Weight leak bound: outside its region a component's soft-min weight is
-    at most eta'.  Values above 1 mark a vacuous regime."""
+    """Weight leak bound: within distance ``radius`` of the reference, outside its
+    region a component's soft-min weight is at most eta'.  Values above 1
+    mark a vacuous regime."""
     if not model.is_certified:
         raise ValueError("model must carry certified constants")
     if math.isinf(beta):
@@ -155,10 +157,10 @@ def compute_eta_prime(
     M = model.M
     exponent = -beta * (
         constants.delta
-        - (constants.epsilon1 + 2.0 * M) * c_ini
+        - (constants.epsilon1 + 2.0 * M) * radius
         - constants.epsilon
-        - constants.epsilon1 * c_ini
-        - 0.5 * M * c_ini ** 2
+        - constants.epsilon1 * radius
+        - 0.5 * M * radius ** 2
     )
     return _exp(exponent)
 
@@ -166,31 +168,29 @@ def compute_eta_prime(
 def compute_error_floor(
     constants: ProblemConstants,
     gamma: float,
-    c_ini: float,
+    radius: float,
     eta_prime: float,
     model: LossModel,
 ) -> float:
     """Additive error floor zeta of the one-step contraction bound."""
-    if gamma < 0 or c_ini < 0 or eta_prime < 0:
+    if gamma < 0 or radius < 0 or eta_prime < 0:
         raise ValueError("inputs must be nonnegative")
     if not model.is_certified:
         raise ValueError("model must carry certified constants")
     e1 = constants.epsilon1
     return (
         gamma * e1
-        + math.sqrt(gamma * e1 * c_ini)
-        + gamma * eta_prime * (2.0 + e1 + model.M * c_ini)
+        + math.sqrt(gamma * e1 * radius)
+        + gamma * eta_prime * (2.0 + e1 + model.M * radius)
     )
 
 
-def compute_contraction(
-    gamma: float, pi_min: float, m: float, eta: float, c_universal: float = 1.0
-) -> Optional[float]:
-    """One-step contraction factor (1 - c * gamma * pi_min * m * (1 - eta))^(1/2);
+def compute_contraction(gamma: float, pi_min: float, m: float, eta: float) -> Optional[float]:
+    """One-step contraction factor (1 - gamma * pi_min * m * (1 - eta))^(1/2);
     None (vacuous) when eta >= 1, when the step is too large for the bound,
-    c * gamma * pi_min * m * (1 - eta) >= 1, or when the factor rounds to
+    gamma * pi_min * m * (1 - eta) >= 1, or when the factor rounds to
     1.0 and so contracts nothing (a zero step, or 1 - eta below rounding)."""
-    inner = c_universal * gamma * pi_min * m * (1.0 - eta)
+    inner = gamma * pi_min * m * (1.0 - eta)
     if eta >= 1.0 or inner >= 1.0:
         return None
     r = math.sqrt(1.0 - inner)
@@ -220,27 +220,25 @@ def theorem_quantities(
     constants: ProblemConstants,
     model: LossModel,
     beta: float,
-    c_ini: float,
     gamma: float,
     d0,
-    T: Optional[int] = None,
-    c_universal: float = 1.0,
+    T: int,
 ) -> TheoremQuantities:
     """The quantities for a run of T iterations from aligned distances ``d0``,
-    one per component (k = len(d0)), at absolute start radius ``c_ini``.  An
-    integer ``d0`` is k, with no bound.
+    one per component (k = len(d0)), at the absolute start radius
+    c = max(d0).
 
     The one place that decides whether the theorem applies: ``bound`` is the
     max over components of :func:`predicted_distance_bound` when there is a
-    contraction, eta' <= 1, zeta is finite and T is given, and None otherwise.
+    contraction, eta' <= 1 and zeta is finite, and None otherwise.
     """
     d0 = np.asarray(d0, dtype=np.float64)
-    k = len(d0) if d0.ndim else int(d0)
-    eta = compute_eta(constants, beta, c_ini, model, k)
-    eta_prime = compute_eta_prime(constants, beta, c_ini, model)
-    zeta = compute_error_floor(constants, gamma, c_ini, eta_prime, model)
-    contraction = compute_contraction(gamma, constants.pi_min, model.m, eta, c_universal)
+    c = float(np.max(d0))
+    eta = compute_eta(constants, beta, c, model, len(d0))
+    eta_prime = compute_eta_prime(constants, beta, c, model)
+    zeta = compute_error_floor(constants, gamma, c, eta_prime, model)
+    contraction = compute_contraction(gamma, constants.pi_min, model.m, eta)
     bound = None
-    if contraction is not None and eta_prime <= 1.0 and math.isfinite(zeta) and T is not None:
+    if contraction is not None and eta_prime <= 1.0 and math.isfinite(zeta):
         bound = float(np.max(predicted_distance_bound(d0, contraction, zeta, T)))
-    return TheoremQuantities(eta, eta_prime, zeta, contraction, c_universal, bound)
+    return TheoremQuantities(eta, eta_prime, zeta, contraction, bound)

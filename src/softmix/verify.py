@@ -143,22 +143,22 @@ def check_lemma_bounds(
     model: LossModel,
     constants: ProblemConstants,
     beta: float,
-    c_ini: float,
+    radii,
     trials: int,
     seed: int,
 ) -> tuple[LemmaReport, LemmaReport]:
-    """Sweep random ParamSets in the initialization ball (radius
-    ``c_ini * ||theta*_j||`` about each reference component) and compare
+    """Sweep random ParamSets in the start's ball (radius ``radii[j]`` about
+    reference component j: the start's aligned distances) and compare
     measured soft-min weights against the closed-form bounds, taken at the
-    ball's absolute radius ``max_j c_ini * ||theta*_j||``.  ``constants`` are
-    the instance's, from :func:`~softmix.theory.estimate_constants`.
+    theorem's start radius ``max(radii)``.  ``constants`` are the instance's,
+    from :func:`~softmix.theory.estimate_constants`.
 
     Returns (own-region report, other-region report): own-region weights must
     be >= 1 - eta, cross-region weights <= eta'.  Tie samples are skipped.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    radii = c_ini * np.linalg.norm(reference.thetas, axis=1)
+    radii = np.asarray(radii, dtype=np.float64)
     c = float(np.max(radii))
     eta = compute_eta(constants, beta, c, model, reference.k)
     eta_prime = compute_eta_prime(constants, beta, c, model)

@@ -137,12 +137,8 @@ def test_criterion_02_error_floor_scaling():
             floors[amp].append(trace.final_distance())
 
             constants = estimate_constants(dataset, truth, model)
-            norms = np.linalg.norm(truth.thetas, axis=1)
             d0 = trace.distances[0]
-            c_eff = float(np.max(d0 / norms))
-            q = theorem_quantities(
-                constants, model, 10.0, c_eff, gamma, 2, c_universal=1.0
-            )
+            q = theorem_quantities(constants, model, 10.0, gamma, d0, 30)
             assert q.contraction is not None  # bound must be nonvacuous
             bound = float(
                 np.max(predicted_distance_bound(d0, q.contraction, q.zeta, 30))
@@ -184,14 +180,14 @@ def test_criterion_03_lemma_validation():
     model = certify(LossModel(RIDGE, lam=1e-3), dataset)
     constants = estimate_constants(dataset, truth, model)
     rep1, rep2 = check_lemma_bounds(
-        dataset, truth, model, constants, beta=5.0, c_ini=0.01, trials=100, seed=0
+        dataset, truth, model, constants, beta=5.0, radii=[0.01, 0.01], trials=100, seed=0
     )
     nonvacuous = not rep1.bound_vacuous and not rep2.bound_vacuous
     clean = rep1.violations == 0 and rep2.violations == 0
 
     # beta = 0: the own-region bound collapses to p >= 1/k with equality
     edge1, _ = check_lemma_bounds(
-        dataset, truth, model, constants, beta=0.0, c_ini=0.01, trials=5, seed=1
+        dataset, truth, model, constants, beta=0.0, radii=[0.01, 0.01], trials=5, seed=1
     )
     exact = edge1.violations == 0 and abs(edge1.worst_margin) <= 1e-12
     elapsed = time.perf_counter() - start

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import softmix
 import softmix.experiment as experiment
 import softmix.theory as theory
+import softmix.verify as verify
 from softmix.cli import main
 from softmix.config import (
     INIT_MODES,
@@ -120,6 +121,37 @@ AGNOSTIC = textwrap.dedent(
     """
 )
 
+# the error-floor instance from a start in the ball of radius 0.02, where
+# eta' <= 1; at the default init.c_ini = 0.2 (a radius of 0.2) eta' exceeds 1
+RANDOM_BALL_LEMMAS = textwrap.dedent(
+    """
+    data:
+      kind: agnostic_piecewise
+      k: 2
+      d: 4
+      n: 6000
+      covariate: uniform_ball
+      cov_scale: 1.5
+      margin: 1.44
+      perturb_amplitude: 0.05
+      truth: [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
+    loss:
+      family: ridge
+      lam: 0.001
+    em:
+      iterations: 30
+      beta: 10.0
+      resample: true
+    init:
+      mode: random_ball
+      radius: 0.02
+    checks:
+      lemmas: true
+    repetitions: 1
+    seed: 100
+    """
+)
+
 # d = 1, k = 2: small enough for the brute-force grid of the check
 BRUTE_FORCE = textwrap.dedent(
     """
@@ -180,8 +212,6 @@ MISTYPED = [
     ("beta: 2.0", "beta: 2.0\n  gamma: -1", "em.gamma"),
     ("", "init:\n  c_ini: [0.1]", "init.c_ini"),
     ("", "checks:\n  lemmas: 1", "checks.lemmas"),
-    ("", "c_universal: -1", "c_universal"),
-    ("", "c_universal: .inf", "c_universal"),
     ("", "lemma_trials: 0", "lemma_trials"),
 ]
 
@@ -262,7 +292,7 @@ def _configs(draw):
     if isinstance(data, GenSpec) and d * k > 2:  # over the grid budget
         checks.discard("brute_force")
     beta = draw(st.just(math.inf) | st.floats(0.0, 1e3))
-    if math.isinf(beta) or init.c_ini is None:  # the lemma sweep needs both
+    if math.isinf(beta):  # the lemma sweep needs a finite beta
         checks.discard("lemmas")
     resample = draw(st.booleans())
     # resampling takes one fold of generated data per iteration
@@ -284,7 +314,6 @@ def _configs(draw):
         lemma_trials=draw(st.integers(1, 100)),
         repetitions=draw(st.integers(1, 50)),
         seed=draw(st.integers(0, 2 ** 40)),
-        c_universal=draw(_floats),
         output_dir=draw(_text),
     )
 
@@ -300,6 +329,19 @@ def _counted(monkeypatch, name):
 
     monkeypatch.setattr(experiment, name, wrapper)
     return calls
+
+
+def _returned(monkeypatch, module, name):
+    """Replace ``module.<name>`` by a wrapper that records what it returns."""
+    values = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        values.append(original(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return values
 
 
 def _counted_everywhere(monkeypatch, module, name):
@@ -552,11 +594,8 @@ class TestExperimentDriver:
         (check,) = report.checks
         assert check.passed
         # the reused fit must give what a fresh fit of repetition 0 gives
-        context = repetition_context(cfg, 0)
-        fitted, _ = run_gradient_em(
-            context.init, context.dataset, context.model, context.em, reference=context.reference
-        )
-        (fresh,) = experiment._run_checks(cfg, context, fitted)
+        result, context = run_repetition(cfg, 0)
+        (fresh,) = experiment._run_checks(cfg, context, result)
         assert check.detail == fresh.detail
 
 
@@ -764,6 +803,30 @@ class TestCLI:
         assert main(["run", config]) == 0
         assert "success_frequency: n/a" in capsys.readouterr().out
 
+    def test_lemma_check_tests_the_weight_bounds_of_the_theorem(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        quantities = _returned(monkeypatch, experiment, "theory_at")
+        etas = _returned(monkeypatch, verify, "compute_eta")
+        eta_primes = _returned(monkeypatch, verify, "compute_eta_prime")
+        config = self._write(tmp_path, "cfg.yaml", RANDOM_BALL_LEMMAS)
+        assert main(["run", config, "-o", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "check lemmas: PASS (" in out
+        assert "cross-region: 0/120000 (vacuous=False)" in out
+        (q,) = quantities
+        assert q.bound is not None
+        assert etas == [q.eta] and eta_primes == [q.eta_prime]
+
+    def test_lemma_check_runs_from_an_explicit_start_without_c_ini(self, tmp_path, capsys):
+        text = TWO_COMPONENT.replace(
+            "mode: perturb_reference\n  c_ini: 0.1",
+            "mode: explicit\n  c_ini: null\n  thetas: [[0.95, 0.05], [-1.0, -0.05]]",
+        )
+        config = self._write(tmp_path, "cfg.yaml", text + "checks:\n  lemmas: true\n")
+        assert main(["run", config, "-o", str(tmp_path / "out")]) == 0
+        assert "check lemmas: PASS (" in capsys.readouterr().out
+
     def test_check_gradients_subcommand(self, tmp_path):
         spec = self._write(tmp_path, "loss.yaml", "family: logistic\nlam: 0.01\nd: 3\n")
         assert main(["check-gradients", spec, "--trials", "50"]) == 0
@@ -868,7 +931,8 @@ class TestCLI:
         assert "PASS" not in captured.out
 
     @pytest.mark.parametrize("line, message", [
-        ("c_universal: -1", "c_universal must be a finite number > 0"),
+        # the contraction's universal constant is 1; it is not a config key
+        ("c_universal: 1", "unknown keys in config: c_universal"),
         ("lemma_trials: 0", "lemma_trials must be >= 1"),
     ])
     def test_bad_bound_settings_exit_2_before_any_repetition(
@@ -1001,14 +1065,6 @@ class TestCLI:
 
     @pytest.mark.parametrize("edits, message", [
         ([("beta: 10.0", 'beta: "inf"')], "checks.lemmas requires a finite em.beta"),
-        (
-            [("mode: perturb_reference\n  c_ini: 0.1", "mode: random_ball\n  radius: 0.1\n  c_ini:")],
-            "checks.lemmas requires init.c_ini in (0, 1), the radius it sweeps",
-        ),
-        (
-            [("mode: perturb_reference\n  c_ini: 0.1", "mode: random_ball\n  radius: 0.1\n  c_ini: -3")],
-            "checks.lemmas requires init.c_ini in (0, 1), the radius it sweeps",
-        ),
         (
             [("n: 400", "n: 10"), ("resample: false", "resample: true")],
             "em.resample takes one fold per iteration: em.iterations=15 exceeds the 10 rows of data",

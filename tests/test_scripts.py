@@ -72,8 +72,7 @@ def _sweep_level_by_hand(amp, n, reps):
         floors.append(trace.final_distance())
         constants = estimate_constants(dataset, truth, model)
         d0 = trace.distances[0]
-        c_eff = float(np.max(d0 / np.linalg.norm(truth.thetas, axis=1)))
-        q = theorem_quantities(constants, model, 10.0, c_eff, gamma, 2, 1.0)
+        q = theorem_quantities(constants, model, 10.0, gamma, d0, 30)
         if q.contraction is not None:
             bounds.append(float(np.max(predicted_distance_bound(d0, q.contraction, q.zeta, 30))))
             limits.append(q.zeta / (1.0 - q.contraction))

@@ -23,7 +23,7 @@ from softmix.theory import (
 
 
 def _certified(M=3.0, m=1.0):
-    return LossModel("ridge", lam=0.1, m=m, M=M, domain_radius=1.0)
+    return LossModel("ridge", lam=0.1, m=m, M=M)
 
 
 def _constants(epsilon=0.0, epsilon1=0.0, delta=math.inf, pi_min=0.5, sizes=(1, 1)):
@@ -32,8 +32,7 @@ def _constants(epsilon=0.0, epsilon1=0.0, delta=math.inf, pi_min=0.5, sizes=(1, 
         epsilon1=epsilon1,
         delta=delta,
         pi_min=pi_min,
-        region_sizes=sizes,
-        regions=(),
+        regions=tuple(np.arange(size) for size in sizes),
     )
 
 
@@ -173,18 +172,18 @@ class TestEstimateConstants:
 class TestEta:
     def test_hand_value(self):
         c = _constants(delta=math.log(9.0))
-        got = compute_eta(c, beta=1.0, c_ini=0.0, model=_certified(), k=2)
+        got = compute_eta(c, beta=1.0, radius=0.0, model=_certified(), k=2)
         assert got == pytest.approx(0.1, rel=1e-12)
 
     def test_beta_zero_gives_uniform_deficit(self):
         c = _constants(delta=2.0)
         for k in (1, 2, 5):
-            got = compute_eta(c, beta=0.0, c_ini=0.3, model=_certified(), k=k)
+            got = compute_eta(c, beta=0.0, radius=0.3, model=_certified(), k=k)
             assert got == pytest.approx(1.0 - 1.0 / k, rel=1e-15)
 
     def test_single_component_perfect(self):
         c = _constants()
-        assert compute_eta(c, beta=3.0, c_ini=0.0, model=_certified(), k=1) == 0.0
+        assert compute_eta(c, beta=3.0, radius=0.0, model=_certified(), k=1) == 0.0
 
     def test_monotone_in_misspecification_and_radius(self):
         rng = np.random.default_rng(4)
@@ -258,25 +257,25 @@ class TestErrorFloor:
 
 class TestContraction:
     def test_zero_step_no_contraction(self):
-        assert compute_contraction(0.0, 0.5, 1.0, 0.0, 1.0) is None
+        assert compute_contraction(0.0, 0.5, 1.0, 0.0) is None
 
     def test_hand_value(self):
-        got = compute_contraction(0.5, 0.5, 1.0, 0.0, 1.0)
+        got = compute_contraction(0.5, 0.5, 1.0, 0.0)
         assert got == pytest.approx(math.sqrt(0.75), rel=1e-12)
 
     def test_approaches_one_as_eta_saturates(self):
-        got = compute_contraction(0.5, 0.5, 1.0, 1.0 - 1e-9, 1.0)
+        got = compute_contraction(0.5, 0.5, 1.0, 1.0 - 1e-9)
         assert got == pytest.approx(1.0, abs=1e-8)
 
     def test_factor_rounding_to_one_is_vacuous(self):
         # 1 - eta below rounding: sqrt(1 - inner) is exactly 1.0
-        assert compute_contraction(0.5, 0.5, 1.0, 1.0 - 2.0 ** -52, 1.0) is None
+        assert compute_contraction(0.5, 0.5, 1.0, 1.0 - 2.0 ** -52) is None
 
     def test_saturated_eta_rejected(self):
-        assert compute_contraction(0.5, 0.5, 1.0, 1.0, 1.0) is None
+        assert compute_contraction(0.5, 0.5, 1.0, 1.0) is None
 
     def test_overlong_step_rejected(self):
-        assert compute_contraction(3.0, 1.0, 1.0, 0.0, 1.0) is None
+        assert compute_contraction(3.0, 1.0, 1.0, 0.0) is None
 
 
 class TestDistanceBound:
@@ -308,25 +307,25 @@ class TestBundle:
         model = certify(LossModel("ridge", lam=1e-3), ds)
         c = estimate_constants(ds, ref, model)
         d0 = np.array([0.01, 0.005])
-        q = theorem_quantities(c, model, beta=5.0, c_ini=0.01, gamma=0.05, d0=d0, c_universal=1.0)
+        # the start radius is the largest start distance, 0.01
+        q = theorem_quantities(c, model, beta=5.0, gamma=0.05, d0=d0, T=30)
         assert q.eta == compute_eta(c, 5.0, 0.01, model, 2)
         assert q.eta_prime == compute_eta_prime(c, 5.0, 0.01, model)
         assert q.zeta == compute_error_floor(c, 0.05, 0.01, q.eta_prime, model)
         assert q.contraction is not None and 0.0 < q.contraction < 1.0
-        assert q.eta < 1.0 and q.eta_prime <= 1.0 and q.bound is None  # no T given
+        assert q.eta < 1.0 and q.eta_prime <= 1.0 and q.bound is not None
 
     def test_bound_is_the_worst_component_and_within_reads_it(self, mlr_instance):
         ds, ref, _ = mlr_instance
         model = certify(LossModel("ridge", lam=1e-3), ds)
         c = estimate_constants(ds, ref, model)
         d0 = np.array([0.01, 0.005])
-        q = theorem_quantities(c, model, 5.0, 0.01, 0.05, d0, 30, 1.0)
+        q = theorem_quantities(c, model, 5.0, 0.05, d0, 30)
         assert q.bound == float(np.max(predicted_distance_bound(d0, q.contraction, q.zeta, 30)))
         assert q.within(q.bound) is True and q.within(2.0 * q.bound) is False
-        assert theorem_quantities(c, model, 5.0, 0.01, 0.05, d0).bound is None
-        assert theorem_quantities(c, model, 5.0, 0.01, 0.05, 2).eta == q.eta
-        # at c = 0.2 the contraction stands but eta' > 1: the theorem does not apply
-        leaky = theorem_quantities(c, model, 5.0, 0.2, 0.05, d0, 30, 1.0)
+        # from a start at distance 0.2 the contraction stands but eta' > 1:
+        # the theorem does not apply
+        leaky = theorem_quantities(c, model, 5.0, 0.05, np.array([0.2, 0.005]), 30)
         assert leaky.contraction is not None and leaky.eta_prime > 1.0
         assert leaky.bound is None and leaky.within(0.0) is None
 
@@ -340,22 +339,20 @@ class TestBundle:
         m_share=st.floats(0.0, 1.0),
         beta=st.floats(0.0, 50.0),
         gamma=st.floats(0.0, 3.0),
-        c=st.floats(0.0, 2.0),
         d0=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
-        T=st.none() | st.integers(0, 200),
+        T=st.integers(0, 200),
     )
     def test_bound_is_evaluated_exactly_where_the_theorem_applies(
-        self, epsilon, epsilon1, delta, pi_min, M, m_share, beta, gamma, c, d0, T
+        self, epsilon, epsilon1, delta, pi_min, M, m_share, beta, gamma, d0, T
     ):
         constants = _constants(epsilon, epsilon1, delta, pi_min)
         model = _certified(M=M, m=m_share * M)
-        q = theorem_quantities(constants, model, beta, c, gamma, np.array(d0), T)
+        q = theorem_quantities(constants, model, beta, gamma, np.array(d0), T)
         applies = (
             q.contraction is not None
             and q.eta < 1.0
             and q.eta_prime <= 1.0
             and math.isfinite(q.zeta)
-            and T is not None
         )
         if applies:
             assert math.isfinite(q.bound) and q.within(q.bound) is True

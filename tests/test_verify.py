@@ -128,7 +128,7 @@ class TestLemmaSweeps:
         ds, ref, model = mlr_instance
         constants = estimate_constants(ds, ref, model)
         rep1, rep2 = check_lemma_bounds(
-            ds, ref, model, constants, beta=5.0, c_ini=1e-12, trials=5, seed=0
+            ds, ref, model, constants, beta=5.0, radii=[1e-12, 1e-12], trials=5, seed=0
         )
         assert not rep1.bound_vacuous and not rep2.bound_vacuous
         assert rep1.violations == 0 and rep2.violations == 0
@@ -138,7 +138,7 @@ class TestLemmaSweeps:
         ds, ref, model = mlr_instance
         constants = estimate_constants(ds, ref, model)
         rep1, rep2 = check_lemma_bounds(
-            ds, ref, model, constants, beta=5.0, c_ini=0.01, trials=30, seed=1
+            ds, ref, model, constants, beta=5.0, radii=[0.01, 0.01], trials=30, seed=1
         )
         assert rep1.violations == 0 and rep2.violations == 0
         assert rep1.checked + rep2.checked >= 10_000
@@ -147,7 +147,7 @@ class TestLemmaSweeps:
         ds, ref, model = mlr_instance
         constants = estimate_constants(ds, ref, model)
         rep1, _ = check_lemma_bounds(
-            ds, ref, model, constants, beta=0.0, c_ini=0.01, trials=3, seed=2
+            ds, ref, model, constants, beta=0.0, radii=[0.01, 0.01], trials=3, seed=2
         )
         # the own-region bound collapses to p >= 1/k, met with equality by
         # uniform weights
@@ -158,9 +158,9 @@ class TestLemmaSweeps:
     @pytest.mark.parametrize("margin", [0.0, 1.69], ids=["no_margin", "margin"])
     @pytest.mark.parametrize("norm", [0.3, 1.0, 3.0, 10.0])
     def test_bounds_hold_at_every_reference_norm(self, norm, margin):
-        # the bounds take the ball's absolute radius c_ini * ||theta*||; at the
-        # relative radius c_ini, ||theta*|| = 10 broke the own-region bound and
-        # ||theta*|| = 3 with a margin broke the cross-region one
+        # the bounds take the ball's radius 0.1 * ||theta*|| as it is; read
+        # relative to ||theta*||, it would understate the ball and break the
+        # own-region bound at ||theta*|| = 10 and the cross-region one at 3
         truth = ParamSet([[norm, 0.0], [-norm, 0.0]])
         spec = GenSpec(
             kind="generative_mlr", k=2, d=2, n=300, noise_sigma=0.0,
@@ -171,7 +171,7 @@ class TestLemmaSweeps:
         model = certify(LossModel("ridge", lam=1e-3), ds)
         constants = estimate_constants(ds, ref, model)
         own, cross = check_lemma_bounds(
-            ds, ref, model, constants, beta=1.0, c_ini=0.1, trials=200, seed=11
+            ds, ref, model, constants, beta=1.0, radii=[0.1 * norm] * 2, trials=200, seed=11
         )
         assert not own.bound_vacuous and own.checked == cross.checked == 200 * ds.n
         assert own.violations == 0 and cross.violations == 0
@@ -188,7 +188,7 @@ class TestLemmaSweeps:
         model = certify(LossModel("ridge", lam=1e-3), ds)
         constants = estimate_constants(ds, ref, model)
         rep1, _ = check_lemma_bounds(
-            ds, ref, model, constants, beta=1e5, c_ini=0.1, trials=2, seed=0
+            ds, ref, model, constants, beta=1e5, radii=[0.1, 0.1], trials=2, seed=0
         )
         assert rep1.bound_vacuous
         assert rep1.violations == 0
@@ -204,7 +204,7 @@ class TestLemmaSweeps:
         model = certify(LossModel("ridge", lam=1e-3), ds)
         constants = estimate_constants(ds, ref, model)
         reports = check_lemma_bounds(
-            ds, ref, model, constants, beta=1e5, c_ini=0.1, trials=2, seed=0
+            ds, ref, model, constants, beta=1e5, radii=[0.1, 0.1], trials=2, seed=0
         )
         for report in reports:
             assert report.bound_vacuous and report.checked > 0

@@ -95,7 +95,6 @@ class ExperimentConfig:
     init: InitSpec = InitSpec()
     reference: str = "truth"
     checks: Checks = Checks()
-    lemma_trials: int = 20
     repetitions: int = 1
     seed: int = 0
     output_dir: str = "softmix-out"
@@ -114,8 +113,6 @@ class ExperimentConfig:
             raise ConfigError("em.gamma must be a finite number > 0 when given")
         if self.reference not in REFERENCE_MODES:
             raise ConfigError(f"reference must be one of {REFERENCE_MODES}")
-        if self.lemma_trials < 1:
-            raise ConfigError("lemma_trials must be >= 1")
         if self.checks.lemmas and math.isinf(self.em.beta):
             raise ConfigError("checks.lemmas requires a finite em.beta")
         if isinstance(self.data, GenSpec):

@@ -7,9 +7,9 @@ substream, key ``seed * 2**64 + b``.  Within a block the draws are, in order:
 1. ``random(BLOCK)``: one uniform per row picks its component from the
    cumulative mixture weights;
 2. the covariates of every row: ``standard_normal((BLOCK, d))`` (gaussian),
-   ``standard_t(t_dof, (BLOCK, d))`` (student_t, and every heavy_tail_mlr
-   dataset), or the directions ``standard_normal((BLOCK, d))`` followed by
-   the radii ``random(BLOCK)`` (uniform_ball);
+   ``standard_t(t_dof, (BLOCK, d))`` (student_t), or the directions
+   ``standard_normal((BLOCK, d))`` followed by the radii ``random(BLOCK)``
+   (uniform_ball);
 3. when ``margin`` > 0, rounds of redraws: the rows that miss the margin, in
    row order, draw new covariates as in step 2 with BLOCK replaced by their
    count, until every row meets it (at most :data:`MAX_REJECTIONS` draws per
@@ -38,8 +38,7 @@ from .data import DataSet, ParamSet
 GENERATIVE_MLR = "generative_mlr"
 GENERATIVE_LOGISTIC = "generative_logistic"
 AGNOSTIC_PIECEWISE = "agnostic_piecewise"
-HEAVY_TAIL_MLR = "heavy_tail_mlr"
-KINDS = (GENERATIVE_MLR, GENERATIVE_LOGISTIC, AGNOSTIC_PIECEWISE, HEAVY_TAIL_MLR)
+KINDS = (GENERATIVE_MLR, GENERATIVE_LOGISTIC, AGNOSTIC_PIECEWISE)
 
 COVARIATES = ("gaussian", "student_t", "uniform_ball")
 
@@ -125,10 +124,9 @@ def _default_truth(spec: GenSpec) -> ParamSet:
 
 
 def _covariates(rng: Generator, spec: GenSpec, rows: int) -> np.ndarray:
-    cov = "student_t" if spec.kind == HEAVY_TAIL_MLR else spec.covariate
-    if cov == "gaussian":
+    if spec.covariate == "gaussian":
         return spec.cov_scale * rng.standard_normal((rows, spec.d))
-    if cov == "student_t":
+    if spec.covariate == "student_t":
         return spec.cov_scale * rng.standard_t(spec.t_dof, (rows, spec.d))
     return uniform_ball(rng, spec.cov_scale, rows, spec.d)
 
@@ -136,8 +134,7 @@ def _covariates(rng: Generator, spec: GenSpec, rows: int) -> np.ndarray:
 def _check_margin_reachable(truth: np.ndarray, weights: np.ndarray, spec: GenSpec) -> None:
     """On the ball of radius R, <x, theta_l - theta_z>^2 <= R^2 ||theta_l - theta_z||^2;
     raises when that bound rules out a component of positive weight."""
-    bounded = spec.covariate == "uniform_ball" and spec.kind != HEAVY_TAIL_MLR
-    radius = spec.cov_scale if bounded else math.inf
+    radius = spec.cov_scale if spec.covariate == "uniform_ball" else math.inf
     for z in range(spec.k):
         gaps = np.delete(truth - truth[z], z, axis=0)
         closest = np.min(np.sum(gaps * gaps, axis=1), initial=math.inf)
@@ -181,7 +178,7 @@ def _block(spec: GenSpec, b: int, thetas: np.ndarray, cumw: np.ndarray):
             f"{MAX_REJECTIONS} times"
         )
     pred = preds[rows, z]
-    if spec.kind in (GENERATIVE_MLR, HEAVY_TAIL_MLR):
+    if spec.kind == GENERATIVE_MLR:
         labels = pred + spec.noise_sigma * rng.standard_normal(BLOCK)
     elif spec.kind == GENERATIVE_LOGISTIC:
         with np.errstate(over="ignore"):

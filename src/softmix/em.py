@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -66,8 +66,9 @@ class ConvergenceTrace:
         return float(self.max_distances()[-1])
 
 
-def partition_dataset(dataset: DataSet, T: int, seed: int) -> List[DataSet]:
-    """Split into T disjoint folds of size floor(n/T) via a seeded shuffle.
+def partition_dataset(dataset: DataSet, T: int, seed: int) -> np.ndarray:
+    """Row indices of T disjoint folds of size floor(n/T), from a seeded
+    shuffle: fold t is row t of the returned (T, floor(n/T)) array.
 
     Surplus samples (n mod T) are discarded.
     """
@@ -78,9 +79,7 @@ def partition_dataset(dataset: DataSet, T: int, seed: int) -> List[DataSet]:
         raise ValueError(f"need at least T={T} samples, got n={n}")
     fold_size = n // T
     perm = np.random.default_rng(seed).permutation(n)
-    return [
-        dataset.subset(perm[t * fold_size : (t + 1) * fold_size]) for t in range(T)
-    ]
+    return perm[: T * fold_size].reshape(T, fold_size)
 
 
 def gradient_em_step(
@@ -94,7 +93,8 @@ def gradient_em_step(
 
     Weights are computed once from the incoming parameters, unless the caller
     passes them: ``weights`` must then be the first matrix of
-    ``weight_matrix(params, fold, model, config.beta)``.  Every family's
+    ``weight_matrix(params, fold, model, config.beta)``, or the fold's rows of
+    the full data's matrix in the same column-major layout.  Every family's
     per-sample gradient is phi'(<x_i, theta_j>, y_i) x_i + 2 c lam theta_j, so
     the weighted sums of all k components are one product
     ``(phi'(Theta X^T) * W^T) @ X`` of shape (k, d), plus the regularizer term
@@ -225,46 +225,43 @@ def run_gradient_em(
     dataset: DataSet,
     model: LossModel,
     config: EMConfig,
-    reference: Optional[ParamSet] = None,
-) -> tuple[ParamSet, Optional[ConvergenceTrace]]:
-    """Run T gradient EM iterations; with a reference, collect a convergence trace.
+    reference: ParamSet,
+) -> tuple[ParamSet, ConvergenceTrace]:
+    """Run T gradient EM iterations and trace them against ``reference``.
 
-    The trace fills one row of its distance and loss arrays per iterate
+    Each iterate theta_t, t < T, forms one full-data weight matrix: with its
+    base losses it gives the trace's soft-min loss at theta_t, and its fold's
+    rows weight the step out of theta_t (all of it at full batch).  The trace
+    fills one row of its distance and loss arrays per iterate
     theta_0..theta_T: the min-cost aligned component distances and the
     full-data soft-min loss.  theta_T is aligned once, for its distances and
-    the trace's ``alignment``.  A geometric rate is fitted to the max-distance
-    sequence.  A full-batch run takes the loss at theta_t from
-    the weight matrices of the step out of theta_t.  Without a reference
-    nothing is recorded and the trace is ``None``.
+    the trace's ``alignment``.  A geometric rate is fitted to the
+    max-distance sequence.  An untraced fit is :func:`gradient_em_step` in a
+    loop.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     T = config.iterations
     if config.resample:
-        folds = partition_dataset(dataset, T, config.seed)
+        partition = partition_dataset(dataset, T, config.seed)
+        folds = [(dataset.subset(rows), rows) for rows in partition]
     else:
-        folds = None
+        folds = [(dataset, slice(None))] * T
 
     params = init.copy()
-    if reference is not None:
-        distances = np.empty((T + 1, reference.k))
-        losses = np.empty(T + 1)
-    for t in range(T):
-        weights = None  # the previous iteration's matrix goes before the next is formed
-        if reference is not None:
-            if folds is None:
-                # full batch: the step's weights at theta_t also give the trace loss
-                weights, F = weight_matrix(params, dataset, model, config.beta)
-                losses[t] = mean_loss(weights, F)
-                del F
-            else:
-                losses[t] = empirical_loss(params, dataset, model, config.beta)
-            _, distances[t] = align_to_reference(params, reference)
-        fold = folds[t] if folds is not None else dataset
-        params = gradient_em_step(params, fold, model, config, weights)
+    distances = np.empty((T + 1, reference.k))
+    losses = np.empty(T + 1)
+    for t, (fold, rows) in enumerate(folds):
+        weights, F = weight_matrix(params, dataset, model, config.beta)
+        losses[t] = mean_loss(weights, F)
+        del F
+        _, distances[t] = align_to_reference(params, reference)
+        # the step sums each column in memory order, so the fold's rows keep
+        # weight_matrix's column-major layout: a C-ordered copy rounds
+        # differently.  At full batch this is the matrix itself, uncopied.
+        params = gradient_em_step(params, fold, model, config, np.asfortranarray(weights[rows]))
+        del weights  # freed before the next iterate's matrix is formed
 
-    if reference is None:
-        return params, None
     losses[T] = empirical_loss(params, dataset, model, config.beta)
     alignment, distances[T] = align_to_reference(params, reference)
     rate = fit_rate(np.max(distances, axis=1))

@@ -65,8 +65,8 @@ def _perturbed_init(truth: ParamSet, c_ini: float, rng: np.random.Generator) -> 
     return ParamSet(truth.thetas + radii[:, None] * offsets)
 
 
-def _convergence_run(seed: int, kind: str = "generative_mlr", t_dof: int = 5):
-    spec = GenSpec(**{**CONVERGENCE_SPEC, "kind": kind, "t_dof": t_dof, "seed": seed})
+def _convergence_run(seed: int, covariate: str = "gaussian", t_dof: int = 5):
+    spec = GenSpec(**{**CONVERGENCE_SPEC, "covariate": covariate, "t_dof": t_dof, "seed": seed})
     dataset, truth = generate(spec)
     model = certify(LossModel(RIDGE, lam=CONVERGENCE_LAM), dataset)
     gamma = default_step_size(model, dataset)
@@ -259,7 +259,7 @@ def test_criterion_06_single_component_degeneracy():
     em = EMConfig(
         gamma=gamma, iterations=50, beta=3.0, resample=False
     )
-    final, _ = run_gradient_em(init, dataset, model, em)
+    final, _ = run_gradient_em(init, dataset, model, em, reference=init)
 
     theta = np.zeros(3)
     for _ in range(50):
@@ -306,7 +306,7 @@ def test_criterion_08_brute_force_oracle():
     gamma = default_step_size(model, dataset)
     init = ParamSet(truth.thetas + 0.1 * np.random.default_rng(0).standard_normal((2, 1)))
     em = EMConfig(gamma=gamma, iterations=200, beta=cfg, resample=False)
-    final, _ = run_gradient_em(init, dataset, model, em)
+    final, _ = run_gradient_em(init, dataset, model, em, reference=truth)
     em_loss = empirical_loss(final, dataset, model, cfg)
 
     cell = 3.0 / 120
@@ -362,7 +362,7 @@ def test_criterion_09_determinism(tmp_path):
 def test_criterion_10_heavy_tail_robustness():
     successes = 0
     for seed in CONVERGENCE_SEEDS:
-        _, _, _, trace = _convergence_run(seed, kind="heavy_tail_mlr", t_dof=5)
+        _, _, _, trace = _convergence_run(seed, covariate="student_t", t_dof=5)
         rate, final = trace.fitted_rate, trace.final_distance()
         if rate is not None and rate < 1.0 and final <= 1e-2:
             successes += 1

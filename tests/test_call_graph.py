@@ -76,3 +76,8 @@ def test_every_benchmarked_layer_fires(tmp_path, monkeypatch, capsys):
             steps = shape["repetitions"] * shape["iterations"]
             steps += "decomposition" in shape["checks"]
             assert counts["em.gradient_em_step"] == steps, name
+            # one full-data weight matrix per iterate, which also weights the
+            # step out of it, and the decomposition check's own
+            matrices = shape["repetitions"] * (shape["iterations"] + 1)
+            matrices += "decomposition" in shape["checks"]
+            assert counts["softmin.weight_matrix"] == matrices, name

@@ -115,7 +115,6 @@ AGNOSTIC = textwrap.dedent(
     checks:
       lemmas: true
       decomposition: true
-    lemma_trials: 2
     repetitions: 2
     seed: 9
     """
@@ -212,7 +211,6 @@ MISTYPED = [
     ("beta: 2.0", "beta: 2.0\n  gamma: -1", "em.gamma"),
     ("", "init:\n  c_ini: [0.1]", "init.c_ini"),
     ("", "checks:\n  lemmas: 1", "checks.lemmas"),
-    ("", "lemma_trials: 0", "lemma_trials"),
 ]
 
 # (text of MINIMAL, its replacement, the key the ConfigError names): every
@@ -311,7 +309,6 @@ def _configs(draw):
         init=init,
         reference=draw(st.sampled_from(references)),
         checks=Checks(**{name: True for name in checks}),
-        lemma_trials=draw(st.integers(1, 100)),
         repetitions=draw(st.integers(1, 50)),
         seed=draw(st.integers(0, 2 ** 40)),
         output_dir=draw(_text),
@@ -363,7 +360,8 @@ def _counted_everywhere(monkeypatch, module, name):
 
 def _reference_via_run_gradient_em(dataset, model, config, k, seed):
     """Reference for ``_multistart_reference``: each restart is a full
-    ``run_gradient_em`` whose loss trace is discarded."""
+    ``run_gradient_em``, traced against its own start, whose trace is
+    discarded."""
     gamma = default_step_size(model, dataset) / 4.0
     best, best_loss = None, math.inf
     for restart in range(16):
@@ -376,7 +374,7 @@ def _reference_via_run_gradient_em(dataset, model, config, k, seed):
             resample=False,
             seed=seed,
         )
-        params, _ = run_gradient_em(init, dataset, model, em)
+        params, _ = run_gradient_em(init, dataset, model, em, reference=init)
         loss = empirical_loss(params, dataset, model, config.em.beta)
         if loss < best_loss:
             best, best_loss = params, loss
@@ -595,8 +593,11 @@ class TestExperimentDriver:
         assert check.passed
         # the reused fit must give what a fresh fit of repetition 0 gives
         result, context = run_repetition(cfg, 0)
+        losses = _counted(monkeypatch, "empirical_loss")
         (fresh,) = experiment._run_checks(cfg, context, result)
         assert check.detail == fresh.detail
+        # the fit's loss is the trace's last, not evaluated again
+        assert losses and not any(params == result.fitted for params, *_ in losses)
 
 
 class TestRepetitionContext:
@@ -933,7 +934,8 @@ class TestCLI:
     @pytest.mark.parametrize("line, message", [
         # the contraction's universal constant is 1; it is not a config key
         ("c_universal: 1", "unknown keys in config: c_universal"),
-        ("lemma_trials: 0", "lemma_trials must be >= 1"),
+        # the lemma check's trial count is a constant, not a config key
+        ("lemma_trials: 2", "unknown keys in config: lemma_trials"),
     ])
     def test_bad_bound_settings_exit_2_before_any_repetition(
         self, tmp_path, capsys, monkeypatch, line, message

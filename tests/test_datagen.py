@@ -34,6 +34,9 @@ class TestGenSpecValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             _spec(kind="bogus")
+        # heavy-tailed regression data is generative_mlr with student_t covariates
+        with pytest.raises(ValueError, match="unknown dataset kind 'heavy_tail_mlr'"):
+            _spec(kind="heavy_tail_mlr")
 
     def test_unknown_covariate_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +119,7 @@ class TestGenerate:
         # a t(3) cloud at this scale almost surely contains norms no
         # Gaussian sample of the same size would reach
         light, _ = generate(_spec(n=2000, seed=3))
-        heavy, _ = generate(_spec(kind="heavy_tail_mlr", t_dof=3, n=2000, seed=3))
+        heavy, _ = generate(_spec(covariate="student_t", t_dof=3, n=2000, seed=3))
         assert np.max(np.abs(heavy.X)) > np.max(np.abs(light.X))
 
     def test_agnostic_perturbation_drives_misspecification(self):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,7 @@ from .verify import GRADIENT_TOLERANCE, worst_gradient_error
 def _cmd_run(args) -> int:
     config = validate_config(Path(args.config).read_text())
     if args.output_dir:
-        import dataclasses
-
-        config = dataclasses.replace(config, output_dir=args.output_dir)
+        config = replace(config, output_dir=args.output_dir)
     report = run_experiment(config)
     sys.stdout.write(f"{len(report.repetitions)} repetitions, {report.bound_summary()}\n")
     for check in report.checks:
@@ -42,8 +41,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = _section(parse_yaml(Path(args.genspec).read_text()), GenSpec, "genspec")
-    dataset, _ = generate(spec)
+    doc = parse_yaml(Path(args.genspec).read_text())
+    if not isinstance(doc, dict):
+        raise ConfigError("genspec must be a mapping")
+    # the seed is the genspec's own key, not a data: key of an experiment config
+    spec = _section({key: doc[key] for key in doc if key != "seed"}, GenSpec, "genspec")
+    dataset, _ = generate(replace(spec, seed=_typed(doc.get("seed", 0), int, "seed")))
     save_csv(dataset, args.output)
     sys.stdout.write(f"wrote {dataset.n} samples (d={dataset.d}) to {args.output}\n")
     return 0

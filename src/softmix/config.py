@@ -6,17 +6,22 @@ under ``data:`` (or ``data: {file: <csv>}``),
 :class:`~softmix.losses.LossModel` under ``loss:``,
 :class:`~softmix.em.EMConfig` under ``em:``, :class:`InitSpec` under
 ``init:`` and :class:`Checks` under ``checks:``.  The fields that
-:data:`NOT_KEYS` lists for a class are set by the run, not by the config.
-Every other field is a key, a field without a default is required, and an
-absent key (or a ``null`` section) takes the field default.  Each value is
-checked against its field annotation by :func:`_typed`: ints must be
-integral, booleans YAML booleans, and floats numbers or strings that
-``float()`` parses (PyYAML reads ``1e-3`` as a string; ``beta: "inf"``
-selects the hard min), never NaN.  Unknown keys are rejected so typos fail
-loudly; ``serialize`` walks the same fields and emits a document that
-reparses to an equal config.  The keys that need the size of the data are
-checked by :func:`check_data`: for generated data when the config is built,
-for a data file as soon as it is read.
+:data:`NOT_KEYS` lists for a class are set by the run, not by the config:
+the seeds of the generated data and of the folds, which repetition r sets
+to ``seed + r``.  Every other field is a key, a field without a default is
+required, and an absent key (or a ``null`` section) takes the field
+default.  Each value is checked against its field annotation by
+:func:`_typed`: ints must be integral, booleans YAML booleans, and floats
+numbers or strings that ``float()`` parses (PyYAML reads ``1e-3`` as a
+string; ``beta: "inf"`` selects the hard min), never NaN.  Unknown keys are
+rejected so typos fail loudly, and so is a key that the rest of the config
+makes the run ignore (``loss.link`` outside ``glm``, ``init.radius``
+outside ``random_ball``, ``init.thetas`` outside ``explicit`` on
+generated data, where k comes from the truth);
+``serialize`` walks the same fields and emits a document that reparses to
+an equal config.  The keys that need the size of the data are checked by
+:func:`check_data`: for generated data when the config is built, for a data
+file as soon as it is read.
 """
 from __future__ import annotations
 
@@ -46,9 +51,9 @@ INIT_MODES = (PERTURB_REFERENCE, EXPLICIT, RANDOM_BALL)
 
 REFERENCE_MODES = ("truth", "multistart")
 
-# fields that the run sets, not config keys: certify() sets a LossModel's
-# m and M, and each repetition its EMConfig's seed
-NOT_KEYS = {LossModel: ("m", "M"), EMConfig: ("seed",)}
+# fields that the run sets, not config keys: each repetition sets the seed
+# of its generated data and of its folds
+NOT_KEYS = {GenSpec: ("seed",), EMConfig: ("seed",)}
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,8 @@ class InitSpec:
             raise ConfigError("init.mode=explicit requires init.thetas")
         if self.mode == RANDOM_BALL and (self.radius is None or self.radius <= 0):
             raise ConfigError("init.mode=random_ball requires init.radius > 0")
+        if self.mode != RANDOM_BALL and self.radius is not None:
+            raise ConfigError(f"init.radius is read only by mode random_ball, not {self.mode}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,12 @@ class ExperimentConfig:
         if self.checks.lemmas and math.isinf(self.em.beta):
             raise ConfigError("checks.lemmas requires a finite em.beta")
         if isinstance(self.data, GenSpec):
+            if self.init.thetas is not None and self.init.mode != EXPLICIT:
+                # k comes from the truth, so only an explicit start reads thetas
+                raise ConfigError(
+                    f"init.thetas on generated data is read only by mode explicit, "
+                    f"not {self.init.mode}"
+                )
             check_data(self, self.data.n, self.data.d, self.data.k, "data")
         elif self.reference == "truth":
             raise ConfigError("reference=truth requires generated data, not data.file")
@@ -131,7 +144,7 @@ def check_data(config: ExperimentConfig, n: int, d: int, k: int, source: str) ->
             f"em.resample takes one fold per iteration: em.iterations={T} exceeds "
             f"the {n} rows of {source}"
         )
-    shape = config.init.thetas.thetas.shape if config.init.mode == EXPLICIT else (k, d)
+    shape = (k, d) if config.init.thetas is None else config.init.thetas.thetas.shape
     if shape != (k, d):
         raise ConfigError(f"init.thetas has shape {shape}, the (k, d) of {source} is {(k, d)}")
     if config.checks.brute_force:

@@ -3,10 +3,10 @@
 :func:`run_experiment` is the one path from a config to its frozen records,
 for ``softmix run`` and for the loops under ``scripts/``.  Repetition r runs
 with derived seed ``base_seed + r`` so any repetition can be reproduced
-standalone.  Its context (data, certified model, ``config.em`` with the
-step size and the seed fixed, reference, constants and start) is built once.  A data
-file is read once per run, checked against the config by
-:func:`~softmix.config.check_data` before any other work, and certified
+standalone.  Its context (data, ``config.em`` with the step size and the
+seed fixed, reference, constants with the certified (m, M), and start) is
+built once.  A data file is read once per run, checked against the config
+by :func:`~softmix.config.check_data` before any other work, and certified
 once; the checks enabled in ``config.checks`` run on repetition 0's data and
 reference and reuse its context.  Repetitions run in order in the calling
 process, so the CSVs, and the report apart from its wall-clock time, depend
@@ -24,10 +24,10 @@ import numpy as np
 
 from .config import EXPLICIT, RANDOM_BALL, ExperimentConfig, check_data, serialize
 from .data import DataSet, ParamSet
-from .datagen import GenSpec, generate, load_csv, uniform_ball
+from .datagen import generate, load_csv, uniform_ball
 from . import em
 from .em import ConvergenceTrace, EMConfig, run_gradient_em
-from .losses import LossModel, certify, default_step_size
+from .losses import certify, default_step_size
 from .softmin import empirical_loss
 from .theory import (
     ProblemConstants,
@@ -54,10 +54,9 @@ class RepetitionContext:
 
     seed: int
     dataset: DataSet
-    model: LossModel  # certified on ``dataset``
     em: EMConfig  # the config's, with the step size and ``seed`` fixed
     reference: ParamSet  # the truth, or the multistart reference; its k is the run's
-    constants: ProblemConstants  # at ``reference``, with its regions of ``dataset``
+    constants: ProblemConstants  # at ``reference``: (m, M) and the regions of ``dataset``
     init: ParamSet  # the start, drawn with ``seed``
 
 
@@ -131,51 +130,55 @@ def repetition_context(
     ``k`` comes from the generating truth, else from ``init.thetas``, else 1.
     A data file is checked against the config (:func:`check_data`) before any
     other work.  Every repetition reads the same data file, so given
-    repetition 0's context ``first``, file data and its certified model and
-    step size are taken from it, and the reference, constants and start built anew.
+    repetition 0's context ``first``, file data and its certified (m, M) are
+    taken from it, and the rest built anew.  The default step size is
+    computed at most once: for ``em.gamma`` when the config leaves it out,
+    and for the multistart restarts.
     """
     seed = config.seed + rep
     if first is not None and isinstance(config.data, str):
-        dataset, model, em_config = first.dataset, first.model, replace(first.em, seed=seed)
-        reference = _multistart_reference(dataset, model, config, first.reference.k, seed)
+        dataset, truth, k = first.dataset, None, first.reference.k
+        curvature = first.constants.m, first.constants.M
     else:
         if isinstance(config.data, str):
             dataset, truth = load_csv(config.data), None
             k = 1 if config.init.thetas is None else config.init.thetas.k
             check_data(config, len(dataset), dataset.d, k, config.data)
         else:
-            dataset, truth = generate(GenSpec(**{**config.data.__dict__, "seed": seed}))
+            dataset, truth = generate(replace(config.data, seed=seed))
             k = truth.k
-        model = certify(config.loss, dataset)
-        gamma = config.em.gamma
-        if gamma is None:
-            gamma = default_step_size(model, dataset)
-        em_config = replace(config.em, gamma=gamma, seed=seed)
-        if config.reference == "truth":
-            reference = truth
-        else:
-            reference = _multistart_reference(dataset, model, config, k, seed)
-    constants = estimate_constants(dataset, reference, model)
+        curvature = certify(config.loss, dataset)
+    default_gamma = None
+    if config.em.gamma is None or config.reference == "multistart":
+        default_gamma = default_step_size(config.loss, dataset)
+    gamma = default_gamma if config.em.gamma is None else config.em.gamma
+    em_config = replace(config.em, gamma=gamma, seed=seed)
+    if config.reference == "truth":
+        reference = truth
+    else:
+        reference = _multistart_reference(dataset, config, k, default_gamma, seed)
+    constants = estimate_constants(dataset, reference, config.loss, curvature)
     init = _build_init(config, reference, seed)
-    return RepetitionContext(seed, dataset, model, em_config, reference, constants, init)
+    return RepetitionContext(seed, dataset, em_config, reference, constants, init)
 
 
 def _multistart_reference(
-    dataset: DataSet, model: LossModel, config: ExperimentConfig, k: int, seed: int
+    dataset: DataSet, config: ExperimentConfig, k: int, default_gamma: float, seed: int
 ) -> ParamSet:
     """Reference optimizer for agnostic data: best of 16 long, small-step
-    full-data gradient EM runs from standard-normal starts.
+    (``default_gamma`` / 4) full-data gradient EM runs from standard-normal
+    starts.
 
     Each restart is untraced: ``em.gradient_em_step`` in a loop.
     """
-    restart_em = replace(config.em, gamma=default_step_size(model, dataset) / 4.0)
+    restart_em = replace(config.em, gamma=default_gamma / 4.0)
     best, best_loss = None, math.inf
     for restart in range(16):
         rng = np.random.default_rng(seed * 1_000_003 + restart)
         params = ParamSet(rng.standard_normal((k, dataset.d)))
         for _ in range(5 * config.em.iterations):
-            params = em.gradient_em_step(params, dataset, model, restart_em)
-        loss = empirical_loss(params, dataset, model, config.em.beta)
+            params = em.gradient_em_step(params, dataset, config.loss, restart_em)
+        loss = empirical_loss(params, dataset, config.loss, config.em.beta)
         if loss < best_loss:
             best, best_loss = params, loss
     return best
@@ -203,8 +206,7 @@ def theory_at(context: RepetitionContext, d0: np.ndarray):
     if math.isinf(context.em.beta):
         return None
     return theorem_quantities(
-        context.constants, context.model, context.em.beta, context.em.gamma, d0,
-        context.em.iterations,
+        context.constants, context.em.beta, context.em.gamma, d0, context.em.iterations
     )
 
 
@@ -220,7 +222,7 @@ def run_repetition(
     """
     context = repetition_context(config, rep, first)
     fitted, trace = run_gradient_em(
-        context.init, context.dataset, context.model, context.em, reference=context.reference
+        context.init, context.dataset, config.loss, context.em, reference=context.reference
     )
     quantities = theory_at(context, trace.distances[0])
     return RepetitionResult(
@@ -234,7 +236,7 @@ def _run_checks(
     """The enabled checks, on repetition 0's data and reference (``context``)
     and its records (``result``)."""
     results: List[CheckResult] = []
-    dataset, model, reference = context.dataset, context.model, context.reference
+    dataset, model, reference = context.dataset, config.loss, context.reference
     beta, constants = config.em.beta, context.constants
 
     if config.checks.gradient_oracle:
@@ -268,8 +270,7 @@ def _run_checks(
 
     if config.checks.brute_force:
         grid = CHECK_GRID
-        best = brute_force_minimize(dataset, model, beta, reference.k, grid)
-        bf_loss = empirical_loss(best, dataset, model, beta)
+        best, bf_loss = brute_force_minimize(dataset, model, beta, reference.k, grid)
         em_loss = result.trace.losses[-1]  # the full-data loss at the fit
         cell = (grid.hi - grid.lo) / (grid.points - 1)
         shifted = ParamSet(best.thetas + cell)

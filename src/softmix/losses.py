@@ -2,7 +2,10 @@
 
 Each family F(x, y; theta) = phi(<x, theta>, y) + c * lam * ||theta||^2 is one
 record of the :data:`FAMILIES` table (phi, phi', c, bounds on phi'', +-1
-labels or not), read by the values, gradients, EM step and certificates:
+labels or not), read by the values, gradients, EM step and certificates.  A
+:class:`LossModel` is the ``loss:`` section of a config and nothing more;
+:func:`certify` returns the pair (m, M) it has on a dataset, which the
+instance's :class:`~softmix.theory.ProblemConstants` hold.
 
 * ``ridge``          -- (y - <x, theta>)^2 + lam * ||theta||^2
 * ``logistic``       -- log(1 + exp(-y <x, theta>)) + lam * ||theta||^2
@@ -11,10 +14,9 @@ labels or not), read by the values, gradients, EM step and certificates:
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -150,31 +152,22 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class LossModel:
-    """A base loss family with regularization weight and certified constants.
-
-    ``m`` and ``M`` are ``None`` until :func:`certify` has been run against a
-    dataset.
-    """
+    """A base loss family with its regularization weight and, for ``glm``
+    only, its link (identity when not given)."""
 
     family: str
     lam: float = 0.0
     link: Optional[LinkFunction] = None
-    m: Optional[float] = None
-    M: Optional[float] = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown loss family {self.family!r}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
+        if self.family != GLM and self.link is not None:
+            raise ValueError(f"link is read only by family glm, not {self.family}")
         if self.family == GLM and self.link is None:
             object.__setattr__(self, "link", IDENTITY_LINK)
-        if self.m is not None and self.M is not None and self.m > self.M:
-            raise ValueError("m must not exceed M")
-
-    @property
-    def is_certified(self) -> bool:
-        return self.m is not None and self.M is not None
 
 
 def _predictions(model: LossModel, X, y, thetas: np.ndarray):
@@ -231,10 +224,10 @@ def _hessian_bounds(model: LossModel, dataset: DataSet, r_sq: float):
     return reg + min(lo, 0.0) * r_sq, hi * r_sq + reg
 
 
-def certify(model: LossModel, dataset: DataSet) -> LossModel:
-    """Return a copy of ``model`` carrying (m, M) valid over ``dataset``.
+def certify(model: LossModel, dataset: DataSet) -> Tuple[float, float]:
+    """The constants (m, M) of ``model`` over ``dataset``, m <= M.
 
-    The constants hold over the ball of the dataset's largest covariate norm.
+    They hold over the ball of the dataset's largest covariate norm.
     Raises :class:`CertificationError` when strong convexity fails (for
     instance lam = 0) or when a GLM link admits no smoothness constant.
     """
@@ -247,25 +240,20 @@ def certify(model: LossModel, dataset: DataSet) -> LossModel:
             f"{model.family} loss is not strongly convex on this dataset "
             f"(m = {m:.6g} at lam = {model.lam:g})"
         )
-    return dataclasses.replace(model, m=m, M=M)
+    return m, M
 
 
-def mean_smoothness(model: LossModel, dataset: DataSet) -> float:
-    """Smoothness constant of the dataset-averaged base loss.
+def default_step_size(model: LossModel, dataset: DataSet) -> float:
+    """Default gradient EM step size 1 / (2 M_bar), where M_bar bounds the
+    smoothness of the dataset-averaged base loss.
 
-    Same bound as :func:`certify`, with max_i ||x_i||^2 replaced by
-    the top eigenvalue of the empirical second-moment matrix (1/n) X^T X.
-    This is the constant the default step size is derived from; the
-    per-sample worst case in :func:`certify` can be orders of magnitude
+    M_bar is the M of :func:`certify` with max_i ||x_i||^2 replaced by the
+    top eigenvalue of the empirical second-moment matrix (1/n) X^T X.  The
+    per-sample worst case of :func:`certify` can be orders of magnitude
     larger on heavy-tailed data and yields uselessly small steps.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     second_moment = dataset.X.T @ dataset.X / len(dataset)
     top = float(np.linalg.eigvalsh(second_moment)[-1])
-    return _hessian_bounds(model, dataset, top)[1]
-
-
-def default_step_size(model: LossModel, dataset: DataSet) -> float:
-    """Default gradient EM step size, 1 / (2 * mean-loss smoothness)."""
-    return 1.0 / (2.0 * mean_smoothness(model, dataset))
+    return 1.0 / (2.0 * _hessian_bounds(model, dataset, top)[1])

@@ -2,9 +2,10 @@
 
 Empirical surrogates of the misspecification (epsilon, epsilon_1),
 separation (delta) and region-mass (pi_min) constants are computed from a
-dataset and a reference ParamSet; from them the contraction factor, the
-weight bounds eta / eta', and the error floor zeta are evaluated exactly as
-displayed in the convergence theorem.
+dataset and a reference ParamSet, and held with the certified curvature
+(m, M) of the loss in one :class:`ProblemConstants`; from it the
+contraction factor, the weight bounds eta / eta', and the error floor zeta
+are evaluated exactly as displayed in the convergence theorem.
 """
 from __future__ import annotations
 
@@ -22,19 +23,24 @@ from .softmin import loss_matrix
 
 @dataclass(frozen=True)
 class ProblemConstants:
-    """Empirical geometry of an instance at a reference ParamSet.
+    """The constants of an instance at a reference ParamSet.
 
     epsilon   -- max base loss at the reference over its own region
     epsilon1  -- max gradient norm at the reference over its own region
     delta     -- min cross-region base loss (inf when k = 1)
     pi_min    -- smallest region mass |S_j| / n
-    regions   -- the sample indices of each region (see partition_regions)
+    m, M      -- strong convexity and smoothness of the loss on the data,
+                 as :func:`~softmix.losses.certify` returned them
+    regions   -- the sample indices of each region (see partition_regions);
+                 there are k of them
     """
 
     epsilon: float
     epsilon1: float
     delta: float
     pi_min: float
+    m: float
+    M: float
     regions: tuple = field(compare=False, repr=False)
 
     @property
@@ -75,10 +81,11 @@ def partition_regions(dataset: DataSet, reference: ParamSet, model: LossModel):
 
 
 def estimate_constants(
-    dataset: DataSet, reference: ParamSet, model: LossModel
+    dataset: DataSet, reference: ParamSet, model: LossModel, curvature
 ) -> ProblemConstants:
     """Empirical (epsilon, epsilon1, delta, pi_min) at the reference ParamSet,
-    with the regions they were measured on.
+    with the regions they were measured on and the pair ``curvature`` = (m, M)
+    that :func:`~softmix.losses.certify` returned for ``model`` on ``dataset``.
 
     Warns, naming the caller, when delta <= epsilon.
     """
@@ -102,11 +109,14 @@ def estimate_constants(
             "the convergence bounds are vacuous for this instance",
             stacklevel=2,
         )
+    m, M = curvature
     return ProblemConstants(
         epsilon=epsilon,
         epsilon1=epsilon1,
         delta=delta,
         pi_min=min(sizes) / len(dataset),
+        m=m,
+        M=M,
         regions=tuple(regions),
     )
 
@@ -120,18 +130,15 @@ def _exp(z: float) -> float:
         return math.inf
 
 
-def compute_eta(
-    constants: ProblemConstants, beta: float, radius: float, model: LossModel, k: int
-) -> float:
+def compute_eta(constants: ProblemConstants, beta: float, radius: float) -> float:
     """Weight deficit bound: within distance ``radius`` of the reference, on its
     own region the correct component's soft-min weight is at least 1 - eta."""
-    if not model.is_certified:
-        raise ValueError("model must carry certified constants")
     if math.isinf(beta):
         raise ValueError("eta formula requires finite beta")
+    k = len(constants.regions)
     if beta == 0.0:
         return 1.0 - 1.0 / k
-    M = model.M
+    M = constants.M
     num = _exp(-beta * (constants.epsilon + constants.epsilon1 * radius + 0.5 * M * radius ** 2))
     if k == 1:
         den = 1.0
@@ -142,19 +149,15 @@ def compute_eta(
     return 1.0 - num / den
 
 
-def compute_eta_prime(
-    constants: ProblemConstants, beta: float, radius: float, model: LossModel
-) -> float:
+def compute_eta_prime(constants: ProblemConstants, beta: float, radius: float) -> float:
     """Weight leak bound: within distance ``radius`` of the reference, outside its
     region a component's soft-min weight is at most eta'.  Values above 1
     mark a vacuous regime."""
-    if not model.is_certified:
-        raise ValueError("model must carry certified constants")
     if math.isinf(beta):
         raise ValueError("eta' formula requires finite beta")
     if beta == 0.0:
         return 1.0
-    M = model.M
+    M = constants.M
     exponent = -beta * (
         constants.delta
         - (constants.epsilon1 + 2.0 * M) * radius
@@ -166,22 +169,16 @@ def compute_eta_prime(
 
 
 def compute_error_floor(
-    constants: ProblemConstants,
-    gamma: float,
-    radius: float,
-    eta_prime: float,
-    model: LossModel,
+    constants: ProblemConstants, gamma: float, radius: float, eta_prime: float
 ) -> float:
     """Additive error floor zeta of the one-step contraction bound."""
     if gamma < 0 or radius < 0 or eta_prime < 0:
         raise ValueError("inputs must be nonnegative")
-    if not model.is_certified:
-        raise ValueError("model must carry certified constants")
     e1 = constants.epsilon1
     return (
         gamma * e1
         + math.sqrt(gamma * e1 * radius)
-        + gamma * eta_prime * (2.0 + e1 + model.M * radius)
+        + gamma * eta_prime * (2.0 + e1 + constants.M * radius)
     )
 
 
@@ -217,16 +214,10 @@ def predicted_distance_bound(
 
 
 def theorem_quantities(
-    constants: ProblemConstants,
-    model: LossModel,
-    beta: float,
-    gamma: float,
-    d0,
-    T: int,
+    constants: ProblemConstants, beta: float, gamma: float, d0, T: int
 ) -> TheoremQuantities:
     """The quantities for a run of T iterations from aligned distances ``d0``,
-    one per component (k = len(d0)), at the absolute start radius
-    c = max(d0).
+    one per component, at the absolute start radius c = max(d0).
 
     The one place that decides whether the theorem applies: ``bound`` is the
     max over components of :func:`predicted_distance_bound` when there is a
@@ -234,10 +225,10 @@ def theorem_quantities(
     """
     d0 = np.asarray(d0, dtype=np.float64)
     c = float(np.max(d0))
-    eta = compute_eta(constants, beta, c, model, len(d0))
-    eta_prime = compute_eta_prime(constants, beta, c, model)
-    zeta = compute_error_floor(constants, gamma, c, eta_prime, model)
-    contraction = compute_contraction(gamma, constants.pi_min, model.m, eta)
+    eta = compute_eta(constants, beta, c)
+    eta_prime = compute_eta_prime(constants, beta, c)
+    zeta = compute_error_floor(constants, gamma, c, eta_prime)
+    contraction = compute_contraction(gamma, constants.pi_min, constants.m, eta)
     bound = None
     if contraction is not None and eta_prime <= 1.0 and math.isfinite(zeta):
         bound = float(np.max(predicted_distance_bound(d0, contraction, zeta, T)))

@@ -93,9 +93,9 @@ def brute_force_minimize(
     beta: float,
     k: int,
     grid: GridSpec,
-) -> ParamSet:
+) -> tuple[ParamSet, float]:
     """Exhaustive grid search for the minimizer of the empirical soft-min
-    loss at inverse temperature ``beta``.
+    loss at inverse temperature ``beta``; returns ``(best, best_loss)``.
 
     Only feasible at toy scale (see ``check_brute_force_budget``).
     """
@@ -115,7 +115,7 @@ def brute_force_minimize(
         if loss < best_loss:
             best_loss = loss
             best = params
-    return best
+    return best, best_loss
 
 
 @dataclass
@@ -160,8 +160,8 @@ def check_lemma_bounds(
         raise ValueError("trials must be >= 1")
     radii = np.asarray(radii, dtype=np.float64)
     c = float(np.max(radii))
-    eta = compute_eta(constants, beta, c, model, reference.k)
-    eta_prime = compute_eta_prime(constants, beta, c, model)
+    eta = compute_eta(constants, beta, c)
+    eta_prime = compute_eta_prime(constants, beta, c)
 
     region_of = np.full(len(dataset), -1)
     for j, region in enumerate(constants.regions):

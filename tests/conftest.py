@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from softmix import GenSpec, LossModel, ParamSet, certify, generate
+from softmix import GenSpec, LossModel, ParamSet, generate
 
 
 @pytest.fixture(scope="session")
@@ -22,8 +22,7 @@ def mlr_instance():
         truth=truth,
     )
     dataset, ref = generate(spec)
-    model = certify(LossModel("ridge", lam=1e-3), dataset)
-    return dataset, ref, model
+    return dataset, ref, LossModel("ridge", lam=1e-3)
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +33,4 @@ def tiny_ridge():
     y = 0.8 * X[:, 0] + 0.05 * rng.standard_normal(20)
     from softmix.data import DataSet
 
-    dataset = DataSet(X, y)
-    model = certify(LossModel("ridge", lam=1e-3), dataset)
-    return dataset, model
+    return DataSet(X, y), LossModel("ridge", lam=1e-3)

@@ -68,7 +68,7 @@ def _perturbed_init(truth: ParamSet, c_ini: float, rng: np.random.Generator) -> 
 def _convergence_run(seed: int, covariate: str = "gaussian", t_dof: int = 5):
     spec = GenSpec(**{**CONVERGENCE_SPEC, "covariate": covariate, "t_dof": t_dof, "seed": seed})
     dataset, truth = generate(spec)
-    model = certify(LossModel(RIDGE, lam=CONVERGENCE_LAM), dataset)
+    model = LossModel(RIDGE, lam=CONVERGENCE_LAM)
     gamma = default_step_size(model, dataset)
     init = _perturbed_init(truth, CONVERGENCE_C_INI, np.random.default_rng(seed))
     em = EMConfig(
@@ -87,7 +87,7 @@ def test_criterion_01_exponential_convergence():
     successes = 0
     for seed in CONVERGENCE_SEEDS:
         dataset, truth, model, trace = _convergence_run(seed)
-        constants = estimate_constants(dataset, truth, model)
+        constants = estimate_constants(dataset, truth, model, certify(model, dataset))
         assert constants.delta >= 1.0
         rate, final = trace.fitted_rate, trace.final_distance()
         if rate is not None and rate < 0.95 and final <= 1e-3:
@@ -123,7 +123,8 @@ def test_criterion_02_error_floor_scaling():
                 seed=seed,
             )
             dataset, truth = generate(spec)
-            model = certify(LossModel(RIDGE, lam=1e-3), dataset)
+            model = LossModel(RIDGE, lam=1e-3)
+            curvature = certify(model, dataset)
             gamma = default_step_size(model, dataset)
             init = _perturbed_init(truth, 0.05, np.random.default_rng(seed))
             em = EMConfig(
@@ -136,9 +137,9 @@ def test_criterion_02_error_floor_scaling():
             _, trace = run_gradient_em(init, dataset, model, em, reference=truth)
             floors[amp].append(trace.final_distance())
 
-            constants = estimate_constants(dataset, truth, model)
+            constants = estimate_constants(dataset, truth, model, curvature)
             d0 = trace.distances[0]
-            q = theorem_quantities(constants, model, 10.0, gamma, d0, 30)
+            q = theorem_quantities(constants, 10.0, gamma, d0, 30)
             assert q.contraction is not None  # bound must be nonvacuous
             bound = float(
                 np.max(predicted_distance_bound(d0, q.contraction, q.zeta, 30))
@@ -177,8 +178,8 @@ def test_criterion_03_lemma_validation():
         seed=11,
     )
     dataset, truth = generate(spec)
-    model = certify(LossModel(RIDGE, lam=1e-3), dataset)
-    constants = estimate_constants(dataset, truth, model)
+    model = LossModel(RIDGE, lam=1e-3)
+    constants = estimate_constants(dataset, truth, model, certify(model, dataset))
     rep1, rep2 = check_lemma_bounds(
         dataset, truth, model, constants, beta=5.0, radii=[0.01, 0.01], trials=100, seed=0
     )
@@ -231,7 +232,8 @@ def test_criterion_05_bregman_sandwich():
         )
         dataset = DataSet(X, y)
         lam = 4.0 if family == GLM else 0.1
-        model = certify(LossModel(family, lam=lam, link=link), dataset)
+        model = LossModel(family, lam=lam, link=link)
+        m, M = certify(model, dataset)
         for _ in range(100):
             theta_a = rng.standard_normal(3)
             theta_b = rng.standard_normal(3)
@@ -243,7 +245,7 @@ def test_criterion_05_bregman_sandwich():
                 - float(np.dot(batch_gradient(model, *s, theta_a)[0], theta_b - theta_a))
             )
             sq = float(np.sum((theta_b - theta_a) ** 2))
-            if gap < 0.5 * model.m * sq - 1e-9 or gap > 0.5 * model.M * sq + 1e-9:
+            if gap < 0.5 * m * sq - 1e-9 or gap > 0.5 * M * sq + 1e-9:
                 violations += 1
     _report("criterion 5 (convexity/smoothness certification)", violations == 0)
 
@@ -253,7 +255,7 @@ def test_criterion_06_single_component_degeneracy():
     X = rng.standard_normal((120, 3))
     y = X @ np.array([0.5, -0.3, 0.9]) + 0.1 * rng.standard_normal(120)
     dataset = DataSet(X, y)
-    model = certify(LossModel(RIDGE, lam=1e-3), dataset)
+    model = LossModel(RIDGE, lam=1e-3)
     gamma = default_step_size(model, dataset)
     init = ParamSet([np.zeros(3)])
     em = EMConfig(
@@ -276,7 +278,7 @@ def test_criterion_07_hard_min_consistency():
     dataset, truth = generate(
         GenSpec(**{**CONVERGENCE_SPEC, "seed": 77})
     )
-    model = certify(LossModel(RIDGE, lam=CONVERGENCE_LAM), dataset)
+    model = LossModel(RIDGE, lam=CONVERGENCE_LAM)
     params = ParamSet(truth.thetas * 1.02)
     from softmix.losses import batch_loss
 
@@ -297,11 +299,10 @@ def test_criterion_08_brute_force_oracle():
         kind="generative_mlr", k=2, d=1, n=20, noise_sigma=0.05, truth=truth, seed=5
     )
     dataset, _ = generate(spec)
-    model = certify(LossModel(RIDGE, lam=1e-3), dataset)
+    model = LossModel(RIDGE, lam=1e-3)
     cfg = math.inf
     grid = GridSpec(-1.5, 1.5, 121)
-    best = brute_force_minimize(dataset, model, cfg, 2, grid)
-    bf_loss = empirical_loss(best, dataset, model, cfg)
+    best, bf_loss = brute_force_minimize(dataset, model, cfg, 2, grid)
 
     gamma = default_step_size(model, dataset)
     init = ParamSet(truth.thetas + 0.1 * np.random.default_rng(0).standard_normal((2, 1)))
@@ -333,7 +334,6 @@ def test_criterion_09_determinism(tmp_path):
           cov_scale: 1.5
           margin: 1.69
           truth: [[1.0, 0.0], [-1.0, 0.0]]
-          seed: 11
         loss:
           family: ridge
           lam: 0.001

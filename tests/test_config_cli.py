@@ -42,7 +42,7 @@ from softmix.experiment import (
     run_experiment,
     run_repetition,
 )
-from softmix.losses import FAMILIES, LINKS, LossModel, default_step_size
+from softmix.losses import FAMILIES, LINKS, LossModel, certify, default_step_size
 from softmix.softmin import empirical_loss
 
 MINIMAL = textwrap.dedent(
@@ -52,7 +52,6 @@ MINIMAL = textwrap.dedent(
       k: 1
       d: 2
       n: 100
-      seed: 3
     loss:
       family: ridge
       lam: 0.001
@@ -73,7 +72,6 @@ TWO_COMPONENT = textwrap.dedent(
       covariate: uniform_ball
       cov_scale: 1.5
       margin: 1.69
-      seed: 11
       truth: [[1.0, 0.0], [-1.0, 0.0]]
     loss:
       family: ridge
@@ -216,8 +214,6 @@ MISTYPED = [
 # (text of MINIMAL, its replacement, the key the ConfigError names): every
 # seed a repetition runs with must fit the 64 high bits of a Philox key
 SEED_OUT_OF_RANGE = [
-    ("seed: 3", "seed: -1", "data.seed"),
-    ("seed: 3", f"seed: {2 ** 64}", "data.seed"),
     ("", "seed: -1", "seed"),
     ("", f"seed: {2 ** 64}", "seed"),
     ("", f"repetitions: 2\nseed: {2 ** 64 - 1}", "seed"),
@@ -225,7 +221,7 @@ SEED_OUT_OF_RANGE = [
 
 # (text of MINIMAL, its replacement, attribute path, the value it parses to)
 WELL_TYPED = [
-    ("seed: 3", "seed: 3\n  noise_sigma: 1e-2", "data.noise_sigma", 0.01),
+    ("n: 100", "n: 100\n  noise_sigma: 1e-2", "data.noise_sigma", 0.01),
     ("", 'init:\n  c_ini: "0.1"', "init.c_ini", 0.1),
     ("lam: 0.001", "lam: 1e-3", "loss.lam", 0.001),
     ("n: 100", "n: 100.0", "data.n", 100),
@@ -252,7 +248,11 @@ def _param_sets(draw, k, d):
 @st.composite
 def _configs(draw):
     """A valid ExperimentConfig: generated or file data, every init mode,
-    beta finite or inf, and the optional keys present or absent."""
+    beta finite or inf, and the optional keys present or absent.  It draws
+    no data seed (each repetition sets its own), a link only for glm,
+    init.radius only for mode random_ball and init.thetas outside mode
+    explicit only for file data, where it sets k: the config rejects each
+    of them elsewhere."""
     k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     weights = draw(st.lists(_floats, min_size=k, max_size=k))
     data = draw(st.one_of(_text, st.builds(
@@ -266,7 +266,6 @@ def _configs(draw):
         covariate=st.sampled_from(COVARIATES),
         cov_scale=_floats,
         t_dof=st.integers(3, 30),
-        seed=st.integers(0, 2 ** 40),
         truth=st.none() | _param_sets(k, d),
         truth_scale=_floats,
         perturb_amplitude=st.just(0.0) | _floats,
@@ -274,17 +273,21 @@ def _configs(draw):
     )))
     mode = draw(st.sampled_from(INIT_MODES))
     c_ini = st.floats(0.01, 0.99)
+    thetas = _param_sets(k, d)
+    if mode != "explicit":
+        thetas = st.none() | thetas if isinstance(data, str) else st.none()
     init = InitSpec(
         mode=mode,
         c_ini=draw(c_ini if mode == PERTURB_REFERENCE else st.none() | c_ini),
-        thetas=draw(_param_sets(k, d) if mode == "explicit" else st.none() | _param_sets(k, d)),
-        radius=draw(_floats if mode == "random_ball" else st.none() | _floats),
+        thetas=draw(thetas),
+        radius=draw(_floats) if mode == "random_ball" else None,
     )
     family = draw(st.sampled_from(sorted(FAMILIES)))
+    links = st.none() | st.sampled_from(list(LINKS.values()))
     loss = LossModel(
         family,
         lam=draw(st.just(0.0) | _floats),
-        link=draw(st.none() | st.sampled_from(list(LINKS.values()))),
+        link=draw(links) if family == "glm" else None,
     )
     checks = draw(st.sets(st.sampled_from([f.name for f in dataclasses.fields(Checks)])))
     if isinstance(data, GenSpec) and d * k > 2:  # over the grid budget
@@ -313,6 +316,13 @@ def _configs(draw):
         seed=draw(st.integers(0, 2 ** 40)),
         output_dir=draw(_text),
     )
+
+
+def _generated(text, seed):
+    """The dataset that the ``data:`` section of config ``text`` generates
+    with ``seed``."""
+    dataset, _ = experiment.generate(dataclasses.replace(validate_config(text).data, seed=seed))
+    return dataset
 
 
 def _counted(monkeypatch, name):
@@ -446,7 +456,6 @@ class TestValidateConfig:
     def test_largest_seeds_parse(self):
         cfg = validate_config(_edited("", f"repetitions: 2\nseed: {2 ** 64 - 2}"))
         assert cfg.seed + cfg.repetitions - 1 == 2 ** 64 - 1
-        assert validate_config(_edited("seed: 3", f"seed: {2 ** 64 - 1}")).data.seed == 2 ** 64 - 1
 
     @pytest.mark.parametrize("old, new, key", MISTYPED)
     def test_mistyped_value_names_its_key(self, old, new, key):
@@ -606,12 +615,16 @@ class TestRepetitionContext:
 
     def test_each_piece_of_work_once_per_repetition(self, monkeypatch):
         generated = _counted(monkeypatch, "generate")
+        certified = _counted(monkeypatch, "certify")
+        steps = _counted(monkeypatch, "default_step_size")
         references = _counted(monkeypatch, "_multistart_reference")
         partitions = _counted_everywhere(monkeypatch, theory, "partition_regions")
         constants = _counted_everywhere(monkeypatch, theory, "estimate_constants")
         cfg = validate_config(AGNOSTIC)
         report = run_experiment(cfg, write=False)
         assert len(generated) == cfg.repetitions
+        # the default step serves both em.gamma and the restarts' gamma / 4
+        assert len(certified) == len(steps) == cfg.repetitions
         assert len(references) == cfg.repetitions
         # the checks read repetition 0's regions and constants from its context
         assert len(partitions) == len(constants) == cfg.repetitions
@@ -624,14 +637,21 @@ class TestRepetitionContext:
         cfg = validate_config(AGNOSTIC)
         context = repetition_context(cfg, 1)
         expected = _reference_via_run_gradient_em(
-            context.dataset, context.model, cfg, context.reference.k, context.seed
+            context.dataset, cfg.loss, cfg, context.reference.k, context.seed
         )
         assert context.reference.thetas.tobytes() == expected.thetas.tobytes()
+
+    def test_constants_hold_the_certified_pair(self):
+        cfg = validate_config(AGNOSTIC)
+        context = repetition_context(cfg, 1)
+        m, M = certify(cfg.loss, context.dataset)
+        assert (context.constants.m, context.constants.M) == (m, M)
+        assert "model" not in {f.name for f in dataclasses.fields(experiment.RepetitionContext)}
 
     def test_file_data_takes_k_from_explicit_init_in_checks(self, tmp_path):
         import dataclasses
 
-        dataset, _ = experiment.generate(validate_config(TWO_COMPONENT).data)
+        dataset = _generated(TWO_COMPONENT, 11)
         path = tmp_path / "data.csv"
         save_csv(dataset, str(path))
         text = textwrap.dedent(
@@ -658,8 +678,24 @@ class TestRepetitionContext:
         assert not report.failed_checks
         assert report.repetitions[0].trace.distances.shape[1] == 2
 
+    @pytest.mark.parametrize("mode", ["perturb_reference", "random_ball"])
+    def test_file_data_takes_k_from_init_thetas_in_every_mode(self, tmp_path, mode):
+        dataset = _generated(TWO_COMPONENT, 11)
+        path = tmp_path / "data.csv"
+        save_csv(dataset, str(path))
+        radius = "\n  radius: 0.1" if mode == "random_ball" else ""
+        cfg = validate_config(
+            f"data:\n  file: {path}\nloss:\n  family: ridge\n  lam: 0.001\n"
+            "em:\n  iterations: 5\n  beta: 2.0\nreference: multistart\n"
+            f"init:\n  mode: {mode}{radius}\n  thetas: [[0.0, 0.0], [0.0, 0.0]]\n"
+        )
+        report = run_experiment(cfg, write=False)
+        (result,) = report.repetitions
+        assert result.trace.distances.shape == (6, 2)
+        assert result.fitted.k == 2
+
     def test_truth_reference_on_file_data_raises_once(self, tmp_path, monkeypatch):
-        dataset, _ = experiment.generate(validate_config(MINIMAL).data)
+        dataset = _generated(MINIMAL, 3)
         path = tmp_path / "data.csv"
         save_csv(dataset, str(path))
         contexts = _counted(monkeypatch, "repetition_context")
@@ -676,7 +712,7 @@ class TestRepetitionContext:
     def test_file_data_explicit_init_of_other_d_raises_before_reference(
         self, tmp_path, monkeypatch
     ):
-        dataset, _ = experiment.generate(validate_config(TWO_COMPONENT).data)
+        dataset = _generated(TWO_COMPONENT, 11)
         path = tmp_path / "data.csv"
         save_csv(dataset, str(path))
         references = _counted(monkeypatch, "_multistart_reference")
@@ -691,7 +727,7 @@ class TestRepetitionContext:
         assert references == []
 
     def test_file_data_read_and_certified_once_per_run(self, tmp_path, monkeypatch):
-        dataset, _ = experiment.generate(validate_config(TWO_COMPONENT).data)
+        dataset = _generated(TWO_COMPONENT, 11)
         assert len(dataset) == 400
         path = tmp_path / "data.csv"
         save_csv(dataset, str(path))
@@ -703,10 +739,13 @@ class TestRepetitionContext:
         )
         loads = _counted(monkeypatch, "load_csv")
         certified = _counted(monkeypatch, "certify")
+        steps = _counted(monkeypatch, "default_step_size")
         references = _counted(monkeypatch, "_multistart_reference")
         report = run_experiment(cfg, write=False)
         assert len(loads) == 1
         assert len(certified) == 1
+        # each repetition's multistart restarts take the default step
+        assert len(steps) == cfg.repetitions
         assert [args[-1] for args in references] == [7, 8, 9, 10]
         # each repetition built alone reads and certifies the file itself
         for result in report.repetitions:
@@ -884,6 +923,7 @@ class TestCLI:
     @pytest.mark.parametrize("command, text, key", [
         ("run", MINIMAL.replace("iterations: 10", "iterations: 2.7"), "em.iterations"),
         ("gen", "kind: generative_mlr\nk: 1\nd: \"2\"\nn: 30\n", "genspec.d"),
+        ("gen", "kind: generative_mlr\nk: 1\nd: 2\nn: 30\nseed: 2.5\n", "seed"),
         ("check-gradients", "family: ridge\nd: 2.5\n", "d"),
         ("check-gradients", "family: ridge\nseed: null\n", "seed"),
     ])
@@ -895,9 +935,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("command, text, key", [
         ("run", MINIMAL + "seed: -1\n", "seed"),
-        ("run", MINIMAL.replace("seed: 3", f"seed: {2 ** 64}"), "data.seed"),
-        ("gen", "kind: generative_mlr\nk: 1\nd: 2\nn: 30\nseed: -1\n", "genspec.seed"),
-        ("gen", f"kind: generative_mlr\nk: 1\nd: 2\nn: 30\nseed: {2 ** 64}\n", "genspec.seed"),
+        # softmix gen reads its seed as a key of its own, as check-gradients does
+        ("gen", "kind: generative_mlr\nk: 1\nd: 2\nn: 30\nseed: -1\n", "seed"),
+        ("gen", f"kind: generative_mlr\nk: 1\nd: 2\nn: 30\nseed: {2 ** 64}\n", "seed"),
     ])
     def test_seed_out_of_range_exits_2_naming_its_key(
         self, tmp_path, capsys, monkeypatch, command, text, key
@@ -1023,9 +1063,10 @@ class TestCLI:
     ):
         """Generated data, and the same data read from a file, fail with one
         message apart from the source, before certify or any reference."""
-        genspec = "kind: generative_mlr\nk: 1\nseed: 4\n" + genspec
+        genspec = "kind: generative_mlr\nk: 1\n" + genspec
         path = tmp_path / "data.csv"
-        assert main(["gen", self._write(tmp_path, "gen.yaml", genspec), "-o", str(path)]) == 0
+        gen = self._write(tmp_path, "gen.yaml", "seed: 4\n" + genspec)
+        assert main(["gen", gen, "-o", str(path)]) == 0
         capsys.readouterr()
         certified = _counted(monkeypatch, "certify")
         references = _counted(monkeypatch, "_multistart_reference")
@@ -1075,6 +1116,23 @@ class TestCLI:
         ([("resample: false", "resample: false\n  seed: 1")], "unknown keys in em: seed"),
         # certify() takes the radius from the data; it is not a config key
         ([("lam: 0.001", "lam: 0.001\n  domain_radius: 2")], "unknown keys in loss: domain_radius"),
+        # certify() returns m and M; they are not config keys
+        ([("lam: 0.001", "lam: 0.001\n  m: 1")], "unknown keys in loss: m"),
+        # repetition r generates its data with seed + r
+        ([("n: 400", "n: 400\n  seed: 5")], "unknown keys in data: seed"),
+        # a key that the rest of its section makes the run ignore
+        (
+            [("lam: 0.001", "lam: 0.001\n  link: tanh")],
+            "loss.link is read only by family glm, not ridge",
+        ),
+        (
+            [("c_ini: 0.1", "c_ini: 0.1\n  radius: 0.5")],
+            "init.radius is read only by mode random_ball, not perturb_reference",
+        ),
+        (
+            [("c_ini: 0.1", "c_ini: 0.1\n  thetas: [[1.0, 0.0], [-1.0, 0.0]]")],
+            "init.thetas on generated data is read only by mode explicit, not perturb_reference",
+        ),
     ])
     def test_late_failing_configs_exit_2_before_any_repetition(
         self, tmp_path, capsys, monkeypatch, edits, message

@@ -87,7 +87,8 @@ class TestGenerate:
         # zero up to summation-order rounding between generation and
         # evaluation (residuals at the 1e-16 scale, squared in the loss)
         ds, truth = generate(_spec(noise_sigma=0.0, margin=0.5))
-        c = estimate_constants(ds, truth, LossModel("ridge", lam=0.0))
+        # lam = 0 certifies no m; epsilon and epsilon1 do not read (m, M)
+        c = estimate_constants(ds, truth, LossModel("ridge", lam=0.0), (0.0, 0.0))
         assert c.epsilon <= 1e-24
         assert c.epsilon1 <= 1e-12
 
@@ -129,7 +130,7 @@ class TestGenerate:
             ds, truth = generate(
                 _spec(kind="agnostic_piecewise", perturb_amplitude=amp, margin=0.8)
             )
-            eps.append(estimate_constants(ds, truth, model).epsilon)
+            eps.append(estimate_constants(ds, truth, model, (0.0, 0.0)).epsilon)
         assert eps[0] <= 1e-24
         assert eps[0] < eps[1] < eps[2]
 

@@ -1,4 +1,5 @@
 """Loss families: values, gradients, and certified (m, M) constants."""
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from softmix.losses import (
     batch_loss,
     certify,
     default_step_size,
-    mean_smoothness,
 )
 
 ALL_CERTIFIABLE = (RIDGE, LOGISTIC, SQUARED_HINGE, GLM)
@@ -152,8 +152,7 @@ class TestCertification:
 
     def test_ridge_constants(self):
         ds = self._dataset(1.0)
-        certified = certify(LossModel(RIDGE, lam=0.5), ds)
-        m, M = certified.m, certified.M
+        m, M = certify(LossModel(RIDGE, lam=0.5), ds)
         assert (m, M) == pytest.approx((1.0, 3.0), rel=1e-12)
 
     def test_ridge_lam_zero_rejected(self):
@@ -163,14 +162,12 @@ class TestCertification:
 
     def test_logistic_constants(self):
         ds = self._dataset(4.0, classification=True)
-        certified = certify(LossModel(LOGISTIC, lam=0.25), ds)
-        m, M = certified.m, certified.M
+        m, M = certify(LossModel(LOGISTIC, lam=0.25), ds)
         assert (m, M) == pytest.approx((0.5, 1.5), rel=1e-12)
 
     def test_squared_hinge_constants(self):
         ds = self._dataset(1.0, classification=True)
-        certified = certify(LossModel(SQUARED_HINGE, lam=0.4), ds)
-        m, M = certified.m, certified.M
+        m, M = certify(LossModel(SQUARED_HINGE, lam=0.4), ds)
         assert (m, M) == pytest.approx((0.4, 2.4), rel=1e-12)
 
     def test_glm_curvature_can_defeat_convexity(self):
@@ -180,13 +177,14 @@ class TestCertification:
         with pytest.raises(CertificationError):
             certify(LossModel(GLM, lam=1e-4, link=TANH_LINK), ds)
 
-    def test_certify_returns_new_model(self):
+    def test_certify_returns_the_pair_and_leaves_the_model(self):
         ds = self._dataset(1.0)
-        raw = LossModel(RIDGE, lam=0.5)
-        certified = certify(raw, ds)
-        assert not raw.is_certified
-        assert certified.is_certified
-        assert certified.m <= certified.M
+        model = LossModel(RIDGE, lam=0.5)
+        m, M = certify(model, ds)
+        assert 0.0 < m <= M
+        # the model is the loss: section, and certify adds nothing to it
+        assert model == LossModel(RIDGE, lam=0.5)
+        assert [f.name for f in dataclasses.fields(LossModel)] == ["family", "lam", "link"]
 
     def test_bregman_sandwich_all_families(self):
         rng = np.random.default_rng(23)
@@ -196,7 +194,8 @@ class TestCertification:
             ds = self._dataset(1.0, classification=classification, n=8, d=3)
             # the GLM certificate needs lam to beat the link-curvature term
             lam = 4.0 if family == GLM else 0.1
-            model = certify(LossModel(family, lam=lam, link=link), ds)
+            model = LossModel(family, lam=lam, link=link)
+            m, M = certify(model, ds)
             for _ in range(100):
                 theta_a = rng.standard_normal(3)
                 theta_b = rng.standard_normal(3)
@@ -208,18 +207,20 @@ class TestCertification:
                     - float(np.dot(batch_gradient(model, *s, theta_a)[0], theta_b - theta_a))
                 )
                 sq = float(np.sum((theta_b - theta_a) ** 2))
-                assert gap >= 0.5 * model.m * sq - 1e-9
-                assert gap <= 0.5 * model.M * sq + 1e-9
+                assert gap >= 0.5 * m * sq - 1e-9
+                assert gap <= 0.5 * M * sq + 1e-9
 
     def test_mean_smoothness_below_worst_case(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((50, 4))
         ds = DataSet(X, rng.standard_normal(50))
         model = LossModel(RIDGE, lam=0.01)
-        M = certify(model, ds).M
-        bar_M = mean_smoothness(model, ds)
+        _, M = certify(model, ds)
+        # the default step is 1 / (2 bar_M), bar_M the mean loss's smoothness
+        bar_M = 1.0 / (2.0 * default_step_size(model, ds))
         assert 0.0 < bar_M <= M
-        assert default_step_size(model, ds) == pytest.approx(1.0 / (2.0 * bar_M))
+        top = float(np.linalg.eigvalsh(X.T @ X / 50)[-1])
+        assert bar_M == pytest.approx(2.0 * top + 2.0 * 0.01, rel=1e-12)
 
 
 def _masked_sigmoid(z):

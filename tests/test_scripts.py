@@ -54,7 +54,8 @@ def _sweep_level_by_hand(amp, n, reps):
             seed=seed,
         )
         dataset, truth = generate(spec)
-        model = certify(LossModel("ridge", lam=1e-3), dataset)
+        model = LossModel("ridge", lam=1e-3)
+        curvature = certify(model, dataset)
         gamma = default_step_size(model, dataset)
         rng = np.random.default_rng(seed)
         offsets = rng.standard_normal(truth.thetas.shape)
@@ -70,9 +71,9 @@ def _sweep_level_by_hand(amp, n, reps):
         )
         _, trace = run_gradient_em(init, dataset, model, em, reference=truth)
         floors.append(trace.final_distance())
-        constants = estimate_constants(dataset, truth, model)
+        constants = estimate_constants(dataset, truth, model, curvature)
         d0 = trace.distances[0]
-        q = theorem_quantities(constants, model, 10.0, gamma, d0, 30)
+        q = theorem_quantities(constants, 10.0, gamma, d0, 30)
         if q.contraction is not None:
             bounds.append(float(np.max(predicted_distance_bound(d0, q.contraction, q.zeta, 30))))
             limits.append(q.zeta / (1.0 - q.contraction))

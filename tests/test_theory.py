@@ -22,18 +22,24 @@ from softmix.theory import (
 )
 
 
-def _certified(M=3.0, m=1.0):
-    return LossModel("ridge", lam=0.1, m=m, M=M)
-
-
-def _constants(epsilon=0.0, epsilon1=0.0, delta=math.inf, pi_min=0.5, sizes=(1, 1)):
+def _constants(
+    epsilon=0.0, epsilon1=0.0, delta=math.inf, pi_min=0.5, m=1.0, M=3.0, sizes=(1, 1)
+):
+    """Constants of k = len(sizes) regions, region j holding sizes[j] samples."""
     return ProblemConstants(
         epsilon=epsilon,
         epsilon1=epsilon1,
         delta=delta,
         pi_min=pi_min,
+        m=m,
+        M=M,
         regions=tuple(np.arange(size) for size in sizes),
     )
+
+
+def _estimated(ds, ref, model):
+    """The constants at ``ref``, with the (m, M) of ``model`` certified on ``ds``."""
+    return estimate_constants(ds, ref, model, certify(model, ds))
 
 
 @st.composite
@@ -96,7 +102,8 @@ class TestPartition:
 class TestEstimateConstants:
     def test_noiseless_generative_truth_has_zero_misspecification(self, mlr_instance):
         ds, ref, _ = mlr_instance
-        c = estimate_constants(ds, ref, LossModel("ridge", lam=0.0))
+        # lam = 0 certifies no m; these constants do not read (m, M)
+        c = estimate_constants(ds, ref, LossModel("ridge", lam=0.0), (0.0, 0.0))
         assert c.epsilon <= 1e-24  # zero up to summation-order rounding
         assert c.epsilon1 <= 1e-12
         assert c.delta > 0.0
@@ -104,7 +111,7 @@ class TestEstimateConstants:
 
     def test_single_component_delta_infinite(self, tiny_ridge):
         ds, model = tiny_ridge
-        c = estimate_constants(ds, ParamSet([[0.8]]), model)
+        c = _estimated(ds, ParamSet([[0.8]]), model)
         assert c.delta == math.inf
         assert c.pi_min == 1.0
 
@@ -114,7 +121,7 @@ class TestEstimateConstants:
         ds = DataSet(rng.standard_normal((60, 2)), rng.standard_normal(60))
         ref = ParamSet(rng.standard_normal((2, 2)))
         model = LossModel("ridge", lam=0.05)
-        c = estimate_constants(ds, ref, model)
+        c = _estimated(ds, ref, model)
 
         regions, _, _ = partition_regions(ds, ref, model)
         eps = eps1 = 0.0
@@ -136,9 +143,10 @@ class TestEstimateConstants:
         rng = np.random.default_rng(12)
         ds = DataSet(rng.standard_normal((60, 2)), rng.standard_normal(60))
         ref = ParamSet(rng.standard_normal((2, 2)))
-        model = certify(LossModel("ridge", lam=0.05), ds)
+        model = LossModel("ridge", lam=0.05)
+        curvature = certify(model, ds)
         with pytest.warns(UserWarning, match="separation delta") as record:
-            estimate_constants(ds, ref, model)
+            estimate_constants(ds, ref, model, curvature)
         assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.filterwarnings("ignore:separation delta")
@@ -152,7 +160,7 @@ class TestEstimateConstants:
         ds, ref = DataSet(rows[:, :2], rows[:, 2]), ParamSet(thetas)
         model = LossModel("ridge", lam=0.0)
         assume(all(r.size for r in partition_regions(ds, ref, model)[0]))
-        constants = estimate_constants(ds, ref, model)
+        constants = estimate_constants(ds, ref, model, (0.0, 0.0))
         own = np.zeros((len(ds), ref.k), dtype=bool)
         for j, region in enumerate(constants.regions):
             own[region, j] = True
@@ -166,70 +174,68 @@ class TestEstimateConstants:
         ds = DataSet(np.array([[1.0]]), np.array([1.0]))
         ref = ParamSet([[1.0], [0.9]])
         with pytest.raises(ValueError, match="region"):
-            estimate_constants(ds, ref, LossModel("ridge", lam=0.0))
+            estimate_constants(ds, ref, LossModel("ridge", lam=0.0), (0.0, 0.0))
 
 
 class TestEta:
     def test_hand_value(self):
         c = _constants(delta=math.log(9.0))
-        got = compute_eta(c, beta=1.0, radius=0.0, model=_certified(), k=2)
+        got = compute_eta(c, beta=1.0, radius=0.0)
         assert got == pytest.approx(0.1, rel=1e-12)
 
     def test_beta_zero_gives_uniform_deficit(self):
-        c = _constants(delta=2.0)
         for k in (1, 2, 5):
-            got = compute_eta(c, beta=0.0, radius=0.3, model=_certified(), k=k)
+            c = _constants(delta=2.0, sizes=(1,) * k)
+            got = compute_eta(c, beta=0.0, radius=0.3)
             assert got == pytest.approx(1.0 - 1.0 / k, rel=1e-15)
 
     def test_single_component_perfect(self):
-        c = _constants()
-        assert compute_eta(c, beta=3.0, radius=0.0, model=_certified(), k=1) == 0.0
+        c = _constants(sizes=(1,))
+        assert compute_eta(c, beta=3.0, radius=0.0) == 0.0
 
     def test_monotone_in_misspecification_and_radius(self):
         rng = np.random.default_rng(4)
-        model = _certified()
         for _ in range(50):
             eps, eps1, cini = rng.random(3) * 0.5
             beta = 0.5 + 2.0 * rng.random()
             base = _constants(epsilon=eps, epsilon1=eps1, delta=5.0)
-            v = compute_eta(base, beta, cini, model, 2)
+            v = compute_eta(base, beta, cini)
             up_eps = _constants(epsilon=eps + 0.1, epsilon1=eps1, delta=5.0)
             up_eps1 = _constants(epsilon=eps, epsilon1=eps1 + 0.1, delta=5.0)
-            assert compute_eta(up_eps, beta, cini, model, 2) >= v - 1e-12
-            assert compute_eta(up_eps1, beta, cini, model, 2) >= v - 1e-12
-            assert compute_eta(base, beta, cini + 0.1, model, 2) >= v - 1e-12
+            assert compute_eta(up_eps, beta, cini) >= v - 1e-12
+            assert compute_eta(up_eps1, beta, cini) >= v - 1e-12
+            assert compute_eta(base, beta, cini + 0.1) >= v - 1e-12
             wider = _constants(epsilon=eps, epsilon1=eps1, delta=6.0)
-            assert compute_eta(wider, beta, cini, model, 2) <= v + 1e-12
+            assert compute_eta(wider, beta, cini) <= v + 1e-12
 
 
 class TestEtaPrime:
     def test_beta_zero_is_one(self):
-        got = compute_eta_prime(_constants(delta=2.0), 0.0, 0.3, _certified())
+        got = compute_eta_prime(_constants(delta=2.0), 0.0, 0.3)
         assert got == 1.0
 
     def test_hand_value(self):
-        got = compute_eta_prime(_constants(delta=1.0), 2.0, 0.0, _certified())
+        got = compute_eta_prime(_constants(delta=1.0), 2.0, 0.0)
         assert got == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_insufficient_separation_exceeds_one(self):
         # delta smaller than the radius-inflation terms flips the exponent
-        got = compute_eta_prime(_constants(delta=0.1), 2.0, 0.5, _certified(M=3.0))
+        got = compute_eta_prime(_constants(delta=0.1, M=3.0), 2.0, 0.5)
         assert got > 1.0
 
     def test_log_linear_in_beta(self):
-        c = _constants(epsilon=0.02, epsilon1=0.04, delta=1.5)
-        model = _certified(M=2.0)
+        c = _constants(epsilon=0.02, epsilon1=0.04, delta=1.5, M=2.0)
         c_ini = 0.1
         slope_want = -(
             c.delta
-            - (c.epsilon1 + 2.0 * model.M) * c_ini
+            - (c.epsilon1 + 2.0 * c.M) * c_ini
             - c.epsilon
             - c.epsilon1 * c_ini
-            - 0.5 * model.M * c_ini ** 2
+            - 0.5 * c.M * c_ini ** 2
         )
         betas = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
         logs = np.array(
-            [math.log(compute_eta_prime(c, b, c_ini, model)) for b in betas]
+            [math.log(compute_eta_prime(c, b, c_ini)) for b in betas]
         )
         slopes = np.diff(logs) / np.diff(betas)
         np.testing.assert_allclose(slopes, slope_want, atol=1e-10)
@@ -237,21 +243,20 @@ class TestEtaPrime:
 
 class TestErrorFloor:
     def test_zero_when_no_misspecification_or_leak(self):
-        got = compute_error_floor(_constants(), 0.5, 0.2, 0.0, _certified())
+        got = compute_error_floor(_constants(), 0.5, 0.2, 0.0)
         assert got == 0.0
 
     def test_hand_value(self):
-        c = _constants(epsilon1=0.04)
-        got = compute_error_floor(c, 0.1, 0.1, 0.05, _certified(M=3.0))
+        c = _constants(epsilon1=0.04, M=3.0)
+        got = compute_error_floor(c, 0.1, 0.1, 0.05)
         # 0.1*0.04 + sqrt(0.1*0.04*0.1) + 0.1*0.05*(2 + 0.04 + 3*0.1)
         want = 0.004 + 0.02 + 0.005 * 2.34
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_linear_in_gamma_without_gradient_misspecification(self):
         c = _constants(epsilon1=0.0)
-        model = _certified()
-        one = compute_error_floor(c, 0.2, 0.1, 0.05, model)
-        two = compute_error_floor(c, 0.4, 0.1, 0.05, model)
+        one = compute_error_floor(c, 0.2, 0.1, 0.05)
+        two = compute_error_floor(c, 0.4, 0.1, 0.05)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -304,28 +309,27 @@ class TestDistanceBound:
 class TestBundle:
     def test_quantities_consistent_with_parts(self, mlr_instance):
         ds, ref, _ = mlr_instance
-        model = certify(LossModel("ridge", lam=1e-3), ds)
-        c = estimate_constants(ds, ref, model)
+        c = _estimated(ds, ref, LossModel("ridge", lam=1e-3))
         d0 = np.array([0.01, 0.005])
         # the start radius is the largest start distance, 0.01
-        q = theorem_quantities(c, model, beta=5.0, gamma=0.05, d0=d0, T=30)
-        assert q.eta == compute_eta(c, 5.0, 0.01, model, 2)
-        assert q.eta_prime == compute_eta_prime(c, 5.0, 0.01, model)
-        assert q.zeta == compute_error_floor(c, 0.05, 0.01, q.eta_prime, model)
+        q = theorem_quantities(c, beta=5.0, gamma=0.05, d0=d0, T=30)
+        assert q.eta == compute_eta(c, 5.0, 0.01)
+        assert q.eta_prime == compute_eta_prime(c, 5.0, 0.01)
+        assert q.zeta == compute_error_floor(c, 0.05, 0.01, q.eta_prime)
+        assert q.contraction == compute_contraction(0.05, c.pi_min, c.m, q.eta)
         assert q.contraction is not None and 0.0 < q.contraction < 1.0
         assert q.eta < 1.0 and q.eta_prime <= 1.0 and q.bound is not None
 
     def test_bound_is_the_worst_component_and_within_reads_it(self, mlr_instance):
         ds, ref, _ = mlr_instance
-        model = certify(LossModel("ridge", lam=1e-3), ds)
-        c = estimate_constants(ds, ref, model)
+        c = _estimated(ds, ref, LossModel("ridge", lam=1e-3))
         d0 = np.array([0.01, 0.005])
-        q = theorem_quantities(c, model, 5.0, 0.05, d0, 30)
+        q = theorem_quantities(c, 5.0, 0.05, d0, 30)
         assert q.bound == float(np.max(predicted_distance_bound(d0, q.contraction, q.zeta, 30)))
         assert q.within(q.bound) is True and q.within(2.0 * q.bound) is False
         # from a start at distance 0.2 the contraction stands but eta' > 1:
         # the theorem does not apply
-        leaky = theorem_quantities(c, model, 5.0, 0.05, np.array([0.2, 0.005]), 30)
+        leaky = theorem_quantities(c, 5.0, 0.05, np.array([0.2, 0.005]), 30)
         assert leaky.contraction is not None and leaky.eta_prime > 1.0
         assert leaky.bound is None and leaky.within(0.0) is None
 
@@ -345,9 +349,10 @@ class TestBundle:
     def test_bound_is_evaluated_exactly_where_the_theorem_applies(
         self, epsilon, epsilon1, delta, pi_min, M, m_share, beta, gamma, d0, T
     ):
-        constants = _constants(epsilon, epsilon1, delta, pi_min)
-        model = _certified(M=M, m=m_share * M)
-        q = theorem_quantities(constants, model, beta, gamma, np.array(d0), T)
+        constants = _constants(
+            epsilon, epsilon1, delta, pi_min, m=m_share * M, M=M, sizes=(1,) * len(d0)
+        )
+        q = theorem_quantities(constants, beta, gamma, np.array(d0), T)
         applies = (
             q.contraction is not None
             and q.eta < 1.0

@@ -54,7 +54,7 @@ class TestBruteForce:
         ds = self._dataset()
         model = LossModel("ridge", lam=0.0)
         grid = GridSpec(-2.0, 2.0, 401)
-        best = brute_force_minimize(ds, model, 1.0, 1, grid)
+        best, _ = brute_force_minimize(ds, model, 1.0, 1, grid)
         closed = float(np.sum(ds.X[:, 0] * ds.y) / np.sum(ds.X[:, 0] ** 2))
         axis = grid.axis()
         nearest = axis[np.argmin(np.abs(axis - closed))]
@@ -70,7 +70,7 @@ class TestBruteForce:
         model = LossModel("ridge", lam=1e-3)
         cfg = math.inf
         # 41-point grid over [-2, 2] contains +-1 exactly
-        best = brute_force_minimize(ds, model, cfg, 2, GridSpec(-2.0, 2.0, 41))
+        best, _ = brute_force_minimize(ds, model, cfg, 2, GridSpec(-2.0, 2.0, 41))
         assert empirical_loss(best, ds, model, cfg) <= empirical_loss(
             ParamSet(truth), ds, model, cfg
         )
@@ -86,8 +86,8 @@ class TestBruteForce:
         model = LossModel("ridge", lam=lam)
         cfg = math.inf
         grid = GridSpec(-2.0, 2.0, 201)
-        best = brute_force_minimize(ds, model, cfg, 2, grid)
-        bf_loss = empirical_loss(best, ds, model, cfg)
+        best, bf_loss = brute_force_minimize(ds, model, cfg, 2, grid)
+        assert bf_loss == empirical_loss(best, ds, model, cfg)
 
         enum_best = math.inf
         for assign in itertools.product([0, 1], repeat=5):
@@ -126,7 +126,7 @@ class TestBruteForce:
 class TestLemmaSweeps:
     def test_reference_params_zero_violations(self, mlr_instance):
         ds, ref, model = mlr_instance
-        constants = estimate_constants(ds, ref, model)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
         rep1, rep2 = check_lemma_bounds(
             ds, ref, model, constants, beta=5.0, radii=[1e-12, 1e-12], trials=5, seed=0
         )
@@ -136,7 +136,7 @@ class TestLemmaSweeps:
 
     def test_perturbed_params_zero_violations(self, mlr_instance):
         ds, ref, model = mlr_instance
-        constants = estimate_constants(ds, ref, model)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
         rep1, rep2 = check_lemma_bounds(
             ds, ref, model, constants, beta=5.0, radii=[0.01, 0.01], trials=30, seed=1
         )
@@ -145,7 +145,7 @@ class TestLemmaSweeps:
 
     def test_beta_zero_exact_equality(self, mlr_instance):
         ds, ref, model = mlr_instance
-        constants = estimate_constants(ds, ref, model)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
         rep1, _ = check_lemma_bounds(
             ds, ref, model, constants, beta=0.0, radii=[0.01, 0.01], trials=3, seed=2
         )
@@ -168,8 +168,8 @@ class TestLemmaSweeps:
             seed=11, truth=truth,
         )
         ds, ref = generate(spec)
-        model = certify(LossModel("ridge", lam=1e-3), ds)
-        constants = estimate_constants(ds, ref, model)
+        model = LossModel("ridge", lam=1e-3)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
         own, cross = check_lemma_bounds(
             ds, ref, model, constants, beta=1.0, radii=[0.1 * norm] * 2, trials=200, seed=11
         )
@@ -185,8 +185,8 @@ class TestLemmaSweeps:
         y = X[:, 0] + 0.5 * rng.standard_normal(60)
         ds = DataSet(X, y)
         ref = ParamSet([[1.0, 0.1], [0.9, -0.1]])
-        model = certify(LossModel("ridge", lam=1e-3), ds)
-        constants = estimate_constants(ds, ref, model)
+        model = LossModel("ridge", lam=1e-3)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
         rep1, _ = check_lemma_bounds(
             ds, ref, model, constants, beta=1e5, radii=[0.1, 0.1], trials=2, seed=0
         )
@@ -201,8 +201,8 @@ class TestLemmaSweeps:
         X = rng.standard_normal((60, 2))
         ds = DataSet(X, X[:, 0] + 0.5 * rng.standard_normal(60))
         ref = ParamSet([[1.0, 0.1], [0.9, -0.1]])
-        model = certify(LossModel("ridge", lam=1e-3), ds)
-        constants = estimate_constants(ds, ref, model)
+        model = LossModel("ridge", lam=1e-3)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
         reports = check_lemma_bounds(
             ds, ref, model, constants, beta=1e5, radii=[0.1, 0.1], trials=2, seed=0
         )
@@ -219,7 +219,7 @@ class TestStepDecomposition:
         ds, model = tiny_ridge
         params = ParamSet([[0.3]])
         ref = ParamSet([[0.8]])
-        constants = estimate_constants(ds, ref, model)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
         dec = step_decomposition(params, ds, model, self._em(0.1), ref, constants)
         assert dec.T2 == 0.0
         assert dec.total <= dec.T1 + dec.T2 + 1e-12
@@ -227,7 +227,7 @@ class TestStepDecomposition:
     def test_zero_step_reduces_to_distance(self, mlr_instance):
         ds, ref, model = mlr_instance
         params = ParamSet(ref.thetas + [[0.2, 0.0], [0.0, -0.1]])
-        constants = estimate_constants(ds, ref, model)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
         dec = step_decomposition(params, ds, model, self._em(0.0), ref, constants)
         assert dec.T1 == pytest.approx(0.2, rel=1e-12)
         assert dec.T2 == 0.0
@@ -235,7 +235,8 @@ class TestStepDecomposition:
 
     def test_gamma_none_raises_naming_gamma(self, mlr_instance):
         ds, ref, model = mlr_instance
-        params, constants = ParamSet(ref.thetas + 0.1), estimate_constants(ds, ref, model)
+        params = ParamSet(ref.thetas + 0.1)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
         with pytest.raises(ValueError, match="^gamma is None"):
             step_decomposition(params, ds, model, self._em(None), ref, constants)
 
@@ -243,7 +244,7 @@ class TestStepDecomposition:
         ds, ref, model = mlr_instance
         rng = np.random.default_rng(7)
         gamma = 0.1
-        constants = estimate_constants(ds, ref, model)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
         for _ in range(25):
             params = ParamSet(ref.thetas + 0.2 * rng.standard_normal(ref.thetas.shape))
             dec = step_decomposition(params, ds, model, self._em(gamma), ref, constants)
@@ -264,6 +265,6 @@ class TestStepDecomposition:
             monkeypatch.setattr(module, "weight_matrix", counted)
         ds, ref, model = mlr_instance
         params = ParamSet(ref.thetas + [[0.2, 0.0], [0.0, -0.1]])
-        constants = estimate_constants(ds, ref, model)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
         step_decomposition(params, ds, model, self._em(0.1), ref, constants)
         assert len(calls) == 1

@@ -4,7 +4,6 @@ Subcommands:
 
 * ``run <config.yaml>``            -- full experiment, writes report + CSVs
 * ``gen <genspec.yaml> -o <file>`` -- generate a dataset to CSV
-* ``check-gradients <loss.yaml>``  -- randomized finite-difference audit
 * ``bounds <config.yaml>``         -- print theory quantities only
 
 A bad config or dataset, or an input file that cannot be read, exits 2 with
@@ -24,8 +23,6 @@ from .datagen import GenSpec, generate, save_csv
 from .em import align_to_reference
 from .experiment import _format_bound, _format_constants, _format_quantities
 from .experiment import repetition_context, run_experiment, theory_at
-from .losses import FAMILIES, LossModel
-from .verify import GRADIENT_TOLERANCE, worst_gradient_error
 
 
 def _cmd_run(args) -> int:
@@ -50,38 +47,6 @@ def _cmd_gen(args) -> int:
     save_csv(dataset, args.output)
     sys.stdout.write(f"wrote {dataset.n} samples (d={dataset.d}) to {args.output}\n")
     return 0
-
-
-def _cmd_check_gradients(args) -> int:
-    doc = parse_yaml(Path(args.loss_spec).read_text())
-    if not isinstance(doc, dict):
-        raise ConfigError("loss spec must be a mapping")
-    model = _section({key: doc[key] for key in doc if key not in ("seed", "d")}, LossModel, "loss")
-    seed = _typed(doc.get("seed", 0), int, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    d = _typed(doc.get("d", 3), int, "d")
-    if d < 1:
-        raise ConfigError(f"d must be >= 1, got {d}")
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    signed = FAMILIES[model.family].signed_labels
-
-    def label() -> float:
-        return rng.choice([-1.0, 1.0]) if signed else rng.standard_normal()
-
-    cases = (
-        (rng.standard_normal(d), label(), rng.standard_normal(d))
-        for _ in range(args.trials)
-    )
-    worst = worst_gradient_error(model, cases)
-    ok = worst <= GRADIENT_TOLERANCE
-    sys.stdout.write(
-        f"{model.family}: worst relative error {worst:.3g} over {args.trials} trials "
-        f"-> {'PASS' if ok else 'FAIL'}\n"
-    )
-    return 0 if ok else 1
 
 
 def _cmd_bounds(args) -> int:
@@ -116,11 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("genspec")
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.set_defaults(func=_cmd_gen)
-
-    p_chk = sub.add_parser("check-gradients", help="finite-difference gradient audit")
-    p_chk.add_argument("loss_spec")
-    p_chk.add_argument("--trials", type=int, default=100)
-    p_chk.set_defaults(func=_cmd_check_gradients)
 
     p_bounds = sub.add_parser("bounds", help="print theory quantities for a config")
     p_bounds.add_argument("config")

@@ -15,9 +15,14 @@ default.  Each value is checked against its field annotation by
 numbers or strings that ``float()`` parses (PyYAML reads ``1e-3`` as a
 string; ``beta: "inf"`` selects the hard min), never NaN.  Unknown keys are
 rejected so typos fail loudly, and so is a key that the rest of the config
-makes the run ignore (``loss.link`` outside ``glm``, ``init.radius``
-outside ``random_ball``, ``init.thetas`` outside ``explicit`` on
-generated data, where k comes from the truth);
+makes the run ignore (``loss.link`` outside ``glm``, ``init.c_ini``
+outside ``perturb_reference``, ``init.radius`` outside ``random_ball``,
+``data.noise_sigma`` outside ``generative_mlr``,
+``data.perturb_amplitude`` outside ``agnostic_piecewise``, ``data.t_dof``
+outside ``student_t`` covariates, ``data.truth_scale`` with a given
+``data.truth``, ``init.thetas`` outside ``explicit`` on generated data,
+where k comes from the truth); where such a key is read, its absence takes
+the default that its class fills in;
 ``serialize`` walks the same fields and emits a document that reparses to
 an equal config.  The keys that need the size of the data are checked by
 :func:`check_data`: for generated data when the config is built, for a data
@@ -59,7 +64,7 @@ NOT_KEYS = {GenSpec: ("seed",), EMConfig: ("seed",)}
 @dataclass(frozen=True)
 class InitSpec:
     mode: str = PERTURB_REFERENCE
-    c_ini: Optional[float] = 0.2
+    c_ini: Optional[float] = None  # 0.2 under mode perturb_reference
     thetas: Optional[ParamSet] = None
     radius: Optional[float] = None
 
@@ -67,8 +72,14 @@ class InitSpec:
         if self.mode not in INIT_MODES:
             raise ConfigError(f"init.mode must be one of {INIT_MODES}")
         if self.mode == PERTURB_REFERENCE:
-            if self.c_ini is None or not (0.0 < self.c_ini < 1.0):
+            if self.c_ini is None:
+                object.__setattr__(self, "c_ini", 0.2)
+            if not 0.0 < self.c_ini < 1.0:
                 raise ConfigError("init.c_ini must lie in (0, 1)")
+        elif self.c_ini is not None:
+            raise ConfigError(
+                f"init.c_ini is read only by mode {PERTURB_REFERENCE}, not {self.mode}"
+            )
         if self.mode == EXPLICIT and self.thetas is None:
             raise ConfigError("init.mode=explicit requires init.thetas")
         if self.mode == RANDOM_BALL and (self.radius is None or self.radius <= 0):

@@ -63,21 +63,27 @@ class GenSpec:
     ``margin``, which lower-bounds the empirical separation delta.
     ``perturb_amplitude`` scales the deterministic label perturbation of the
     agnostic kind (drives epsilon, epsilon1).
+
+    Four fields are read under one setting only: ``noise_sigma`` by kind
+    generative_mlr, ``perturb_amplitude`` by kind agnostic_piecewise,
+    ``t_dof`` by covariate student_t and ``truth_scale`` by the default
+    truth.  There ``None`` takes the default (0.0, 0.0, 5 and 1.0), and
+    anywhere else a value is rejected.
     """
 
     kind: str
     k: int
     d: int
     n: int
-    noise_sigma: float = 0.0
+    noise_sigma: Optional[float] = None
     mix_weights: Optional[Tuple[float, ...]] = None
     covariate: str = "gaussian"
     cov_scale: float = 1.0
-    t_dof: int = 5
+    t_dof: Optional[int] = None
     seed: int = 0
     truth: Optional[ParamSet] = None
-    truth_scale: float = 1.0
-    perturb_amplitude: float = 0.0
+    truth_scale: Optional[float] = None
+    perturb_amplitude: Optional[float] = None
     margin: float = 0.0
 
     def __post_init__(self):
@@ -85,13 +91,25 @@ class GenSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.covariate not in COVARIATES:
             raise ValueError(f"unknown covariate family {self.covariate!r}")
+        for key, default, read, reader, setting in (
+            ("noise_sigma", 0.0, self.kind == GENERATIVE_MLR, f"kind {GENERATIVE_MLR}", self.kind),
+            ("perturb_amplitude", 0.0, self.kind == AGNOSTIC_PIECEWISE,
+             f"kind {AGNOSTIC_PIECEWISE}", self.kind),
+            ("t_dof", 5, self.covariate == "student_t", "covariate student_t", self.covariate),
+            ("truth_scale", 1.0, self.truth is None, "the default truth", "a given truth"),
+        ):
+            if read and getattr(self, key) is None:
+                object.__setattr__(self, key, default)
+            elif not read and getattr(self, key) is not None:
+                raise ValueError(f"{key} is read only by {reader}, not {setting}")
         if self.k < 1 or self.n < self.k or self.d < 1:
             raise ValueError("need k >= 1, d >= 1 and n >= k")
-        if self.noise_sigma < 0 or self.margin < 0 or self.perturb_amplitude < 0:
+        amounts = (self.noise_sigma, self.margin, self.perturb_amplitude)
+        if min(value for value in amounts if value is not None) < 0:
             raise ValueError("noise_sigma, margin and perturb_amplitude must be >= 0")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.t_dof < 3:
+        if self.t_dof is not None and self.t_dof < 3:
             raise ValueError("Student-t dof must be >= 3 for finite variance")
         if self.mix_weights is not None:
             w = np.asarray(self.mix_weights, dtype=np.float64)

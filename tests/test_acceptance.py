@@ -7,6 +7,7 @@ parameters) so results are reproducible; see the module-level constants.
 import itertools
 import math
 import time
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def _perturbed_init(truth: ParamSet, c_ini: float, rng: np.random.Generator) -> 
     return ParamSet(truth.thetas + radii[:, None] * offsets)
 
 
-def _convergence_run(seed: int, covariate: str = "gaussian", t_dof: int = 5):
+def _convergence_run(seed: int, covariate: str = "gaussian", t_dof: Optional[int] = None):
     spec = GenSpec(**{**CONVERGENCE_SPEC, "covariate": covariate, "t_dof": t_dof, "seed": seed})
     dataset, truth = generate(spec)
     model = LossModel(RIDGE, lam=CONVERGENCE_LAM)

@@ -250,35 +250,42 @@ def _configs(draw):
     """A valid ExperimentConfig: generated or file data, every init mode,
     beta finite or inf, and the optional keys present or absent.  It draws
     no data seed (each repetition sets its own), a link only for glm,
-    init.radius only for mode random_ball and init.thetas outside mode
-    explicit only for file data, where it sets k: the config rejects each
-    of them elsewhere."""
+    init.c_ini only for mode perturb_reference, init.radius only for mode
+    random_ball, init.thetas outside mode explicit only for file data, where
+    it sets k, and noise_sigma, perturb_amplitude, t_dof and truth_scale
+    only where generate() reads them: the config rejects each of them
+    elsewhere.  Where a key with a filled-in default is read, it is also
+    drawn absent."""
     k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     weights = draw(st.lists(_floats, min_size=k, max_size=k))
+    kind, covariate = draw(st.sampled_from(KINDS)), draw(st.sampled_from(COVARIATES))
+    truth = draw(st.none() | _param_sets(k, d))
+    read = {
+        "noise_sigma": (kind == "generative_mlr", st.just(0.0) | _floats),
+        "perturb_amplitude": (kind == "agnostic_piecewise", st.just(0.0) | _floats),
+        "t_dof": (covariate == "student_t", st.integers(3, 30)),
+        "truth_scale": (truth is None, _floats),
+    }
     data = draw(st.one_of(_text, st.builds(
         GenSpec,
-        kind=st.sampled_from(KINDS),
+        kind=st.just(kind),
         k=st.just(k),
         d=st.just(d),
         n=st.integers(k, 10 ** 6),
-        noise_sigma=st.just(0.0) | _floats,
         mix_weights=st.none() | st.just(tuple(w / sum(weights) for w in weights)),
-        covariate=st.sampled_from(COVARIATES),
+        covariate=st.just(covariate),
         cov_scale=_floats,
-        t_dof=st.integers(3, 30),
-        truth=st.none() | _param_sets(k, d),
-        truth_scale=_floats,
-        perturb_amplitude=st.just(0.0) | _floats,
+        truth=st.just(truth),
         margin=st.just(0.0) | _floats,
+        **{key: st.none() | values for key, (reads, values) in read.items() if reads},
     )))
     mode = draw(st.sampled_from(INIT_MODES))
-    c_ini = st.floats(0.01, 0.99)
     thetas = _param_sets(k, d)
     if mode != "explicit":
         thetas = st.none() | thetas if isinstance(data, str) else st.none()
     init = InitSpec(
         mode=mode,
-        c_ini=draw(c_ini if mode == PERTURB_REFERENCE else st.none() | c_ini),
+        c_ini=draw(st.none() | st.floats(0.01, 0.99)) if mode == PERTURB_REFERENCE else None,
         thetas=draw(thetas),
         radius=draw(_floats) if mode == "random_ball" else None,
     )
@@ -867,18 +874,13 @@ class TestCLI:
         assert main(["run", config, "-o", str(tmp_path / "out")]) == 0
         assert "check lemmas: PASS (" in capsys.readouterr().out
 
-    def test_check_gradients_subcommand(self, tmp_path):
-        spec = self._write(tmp_path, "loss.yaml", "family: logistic\nlam: 0.01\nd: 3\n")
-        assert main(["check-gradients", spec, "--trials", "50"]) == 0
-
-    def test_check_gradients_unknown_link_exits_2(self, tmp_path):
-        spec = self._write(tmp_path, "loss.yaml", "family: glm\nlink: softplus\nlam: 0.1\n")
-        assert main(["check-gradients", spec, "--trials", "2"]) == 2
-
-    def test_check_gradients_plain_hinge_is_an_unknown_family(self, tmp_path, capsys):
-        spec = self._write(tmp_path, "loss.yaml", "family: plain_hinge\nlam: 0.5\n")
-        assert main(["check-gradients", spec, "--trials", "2"]) == 2
-        assert "unknown loss family 'plain_hinge'" in capsys.readouterr().err
+    def test_removed_subcommand_exits_2(self, tmp_path):
+        # the loss families are fixed code; tests/test_losses.py checks their
+        # gradients against finite differences
+        spec = self._write(tmp_path, "loss.yaml", "family: ridge\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["check-gradients", spec])
+        assert exc.value.code == 2
 
     def test_bounds_subcommand(self, tmp_path, capsys):
         config = self._write(tmp_path, "cfg.yaml", TWO_COMPONENT)
@@ -924,8 +926,6 @@ class TestCLI:
         ("run", MINIMAL.replace("iterations: 10", "iterations: 2.7"), "em.iterations"),
         ("gen", "kind: generative_mlr\nk: 1\nd: \"2\"\nn: 30\n", "genspec.d"),
         ("gen", "kind: generative_mlr\nk: 1\nd: 2\nn: 30\nseed: 2.5\n", "seed"),
-        ("check-gradients", "family: ridge\nd: 2.5\n", "d"),
-        ("check-gradients", "family: ridge\nseed: null\n", "seed"),
     ])
     def test_mistyped_value_exits_2_naming_its_key(self, tmp_path, capsys, command, text, key):
         path = self._write(tmp_path, "in.yaml", text)
@@ -935,7 +935,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("command, text, key", [
         ("run", MINIMAL + "seed: -1\n", "seed"),
-        # softmix gen reads its seed as a key of its own, as check-gradients does
+        # softmix gen reads its seed as a key of its own, not a data: key
         ("gen", "kind: generative_mlr\nk: 1\nd: 2\nn: 30\nseed: -1\n", "seed"),
         ("gen", f"kind: generative_mlr\nk: 1\nd: 2\nn: 30\nseed: {2 ** 64}\n", "seed"),
     ])
@@ -949,27 +949,6 @@ class TestCLI:
         assert capsys.readouterr().err.startswith(f"error: {key} must lie in [0, 2**64")
         assert repetitions == []
         assert not (tmp_path / "data.csv").exists()
-
-    @pytest.mark.parametrize("text, trials, message", [
-        ("family: ridge\nd: 0\n", "5", "d must be >= 1, got 0"),
-        ("family: logistic\nlam: 0.01\nd: -2\n", "5", "d must be >= 1, got -2"),
-        ("family: ridge\n", "0", "--trials must be >= 1, got 0"),
-    ])
-    def test_check_gradients_that_checks_nothing_exits_2(
-        self, tmp_path, capsys, text, trials, message
-    ):
-        spec = self._write(tmp_path, "loss.yaml", text)
-        assert main(["check-gradients", spec, "--trials", trials]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert "PASS" not in captured.out
-
-    def test_check_gradients_negative_seed_exits_2_naming_seed(self, tmp_path, capsys):
-        spec = self._write(tmp_path, "loss.yaml", "family: ridge\nseed: -1\n")
-        assert main(["check-gradients", spec, "--trials", "5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: seed must be >= 0, got -1\n"
-        assert "PASS" not in captured.out
 
     @pytest.mark.parametrize("line, message", [
         # the contraction's universal constant is 1; it is not a config key
@@ -1092,7 +1071,7 @@ class TestCLI:
     def test_missing_file_exits_2(self):
         assert main(["run", "/nonexistent/config.yaml"]) == 2
 
-    @pytest.mark.parametrize("command", ["run", "gen", "check-gradients", "bounds"])
+    @pytest.mark.parametrize("command", ["run", "gen", "bounds"])
     @pytest.mark.parametrize("unreadable", ["malformed_yaml", "directory"])
     def test_unreadable_input_exits_2_with_one_error_line(
         self, tmp_path, capsys, command, unreadable
@@ -1132,6 +1111,30 @@ class TestCLI:
         (
             [("c_ini: 0.1", "c_ini: 0.1\n  thetas: [[1.0, 0.0], [-1.0, 0.0]]")],
             "init.thetas on generated data is read only by mode explicit, not perturb_reference",
+        ),
+        ([("family: ridge", "family: glm\n  link: softplus")],
+         "loss.link must be one of ['identity', 'sigmoid', 'tanh']"),
+        ([("family: ridge", "family: plain_hinge")], "loss: unknown loss family 'plain_hinge'"),
+        (
+            [("mode: perturb_reference\n  c_ini: 0.1", "mode: random_ball\n  c_ini: 0.1\n"
+              "  radius: 0.5")],
+            "init.c_ini is read only by mode perturb_reference, not random_ball",
+        ),
+        (
+            [("kind: generative_mlr", "kind: agnostic_piecewise")],
+            "data.noise_sigma is read only by kind generative_mlr, not agnostic_piecewise",
+        ),
+        (
+            [("n: 400", "n: 400\n  perturb_amplitude: 0.3")],
+            "data.perturb_amplitude is read only by kind agnostic_piecewise, not generative_mlr",
+        ),
+        (
+            [("n: 400", "n: 400\n  t_dof: 9")],
+            "data.t_dof is read only by covariate student_t, not uniform_ball",
+        ),
+        (
+            [("n: 400", "n: 400\n  truth_scale: 7.0")],
+            "data.truth_scale is read only by the default truth, not a given truth",
         ),
     ])
     def test_late_failing_configs_exit_2_before_any_repetition(

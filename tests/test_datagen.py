@@ -43,8 +43,8 @@ class TestGenSpecValidation:
             _spec(covariate="cauchy")
 
     def test_low_dof_rejected(self):
-        with pytest.raises(ValueError):
-            _spec(t_dof=2)
+        with pytest.raises(ValueError, match="Student-t dof must be >= 3"):
+            _spec(covariate="student_t", t_dof=2)
 
     def test_mix_weights_must_be_simplex(self):
         with pytest.raises(ValueError):
@@ -231,10 +231,14 @@ class TestLayoutV2:
     @given(kind=st.sampled_from(KINDS), covariate=st.sampled_from(COVARIATES),
            margin=st.sampled_from([0.0, 0.5]), seed=_seeds)
     def test_prefix_stable_across_block_boundaries(self, n, kind, covariate, margin, seed):
+        # each kind's own label amount; the other kinds read none
+        amount = {"generative_mlr": {"noise_sigma": 0.1},
+                  "agnostic_piecewise": {"perturb_amplitude": 0.05}}.get(kind, {})
+
         def spec(size):
             return GenSpec(
                 kind, k=2, d=3, n=size, covariate=covariate, cov_scale=1.5, margin=margin,
-                noise_sigma=0.1, perturb_amplitude=0.05, truth=_eye_truth(2, 3), seed=seed,
+                truth=_eye_truth(2, 3), seed=seed, **amount,
             )
 
         small, _ = generate(spec(n))

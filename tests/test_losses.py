@@ -34,13 +34,14 @@ def _row(x, y):
     return np.asarray(x, dtype=np.float64)[None, :], np.array([float(y)])
 
 
-def _random_instance(family, rng, d=3):
+def _random_instance(family, rng, d=3, link=None):
     x = rng.standard_normal(d)
     if family in (LOGISTIC, SQUARED_HINGE):
         y = float(rng.choice([-1.0, 1.0]))
     else:
         y = float(rng.standard_normal())
-    link = TANH_LINK if family == GLM else None
+    if family == GLM and link is None:
+        link = TANH_LINK
     model = LossModel(family, lam=0.05, link=link)
     return model, x, y
 
@@ -115,13 +116,16 @@ class TestLossGradients:
         grad = batch_gradient(model, *_row(x, y), theta_star)[0]
         assert np.linalg.norm(grad) <= 1e-8
 
-    @pytest.mark.parametrize("family", ALL_CERTIFIABLE)
-    def test_matches_finite_differences(self, family):
+    @pytest.mark.parametrize("family, link", [
+        *(pytest.param(family, None, id=family) for family in (RIDGE, LOGISTIC, SQUARED_HINGE)),
+        *(pytest.param(GLM, link, id=f"{GLM}-{name}") for name, link in sorted(LINKS.items())),
+    ])
+    def test_matches_finite_differences(self, family, link):
         from softmix.verify import finite_diff_gradient
 
         rng = np.random.default_rng(17)
         for _ in range(100):
-            model, x, y = _random_instance(family, rng)
+            model, x, y = _random_instance(family, rng, link=link)
             theta = rng.standard_normal(3)
             analytic = batch_gradient(model, *_row(x, y), theta)[0]
             numeric = finite_diff_gradient(model, x, y, theta)

@@ -13,10 +13,11 @@ required, and an absent key (or a ``null`` section) takes the field
 default.  Each value is checked against its field annotation by
 :func:`_typed`: ints must be integral, booleans YAML booleans, and floats
 numbers or strings that ``float()`` parses (PyYAML reads ``1e-3`` as a
-string; ``beta: "inf"`` selects the hard min), never NaN.  Unknown keys are
-rejected so typos fail loudly, and so is a key that the rest of the config
-makes the run ignore (``loss.link`` outside ``glm``, ``init.c_ini``
-outside ``perturb_reference``, ``init.radius`` outside ``random_ball``,
+string; ``beta: "inf"`` selects the hard min), never NaN, and infinite only
+for ``em.beta``.  Unknown keys are rejected so typos fail loudly, and so is
+a key that the rest of the config makes the run ignore (``loss.link``
+outside ``glm``, ``init.c_ini`` outside ``perturb_reference``,
+``init.radius`` outside ``random_ball``,
 ``data.noise_sigma`` outside ``generative_mlr``,
 ``data.perturb_amplitude`` outside ``agnostic_piecewise``, ``data.t_dof``
 outside ``student_t`` covariates, ``data.truth_scale`` with a given
@@ -86,6 +87,8 @@ class InitSpec:
             raise ConfigError("init.mode=random_ball requires init.radius > 0")
         if self.mode != RANDOM_BALL and self.radius is not None:
             raise ConfigError(f"init.radius is read only by mode random_ball, not {self.mode}")
+        if self.radius is not None and not math.isfinite(self.radius):
+            raise ConfigError(f"init.radius must be finite, got {self.radius}")
 
 
 @dataclass(frozen=True)

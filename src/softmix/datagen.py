@@ -68,7 +68,8 @@ class GenSpec:
     generative_mlr, ``perturb_amplitude`` by kind agnostic_piecewise,
     ``t_dof`` by covariate student_t and ``truth_scale`` by the default
     truth.  There ``None`` takes the default (0.0, 0.0, 5 and 1.0), and
-    anywhere else a value is rejected.
+    anywhere else a value is rejected.  The float fields must be finite, and
+    ``cov_scale`` and ``truth_scale`` > 0.
     """
 
     kind: str
@@ -107,6 +108,12 @@ class GenSpec:
         amounts = (self.noise_sigma, self.margin, self.perturb_amplitude)
         if min(value for value in amounts if value is not None) < 0:
             raise ValueError("noise_sigma, margin and perturb_amplitude must be >= 0")
+        for key in ("noise_sigma", "cov_scale", "truth_scale", "perturb_amplitude", "margin"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            if key.endswith("_scale") and value is not None and value <= 0:
+                raise ValueError(f"{key} must be > 0, got {value}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.t_dof is not None and self.t_dof < 3:
@@ -243,7 +250,8 @@ def save_csv(dataset: DataSet, path) -> None:
 
 def load_csv(path) -> DataSet:
     """A dataset CSV as :func:`save_csv` writes it (ValueError, naming the path
-    and line: a bad header, a non-numeric or ragged row, no data rows)."""
+    and line: a bad header, a non-numeric, non-finite or ragged row, no data
+    rows)."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "y" or not header[0].startswith("x_"):
@@ -258,6 +266,8 @@ def load_csv(path) -> DataSet:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: {len(row)} columns, expected {len(header)}")
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite entry")
             rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -56,7 +56,7 @@ class RepetitionContext:
     dataset: DataSet
     em: EMConfig  # the config's, with the step size and ``seed`` fixed
     reference: ParamSet  # the truth, or the multistart reference; its k is the run's
-    constants: ProblemConstants  # at ``reference``: (m, M) and the regions of ``dataset``
+    constants: ProblemConstants  # at ``reference``: (m, M) and ``dataset``'s ``region_of``
     init: ParamSet  # the start, drawn with ``seed``
 
 

@@ -162,8 +162,8 @@ class LossModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown loss family {self.family!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         if self.family != GLM and self.link is not None:
             raise ValueError(f"link is read only by family glm, not {self.family}")
         if self.family == GLM and self.link is None:

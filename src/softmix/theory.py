@@ -31,8 +31,8 @@ class ProblemConstants:
     pi_min    -- smallest region mass |S_j| / n
     m, M      -- strong convexity and smoothness of the loss on the data,
                  as :func:`~softmix.losses.certify` returned them
-    regions   -- the sample indices of each region (see partition_regions);
-                 there are k of them
+    region_of -- entry i is the region of sample i, or -1 on an exact tie
+                 (see partition_regions); every region 0..k-1 occurs
     """
 
     epsilon: float
@@ -41,11 +41,15 @@ class ProblemConstants:
     pi_min: float
     m: float
     M: float
-    regions: tuple = field(compare=False, repr=False)
+    region_of: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def k(self) -> int:
+        return int(np.max(self.region_of)) + 1
 
     @property
     def region_sizes(self) -> tuple:
-        return tuple(len(r) for r in self.regions)
+        return tuple(np.bincount(self.region_of + 1)[1:].tolist())
 
 
 @dataclass(frozen=True)
@@ -69,40 +73,39 @@ class TheoremQuantities:
 def partition_regions(dataset: DataSet, reference: ParamSet, model: LossModel):
     """Assign each sample to the component whose reference loss is strictly best.
 
-    Returns ``(regions, unassigned, fmat)``: region j holds indices i with
-    F(x_i, y_i; theta*_j) < F(x_i, y_i; theta*_l) for every l != j; exact
-    ties go to the unassigned set; ``fmat`` is the (n, k) loss matrix used.
+    Returns ``(region_of, fmat)``: ``region_of[i]`` is the j with
+    F(x_i, y_i; theta*_j) < F(x_i, y_i; theta*_l) for every l != j, and -1
+    on an exact tie; ``fmat`` is the (n, k) loss matrix used.
     """
     fmat = loss_matrix(reference, dataset, model)
-    best = np.argmin(fmat, axis=1)
-    strict = np.count_nonzero(fmat == np.min(fmat, axis=1, keepdims=True), axis=1) == 1
-    regions = [np.nonzero((best == j) & strict)[0] for j in range(reference.k)]
-    return regions, np.nonzero(~strict)[0], fmat
+    is_min = fmat == np.min(fmat, axis=1, keepdims=True)
+    strict = np.count_nonzero(is_min, axis=1) == 1
+    return np.where(strict, np.argmax(is_min, axis=1), -1), fmat
 
 
 def estimate_constants(
     dataset: DataSet, reference: ParamSet, model: LossModel, curvature
 ) -> ProblemConstants:
     """Empirical (epsilon, epsilon1, delta, pi_min) at the reference ParamSet,
-    with the regions they were measured on and the pair ``curvature`` = (m, M)
-    that :func:`~softmix.losses.certify` returned for ``model`` on ``dataset``.
+    with the ``region_of`` they were measured on and the pair ``curvature`` =
+    (m, M) that :func:`~softmix.losses.certify` returned for ``model`` on ``dataset``.
 
     Warns, naming the caller, when delta <= epsilon.
     """
-    regions, _, fmat = partition_regions(dataset, reference, model)
-    sizes = [len(r) for r in regions]
-    if min(sizes) == 0:
+    region_of, fmat = partition_regions(dataset, reference, model)
+    sizes = np.bincount(region_of + 1, minlength=reference.k + 1)[1:]
+    if np.min(sizes) == 0:
         raise ValueError("some region is empty: pi_min = 0, constants undefined")
     epsilon = epsilon1 = 0.0
     delta = math.inf
-    for j, region in enumerate(regions):
-        epsilon = max(epsilon, float(np.max(fmat[region, j])))
-        grads = batch_gradient(
-            model, dataset.X[region], dataset.y[region], reference.theta(j)
-        )
+    for j in range(reference.k):
+        # in column j, region j's rows are own entries and the other regions' cross
+        rows = np.flatnonzero(region_of == j)
+        epsilon = max(epsilon, float(np.max(fmat[rows, j])))
+        cross = fmat[(region_of >= 0) & (region_of != j), j]
+        delta = min(delta, float(np.min(cross, initial=math.inf)))
+        grads = batch_gradient(model, dataset.X[rows], dataset.y[rows], reference.theta(j))
         epsilon1 = max(epsilon1, float(np.max(np.linalg.norm(grads, axis=1))))
-        others = np.delete(fmat[region], j, axis=1)
-        delta = min(delta, float(np.min(others, initial=math.inf)))
     if delta <= epsilon:
         warnings.warn(
             "separation delta <= misspecification epsilon: "
@@ -114,10 +117,10 @@ def estimate_constants(
         epsilon=epsilon,
         epsilon1=epsilon1,
         delta=delta,
-        pi_min=min(sizes) / len(dataset),
+        pi_min=int(np.min(sizes)) / len(dataset),
         m=m,
         M=M,
-        regions=tuple(regions),
+        region_of=region_of,
     )
 
 
@@ -135,7 +138,7 @@ def compute_eta(constants: ProblemConstants, beta: float, radius: float) -> floa
     own region the correct component's soft-min weight is at least 1 - eta."""
     if math.isinf(beta):
         raise ValueError("eta formula requires finite beta")
-    k = len(constants.regions)
+    k = constants.k
     if beta == 0.0:
         return 1.0 - 1.0 / k
     M = constants.M

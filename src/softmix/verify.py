@@ -163,11 +163,8 @@ def check_lemma_bounds(
     eta = compute_eta(constants, beta, c)
     eta_prime = compute_eta_prime(constants, beta, c)
 
-    region_of = np.full(len(dataset), -1)
-    for j, region in enumerate(constants.regions):
-        region_of[region] = j
-    assigned = region_of >= 0
-    is_own = region_of[assigned, None] == np.arange(reference.k)
+    assigned = constants.region_of >= 0
+    is_own = constants.region_of[assigned, None] == np.arange(reference.k)
 
     own = LemmaReport(0, 0, math.nan, bound_vacuous=eta >= 1.0)
     cross = LemmaReport(0, 0, math.nan, bound_vacuous=eta_prime > 1.0)
@@ -199,12 +196,11 @@ def step_decomposition(
 ) -> StepDecomposition:
     """Split the post-step distance of the first reference component into the
     own-region term T1 and the cross-region term T2 (total <= T1 + T2), with
-    the regions of ``constants``, measured on ``fold`` at ``reference``."""
+    ``constants.region_of``, measured on ``fold`` at ``reference``."""
     perm, _ = align_to_reference(params, reference)
     # component of params matched to reference component 0
     comp = int(np.nonzero(perm == 0)[0][0])
-    in_mask = np.zeros(len(fold), dtype=bool)
-    in_mask[constants.regions[0]] = True
+    in_region = constants.region_of == 0
 
     weights, _ = weight_matrix(params, fold, model, config.beta)
     # the step rejects gamma=None before the split below divides it
@@ -215,8 +211,8 @@ def step_decomposition(
     theta = params.theta(comp)
     theta_ref = reference.theta(0)
     t1 = float(
-        np.linalg.norm(theta - theta_ref - scale * np.sum(weighted[in_mask], axis=0))
+        np.linalg.norm(theta - theta_ref - scale * np.sum(weighted[in_region], axis=0))
     )
-    t2 = float(scale * np.linalg.norm(np.sum(weighted[~in_mask], axis=0)))
+    t2 = float(scale * np.linalg.norm(np.sum(weighted[~in_region], axis=0)))
     total = float(np.linalg.norm(stepped.theta(comp) - theta_ref))
     return StepDecomposition(T1=t1, T2=t2, total=total)

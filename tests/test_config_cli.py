@@ -1007,6 +1007,9 @@ class TestCLI:
         ("\n", ": no data rows"),
         ("1.0,2.0,3.0\n1.0,2.0\n", ":3: 2 columns, expected 3"),
         ("1.0,2.0,3.0\n\n1.0,abc,3.0\n", ":4: could not convert string to float: 'abc'"),
+        ("1.0,nan,3.0\n", ":2: non-finite entry"),
+        # 1e999 parses as inf
+        ("1.0,2.0,3.0\n1e999,2.0,3.0\n", ":3: non-finite entry"),
     ])
     def test_bad_data_file_exits_2_naming_path_and_line(self, tmp_path, capsys, rows, message):
         data = self._write(tmp_path, "data.csv", "x_0,x_1,y\n" + rows)
@@ -1135,6 +1138,30 @@ class TestCLI:
         (
             [("n: 400", "n: 400\n  truth_scale: 7.0")],
             "data.truth_scale is read only by the default truth, not a given truth",
+        ),
+        # floats that would fail only once a repetition runs, or never
+        ([("cov_scale: 1.5", "cov_scale: 0.0")], "data.cov_scale must be > 0, got 0.0"),
+        ([("cov_scale: 1.5", "cov_scale: -1.5")], "data.cov_scale must be > 0, got -1.5"),
+        ([("cov_scale: 1.5", "cov_scale: inf")], "data.cov_scale must be finite, got inf"),
+        ([("noise_sigma: 0.0", "noise_sigma: inf")], "data.noise_sigma must be finite, got inf"),
+        ([("margin: 1.69", "margin: inf")], "data.margin must be finite, got inf"),
+        (
+            [("truth: [[1.0, 0.0], [-1.0, 0.0]]", "truth_scale: inf")],
+            "data.truth_scale must be finite, got inf",
+        ),
+        (
+            [("truth: [[1.0, 0.0], [-1.0, 0.0]]", "truth_scale: 0.0")],
+            "data.truth_scale must be > 0, got 0.0",
+        ),
+        (
+            [("kind: generative_mlr", "kind: agnostic_piecewise"),
+             ("noise_sigma: 0.0", "perturb_amplitude: inf")],
+            "data.perturb_amplitude must be finite, got inf",
+        ),
+        ([("lam: 0.001", "lam: inf")], "loss.lam must be finite and nonnegative, got inf"),
+        (
+            [("mode: perturb_reference\n  c_ini: 0.1", "mode: random_ball\n  radius: inf")],
+            "init.radius must be finite, got inf",
         ),
     ])
     def test_late_failing_configs_exit_2_before_any_repetition(

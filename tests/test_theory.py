@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from softmix.data import DataSet, ParamSet
-from softmix.losses import LossModel, batch_gradient, batch_loss, certify
+from softmix.losses import FAMILIES, GLM, LINKS, LossModel, batch_gradient, batch_loss, certify
 from softmix.theory import (
     ProblemConstants,
     compute_contraction,
@@ -22,6 +22,11 @@ from softmix.theory import (
 )
 
 
+_FAMILY_LINKS = [(family, None) for family in sorted(FAMILIES) if family != GLM] + [
+    (GLM, LINKS[name]) for name in sorted(LINKS)
+]
+
+
 def _constants(
     epsilon=0.0, epsilon1=0.0, delta=math.inf, pi_min=0.5, m=1.0, M=3.0, sizes=(1, 1)
 ):
@@ -33,7 +38,7 @@ def _constants(
         pi_min=pi_min,
         m=m,
         M=M,
-        regions=tuple(np.arange(size) for size in sizes),
+        region_of=np.repeat(np.arange(len(sizes)), sizes),
     )
 
 
@@ -53,32 +58,54 @@ def _integer_instances(draw):
     return np.array(rows, dtype=np.float64), thetas
 
 
+@st.composite
+def _oracle_instances(draw):
+    """``(dataset, reference, model)`` with integer entries in [-2, 2], so
+    that exact ties are common: 1 to 4 distinct components, every family
+    (``glm`` with each link) at lam = 0 or 0.25, and +-1 labels where the
+    family needs them."""
+    family, link = draw(st.sampled_from(_FAMILY_LINKS))
+    model = LossModel(family, draw(st.sampled_from([0.0, 0.25])), link)
+    k = draw(st.integers(1, 4))
+    entries = st.integers(-2, 2)
+    labels = st.sampled_from([-1, 1]) if FAMILIES[family].signed_labels else entries
+    rows = draw(st.lists(st.tuples(entries, entries, labels), min_size=4 * k, max_size=24))
+    thetas = draw(st.lists(st.tuples(entries, entries), min_size=k, max_size=k, unique=True))
+    rows = np.array(rows, dtype=np.float64)
+    return DataSet(rows[:, :2], rows[:, 2]), ParamSet(thetas), model
+
+
+def _seeded_ridge_instance():
+    """A 60-sample, 2-component ridge instance with Gaussian entries (seed
+    12); its delta is below its epsilon."""
+    rng = np.random.default_rng(12)
+    ds = DataSet(rng.standard_normal((60, 2)), rng.standard_normal(60))
+    ref = ParamSet(rng.standard_normal((2, 2)))
+    return ds, ref, LossModel("ridge", lam=0.05)
+
+
 class TestPartition:
     def test_single_component_takes_everything(self):
         rng = np.random.default_rng(0)
         ds = DataSet(rng.standard_normal((9, 2)), rng.standard_normal(9))
-        regions, unassigned, _ = partition_regions(ds, ParamSet([[1.0, 0.0]]), LossModel("ridge"))
-        assert len(regions) == 1
-        np.testing.assert_array_equal(regions[0], np.arange(9))
-        assert unassigned.size == 0
+        region_of, _ = partition_regions(ds, ParamSet([[1.0, 0.0]]), LossModel("ridge"))
+        # every sample in region 0, none unassigned
+        np.testing.assert_array_equal(region_of, np.zeros(9))
 
     def test_strict_argmin_assignment(self):
         # x=[1], y=1: theta=[1] fits exactly; x=[1], y=-1: theta=[-1] does
         ds = DataSet(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
         ref = ParamSet([[1.0], [-1.0]])
-        regions, unassigned, _ = partition_regions(ds, ref, LossModel("ridge", lam=0.0))
-        np.testing.assert_array_equal(regions[0], [0])
-        np.testing.assert_array_equal(regions[1], [1])
-        assert unassigned.size == 0
+        region_of, _ = partition_regions(ds, ref, LossModel("ridge", lam=0.0))
+        np.testing.assert_array_equal(region_of, [0, 1])
 
     def test_exact_tie_goes_unassigned(self):
         # x=[0]: the prediction is 0 for both components and the
         # regularizers coincide, so the sample is an exact tie
         ds = DataSet(np.array([[0.0]]), np.array([0.5]))
         ref = ParamSet([[1.0], [-1.0]])
-        regions, unassigned, _ = partition_regions(ds, ref, LossModel("ridge", lam=0.1))
-        assert all(r.size == 0 for r in regions)
-        np.testing.assert_array_equal(unassigned, [0])
+        region_of, _ = partition_regions(ds, ref, LossModel("ridge", lam=0.1))
+        np.testing.assert_array_equal(region_of, [-1])
 
     def test_agrees_with_brute_force_argmin(self):
         rng = np.random.default_rng(8)
@@ -86,7 +113,7 @@ class TestPartition:
             ds = DataSet(rng.standard_normal((n, 3)), rng.standard_normal(n))
             ref = ParamSet(rng.standard_normal((k, 3)))
             model = LossModel("ridge", lam=0.01)
-            regions, unassigned, _ = partition_regions(ds, ref, model)
+            region_of, _ = partition_regions(ds, ref, model)
             fmat = np.stack(
                 [batch_loss(model, ds.X, ds.y, ref.theta(j)) for j in range(k)], axis=1
             )
@@ -94,9 +121,9 @@ class TestPartition:
                 best = int(np.argmin(fmat[i]))
                 strict = np.sum(fmat[i] == fmat[i, best]) == 1
                 if strict:
-                    assert i in regions[best]
+                    assert region_of[i] == best
                 else:
-                    assert i in unassigned  # pragma: no cover - measure zero
+                    assert region_of[i] == -1  # pragma: no cover - measure zero
 
 
 class TestEstimateConstants:
@@ -116,34 +143,42 @@ class TestEstimateConstants:
         assert c.pi_min == 1.0
 
     @pytest.mark.filterwarnings("ignore:separation delta")
-    def test_matches_double_loop_oracle(self):
-        rng = np.random.default_rng(12)
-        ds = DataSet(rng.standard_normal((60, 2)), rng.standard_normal(60))
-        ref = ParamSet(rng.standard_normal((2, 2)))
-        model = LossModel("ridge", lam=0.05)
-        c = _estimated(ds, ref, model)
-
-        regions, _, _ = partition_regions(ds, ref, model)
+    @given(_oracle_instances())
+    @example(_seeded_ridge_instance())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_double_loop_oracle(self, instance):
+        # sample by sample from one-row losses and gradients: the strict row
+        # minimum picks the region, and the extremes are taken over it.  A
+        # gradient's norm is the root of its sum of squares, as a norm along
+        # the rows is: np.linalg.norm of one vector takes a dot product, which
+        # can round the last bit the other way
+        ds, ref, model = instance
+        region_of = np.full(len(ds), -1)
         eps = eps1 = 0.0
         delta = math.inf
-        for j in range(2):
-            for i in regions[j]:
-                s = ds.X[i : i + 1], ds.y[i : i + 1]
-                eps = max(eps, float(batch_loss(model, *s, ref.theta(j))[0]))
-                eps1 = max(eps1, float(np.linalg.norm(batch_gradient(model, *s, ref.theta(j))[0])))
-                for l in range(2):
-                    if l != j:
-                        delta = min(delta, float(batch_loss(model, *s, ref.theta(l))[0]))
+        for i in range(len(ds)):
+            s = ds.X[i : i + 1], ds.y[i : i + 1]
+            losses = [float(batch_loss(model, *s, ref.theta(l))[0]) for l in range(ref.k)]
+            j = losses.index(min(losses))
+            if losses.count(losses[j]) > 1:
+                continue  # an exact tie is in no region
+            region_of[i] = j
+            eps = max(eps, losses[j])
+            grad = batch_gradient(model, *s, ref.theta(j))[0]
+            eps1 = max(eps1, float(np.sqrt(np.sum(grad * grad))))
+            delta = min([delta] + losses[:j] + losses[j + 1 :])
+        sizes = tuple(int(np.count_nonzero(region_of == j)) for j in range(ref.k))
+        assume(min(sizes) > 0)
+        c = estimate_constants(ds, ref, model, (0.0, 0.0))
+        np.testing.assert_array_equal(c.region_of, region_of)
+        assert c.region_sizes == sizes and c.k == ref.k
         assert c.epsilon == eps
         assert c.epsilon1 == eps1
         assert c.delta == delta
-        assert c.pi_min == min(len(r) for r in regions) / 60
+        assert c.pi_min == min(sizes) / len(ds)
 
     def test_separation_warning_names_the_caller(self):
-        rng = np.random.default_rng(12)
-        ds = DataSet(rng.standard_normal((60, 2)), rng.standard_normal(60))
-        ref = ParamSet(rng.standard_normal((2, 2)))
-        model = LossModel("ridge", lam=0.05)
+        ds, ref, model = _seeded_ridge_instance()
         curvature = certify(model, ds)
         with pytest.warns(UserWarning, match="separation delta") as record:
             estimate_constants(ds, ref, model, curvature)
@@ -159,11 +194,9 @@ class TestEstimateConstants:
         rows, thetas = instance
         ds, ref = DataSet(rows[:, :2], rows[:, 2]), ParamSet(thetas)
         model = LossModel("ridge", lam=0.0)
-        assume(all(r.size for r in partition_regions(ds, ref, model)[0]))
+        assume(np.all(np.isin(np.arange(ref.k), partition_regions(ds, ref, model)[0])))
         constants = estimate_constants(ds, ref, model, (0.0, 0.0))
-        own = np.zeros((len(ds), ref.k), dtype=bool)
-        for j, region in enumerate(constants.regions):
-            own[region, j] = True
+        own = constants.region_of[:, None] == np.arange(ref.k)
         fmat = batch_loss(model, ds.X, ds.y, ref.thetas)
         is_min = fmat == np.min(fmat, axis=1, keepdims=True)
         strict = np.count_nonzero(is_min, axis=1) == 1

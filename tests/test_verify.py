@@ -176,6 +176,22 @@ class TestLemmaSweeps:
         assert not own.bound_vacuous and own.checked == cross.checked == 200 * ds.n
         assert own.violations == 0 and cross.violations == 0
 
+    def test_tied_samples_are_skipped(self, mlr_instance):
+        # at x = 0 both components predict 0 and their norms are equal, so
+        # the rows appended there are exact ties, in no region
+        ds, ref, model = mlr_instance
+        ties, trials = 7, 3
+        X = np.vstack([ds.X, np.zeros((ties, ds.d))])
+        tied = DataSet(X, np.concatenate([ds.y, np.full(ties, 0.5)]))
+        constants = estimate_constants(tied, ref, model, certify(model, tied))
+        tie_rows = np.flatnonzero(constants.region_of < 0)
+        np.testing.assert_array_equal(tie_rows, np.arange(ds.n, tied.n))
+        own, cross = check_lemma_bounds(
+            tied, ref, model, constants, beta=5.0, radii=[0.01, 0.01], trials=trials, seed=1
+        )
+        assert own.checked == trials * ds.n
+        assert own.checked + cross.checked == trials * ref.k * (tied.n - ties)
+
     @pytest.mark.filterwarnings("ignore:separation delta")
     def test_vacuous_regime_flagged_not_counted(self):
         # overlapping noisy components with a huge beta: the eta numerator

@@ -10,22 +10,23 @@ under ``data:`` (or ``data: {file: <csv>}``),
 the seeds of the generated data and of the folds, which repetition r sets
 to ``seed + r``.  Every other field is a key, a field without a default is
 required, and an absent key (or a ``null`` section) takes the field
-default.  Each value is checked against its field annotation by
-:func:`_typed`: ints must be integral, booleans YAML booleans, and floats
-numbers or strings that ``float()`` parses (PyYAML reads ``1e-3`` as a
-string; ``beta: "inf"`` selects the hard min), never NaN, and infinite only
-for ``em.beta``.  Unknown keys are rejected so typos fail loudly, and so is
-a key that the rest of the config makes the run ignore (``loss.link``
+default.  :func:`_typed` only parses a value as its field annotation: ints
+must be integral, booleans YAML booleans, and floats numbers or strings that
+``float()`` parses (PyYAML reads ``1e-3`` as a string; ``beta: "inf"``
+selects the hard min).  The class of each field checks its range, NaN
+included (only ``em.beta`` may be infinite), in a message that opens with
+the field, and :func:`_section` adds the section: ``data.noise_sigma must
+be >= 0, got -1.0``.  Unknown keys are rejected so typos fail loudly, and so
+is a key that the rest of the config makes the run ignore (``loss.link``
 outside ``glm``, ``init.c_ini`` outside ``perturb_reference``,
-``init.radius`` outside ``random_ball``,
-``data.noise_sigma`` outside ``generative_mlr``,
-``data.perturb_amplitude`` outside ``agnostic_piecewise``, ``data.t_dof``
-outside ``student_t`` covariates, ``data.truth_scale`` with a given
-``data.truth``, ``init.thetas`` outside ``explicit`` on generated data,
-where k comes from the truth); where such a key is read, its absence takes
-the default that its class fills in;
-``serialize`` walks the same fields and emits a document that reparses to
-an equal config.  The keys that need the size of the data are checked by
+``init.radius`` outside ``random_ball``, ``data.noise_sigma`` outside
+``generative_mlr``, ``data.perturb_amplitude`` outside
+``agnostic_piecewise``, ``data.t_dof`` outside ``student_t`` covariates,
+``data.truth_scale`` with a given ``data.truth``, ``init.thetas`` outside
+``explicit`` on generated data, where k comes from the truth); where such a
+key is read, its absence takes the default that its class fills in;
+``serialize`` walks the same fields and emits a document that reparses to an
+equal config.  The keys that need the size of the data are checked by
 :func:`check_data`: for generated data when the config is built, for a data
 file as soon as it is read.
 """
@@ -71,24 +72,22 @@ class InitSpec:
 
     def __post_init__(self):
         if self.mode not in INIT_MODES:
-            raise ConfigError(f"init.mode must be one of {INIT_MODES}")
+            raise ValueError(f"mode must be one of {INIT_MODES}, got {self.mode!r}")
         if self.mode == PERTURB_REFERENCE:
             if self.c_ini is None:
                 object.__setattr__(self, "c_ini", 0.2)
             if not 0.0 < self.c_ini < 1.0:
-                raise ConfigError("init.c_ini must lie in (0, 1)")
+                raise ValueError(f"c_ini must lie in (0, 1), got {self.c_ini}")
         elif self.c_ini is not None:
-            raise ConfigError(
-                f"init.c_ini is read only by mode {PERTURB_REFERENCE}, not {self.mode}"
-            )
+            raise ValueError(f"c_ini is read only by mode {PERTURB_REFERENCE}, not {self.mode}")
         if self.mode == EXPLICIT and self.thetas is None:
-            raise ConfigError("init.mode=explicit requires init.thetas")
+            raise ValueError(f"thetas is required by mode {EXPLICIT}")
         if self.mode == RANDOM_BALL and (self.radius is None or self.radius <= 0):
-            raise ConfigError("init.mode=random_ball requires init.radius > 0")
+            raise ValueError(f"radius must be > 0 under mode {RANDOM_BALL}, got {self.radius}")
         if self.mode != RANDOM_BALL and self.radius is not None:
-            raise ConfigError(f"init.radius is read only by mode random_ball, not {self.mode}")
+            raise ValueError(f"radius is read only by mode {RANDOM_BALL}, not {self.mode}")
         if self.radius is not None and not math.isfinite(self.radius):
-            raise ConfigError(f"init.radius must be finite, got {self.radius}")
+            raise ValueError(f"radius must be finite, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -182,11 +181,9 @@ def _typed(raw, hint, where: str):
         return int(raw)
     if hint is float and (number or isinstance(raw, str)):
         try:
-            value = float(raw)
+            return float(raw)
         except (ValueError, OverflowError):
-            value = math.nan
-        if not math.isnan(value):
-            return value
+            pass
     if hint is str and isinstance(raw, str):
         return raw
     if get_origin(hint) is tuple and isinstance(raw, list):  # Tuple[X, ...]
@@ -232,19 +229,17 @@ def _typed_fields(cls, raw: dict, where: str, names) -> dict:
 
 
 def _section(raw, cls, where: str):
-    """Dataclass ``cls`` from the YAML mapping ``raw`` (empty when ``None``)."""
+    """Dataclass ``cls`` from the YAML mapping ``raw`` (empty when ``None``);
+    the ValueErrors of ``cls`` open with the field they are about, and come
+    out as ConfigErrors on ``where.<field>``."""
     raw = {} if raw is None else raw
     names = [f.name for f in dataclasses.fields(cls) if f.name not in NOT_KEYS.get(cls, ())]
     _reject_unknown(raw, names, where)
     kwargs = _typed_fields(cls, raw, where, names)
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
     except ValueError as exc:
-        # a message that opens with a field name is about that key
-        named = str(exc).split(" ", 1)[0] in names
-        raise ConfigError(f"{where}{'.' if named else ': '}{exc}") from exc
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def _parse_data(raw) -> Union[GenSpec, str]:

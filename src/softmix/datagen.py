@@ -18,7 +18,9 @@ substream, key ``seed * 2**64 + b``.  Within a block the draws are, in order:
    ``random(BLOCK)`` for generative_logistic, none for agnostic_piecewise.
 
 The last block is made whole and then truncated, so sample i does not depend
-on n.  The reserved substream index 2**63 seeds the default truth parameters.
+on n.  The reserved substream index 2**63 seeds the default truth parameters,
+and the indices 2**62 + t seed trial t of the lemma check
+(:func:`~softmix.verify.check_lemma_bounds`), so no trial shares a block's draws.
 Layout v1 drew every sample from its own substream (key ``seed * 2**64 + i``);
 a dataset generated under it differs from its layout v2 counterpart.
 """
@@ -43,6 +45,7 @@ KINDS = (GENERATIVE_MLR, GENERATIVE_LOGISTIC, AGNOSTIC_PIECEWISE)
 COVARIATES = ("gaussian", "student_t", "uniform_ball")
 
 _TRUTH_STREAM = 2 ** 63
+_LEMMA_STREAM = 2 ** 62  # + trial
 
 # seeds are the high 64 bits of a 128-bit Philox key
 SEED_LIMIT = 2 ** 64
@@ -68,8 +71,8 @@ class GenSpec:
     generative_mlr, ``perturb_amplitude`` by kind agnostic_piecewise,
     ``t_dof`` by covariate student_t and ``truth_scale`` by the default
     truth.  There ``None`` takes the default (0.0, 0.0, 5 and 1.0), and
-    anywhere else a value is rejected.  The float fields must be finite, and
-    ``cov_scale`` and ``truth_scale`` > 0.
+    anywhere else a value is rejected.  The float fields must be finite and
+    >= 0, ``cov_scale`` and ``truth_scale`` > 0, never NaN.
     """
 
     kind: str
@@ -89,9 +92,9 @@ class GenSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.covariate not in COVARIATES:
-            raise ValueError(f"unknown covariate family {self.covariate!r}")
+            raise ValueError(f"covariate must be one of {COVARIATES}, got {self.covariate!r}")
         for key, default, read, reader, setting in (
             ("noise_sigma", 0.0, self.kind == GENERATIVE_MLR, f"kind {GENERATIVE_MLR}", self.kind),
             ("perturb_amplitude", 0.0, self.kind == AGNOSTIC_PIECEWISE,
@@ -103,25 +106,28 @@ class GenSpec:
                 object.__setattr__(self, key, default)
             elif not read and getattr(self, key) is not None:
                 raise ValueError(f"{key} is read only by {reader}, not {setting}")
-        if self.k < 1 or self.n < self.k or self.d < 1:
-            raise ValueError("need k >= 1, d >= 1 and n >= k")
-        amounts = (self.noise_sigma, self.margin, self.perturb_amplitude)
-        if min(value for value in amounts if value is not None) < 0:
-            raise ValueError("noise_sigma, margin and perturb_amplitude must be >= 0")
+        for key, value, least in (("k", self.k, 1), ("d", self.d, 1), ("n", self.n, self.k)):
+            if value < least:
+                raise ValueError(f"{key} must be >= {least}, got {value}")
         for key in ("noise_sigma", "cov_scale", "truth_scale", "perturb_amplitude", "margin"):
             value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
+            if value is None:
+                continue
+            if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
-            if key.endswith("_scale") and value is not None and value <= 0:
+            if key.endswith("_scale") and value <= 0:
                 raise ValueError(f"{key} must be > 0, got {value}")
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.t_dof is not None and self.t_dof < 3:
-            raise ValueError("Student-t dof must be >= 3 for finite variance")
+            raise ValueError(f"t_dof must be >= 3 for finite variance, got {self.t_dof}")
         if self.mix_weights is not None:
             w = np.asarray(self.mix_weights, dtype=np.float64)
-            if w.shape != (self.k,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("mix_weights must be a k-simplex vector")
+            # NaN fails w >= 0
+            if w.shape != (self.k,) or not np.all(w >= 0) or abs(w.sum() - 1.0) > 1e-9:
+                raise ValueError(f"mix_weights must be a k-simplex vector, got {self.mix_weights}")
         if self.truth is not None and (
             self.truth.k != self.k or self.truth.d != self.d
         ):

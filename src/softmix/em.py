@@ -45,7 +45,7 @@ class EMConfig:
 @dataclass
 class ConvergenceTrace:
     """Per-iteration aligned distances and losses of one run, t = 0..T, plus
-    the final alignment and a fitted geometric rate.
+    the final alignment; the fitted geometric rate derives from the distances.
 
     ``distances[t, j]`` is the distance from reference component j to its
     matched iterate at theta_t, shape (T+1, k); ``losses[t]`` is the
@@ -57,7 +57,10 @@ class ConvergenceTrace:
     distances: np.ndarray
     losses: np.ndarray
     alignment: np.ndarray
-    fitted_rate: Optional[float]
+
+    @property
+    def fitted_rate(self) -> Optional[float]:
+        return fit_rate(self.max_distances())
 
     def max_distances(self) -> np.ndarray:
         return np.max(self.distances, axis=1)
@@ -235,9 +238,8 @@ def run_gradient_em(
     fills one row of its distance and loss arrays per iterate
     theta_0..theta_T: the min-cost aligned component distances and the
     full-data soft-min loss.  theta_T is aligned once, for its distances and
-    the trace's ``alignment``.  A geometric rate is fitted to the
-    max-distance sequence.  An untraced fit is :func:`gradient_em_step` in a
-    loop.
+    the trace's ``alignment``.  An untraced fit is :func:`gradient_em_step`
+    in a loop.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -264,5 +266,4 @@ def run_gradient_em(
 
     losses[T] = empirical_loss(params, dataset, model, config.beta)
     alignment, distances[T] = align_to_reference(params, reference)
-    rate = fit_rate(np.max(distances, axis=1))
-    return params, ConvergenceTrace(distances, losses, alignment, rate)
+    return params, ConvergenceTrace(distances, losses, alignment)

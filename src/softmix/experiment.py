@@ -323,8 +323,8 @@ def write_outputs(report: ExperimentReport, output_dir) -> None:
 def render_report(report: ExperimentReport) -> str:
     lines = ["softmix experiment report", "=" * 40, "", "config:", serialize(report.config), ""]
     for rr in report.repetitions:
-        trace = rr.trace
-        rate = "n/a" if trace.fitted_rate is None else f"{trace.fitted_rate:.4f}"
+        trace, rate = rr.trace, rr.trace.fitted_rate
+        rate = "n/a" if rate is None else f"{rate:.4f}"
         d0, final = trace.max_distances()[[0, -1]]
         # the floor is the final distance, printed under both names
         lines.append(

@@ -161,7 +161,7 @@ class LossModel:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown loss family {self.family!r}")
+            raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
         if not 0.0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         if self.family != GLM and self.link is not None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataSet, ParamSet
-from .datagen import _substream, uniform_ball
+from .datagen import _LEMMA_STREAM, _substream, uniform_ball
 from .em import EMConfig, align_to_reference, gradient_em_step
 from .losses import LossModel, batch_gradient, batch_loss
 from .softmin import empirical_loss, weight_matrix
@@ -118,6 +118,15 @@ def brute_force_minimize(
     return best, best_loss
 
 
+def _check_rows(dataset: DataSet, constants: ProblemConstants) -> None:
+    """ValueError unless ``dataset`` has one row per entry of ``constants.region_of``."""
+    if len(dataset) != len(constants.region_of):
+        raise ValueError(
+            f"dataset has {len(dataset)} rows, but the constants were measured on "
+            f"{len(constants.region_of)}"
+        )
+
+
 @dataclass
 class LemmaReport:
     """Tally of one pointwise weight-bound sweep.  ``worst_margin`` is the
@@ -151,13 +160,15 @@ def check_lemma_bounds(
     reference component j: the start's aligned distances) and compare
     measured soft-min weights against the closed-form bounds, taken at the
     theorem's start radius ``max(radii)``.  ``constants`` are the instance's,
-    from :func:`~softmix.theory.estimate_constants`.
+    from :func:`~softmix.theory.estimate_constants` on ``dataset`` with its
+    rows in the same order: row i's region is ``constants.region_of[i]``.
 
     Returns (own-region report, other-region report): own-region weights must
     be >= 1 - eta, cross-region weights <= eta'.  Tie samples are skipped.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_rows(dataset, constants)
     radii = np.asarray(radii, dtype=np.float64)
     c = float(np.max(radii))
     eta = compute_eta(constants, beta, c)
@@ -169,7 +180,8 @@ def check_lemma_bounds(
     own = LemmaReport(0, 0, math.nan, bound_vacuous=eta >= 1.0)
     cross = LemmaReport(0, 0, math.nan, bound_vacuous=eta_prime > 1.0)
     for trial in range(trials):
-        offsets = uniform_ball(_substream(seed, trial), radii, reference.k, reference.d)
+        rng = _substream(seed, _LEMMA_STREAM + trial)
+        offsets = uniform_ball(rng, radii, reference.k, reference.d)
         params = ParamSet(reference.thetas + offsets)
         weights = weight_matrix(params, dataset, model, beta)[0][assigned]
         own.add(weights[is_own] - (1.0 - eta))
@@ -188,26 +200,29 @@ class StepDecomposition:
 
 def step_decomposition(
     params: ParamSet,
-    fold: DataSet,
+    dataset: DataSet,
     model: LossModel,
     config: EMConfig,
     reference: ParamSet,
     constants: ProblemConstants,
 ) -> StepDecomposition:
-    """Split the post-step distance of the first reference component into the
-    own-region term T1 and the cross-region term T2 (total <= T1 + T2), with
-    ``constants.region_of``, measured on ``fold`` at ``reference``."""
+    """Split the post-step distance of the first reference component, after
+    one full-batch step on ``dataset``, into the own-region term T1 and the
+    cross-region term T2 (total <= T1 + T2).  The regions are
+    ``constants.region_of``, measured on ``dataset`` at ``reference``, whose
+    rows must be in the order the constants were measured in."""
+    _check_rows(dataset, constants)
     perm, _ = align_to_reference(params, reference)
     # component of params matched to reference component 0
     comp = int(np.nonzero(perm == 0)[0][0])
     in_region = constants.region_of == 0
 
-    weights, _ = weight_matrix(params, fold, model, config.beta)
+    weights, _ = weight_matrix(params, dataset, model, config.beta)
     # the step rejects gamma=None before the split below divides it
-    stepped = gradient_em_step(params, fold, model, config, weights)
-    grads = batch_gradient(model, fold.X, fold.y, params.theta(comp))
+    stepped = gradient_em_step(params, dataset, model, config, weights)
+    grads = batch_gradient(model, dataset.X, dataset.y, params.theta(comp))
     weighted = weights[:, comp][:, None] * grads
-    scale = config.gamma / len(fold)
+    scale = config.gamma / len(dataset)
     theta = params.theta(comp)
     theta_ref = reference.theta(0)
     t1 = float(

@@ -21,6 +21,7 @@ import softmix.verify as verify
 from softmix.cli import main
 from softmix.config import (
     INIT_MODES,
+    NOT_KEYS,
     PERTURB_REFERENCE,
     REFERENCE_MODES,
     Checks,
@@ -209,6 +210,41 @@ MISTYPED = [
     ("beta: 2.0", "beta: 2.0\n  gamma: -1", "em.gamma"),
     ("", "init:\n  c_ini: [0.1]", "init.c_ini"),
     ("", "checks:\n  lemmas: 1", "checks.lemmas"),
+]
+
+# (text of MINIMAL, its replacement, the key the ConfigError names): one
+# out-of-range value for each key of data:, loss:, em: and init:, whose
+# section class rejects it
+INVALID = [
+    ("kind: generative_mlr", "kind: heavy_tail_mlr", "data.kind"),
+    ("k: 1", "k: 0", "data.k"),
+    ("d: 2", "d: 0", "data.d"),
+    ("n: 100", "n: 0", "data.n"),
+    ("n: 100", "n: 100\n  noise_sigma: -1.0", "data.noise_sigma"),
+    ("n: 100", "n: 100\n  mix_weights: [.nan]", "data.mix_weights"),
+    ("n: 100", "n: 100\n  covariate: cauchy", "data.covariate"),
+    ("n: 100", "n: 100\n  cov_scale: .nan", "data.cov_scale"),
+    ("n: 100", "n: 100\n  covariate: student_t\n  t_dof: 2", "data.t_dof"),
+    ("n: 100", "n: 100\n  truth: [[1.0]]", "data.truth"),
+    ("n: 100", "n: 100\n  truth_scale: .nan", "data.truth_scale"),
+    (
+        "kind: generative_mlr",
+        "kind: agnostic_piecewise\n  perturb_amplitude: -0.5",
+        "data.perturb_amplitude",
+    ),
+    ("n: 100", "n: 100\n  margin: -1.0", "data.margin"),
+    ("kind: generative_mlr\n  k: 1\n  d: 2\n  n: 100", "file: 3", "data.file"),
+    ("family: ridge", "family: plain_hinge", "loss.family"),
+    ("lam: 0.001", "lam: -1.0", "loss.lam"),
+    ("lam: 0.001", "lam: 0.001\n  link: tanh", "loss.link"),
+    ("iterations: 10", "iterations: -3", "em.iterations"),
+    ("beta: 2.0", "beta: 2.0\n  gamma: .nan", "em.gamma"),
+    ("beta: 2.0", "beta: .nan", "em.beta"),
+    ("beta: 2.0", "beta: 2.0\n  resample: 1", "em.resample"),
+    ("", "init:\n  mode: warmstart", "init.mode"),
+    ("", "init:\n  c_ini: 1.5", "init.c_ini"),
+    ("", "init:\n  mode: explicit", "init.thetas"),
+    ("", "init:\n  mode: random_ball", "init.radius"),
 ]
 
 # (text of MINIMAL, its replacement, the key the ConfigError names): every
@@ -464,10 +500,20 @@ class TestValidateConfig:
         cfg = validate_config(_edited("", f"repetitions: 2\nseed: {2 ** 64 - 2}"))
         assert cfg.seed + cfg.repetitions - 1 == 2 ** 64 - 1
 
-    @pytest.mark.parametrize("old, new, key", MISTYPED)
+    @pytest.mark.parametrize("old, new, key", MISTYPED + INVALID)
     def test_mistyped_value_names_its_key(self, old, new, key):
         with pytest.raises(ConfigError, match="^" + re.escape(key) + "[: ]"):
             validate_config(_edited(old, new))
+
+    def test_invalid_table_covers_every_section_key(self):
+        sections = {"data": GenSpec, "loss": LossModel, "em": EMConfig, "init": InitSpec}
+        keys = {
+            f"{where}.{f.name}"
+            for where, cls in sections.items()
+            for f in dataclasses.fields(cls)
+            if f.name not in NOT_KEYS.get(cls, ())
+        }
+        assert {key for _, _, key in INVALID} == keys | {"data.file"}
 
     @pytest.mark.parametrize("old, new, path, value", WELL_TYPED)
     def test_numbers_and_float_strings_parse(self, old, new, path, value):
@@ -1117,7 +1163,11 @@ class TestCLI:
         ),
         ([("family: ridge", "family: glm\n  link: softplus")],
          "loss.link must be one of ['identity', 'sigmoid', 'tanh']"),
-        ([("family: ridge", "family: plain_hinge")], "loss: unknown loss family 'plain_hinge'"),
+        (
+            [("family: ridge", "family: plain_hinge")],
+            "loss.family must be one of ('ridge', 'logistic', 'squared_hinge', 'glm'), "
+            "got 'plain_hinge'",
+        ),
         (
             [("mode: perturb_reference\n  c_ini: 0.1", "mode: random_ball\n  c_ini: 0.1\n"
               "  radius: 0.5")],
@@ -1162,6 +1212,11 @@ class TestCLI:
         (
             [("mode: perturb_reference\n  c_ini: 0.1", "mode: random_ball\n  radius: inf")],
             "init.radius must be finite, got inf",
+        ),
+        ([("noise_sigma: 0.0", "noise_sigma: -1.0")], "data.noise_sigma must be >= 0, got -1.0"),
+        (
+            [("n: 400", "n: 400\n  mix_weights: [.nan, .nan]")],
+            "data.mix_weights must be a k-simplex vector, got (nan, nan)",
         ),
     ])
     def test_late_failing_configs_exit_2_before_any_repetition(

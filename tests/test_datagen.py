@@ -1,5 +1,6 @@
 """Synthetic data generation and the CSV dataset format."""
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,8 @@ class TestGenSpecValidation:
         with pytest.raises(ValueError):
             _spec(kind="bogus")
         # heavy-tailed regression data is generative_mlr with student_t covariates
-        with pytest.raises(ValueError, match="unknown dataset kind 'heavy_tail_mlr'"):
+        message = f"kind must be one of {KINDS}, got 'heavy_tail_mlr'"
+        with pytest.raises(ValueError, match=re.escape(message)):
             _spec(kind="heavy_tail_mlr")
 
     def test_unknown_covariate_rejected(self):
@@ -43,12 +45,17 @@ class TestGenSpecValidation:
             _spec(covariate="cauchy")
 
     def test_low_dof_rejected(self):
-        with pytest.raises(ValueError, match="Student-t dof must be >= 3"):
+        with pytest.raises(ValueError, match="t_dof must be >= 3"):
             _spec(covariate="student_t", t_dof=2)
 
     def test_mix_weights_must_be_simplex(self):
         with pytest.raises(ValueError):
             _spec(mix_weights=(0.7, 0.7))
+
+    def test_nan_mix_weights_rejected(self):
+        # NaN compares false with everything, so it must fail a test of w >= 0
+        with pytest.raises(ValueError, match=r"^mix_weights must be a k-simplex vector"):
+            _spec(mix_weights=(math.nan, math.nan))
 
     def test_truth_shape_must_match(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+# the oracle for the matching; scipy is a dependency of the tests only
+from scipy.optimize import linear_sum_assignment
 
 import softmix.em as em
 from softmix.data import DataSet, ParamSet
@@ -180,12 +182,6 @@ class TestAlignment:
         np.testing.assert_allclose(dists, [0.5, 1.0], atol=1e-15)
 
 
-@pytest.fixture(scope="module")
-def scipy_assignment():
-    """scipy's solver, the oracle for the matching; scipy is a test dependency only."""
-    return pytest.importorskip("scipy.optimize").linear_sum_assignment
-
-
 def _assignment_cost(cost, cols):
     return float(np.sum(cost[np.arange(len(cols)), cols]))
 
@@ -197,18 +193,18 @@ class TestMinCostAssignment:
         seed=st.integers(0, 2**32 - 1),
         scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e3, 1e12]),
     )
-    def test_continuous_costs_match_scipy_exactly(self, scipy_assignment, k, seed, scale):
+    def test_continuous_costs_match_scipy_exactly(self, k, seed, scale):
         # continuous costs have one optimum (almost surely), so the columns agree
         cost = np.random.default_rng(seed).random((k, k)) * scale
-        _, want = scipy_assignment(cost)
+        _, want = linear_sum_assignment(cost)
         np.testing.assert_array_equal(em._min_cost_assignment(cost), want)
 
     @settings(deadline=None, max_examples=300)
     @given(st.integers(1, 8).flatmap(lambda k: arrays(np.int64, (k, k), elements=st.integers(0, 3))))
-    def test_tied_costs_reach_scipy_total(self, scipy_assignment, cost):
+    def test_tied_costs_reach_scipy_total(self, cost):
         cost = cost.astype(np.float64)
         cols = em._min_cost_assignment(cost)
-        _, want = scipy_assignment(cost)
+        _, want = linear_sum_assignment(cost)
         assert sorted(cols.tolist()) == list(range(len(cost)))
         assert _assignment_cost(cost, cols) == pytest.approx(
             _assignment_cost(cost, want), rel=1e-12

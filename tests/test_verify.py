@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import softmix.datagen as datagen
+import softmix.verify as verify
 from softmix.data import DataSet, ParamSet
-from softmix.datagen import GenSpec, generate
+from softmix.datagen import BLOCK, GenSpec, generate
 from softmix.em import EMConfig
 from softmix.losses import LossModel, batch_gradient, certify
 from softmix.softmin import empirical_loss
@@ -192,6 +194,45 @@ class TestLemmaSweeps:
         assert own.checked == trials * ds.n
         assert own.checked + cross.checked == trials * ref.k * (tied.n - ties)
 
+    def test_trials_draw_from_no_block_stream(self, monkeypatch):
+        # the check runs on the data of its own seed, so trial t must not
+        # reuse the generator of block t: its offsets would then come from
+        # the words that picked that block's components
+        spec = GenSpec(
+            kind="generative_mlr", k=2, d=2, n=2 * BLOCK + 1, noise_sigma=0.0,
+            covariate="uniform_ball", cov_scale=1.5, margin=1.69, seed=3,
+            truth=ParamSet([[1.0, 0.0], [-1.0, 0.0]]),
+        )
+        original = datagen._substream
+        keys = {"blocks": [], "trials": []}
+
+        def recording(name, module):
+            def substream(seed, index):
+                keys[name].append(seed * 2 ** 64 + index)
+                return original(seed, index)
+            monkeypatch.setattr(module, "_substream", substream)
+
+        recording("blocks", datagen)
+        ds, ref = generate(spec)
+        model = LossModel("ridge", lam=1e-3)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
+        recording("trials", verify)
+        check_lemma_bounds(
+            ds, ref, model, constants, beta=5.0, radii=[0.01, 0.01], trials=5, seed=spec.seed
+        )
+        assert len(keys["blocks"]) == 3 and len(keys["trials"]) == 5
+        assert not set(keys["trials"]) & set(keys["blocks"])
+
+    def test_rows_other_than_the_constants_rejected(self, mlr_instance):
+        ds, ref, model = mlr_instance
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
+        with pytest.raises(ValueError, match="^dataset has 100 rows, but the constants "
+                           "were measured on 400$"):
+            check_lemma_bounds(
+                ds.subset(np.arange(100)), ref, model, constants, beta=5.0,
+                radii=[0.01, 0.01], trials=1, seed=0,
+            )
+
     @pytest.mark.filterwarnings("ignore:separation delta")
     def test_vacuous_regime_flagged_not_counted(self):
         # overlapping noisy components with a huge beta: the eta numerator
@@ -265,6 +306,16 @@ class TestStepDecomposition:
             params = ParamSet(ref.thetas + 0.2 * rng.standard_normal(ref.thetas.shape))
             dec = step_decomposition(params, ds, model, self._em(gamma), ref, constants)
             assert dec.total <= dec.T1 + dec.T2 + 1e-12
+
+    def test_rows_other_than_the_constants_rejected(self, mlr_instance):
+        ds, ref, model = mlr_instance
+        params = ParamSet(ref.thetas + 0.1)
+        constants = estimate_constants(ds, ref, model, certify(model, ds))
+        with pytest.raises(ValueError, match="^dataset has 100 rows, but the constants "
+                           "were measured on 400$"):
+            step_decomposition(
+                params, ds.subset(np.arange(100)), model, self._em(0.1), ref, constants
+            )
 
     def test_weights_formed_once(self, mlr_instance, monkeypatch):
         import softmix.em as em_module

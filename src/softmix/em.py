@@ -1,6 +1,8 @@
 """Gradient EM: soft-min weighted gradient steps over disjoint data folds.
 
 :class:`EMConfig`, less its ``seed``, is the ``em:`` section of a config.
+:func:`m_step` is classical EM's M-step, which a multistart reference
+alternates with soft-min weights (the E-step) to a fixed point.
 """
 from __future__ import annotations
 
@@ -11,8 +13,13 @@ from typing import Optional
 import numpy as np
 
 from .data import DataSet, ParamSet
-from .losses import FAMILIES, LossModel, batch_gradient
-from .softmin import empirical_loss, mean_loss, weight_matrix
+from .losses import FAMILIES, LossModel, batch_gradient, batch_loss
+from .softmin import empirical_loss, mean_loss, soft_min_weights, weight_matrix
+
+# m_step: the most halvings of a Newton step, and the relative rise of a
+# weighted loss that counts as rounding rather than ascent
+HALVINGS = 30
+DESCENT_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,21 @@ def partition_dataset(dataset: DataSet, T: int, seed: int) -> np.ndarray:
     return perm[: T * fold_size].reshape(T, fold_size)
 
 
+def _weighted_gradients(thetas: np.ndarray, fold: DataSet, model: LossModel, weights: np.ndarray):
+    """``(Z, mass, sums)``: the (k, n) predictions Z = thetas X^T, each
+    component's weight mass sum_i W_ij and its weighted gradient sum
+    sum_i W_ij grad F(x_i, y_i; theta_j), shape (k, d)."""
+    family = FAMILIES[model.family]
+    Z = thetas @ fold.X.T
+    coefs = family.dphi(Z, fold.y, model.link)
+    coefs *= weights.T
+    sums = coefs @ fold.X
+    # sum_i W_ij as a product: np.sum down k short columns is ~10x slower
+    mass = np.ones(len(fold)) @ weights
+    sums += (2.0 * family.reg * model.lam * mass)[:, None] * thetas
+    return Z, mass, sums
+
+
 def gradient_em_step(
     params: ParamSet,
     fold: DataSet,
@@ -122,16 +144,82 @@ def gradient_em_step(
         step = np.sum(grads, axis=0)[None, :]
     else:
         # weight_matrix validated the inputs
-        family = FAMILIES[model.family]
-        coefs = family.dphi(params.thetas @ fold.X.T, fold.y, model.link)
-        coefs *= weights.T
-        step = coefs @ fold.X
-        # sum_i W_ij as a product: np.sum down k short columns is ~10x slower
-        mass = np.ones(len(fold)) @ weights
-        step += (2.0 * family.reg * model.lam * mass)[:, None] * params.thetas
+        _, _, step = _weighted_gradients(params.thetas, fold, model, weights)
     if not np.all(np.isfinite(step)):
         raise ValueError("non-finite gradient in EM step")
     return ParamSet(params.thetas - (config.gamma / len(fold)) * step)
+
+
+def outer_products(X: np.ndarray) -> np.ndarray:
+    """Each row's outer product x_i x_i^T, flattened: shape (n, d * d).
+
+    For per-sample coefficients C of shape (k, n), ``C @ outer_products(X)``
+    holds the k matrices sum_i C_ji x_i x_i^T, one per row.
+    """
+    n, d = X.shape
+    return (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
+
+
+def m_step(
+    params: ParamSet,
+    dataset: DataSet,
+    model: LossModel,
+    weights: np.ndarray,
+    losses: np.ndarray,
+    outer: np.ndarray,
+) -> ParamSet:
+    """One classical M-step at fixed weights: a Newton step per component on
+    its weighted loss L_j(theta) = sum_i W_ij F(x_i, y_i; theta).
+
+    ``weights, losses`` are the pair :func:`~softmix.softmin.weight_matrix`
+    gives at ``params``, and ``outer`` is :func:`outer_products` of the
+    dataset's covariates.  The gradient of L_j is the weighted sum that
+    :func:`gradient_em_step` forms; its Hessian sum_i W_ij phi''_ij x_i x_i^T
+    + 2 c lam (sum_i W_ij) I is, for all k components, one product with
+    ``outer``.  Where the family's ``d2phi`` is a constant (ridge, and
+    ``glm`` with the identity link) L_j is quadratic and the full step is
+    its minimizer.  Elsewhere a component's step is halved until L_j does
+    not rise beyond rounding; one that finds no descent in :data:`HALVINGS`
+    halvings keeps its theta, as does a component of zero mass.  The input
+    ParamSet is not modified.
+    """
+    family = FAMILIES[model.family]
+    k, d = params.thetas.shape
+    Z, mass, sums = _weighted_gradients(params.thetas, dataset, model, weights)
+    held = mass > 0.0
+    d2phi = family.d2phi(Z, dataset.y, model.link)
+    # divided by the mass, so the Hessian stays >= 2 c lam I when weights underflow
+    hess = ((d2phi * weights.T)[held] @ outer).reshape(-1, d, d) / mass[held, None, None]
+    hess += 2.0 * family.reg * model.lam * np.eye(d)
+    direction = np.zeros((k, d))
+    direction[held] = np.linalg.solve(hess, (sums[held] / mass[held, None])[..., None])[..., 0]
+    if np.ndim(d2phi) == 0:
+        return ParamSet(params.thetas - direction)
+
+    ones = np.ones(len(dataset))
+    before = ones @ (weights * losses)
+    scale = np.ones(k)
+    for _ in range(HALVINGS):
+        thetas = params.thetas - scale[:, None] * direction
+        after = ones @ (weights * batch_loss(model, dataset.X, dataset.y, thetas))
+        rose = after > before + DESCENT_SLACK * np.abs(before)
+        if not rose.any():
+            break
+        scale[rose] *= 0.5
+    else:
+        thetas[rose] = params.thetas[rose]
+    return ParamSet(thetas)
+
+
+def fixed_point_residual(
+    params: ParamSet, dataset: DataSet, model: LossModel, beta: float
+) -> float:
+    """max_j ||theta_j - step(theta)_j|| / gamma for one full-data gradient EM
+    step: the largest mean weighted gradient (1/n) ||sum_i W_ij grad F_ij||,
+    0 exactly at a fixed point of gradient EM, and so of classical EM."""
+    weights = soft_min_weights(batch_loss(model, dataset.X, dataset.y, params.thetas), beta)
+    _, _, sums = _weighted_gradients(params.thetas, dataset, model, weights)
+    return float(np.max(np.linalg.norm(sums, axis=1))) / len(dataset)
 
 
 def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:

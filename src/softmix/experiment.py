@@ -28,7 +28,7 @@ from .datagen import generate, load_csv, uniform_ball
 from . import em
 from .em import ConvergenceTrace, EMConfig, run_gradient_em
 from .losses import certify, default_step_size
-from .softmin import empirical_loss
+from .softmin import empirical_loss, mean_loss, weight_matrix
 from .theory import (
     ProblemConstants,
     TheoremQuantities,
@@ -46,6 +46,11 @@ from .verify import (
 
 # random ParamSets the ``lemmas`` check sweeps in the start's ball
 LEMMA_TRIALS = 20
+# classical EM runs per multistart reference; a run stops once no component
+# moves more than the tolerance, and fails after the step cap
+RESTARTS = 16
+REFERENCE_TOLERANCE = 1e-7
+REFERENCE_STEPS = 1000
 
 
 @dataclass
@@ -63,9 +68,10 @@ class RepetitionContext:
 @dataclass(frozen=True)
 class RepetitionResult:
     """One repetition's records, each value held once: EM's ``fitted``
-    ParamSet and its ``trace``, the ``constants`` at the reference, and the
+    ParamSet and its ``trace``, the ``constants`` at the reference, the
     theorem's ``quantities`` and bound from the trace's initial distances
-    (None at beta = inf)."""
+    (None at beta = inf), and the reference's fixed-point residual
+    (:func:`em.fixed_point_residual`, 0 at a fixed point of gradient EM)."""
 
     rep: int
     seed: int
@@ -74,6 +80,7 @@ class RepetitionResult:
     trace: ConvergenceTrace
     constants: ProblemConstants
     quantities: Optional[TheoremQuantities]
+    reference_residual: float
 
     @property
     def within_bound(self) -> Optional[bool]:
@@ -132,8 +139,7 @@ def repetition_context(
     other work.  Every repetition reads the same data file, so given
     repetition 0's context ``first``, file data and its certified (m, M) are
     taken from it, and the rest built anew.  The default step size is
-    computed at most once: for ``em.gamma`` when the config leaves it out,
-    and for the multistart restarts.
+    computed only when the config leaves ``em.gamma`` out.
     """
     seed = config.seed + rep
     if first is not None and isinstance(config.data, str):
@@ -148,37 +154,52 @@ def repetition_context(
             dataset, truth = generate(replace(config.data, seed=seed))
             k = truth.k
         curvature = certify(config.loss, dataset)
-    default_gamma = None
-    if config.em.gamma is None or config.reference == "multistart":
-        default_gamma = default_step_size(config.loss, dataset)
-    gamma = default_gamma if config.em.gamma is None else config.em.gamma
+    gamma = default_step_size(config.loss, dataset) if config.em.gamma is None else config.em.gamma
     em_config = replace(config.em, gamma=gamma, seed=seed)
     if config.reference == "truth":
         reference = truth
     else:
-        reference = _multistart_reference(dataset, config, k, default_gamma, seed)
+        reference = _multistart_reference(dataset, config, k, seed)
     constants = estimate_constants(dataset, reference, config.loss, curvature)
     init = _build_init(config, reference, seed)
     return RepetitionContext(seed, dataset, em_config, reference, constants, init)
 
 
 def _multistart_reference(
-    dataset: DataSet, config: ExperimentConfig, k: int, default_gamma: float, seed: int
+    dataset: DataSet, config: ExperimentConfig, k: int, seed: int
 ) -> ParamSet:
-    """Reference optimizer for agnostic data: best of 16 long, small-step
-    (``default_gamma`` / 4) full-data gradient EM runs from standard-normal
-    starts.
+    """Reference optimizer for agnostic data: the fixed point of classical EM
+    with the least soft-min loss (:func:`empirical_loss`, read from its last
+    weight matrix), over :data:`RESTARTS` runs from standard-normal starts.
 
-    Each restart is untraced: ``em.gradient_em_step`` in a loop.
+    A run alternates the E-step (:func:`weight_matrix`) with the Newton M-step
+    (:func:`em.m_step`) on the full data.  Its end is a fixed point of
+    gradient EM too: both leave theta where sum_i W_ij grad F_ij(theta_j) = 0.
+    It stops once no component moves more than :data:`REFERENCE_TOLERANCE`;
+    a run still moving after :data:`REFERENCE_STEPS` E/M steps raises a
+    ValueError that names the loss family and the fixed-point residual.
     """
-    restart_em = replace(config.em, gamma=default_gamma / 4.0)
+    model, beta = config.loss, config.em.beta
+    outer = em.outer_products(dataset.X)
     best, best_loss = None, math.inf
-    for restart in range(16):
+    for restart in range(RESTARTS):
         rng = np.random.default_rng(seed * 1_000_003 + restart)
         params = ParamSet(rng.standard_normal((k, dataset.d)))
-        for _ in range(5 * config.em.iterations):
-            params = em.gradient_em_step(params, dataset, config.loss, restart_em)
-        loss = empirical_loss(params, dataset, config.loss, config.em.beta)
+        weights, losses = weight_matrix(params, dataset, model, beta)
+        for _ in range(REFERENCE_STEPS):
+            fitted = em.m_step(params, dataset, model, weights, losses, outer)
+            weights, losses = weight_matrix(fitted, dataset, model, beta)
+            move = np.max(np.linalg.norm(fitted.thetas - params.thetas, axis=1))
+            params = fitted
+            if move <= REFERENCE_TOLERANCE:
+                break
+        else:
+            residual = em.fixed_point_residual(params, dataset, model, beta)
+            raise ValueError(
+                f"multistart reference: the {model.family} E/M restart {restart} still moved "
+                f"{move:.3g} after {REFERENCE_STEPS} steps (fixed-point residual {residual:.3g})"
+            )
+        loss = mean_loss(weights, losses)
         if loss < best_loss:
             best, best_loss = params, loss
     return best
@@ -225,8 +246,11 @@ def run_repetition(
         context.init, context.dataset, config.loss, context.em, reference=context.reference
     )
     quantities = theory_at(context, trace.distances[0])
+    residual = em.fixed_point_residual(
+        context.reference, context.dataset, config.loss, config.em.beta
+    )
     return RepetitionResult(
-        rep, context.seed, context.em.gamma, fitted, trace, context.constants, quantities
+        rep, context.seed, context.em.gamma, fitted, trace, context.constants, quantities, residual
     ), context
 
 
@@ -335,6 +359,7 @@ def render_report(report: ExperimentReport) -> str:
         )
         lines.append("  constants: " + _format_constants(rr.constants))
         lines.append("  quantities: " + _format_quantities(rr.quantities))
+        lines.append(f"  reference_residual: {rr.reference_residual:.6g}")
     lines.append("")
     lines.append(report.bound_summary())
     lines.extend(check.line() for check in report.checks)

@@ -1,11 +1,12 @@
 """Base loss families: value, gradient and certified convexity/smoothness constants.
 
 Each family F(x, y; theta) = phi(<x, theta>, y) + c * lam * ||theta||^2 is one
-record of the :data:`FAMILIES` table (phi, phi', c, bounds on phi'', +-1
-labels or not), read by the values, gradients, EM step and certificates.  A
-:class:`LossModel` is the ``loss:`` section of a config and nothing more;
-:func:`certify` returns the pair (m, M) it has on a dataset, which the
-instance's :class:`~softmix.theory.ProblemConstants` hold.
+record of the :data:`FAMILIES` table (phi, phi', the M-step curvature, c,
+bounds on phi'', +-1 labels or not), read by the values, gradients, EM and
+M-steps and certificates.  A :class:`LossModel` is the ``loss:`` section of
+a config and nothing more; :func:`certify` returns the pair (m, M) it has on
+a dataset, which the instance's :class:`~softmix.theory.ProblemConstants`
+hold.
 
 * ``ridge``          -- (y - <x, theta>)^2 + lam * ||theta||^2
 * ``logistic``       -- log(1 + exp(-y <x, theta>)) + lam * ||theta||^2
@@ -36,6 +37,8 @@ class CertificationError(ValueError):
 class LinkFunction:
     """Scalar link g with derivatives and the bounds used for certification.
 
+    ``df`` is g' elementwise, or a plain number where g' is constant, so
+    that the ``glm`` M-step curvature 2 g'^2 is a constant there too.
     ``value_bound`` bounds |g|, ``d1_bound`` bounds |g'| and ``d2_bound``
     bounds |g''| over the whole real line.  ``value_bound`` may be infinite
     only when ``d2_bound`` is zero (identity-like links).
@@ -43,7 +46,7 @@ class LinkFunction:
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
+    df: Callable
     value_bound: float
     d1_bound: float
     d2_bound: float
@@ -72,7 +75,7 @@ def _log1pexp(u):
 IDENTITY_LINK = LinkFunction(
     name="identity",
     f=lambda z: z,
-    df=lambda z: np.ones_like(z),
+    df=lambda z: 1.0,
     value_bound=math.inf,
     d1_bound=1.0,
     d2_bound=0.0,
@@ -104,13 +107,18 @@ LINKS = {lk.name: lk for lk in (IDENTITY_LINK, TANH_LINK, SIGMOID_LINK)}
 class LossFamily:
     """One base loss phi(<x, theta>, y) + reg * lam * ||theta||^2.
 
-    ``phi`` and its derivative in the prediction ``dphi`` take ``(z, y, link)``
-    elementwise.  ``curvature`` maps ``(link, max |y|)`` to bounds ``(lo, hi)``
-    on phi'' over every z.
+    ``phi``, its derivative in the prediction ``dphi`` and the curvature
+    ``d2phi`` of a Newton M-step take ``(z, y, link)`` elementwise.
+    ``d2phi`` is phi'' itself, a plain number where phi'' is constant, or
+    for ``glm`` its Gauss-Newton part 2 g'^2, which drops the -2 (y - g) g''
+    term so that it never goes negative.
+    ``curvature`` maps ``(link, max |y|)`` to bounds ``(lo, hi)`` on phi''
+    over every z.
     """
 
     phi: Callable
     dphi: Callable
+    d2phi: Callable
     reg: float
     curvature: Callable
     signed_labels: bool
@@ -130,21 +138,26 @@ FAMILIES = {
     RIDGE: LossFamily(
         phi=lambda z, y, link: (y - z) ** 2,
         dphi=lambda z, y, link: -2.0 * (y - z),
+        d2phi=lambda z, y, link: 2.0,
         reg=1.0, curvature=lambda link, max_abs_y: (2.0, 2.0), signed_labels=False,
     ),
     LOGISTIC: LossFamily(
         phi=lambda z, y, link: _log1pexp(-y * z),
         dphi=lambda z, y, link: -y * _sigmoid(-y * z),
+        # y^2 = 1, so phi'' = sigma(yz) sigma(-yz)
+        d2phi=lambda z, y, link: (lambda s: s * (1.0 - s))(_sigmoid(-y * z)),
         reg=1.0, curvature=lambda link, max_abs_y: (0.0, 0.25), signed_labels=True,
     ),
     SQUARED_HINGE: LossFamily(
         phi=lambda z, y, link: np.maximum(0.0, 1.0 - y * z) ** 2,
         dphi=lambda z, y, link: -2.0 * np.maximum(0.0, 1.0 - y * z) * y,
+        d2phi=lambda z, y, link: np.where(1.0 - y * z > 0.0, 2.0, 0.0),
         reg=0.5, curvature=lambda link, max_abs_y: (0.0, 2.0), signed_labels=True,
     ),
     GLM: LossFamily(
         phi=lambda z, y, link: (y - link.f(z)) ** 2,
         dphi=lambda z, y, link: -2.0 * (y - link.f(z)) * link.df(z),
+        d2phi=lambda z, y, link: 2.0 * link.df(z) ** 2,
         reg=1.0, curvature=_glm_curvature, signed_labels=False,
     ),
 }

@@ -1,0 +1,182 @@
+"""Classical EM's Newton M-step and the multistart reference built from it.
+
+``m_step`` takes one Newton step per component on its weighted loss
+L_j(theta) = sum_i W_ij F(x_i, y_i; theta), with the curvature ``d2phi`` of
+each family.  Here the curvature is compared with finite differences of
+``dphi``, the step with the per-component gradient oracle ``batch_gradient``,
+and an E/M pair with the free energy
+Phi_beta(theta) = (1/n) sum_i -(1/beta) log sum_j exp(-beta F_ij),
+which classical EM descends (Neal and Hinton 1998).
+"""
+import textwrap
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import softmix.experiment as experiment
+from softmix.config import validate_config
+from softmix.data import DataSet, ParamSet
+from softmix.em import m_step, outer_products
+from softmix.losses import FAMILIES, GLM, LINKS, RIDGE, SQUARED_HINGE, LossModel, batch_gradient
+from softmix.softmin import weight_matrix
+
+MODELS = [(family, None) for family in FAMILIES if family != GLM] + [
+    (GLM, link) for link in LINKS
+]
+ENTRIES = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@st.composite
+def instances(draw, models=MODELS):
+    """A model with lam > 0, so each weighted loss is strongly convex, a
+    dataset and a ParamSet."""
+    family, link = draw(st.sampled_from(models))
+    n, d, k = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    X = draw(arrays(np.float64, (n, d), elements=ENTRIES))
+    labels = st.sampled_from([-1.0, 1.0]) if FAMILIES[family].signed_labels else ENTRIES
+    y = draw(arrays(np.float64, n, elements=labels))
+    thetas = draw(arrays(np.float64, (k, d), elements=ENTRIES))
+    lam = draw(st.floats(min_value=1e-3, max_value=1.0))
+    model = LossModel(family, lam=lam, link=LINKS[link] if link else None)
+    return model, DataSet(X, y), ParamSet(thetas)
+
+
+def _free_energy(params, dataset, model, beta):
+    """Phi_beta: the mean of -(1/beta) log sum_j exp(-beta F_ij)."""
+    _, F = weight_matrix(params, dataset, model, beta)
+    low = np.min(F, axis=1)
+    return float(np.mean(low - np.log(np.sum(np.exp(-beta * (F - low[:, None])), axis=1)) / beta))
+
+
+def _weighted_gradient(params, dataset, model, weights):
+    """sum_i W_ij grad F(x_i, y_i; theta_j) per component, from the
+    per-sample oracle, with the sum of the terms' norms as its scale."""
+    sums, scales = [], []
+    for j in range(params.k):
+        terms = weights[:, j, None] * batch_gradient(model, dataset.X, dataset.y, params.theta(j))
+        sums.append(np.sum(terms, axis=0))
+        scales.append(np.sum(np.linalg.norm(terms, axis=1)))
+    return np.array(sums), np.array(scales)
+
+
+@given(
+    st.sampled_from(MODELS),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(deadline=None, max_examples=300)
+def test_d2phi_matches_finite_differences_of_dphi(family_link, z, y):
+    family, link = family_link
+    model = LossModel(family, lam=1e-3, link=LINKS[link] if link else None)
+    spec = FAMILIES[family]
+    if spec.signed_labels:
+        y = 1.0 if y >= 0.0 else -1.0
+    if family == SQUARED_HINGE:
+        assume(abs(1.0 - y * z) > 1e-3)  # phi'' jumps at the kink
+    if family == GLM:
+        # the Gauss-Newton term 2 g'^2 is phi'' where the residual y - g(z) is 0
+        y = float(model.link.f(np.array(z)))
+    h = 1e-5
+    zs = np.array([z - h, z + h])
+    slope = np.diff(spec.dphi(zs, y, model.link))[0] / (2.0 * h)
+    curvature = np.broadcast_to(spec.d2phi(np.array([z]), y, model.link), (1,))[0]
+    assert abs(curvature - slope) <= 1e-6 * (1.0 + abs(slope))
+    if family == GLM:
+        assert curvature == pytest.approx(2.0 * float(model.link.df(np.array(z))) ** 2)
+
+
+@given(
+    instances(models=[(RIDGE, None), (GLM, "identity")]),
+    st.floats(min_value=0.0, max_value=10.0),
+)
+@settings(deadline=None, max_examples=300)
+def test_quadratic_m_step_is_stationary(instance, beta):
+    model, dataset, params = instance
+    weights, losses = weight_matrix(params, dataset, model, beta)
+    fitted = m_step(params, dataset, model, weights, losses, outer_products(dataset.X))
+    gradient, scale = _weighted_gradient(fitted, dataset, model, weights)
+    norms = np.linalg.norm(gradient, axis=1)
+    assert np.all(norms <= 1e-8 * scale + 1e-12), (norms, scale)
+
+
+@given(instances(), st.floats(min_value=0.05, max_value=10.0))
+@settings(deadline=None, max_examples=300)
+def test_e_m_pair_does_not_raise_the_free_energy(instance, beta):
+    model, dataset, params = instance
+    weights, losses = weight_matrix(params, dataset, model, beta)
+    fitted = m_step(params, dataset, model, weights, losses, outer_products(dataset.X))
+    before = _free_energy(params, dataset, model, beta)
+    after = _free_energy(fitted, dataset, model, beta)
+    assert after <= before + 1e-9 * (1.0 + abs(before))
+
+
+@given(instances(), st.data())
+@settings(deadline=None, max_examples=200)
+def test_zero_mass_component_keeps_its_theta(instance, data):
+    model, dataset, params = instance
+    weights, losses = weight_matrix(params, dataset, model, 1.0)
+    j = data.draw(st.integers(0, params.k - 1))
+    weights[:, j] = 0.0
+    fitted = m_step(params, dataset, model, weights, losses, outer_products(dataset.X))
+    assert fitted.theta(j).tobytes() == params.theta(j).tobytes()
+
+
+# the constants at these references are not under test, and some are vacuous
+vacuous_constants = pytest.mark.filterwarnings("ignore:separation delta:UserWarning")
+
+SMALL_MULTISTART = textwrap.dedent(
+    """
+    data:
+      kind: {kind}
+      k: 2
+      d: 2
+      n: 400
+    loss:
+      family: {family}
+      lam: 0.01
+    em:
+      iterations: 5
+      beta: 2.0
+    reference: multistart
+    seed: 3
+    """
+)
+
+
+@vacuous_constants
+@pytest.mark.parametrize("gamma", [0.05, 0.3, 1.0])
+def test_given_gamma_never_takes_the_default_step(monkeypatch, gamma):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        raise AssertionError("default_step_size called with em.gamma given")
+
+    monkeypatch.setattr(experiment, "default_step_size", counted)
+    text = SMALL_MULTISTART.format(kind="generative_mlr", family="ridge")
+    text = text.replace("em:\n", f"em:\n  gamma: {gamma}\n")
+    context = experiment.repetition_context(validate_config(text), 0)
+    assert context.em.gamma == gamma
+    assert calls == []
+
+
+@vacuous_constants
+@pytest.mark.parametrize("family", ["logistic", "squared_hinge"])
+def test_reference_of_each_family_is_a_fixed_point(family):
+    cfg = validate_config(SMALL_MULTISTART.format(kind="generative_logistic", family=family))
+    context = experiment.repetition_context(cfg, 0)
+    residual = experiment.em.fixed_point_residual(
+        context.reference, context.dataset, cfg.loss, cfg.em.beta
+    )
+    assert residual <= experiment.REFERENCE_TOLERANCE
+
+
+@vacuous_constants
+def test_step_cap_raises_naming_family_and_residual(monkeypatch):
+    monkeypatch.setattr(experiment, "REFERENCE_STEPS", 2)
+    cfg = validate_config(SMALL_MULTISTART.format(kind="generative_logistic", family="logistic"))
+    with pytest.raises(ValueError, match=r"logistic E/M restart 0 still moved .* residual \d"):
+        experiment.repetition_context(cfg, 0)

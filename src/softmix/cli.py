@@ -4,7 +4,6 @@ Subcommands:
 
 * ``run <config.yaml>``            -- full experiment, writes report + CSVs
 * ``gen <genspec.yaml> -o <file>`` -- generate a dataset to CSV
-* ``bounds <config.yaml>``         -- print theory quantities only
 
 A bad config or dataset, or an input file that cannot be read, exits 2 with
 a one-line error.
@@ -16,13 +15,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, _section, _typed, parse_yaml, validate_config
 from .datagen import GenSpec, generate, save_csv
-from .em import align_to_reference
-from .experiment import _format_bound, _format_constants, _format_quantities
-from .experiment import repetition_context, run_experiment, theory_at
+from .experiment import run_experiment
 
 
 def _cmd_run(args) -> int:
@@ -49,21 +44,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    config = validate_config(Path(args.config).read_text())
-    # repetition 0's bound needs its starting distances, not its EM run
-    context = repetition_context(config, 0)
-    _, d0 = align_to_reference(context.init, context.reference)
-    quantities = theory_at(context, d0)
-    sys.stdout.write("constants:  " + _format_constants(context.constants) + "\n")
-    sys.stdout.write("quantities: " + _format_quantities(quantities) + "\n")
-    sys.stdout.write(
-        f"gamma={context.em.gamma:.6g} d0={float(np.max(d0)):.6g} "
-        f"predicted_bound={_format_bound(quantities)}\n"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="softmix",
@@ -81,10 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("genspec")
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.set_defaults(func=_cmd_gen)
-
-    p_bounds = sub.add_parser("bounds", help="print theory quantities for a config")
-    p_bounds.add_argument("config")
-    p_bounds.set_defaults(func=_cmd_bounds)
     return parser
 
 

@@ -128,9 +128,6 @@ class ExperimentConfig:
                 f"seed must lie in [0, 2**64 - repetitions], got {self.seed} "
                 f"with {self.repetitions} repetitions"
             )
-        if self.em.gamma is not None and self.em.gamma <= 0:
-            # a zero step leaves every iterate at d0, which is then its own bound
-            raise ConfigError("em.gamma must be a finite number > 0 when given")
         if self.reference not in REFERENCE_MODES:
             raise ConfigError(f"reference must be one of {REFERENCE_MODES}")
         if self.checks.lemmas and math.isinf(self.em.beta):

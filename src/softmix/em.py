@@ -43,8 +43,9 @@ class EMConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError("gamma must be a finite number >= 0 when given")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            # a zero step leaves every iterate at d0, which is then its own bound
+            raise ValueError("gamma must be a finite number > 0 when given")
         if math.isnan(self.beta) or self.beta < 0:
             raise ValueError("beta must be >= 0")
 

@@ -350,10 +350,9 @@ def render_report(report: ExperimentReport) -> str:
         trace, rate = rr.trace, rr.trace.fitted_rate
         rate = "n/a" if rate is None else f"{rate:.4f}"
         d0, final = trace.max_distances()[[0, -1]]
-        # the floor is the final distance, printed under both names
         lines.append(
             f"rep {rr.rep} (seed {rr.seed}): gamma={rr.gamma:.6g} "
-            f"d0={d0:.6g} final={final:.6g} rate={rate} floor={final:.6g} "
+            f"d0={d0:.6g} final={final:.6g} rate={rate} "
             f"bound={_format_bound(rr.quantities)} within_bound={rr.within_bound} "
             f"alignment={trace.alignment.tolist()}"
         )

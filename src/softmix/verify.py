@@ -28,23 +28,18 @@ _LEMMA_SLACK = 1e-10
 def finite_diff_gradient(
     model: LossModel, x, y: float, theta, h: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
-    """Central-difference gradient of F(x, y; theta) in theta, one coordinate
-    at a time.  ``x`` is one covariate vector of shape (d,) and ``y`` its
-    label; each perturbed theta is scored by a one-row
-    :func:`~softmix.losses.batch_loss`."""
+    """Central-difference gradient of F(x, y; theta) in theta.  ``x`` is one
+    covariate vector of shape (d,) and ``y`` its label; every ``theta +- h e_i``
+    is scored by one one-row :func:`~softmix.losses.batch_loss` on their
+    (2d, d) stack."""
     if h <= 0:
         raise ValueError("finite-difference step h must be positive")
-    X = np.asarray(x, dtype=np.float64)[None, :]
-    Y = np.array([y], dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
-    grad = np.empty_like(theta)
-    for i in range(theta.shape[0]):
-        hi = np.zeros_like(theta)
-        hi[i] = h
-        grad[i] = (
-            batch_loss(model, X, Y, theta + hi)[0] - batch_loss(model, X, Y, theta - hi)[0]
-        ) / (2.0 * h)
-    return grad
+    steps = h * np.eye(theta.shape[0])
+    stack = np.concatenate([theta + steps, theta - steps])
+    losses = batch_loss(model, np.asarray(x)[None, :], np.array([y]), stack)[0]
+    plus, minus = np.split(losses, 2)
+    return (plus - minus) / (2.0 * h)
 
 
 def worst_gradient_error(model: LossModel, cases) -> float:

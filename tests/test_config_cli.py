@@ -39,6 +39,7 @@ from softmix.experiment import (
     _format_bound,
     _format_constants,
     _format_quantities,
+    render_report,
     repetition_context,
     run_experiment,
     run_repetition,
@@ -577,6 +578,14 @@ class TestExperimentDriver:
         # 2 repetitions x (15 iterations + init) x 2 components
         assert len(first) == 1 + 2 * 16 * 2
 
+    def test_rep_line_prints_final_distance_once(self):
+        report = run_experiment(validate_config(TWO_COMPONENT), write=False)
+        lines = render_report(report).splitlines()
+        for rr in report.repetitions:
+            (line,) = [s for s in lines if s.startswith(f"rep {rr.rep} ")]
+            assert line.count(f" final={rr.trace.final_distance():.6g} ") == 1
+            assert "floor=" not in line
+
     def test_checks_run_and_pass(self):
         cfg = validate_config(
             TWO_COMPONENT
@@ -895,41 +904,33 @@ class TestCLI:
         assert main(["run", config, "-o", str(tmp_path / "out")]) == 0
         assert "check lemmas: PASS (" in capsys.readouterr().out
 
-    def test_removed_subcommand_exits_2(self, tmp_path):
-        # the loss families are fixed code; tests/test_losses.py checks their
-        # gradients against finite differences
-        spec = self._write(tmp_path, "loss.yaml", "family: ridge\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["check-gradients", spec])
-        assert exc.value.code == 2
-
-    def test_bounds_subcommand(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["check-gradients", "bounds"])
+    def test_removed_subcommand_exits_2(self, tmp_path, capsys, command):
+        # the loss families are fixed code, which tests/test_losses.py checks
+        # against finite differences; report.txt prints every theory value
         config = self._write(tmp_path, "cfg.yaml", TWO_COMPONENT)
-        assert main(["bounds", config]) == 0
-        out = capsys.readouterr().out
-        assert "predicted_bound" in out and "constants" in out
+        with pytest.raises(SystemExit) as exc:
+            main([command, config])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("reference", ["truth", "multistart"])
-    def test_bounds_match_repetition_zero_without_em(
-        self, tmp_path, capsys, monkeypatch, reference
+    def test_report_prints_every_repetition_zero_theory_value(
+        self, tmp_path, reference
     ):
+        # what the removed `softmix bounds` printed, read from `softmix run`
         cfg_text = TWO_COMPONENT + f"reference: {reference}\n"
         result, _ = run_repetition(validate_config(cfg_text), 0)
-        expected = (
-            "constants:  " + _format_constants(result.constants) + "\n"
-            "quantities: " + _format_quantities(result.quantities) + "\n"
-            f"gamma={result.gamma:.6g} d0={result.trace.max_distances()[0]:.6g} "
-            f"predicted_bound={_format_bound(result.quantities)}\n"
-        )
-        capsys.readouterr()
-
-        def no_em(*args, **kwargs):
-            raise AssertionError("softmix bounds ran gradient EM")
-
-        monkeypatch.setattr(experiment, "run_gradient_em", no_em)
         config = self._write(tmp_path, "cfg.yaml", cfg_text)
-        assert main(["bounds", config]) == 0
-        assert capsys.readouterr().out == expected
+        assert main(["run", config, "-o", str(tmp_path / "out")]) == 0
+        block = (tmp_path / "out" / "report.txt").read_text().split("\nrep 1 ")[0]
+        assert f"\nrep 0 (seed {result.seed}): " in block
+        assert (
+            f" gamma={result.gamma:.6g} d0={result.trace.max_distances()[0]:.6g} "
+        ) in block
+        assert f" bound={_format_bound(result.quantities)} " in block
+        assert "\n  constants: " + _format_constants(result.constants) + "\n" in block
+        assert "\n  quantities: " + _format_quantities(result.quantities) + "\n" in block
 
     def test_oversized_brute_force_exits_2_before_any_repetition(
         self, tmp_path, capsys, monkeypatch
@@ -998,7 +999,7 @@ class TestCLI:
         config = self._write(tmp_path, "cfg.yaml", text + f"output_dir: {tmp_path / 'out'}\n")
         assert main(["run", config]) == 2
         assert capsys.readouterr().err == (
-            "error: em.gamma must be a finite number >= 0 when given\n"
+            "error: em.gamma must be a finite number > 0 when given\n"
         )
         assert repetitions == []
         assert not (tmp_path / "out").exists()
@@ -1095,7 +1096,7 @@ class TestCLI:
     def test_missing_file_exits_2(self):
         assert main(["run", "/nonexistent/config.yaml"]) == 2
 
-    @pytest.mark.parametrize("command", ["run", "gen", "bounds"])
+    @pytest.mark.parametrize("command", ["run", "gen"])
     @pytest.mark.parametrize("unreadable", ["malformed_yaml", "directory"])
     def test_unreadable_input_exits_2_with_one_error_line(
         self, tmp_path, capsys, command, unreadable

@@ -1,8 +1,8 @@
 """Gradient EM: soft-min weighted gradient steps over disjoint data folds.
 
 :class:`EMConfig`, less its ``seed``, is the ``em:`` section of a config.
-:func:`m_step` is classical EM's M-step, which a multistart reference
-alternates with soft-min weights (the E-step) to a fixed point.
+:func:`e_step` and :func:`m_step` are classical EM's two steps, which a
+multistart reference alternates to a fixed point.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .data import DataSet, ParamSet
-from .losses import FAMILIES, LossModel, batch_gradient, batch_loss
+from .losses import FAMILIES, LossModel, batch_gradient, batch_loss, component_losses
 from .softmin import empirical_loss, mean_loss, soft_min_weights, weight_matrix
 
 # m_step: the most halvings of a Newton step, and the relative rise of a
@@ -93,19 +93,20 @@ def partition_dataset(dataset: DataSet, T: int, seed: int) -> np.ndarray:
     return perm[: T * fold_size].reshape(T, fold_size)
 
 
-def _weighted_gradients(thetas: np.ndarray, fold: DataSet, model: LossModel, weights: np.ndarray):
-    """``(Z, mass, sums)``: the (k, n) predictions Z = thetas X^T, each
+def _weighted_gradients(
+    Z: np.ndarray, thetas: np.ndarray, fold: DataSet, model: LossModel, weights: np.ndarray
+):
+    """``(mass, sums)`` from the (k, n) predictions Z = thetas X^T: each
     component's weight mass sum_i W_ij and its weighted gradient sum
     sum_i W_ij grad F(x_i, y_i; theta_j), shape (k, d)."""
     family = FAMILIES[model.family]
-    Z = thetas @ fold.X.T
     coefs = family.dphi(Z, fold.y, model.link)
     coefs *= weights.T
     sums = coefs @ fold.X
     # sum_i W_ij as a product: np.sum down k short columns is ~10x slower
     mass = np.ones(len(fold)) @ weights
     sums += (2.0 * family.reg * model.lam * mass)[:, None] * thetas
-    return Z, mass, sums
+    return mass, sums
 
 
 def gradient_em_step(
@@ -145,7 +146,8 @@ def gradient_em_step(
         step = np.sum(grads, axis=0)[None, :]
     else:
         # weight_matrix validated the inputs
-        _, _, step = _weighted_gradients(params.thetas, fold, model, weights)
+        Z = params.thetas @ fold.X.T
+        _, step = _weighted_gradients(Z, params.thetas, fold, model, weights)
     if not np.all(np.isfinite(step)):
         raise ValueError("non-finite gradient in EM step")
     return ParamSet(params.thetas - (config.gamma / len(fold)) * step)
@@ -161,32 +163,41 @@ def outer_products(X: np.ndarray) -> np.ndarray:
     return (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
 
 
+def e_step(params: ParamSet, dataset: DataSet, model: LossModel, beta: float):
+    """Classical EM's E-step at ``params``: ``(weights, losses, Z)``, the
+    (n, k) pair :func:`~softmix.softmin.weight_matrix` gives and the (k, n)
+    predictions Z = Theta X^T both were formed from, which :func:`m_step`
+    and the weighted gradient sums reuse."""
+    Z, losses = component_losses(model, dataset.X, dataset.y, params.thetas)
+    return soft_min_weights(losses, beta), losses, Z
+
+
 def m_step(
     params: ParamSet,
     dataset: DataSet,
     model: LossModel,
     weights: np.ndarray,
     losses: np.ndarray,
+    Z: np.ndarray,
     outer: np.ndarray,
 ) -> ParamSet:
     """One classical M-step at fixed weights: a Newton step per component on
     its weighted loss L_j(theta) = sum_i W_ij F(x_i, y_i; theta).
 
-    ``weights, losses`` are the pair :func:`~softmix.softmin.weight_matrix`
-    gives at ``params``, and ``outer`` is :func:`outer_products` of the
-    dataset's covariates.  The gradient of L_j is the weighted sum that
-    :func:`gradient_em_step` forms; its Hessian sum_i W_ij phi''_ij x_i x_i^T
-    + 2 c lam (sum_i W_ij) I is, for all k components, one product with
-    ``outer``.  Where the family's ``d2phi`` is a constant (ridge, and
-    ``glm`` with the identity link) L_j is quadratic and the full step is
-    its minimizer.  Elsewhere a component's step is halved until L_j does
-    not rise beyond rounding; one that finds no descent in :data:`HALVINGS`
-    halvings keeps its theta, as does a component of zero mass.  The input
-    ParamSet is not modified.
+    ``weights, losses, Z`` are what :func:`e_step` gives at ``params``, and
+    ``outer`` is :func:`outer_products` of the dataset's covariates.  The
+    gradient of L_j is the weighted sum that :func:`gradient_em_step` forms;
+    its Hessian sum_i W_ij phi''_ij x_i x_i^T + 2 c lam (sum_i W_ij) I is,
+    for all k components, one product with ``outer``.  Where the family's
+    ``d2phi`` is a constant (ridge, and ``glm`` with the identity link) L_j
+    is quadratic and the full step is its minimizer.  Elsewhere a
+    component's step is halved until L_j does not rise beyond rounding; one
+    that finds no descent in :data:`HALVINGS` halvings keeps its theta, as
+    does a component of zero mass.  The input ParamSet is not modified.
     """
     family = FAMILIES[model.family]
     k, d = params.thetas.shape
-    Z, mass, sums = _weighted_gradients(params.thetas, dataset, model, weights)
+    mass, sums = _weighted_gradients(Z, params.thetas, dataset, model, weights)
     held = mass > 0.0
     d2phi = family.d2phi(Z, dataset.y, model.link)
     # divided by the mass, so the Hessian stays >= 2 c lam I when weights underflow
@@ -218,8 +229,8 @@ def fixed_point_residual(
     """max_j ||theta_j - step(theta)_j|| / gamma for one full-data gradient EM
     step: the largest mean weighted gradient (1/n) ||sum_i W_ij grad F_ij||,
     0 exactly at a fixed point of gradient EM, and so of classical EM."""
-    weights = soft_min_weights(batch_loss(model, dataset.X, dataset.y, params.thetas), beta)
-    _, _, sums = _weighted_gradients(params.thetas, dataset, model, weights)
+    weights, _, Z = e_step(params, dataset, model, beta)
+    _, sums = _weighted_gradients(Z, params.thetas, dataset, model, weights)
     return float(np.max(np.linalg.norm(sums, axis=1))) / len(dataset)
 
 

@@ -28,7 +28,7 @@ from .datagen import generate, load_csv, uniform_ball
 from . import em
 from .em import ConvergenceTrace, EMConfig, run_gradient_em
 from .losses import certify, default_step_size
-from .softmin import empirical_loss, mean_loss, weight_matrix
+from .softmin import empirical_loss, mean_loss
 from .theory import (
     ProblemConstants,
     TheoremQuantities,
@@ -47,10 +47,42 @@ from .verify import (
 # random ParamSets the ``lemmas`` check sweeps in the start's ball
 LEMMA_TRIALS = 20
 # classical EM runs per multistart reference; a run stops once no component
-# moves more than the tolerance, and fails after the step cap
+# moves more than the tolerance, or once its move and its aligned distance to
+# a fixed point an earlier run reached are both within the merge radius, and
+# fails after the step cap
 RESTARTS = 16
 REFERENCE_TOLERANCE = 1e-7
+MERGE_RADIUS = 1e-2
 REFERENCE_STEPS = 1000
+
+
+@dataclass(frozen=True)
+class MultistartSearch:
+    """The distinct fixed points a multistart reference's runs reached, in
+    the order found, with their soft-min losses; ``reached[r]`` is the index
+    of the point run r reached, and ``em_steps`` counts the E/M steps of all
+    runs.  The reference is the first point of least loss."""
+
+    points: Tuple[ParamSet, ...]
+    losses: Tuple[float, ...]
+    reached: Tuple[int, ...]
+    em_steps: int
+
+    @property
+    def chosen(self) -> int:
+        return int(np.argmin(self.losses))
+
+    @property
+    def reference(self) -> ParamSet:
+        return self.points[self.chosen]
+
+    def line(self) -> str:
+        merged = len(self.reached) - len(self.points)
+        return (
+            f"reference: fixed_points={len(self.points)} "
+            f"chosen_hits={self.reached.count(self.chosen)} merged={merged} "
+            f"em_steps={self.em_steps}"
+        )
 
 
 @dataclass
@@ -63,6 +95,7 @@ class RepetitionContext:
     reference: ParamSet  # the truth, or the multistart reference; its k is the run's
     constants: ProblemConstants  # at ``reference``: (m, M) and ``dataset``'s ``region_of``
     init: ParamSet  # the start, drawn with ``seed``
+    search: Optional[MultistartSearch]  # how a multistart reference was found; None for the truth
 
 
 @dataclass(frozen=True)
@@ -70,8 +103,9 @@ class RepetitionResult:
     """One repetition's records, each value held once: EM's ``fitted``
     ParamSet and its ``trace``, the ``constants`` at the reference, the
     theorem's ``quantities`` and bound from the trace's initial distances
-    (None at beta = inf), and the reference's fixed-point residual
-    (:func:`em.fixed_point_residual`, 0 at a fixed point of gradient EM)."""
+    (None at beta = inf), the reference's fixed-point residual
+    (:func:`em.fixed_point_residual`, 0 at a fixed point of gradient EM),
+    and how a multistart reference was found (None for the truth)."""
 
     rep: int
     seed: int
@@ -81,6 +115,7 @@ class RepetitionResult:
     constants: ProblemConstants
     quantities: Optional[TheoremQuantities]
     reference_residual: float
+    reference_search: Optional[MultistartSearch]
 
     @property
     def within_bound(self) -> Optional[bool]:
@@ -157,40 +192,53 @@ def repetition_context(
     gamma = default_step_size(config.loss, dataset) if config.em.gamma is None else config.em.gamma
     em_config = replace(config.em, gamma=gamma, seed=seed)
     if config.reference == "truth":
-        reference = truth
+        reference, search = truth, None
     else:
-        reference = _multistart_reference(dataset, config, k, seed)
+        search = _multistart_reference(dataset, config, k, seed)
+        reference = search.reference
     constants = estimate_constants(dataset, reference, config.loss, curvature)
     init = _build_init(config, reference, seed)
-    return RepetitionContext(seed, dataset, em_config, reference, constants, init)
+    return RepetitionContext(seed, dataset, em_config, reference, constants, init, search)
 
 
 def _multistart_reference(
     dataset: DataSet, config: ExperimentConfig, k: int, seed: int
-) -> ParamSet:
-    """Reference optimizer for agnostic data: the fixed point of classical EM
-    with the least soft-min loss (:func:`empirical_loss`, read from its last
-    weight matrix), over :data:`RESTARTS` runs from standard-normal starts.
+) -> MultistartSearch:
+    """The search for the reference optimizer of agnostic data, whose
+    ``reference`` is the fixed point of classical EM with the least soft-min
+    loss (:func:`empirical_loss`, read from its last weight matrix), over
+    :data:`RESTARTS` runs from standard-normal starts.
 
-    A run alternates the E-step (:func:`weight_matrix`) with the Newton M-step
-    (:func:`em.m_step`) on the full data.  Its end is a fixed point of
-    gradient EM too: both leave theta where sum_i W_ij grad F_ij(theta_j) = 0.
-    It stops once no component moves more than :data:`REFERENCE_TOLERANCE`;
-    a run still moving after :data:`REFERENCE_STEPS` E/M steps raises a
-    ValueError that names the loss family and the fixed-point residual.
+    A run alternates the E-step (:func:`em.e_step`) with the Newton M-step
+    (:func:`em.m_step`) on the full data, which share the E-step's product
+    Theta X^T.  Its end is a fixed point of gradient EM too: both leave theta
+    where sum_i W_ij grad F_ij(theta_j) = 0.  The first run to reach a fixed
+    point stops once no component moves more than :data:`REFERENCE_TOLERANCE`.
+    A later run stops as soon as its move and its aligned distance to a fixed
+    point already found are both at most :data:`MERGE_RADIUS`: it reached
+    that point, and its loss is not computed.  So the reference is the first
+    run to converge to the best fixed point.  A run still moving after
+    :data:`REFERENCE_STEPS` E/M steps raises a ValueError that names the loss
+    family and the fixed-point residual.
     """
     model, beta = config.loss, config.em.beta
     outer = em.outer_products(dataset.X)
-    best, best_loss = None, math.inf
+    points, losses_at, reached, em_steps = [], [], [], 0
     for restart in range(RESTARTS):
         rng = np.random.default_rng(seed * 1_000_003 + restart)
         params = ParamSet(rng.standard_normal((k, dataset.d)))
-        weights, losses = weight_matrix(params, dataset, model, beta)
+        weights, losses, Z = em.e_step(params, dataset, model, beta)
+        hit = None
         for _ in range(REFERENCE_STEPS):
-            fitted = em.m_step(params, dataset, model, weights, losses, outer)
-            weights, losses = weight_matrix(fitted, dataset, model, beta)
+            fitted = em.m_step(params, dataset, model, weights, losses, Z, outer)
+            weights, losses, Z = em.e_step(fitted, dataset, model, beta)
+            em_steps += 1
             move = np.max(np.linalg.norm(fitted.thetas - params.thetas, axis=1))
             params = fitted
+            if move <= MERGE_RADIUS:
+                hit = _point_reached(params, points)
+                if hit is not None:
+                    break
             if move <= REFERENCE_TOLERANCE:
                 break
         else:
@@ -199,10 +247,27 @@ def _multistart_reference(
                 f"multistart reference: the {model.family} E/M restart {restart} still moved "
                 f"{move:.3g} after {REFERENCE_STEPS} steps (fixed-point residual {residual:.3g})"
             )
-        loss = mean_loss(weights, losses)
-        if loss < best_loss:
-            best, best_loss = params, loss
-    return best
+        if hit is None:
+            hit = len(points)
+            points.append(params)
+            losses_at.append(mean_loss(weights, losses))
+        reached.append(hit)
+    return MultistartSearch(tuple(points), tuple(losses_at), tuple(reached), em_steps)
+
+
+def _point_reached(params: ParamSet, points) -> Optional[int]:
+    """Index of the first of ``points`` that ``params`` is within
+    :data:`MERGE_RADIUS` of, aligned, or None.  A component's distance to
+    its nearest one in a point bounds its aligned distance from below, so
+    only points within the radius by that bound are aligned."""
+    if not points:
+        return None
+    stacked = np.stack([point.thetas for point in points])
+    gaps = np.linalg.norm(params.thetas[None, :, None] - stacked[:, None], axis=3)
+    for i in np.flatnonzero(np.max(np.min(gaps, axis=2), axis=1) <= MERGE_RADIUS):
+        if np.max(em.align_to_reference(params, points[i])[1]) <= MERGE_RADIUS:
+            return int(i)
+    return None
 
 
 def _build_init(config: ExperimentConfig, reference: ParamSet, seed: int) -> ParamSet:
@@ -250,7 +315,8 @@ def run_repetition(
         context.reference, context.dataset, config.loss, config.em.beta
     )
     return RepetitionResult(
-        rep, context.seed, context.em.gamma, fitted, trace, context.constants, quantities, residual
+        rep, context.seed, context.em.gamma, fitted, trace, context.constants, quantities,
+        residual, context.search,
     ), context
 
 
@@ -359,6 +425,8 @@ def render_report(report: ExperimentReport) -> str:
         lines.append("  constants: " + _format_constants(rr.constants))
         lines.append("  quantities: " + _format_quantities(rr.quantities))
         lines.append(f"  reference_residual: {rr.reference_residual:.6g}")
+        if rr.reference_search is not None:
+            lines.append("  " + rr.reference_search.line())
     lines.append("")
     lines.append(report.bound_summary())
     lines.extend(check.line() for check in report.checks)

@@ -199,20 +199,25 @@ def _predictions(model: LossModel, X, y, thetas: np.ndarray):
     return X, y, thetas @ X.T
 
 
-def batch_loss(model: LossModel, X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Per-sample loss values F(x_i, y_i; theta).
-
-    ``theta`` is one vector of shape (d,), giving shape (n,), or a (k, d)
-    stack, giving the (n, k) matrix of every component's losses from one
-    product theta X^T.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    thetas = np.atleast_2d(theta)
+def component_losses(model: LossModel, X: np.ndarray, y: np.ndarray, thetas: np.ndarray):
+    """``(Z, F)`` for a (k, d) stack: the (k, n) predictions Z = thetas X^T
+    and the (n, k) matrix of every component's losses formed from them."""
     family = FAMILIES[model.family]
     X, y, Z = _predictions(model, X, y, thetas)
     F = family.phi(Z, y, model.link)
     F += family.reg * model.lam * np.sum(thetas * thetas, axis=1, keepdims=True)
-    return F.T if theta.ndim == 2 else F[0]
+    return Z, F.T
+
+
+def batch_loss(model: LossModel, X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Per-sample loss values F(x_i, y_i; theta).
+
+    ``theta`` is one vector of shape (d,), giving shape (n,), or a (k, d)
+    stack, giving the (n, k) matrix of :func:`component_losses`.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    _, F = component_losses(model, X, y, np.atleast_2d(theta))
+    return F if theta.ndim == 2 else F[:, 0]
 
 
 def batch_gradient(model: LossModel, X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ config as the benchmark's child does.  Both files are loaded read-only from
 import functools
 import importlib
 import importlib.util
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,6 +20,8 @@ import pytest
 import yaml
 
 import softmix.cli
+import softmix.em
+import softmix.experiment
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -81,3 +84,34 @@ def test_every_benchmarked_layer_fires(tmp_path, monkeypatch, capsys):
             matrices = shape["repetitions"] * (shape["iterations"] + 1)
             matrices += "decomposition" in shape["checks"]
             assert counts["softmin.weight_matrix"] == matrices, name
+
+
+@pytest.mark.filterwarnings("ignore:separation delta:UserWarning")
+def test_merging_cuts_the_reference_e_m_steps(tmp_path, monkeypatch, capsys):
+    """On the agnostic_multistart smoke config, the runs that stop at a fixed
+    point already found take at most 0.8 of the E/M steps that taking every
+    run to the tolerance takes; the report's ``em_steps`` are the M-steps
+    counted."""
+    config = tmp_path / "agnostic_multistart.yaml"
+    config.write_text(yaml.safe_dump(run.load_config("agnostic_multistart", 0, True)))
+
+    def reference_steps(radius, out):
+        calls = []
+        m_step = softmix.em.m_step
+
+        def counted(*args):
+            calls.append(None)
+            return m_step(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(softmix.experiment, "MERGE_RADIUS", radius)
+            patch.setattr(softmix.em, "m_step", counted)
+            assert softmix.cli.main(["run", str(config), "-o", str(out)]) == 0
+        capsys.readouterr()
+        report = (out / "report.txt").read_text()
+        reported = re.findall(r"^  reference: .* em_steps=(\d+)$", report, flags=re.M)
+        assert sum(map(int, reported)) == len(calls)
+        return len(calls)
+
+    merged = reference_steps(softmix.experiment.MERGE_RADIUS, tmp_path / "merged")
+    assert merged <= 0.8 * reference_steps(0.0, tmp_path / "full")

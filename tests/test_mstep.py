@@ -6,12 +6,17 @@ each family.  Here the curvature is compared with finite differences of
 ``dphi``, the step with the per-component gradient oracle ``batch_gradient``,
 and an E/M pair with the free energy
 Phi_beta(theta) = (1/n) sum_i -(1/beta) log sum_j exp(-beta F_ij),
-which classical EM descends (Neal and Hinton 1998).
+which classical EM descends (Neal and Hinton 1998).  A multistart reference
+whose later runs stop at a fixed point already found is compared with the
+one whose every run goes on to the tolerance.
 """
 import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -19,7 +24,8 @@ from hypothesis.extra.numpy import arrays
 import softmix.experiment as experiment
 from softmix.config import validate_config
 from softmix.data import DataSet, ParamSet
-from softmix.em import m_step, outer_products
+from softmix.datagen import generate
+from softmix.em import align_to_reference, e_step, m_step, outer_products
 from softmix.losses import FAMILIES, GLM, LINKS, RIDGE, SQUARED_HINGE, LossModel, batch_gradient
 from softmix.softmin import weight_matrix
 
@@ -88,6 +94,17 @@ def test_d2phi_matches_finite_differences_of_dphi(family_link, z, y):
         assert curvature == pytest.approx(2.0 * float(model.link.df(np.array(z))) ** 2)
 
 
+@given(instances(), st.floats(min_value=0.0, max_value=10.0))
+@settings(deadline=None, max_examples=100)
+def test_e_step_is_the_weight_matrix_and_its_predictions(instance, beta):
+    model, dataset, params = instance
+    weights, losses, Z = e_step(params, dataset, model, beta)
+    want_weights, want_losses = weight_matrix(params, dataset, model, beta)
+    np.testing.assert_array_equal(weights, want_weights)
+    np.testing.assert_array_equal(losses, want_losses)
+    np.testing.assert_array_equal(Z, params.thetas @ dataset.X.T)
+
+
 @given(
     instances(models=[(RIDGE, None), (GLM, "identity")]),
     st.floats(min_value=0.0, max_value=10.0),
@@ -95,8 +112,8 @@ def test_d2phi_matches_finite_differences_of_dphi(family_link, z, y):
 @settings(deadline=None, max_examples=300)
 def test_quadratic_m_step_is_stationary(instance, beta):
     model, dataset, params = instance
-    weights, losses = weight_matrix(params, dataset, model, beta)
-    fitted = m_step(params, dataset, model, weights, losses, outer_products(dataset.X))
+    weights, losses, Z = e_step(params, dataset, model, beta)
+    fitted = m_step(params, dataset, model, weights, losses, Z, outer_products(dataset.X))
     gradient, scale = _weighted_gradient(fitted, dataset, model, weights)
     norms = np.linalg.norm(gradient, axis=1)
     assert np.all(norms <= 1e-8 * scale + 1e-12), (norms, scale)
@@ -106,8 +123,8 @@ def test_quadratic_m_step_is_stationary(instance, beta):
 @settings(deadline=None, max_examples=300)
 def test_e_m_pair_does_not_raise_the_free_energy(instance, beta):
     model, dataset, params = instance
-    weights, losses = weight_matrix(params, dataset, model, beta)
-    fitted = m_step(params, dataset, model, weights, losses, outer_products(dataset.X))
+    weights, losses, Z = e_step(params, dataset, model, beta)
+    fitted = m_step(params, dataset, model, weights, losses, Z, outer_products(dataset.X))
     before = _free_energy(params, dataset, model, beta)
     after = _free_energy(fitted, dataset, model, beta)
     assert after <= before + 1e-9 * (1.0 + abs(before))
@@ -117,10 +134,10 @@ def test_e_m_pair_does_not_raise_the_free_energy(instance, beta):
 @settings(deadline=None, max_examples=200)
 def test_zero_mass_component_keeps_its_theta(instance, data):
     model, dataset, params = instance
-    weights, losses = weight_matrix(params, dataset, model, 1.0)
+    weights, losses, Z = e_step(params, dataset, model, 1.0)
     j = data.draw(st.integers(0, params.k - 1))
     weights[:, j] = 0.0
-    fitted = m_step(params, dataset, model, weights, losses, outer_products(dataset.X))
+    fitted = m_step(params, dataset, model, weights, losses, Z, outer_products(dataset.X))
     assert fitted.theta(j).tobytes() == params.theta(j).tobytes()
 
 
@@ -180,3 +197,50 @@ def test_step_cap_raises_naming_family_and_residual(monkeypatch):
     cfg = validate_config(SMALL_MULTISTART.format(kind="generative_logistic", family="logistic"))
     with pytest.raises(ValueError, match=r"logistic E/M restart 0 still moved .* residual \d"):
         experiment.repetition_context(cfg, 0)
+
+
+# the benchmark's workload, read only
+AGNOSTIC_MULTISTART = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "agnostic_multistart.yaml"
+)
+
+
+def _aligned(params, point):
+    return float(np.max(align_to_reference(params, point)[1]))
+
+
+def _searches(monkeypatch, cfg, seed):
+    """The multistart search at ``seed``, and the same search with no
+    merging, in which every run goes on to the tolerance."""
+    dataset, truth = generate(replace(cfg.data, seed=seed))
+    merged = experiment._multistart_reference(dataset, cfg, truth.k, seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "MERGE_RADIUS", 0.0)
+        full = experiment._multistart_reference(dataset, cfg, truth.k, seed)
+    return merged, full
+
+
+def _assert_parity(merged, full):
+    assert full.reached == tuple(range(experiment.RESTARTS))
+    assert len(merged.points) < experiment.RESTARTS  # some run merged
+    assert _aligned(merged.reference, full.reference) <= 1e-6
+    # each run ends, taken on to the tolerance, at the point it merged into
+    for run, point in enumerate(merged.reached):
+        assert _aligned(full.points[run], merged.points[point]) <= 1e-6, run
+
+
+@pytest.mark.parametrize("seed", [*range(10), 26])
+def test_merged_reference_matches_every_run_to_tolerance(monkeypatch, seed):
+    doc = yaml.safe_load(AGNOSTIC_MULTISTART.read_text())
+    doc["data"]["n"] = 300
+    merged, full = _searches(monkeypatch, validate_config(yaml.safe_dump(doc)), seed)
+    _assert_parity(merged, full)
+
+
+def test_merged_logistic_reference_matches_every_run_to_tolerance(monkeypatch):
+    # a logistic E/M run contracts slowly: runs stopped at a 1e-7 move lie up
+    # to ~1e-5 apart at one fixed point, so here every run goes on to 1e-10
+    monkeypatch.setattr(experiment, "REFERENCE_TOLERANCE", 1e-10)
+    cfg = validate_config(SMALL_MULTISTART.format(kind="generative_logistic", family="logistic"))
+    merged, full = _searches(monkeypatch, cfg, cfg.seed)
+    _assert_parity(merged, full)

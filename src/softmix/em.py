@@ -115,6 +115,7 @@ def gradient_em_step(
     model: LossModel,
     config: EMConfig,
     weights: Optional[np.ndarray] = None,
+    Z: Optional[np.ndarray] = None,
 ) -> ParamSet:
     """One simultaneous update of all k components on one fold.
 
@@ -125,28 +126,33 @@ def gradient_em_step(
     per-sample gradient is phi'(<x_i, theta_j>, y_i) x_i + 2 c lam theta_j, so
     the weighted sums of all k components are one product
     ``(phi'(Theta X^T) * W^T) @ X`` of shape (k, d), plus the regularizer term
-    2 c lam (sum_i W_ij) theta_j.  At k = 1 the step is exact gradient
-    descent: the sum over samples of :func:`~softmix.losses.batch_gradient`,
-    bit for bit.  The input ParamSet is not modified.
+    2 c lam (sum_i W_ij) theta_j.  The (k, n) predictions ``Z = Theta X^T``
+    are the ones ``weight_matrix`` formed, or the caller's ``Z``, which must
+    be the third value of ``weight_matrix`` on this very fold: a column slice
+    of a larger product rounds differently.  At k = 1 the step is exact
+    gradient descent: the sum over samples of
+    :func:`~softmix.losses.batch_gradient`, bit for bit.  The input ParamSet
+    is not modified.
     """
     if len(fold) == 0:
         raise ValueError("empty fold")
     if config.gamma is None:
         raise ValueError("gamma is None: a step needs a step size")
+    for name, given, shape in (("weights", weights, (len(fold), params.k)),
+                               ("Z", Z, (params.k, len(fold)))):
+        if given is not None and given.shape != shape:
+            raise ValueError(f"{name}: shape {given.shape}, expected {shape}")
     if weights is None:
-        weights, _ = weight_matrix(params, fold, model, config.beta)
-    elif weights.shape != (len(fold), params.k):
-        raise ValueError(
-            f"weights have shape {weights.shape}, expected {(len(fold), params.k)}"
-        )
+        weights, _, Z = weight_matrix(params, fold, model, config.beta)
     if params.k == 1:
         # weights of exactly 1.0 (NaN where a loss overflowed) keep plain gradient descent bitwise
         grads = batch_gradient(model, fold.X, fold.y, params.theta(0))
         grads *= weights
         step = np.sum(grads, axis=0)[None, :]
     else:
-        # weight_matrix validated the inputs
-        Z = params.thetas @ fold.X.T
+        if Z is None:
+            # the caller's weight_matrix validated the inputs
+            Z = params.thetas @ fold.X.T
         _, step = _weighted_gradients(Z, params.thetas, fold, model, weights)
     if not np.all(np.isfinite(step)):
         raise ValueError("non-finite gradient in EM step")
@@ -165,9 +171,11 @@ def outer_products(X: np.ndarray) -> np.ndarray:
 
 def e_step(params: ParamSet, dataset: DataSet, model: LossModel, beta: float):
     """Classical EM's E-step at ``params``: ``(weights, losses, Z)``, the
-    (n, k) pair :func:`~softmix.softmin.weight_matrix` gives and the (k, n)
-    predictions Z = Theta X^T both were formed from, which :func:`m_step`
-    and the weighted gradient sums reuse."""
+    triple :func:`~softmix.softmin.weight_matrix` gives, whose (k, n)
+    predictions Z = Theta X^T :func:`m_step` and the weighted gradient sums
+    reuse.  It is formed here, not through ``weight_matrix``, so that the
+    multistart reference's E-steps and :func:`fixed_point_residual` stay out
+    of the count of weight matrices that gradient EM runs and checks form."""
     Z, losses = component_losses(model, dataset.X, dataset.y, params.thetas)
     return soft_min_weights(losses, beta), losses, Z
 
@@ -334,12 +342,13 @@ def run_gradient_em(
 
     Each iterate theta_t, t < T, forms one full-data weight matrix: with its
     base losses it gives the trace's soft-min loss at theta_t, and its fold's
-    rows weight the step out of theta_t (all of it at full batch).  The trace
-    fills one row of its distance and loss arrays per iterate
-    theta_0..theta_T: the min-cost aligned component distances and the
-    full-data soft-min loss.  theta_T is aligned once, for its distances and
-    the trace's ``alignment``.  An untraced fit is :func:`gradient_em_step`
-    in a loop.
+    rows weight the step out of theta_t (all of it at full batch, where the
+    step also takes its predictions Z = Theta X^T; a resampled step forms its
+    fold's own).  The trace fills one row of its distance and loss arrays per
+    iterate theta_0..theta_T: the min-cost aligned component distances and
+    the full-data soft-min loss.  theta_T is aligned once, for its distances
+    and the trace's ``alignment``.  An untraced fit is
+    :func:`gradient_em_step` in a loop.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -354,15 +363,18 @@ def run_gradient_em(
     distances = np.empty((T + 1, reference.k))
     losses = np.empty(T + 1)
     for t, (fold, rows) in enumerate(folds):
-        weights, F = weight_matrix(params, dataset, model, config.beta)
+        weights, F, Z = weight_matrix(params, dataset, model, config.beta)
         losses[t] = mean_loss(weights, F)
         del F
         _, distances[t] = align_to_reference(params, reference)
         # the step sums each column in memory order, so the fold's rows keep
         # weight_matrix's column-major layout: a C-ordered copy rounds
         # differently.  At full batch this is the matrix itself, uncopied.
-        params = gradient_em_step(params, fold, model, config, np.asfortranarray(weights[rows]))
-        del weights  # freed before the next iterate's matrix is formed
+        params = gradient_em_step(
+            params, fold, model, config, np.asfortranarray(weights[rows]),
+            Z=None if config.resample else Z,
+        )
+        del weights, Z  # freed before the next iterate's matrices are formed
 
     losses[T] = empirical_loss(params, dataset, model, config.beta)
     alignment, distances[T] = align_to_reference(params, reference)

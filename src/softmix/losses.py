@@ -53,7 +53,7 @@ class LinkFunction:
 
 
 def _sigmoid(z):
-    """1 / (1 + e^-z) in one pass: e^-|z| never overflows, and below 0 the
+    """1 / (1 + e^-z) without masks: e^-|z| never overflows, and below 0 the
     value is e^z / (1 + e^z), so tiny outputs keep full relative accuracy."""
     e = np.empty_like(z, dtype=np.float64)
     np.abs(z, out=e)
@@ -65,11 +65,34 @@ def _sigmoid(z):
     return out
 
 
-def _log1pexp(u):
-    """log(1 + e^u) = max(u, 0) + log1p(e^-|u|), without overflow."""
-    out = np.log1p(np.exp(-np.abs(u)))
-    out += np.maximum(u, 0.0)
+def _logistic_phi(z, y):
+    """log(1 + e^-m) at the margin m = y z, as log1p(e^-|m|) - min(m, 0):
+    no term overflows, and every pass after the first writes in place."""
+    m = y * z
+    out = np.abs(m)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.minimum(m, 0.0, out=m)
+    out -= m
     return out
+
+
+def _logistic_dphi(z, y):
+    """-y sigma(-m) at the margin m = y z, as -y e^-max(m, 0) / (1 + e^-|m|):
+    both exponents are <= 0, and every pass after the first two writes in
+    place.  Bit for bit -y * _sigmoid(-y * z), as y = +-1 multiplies exactly."""
+    m = y * z
+    den = np.abs(m)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    np.maximum(m, 0.0, out=m)
+    np.negative(m, out=m)
+    np.exp(m, out=m)
+    m *= -y
+    m /= den
+    return m
 
 
 IDENTITY_LINK = LinkFunction(
@@ -142,8 +165,8 @@ FAMILIES = {
         reg=1.0, curvature=lambda link, max_abs_y: (2.0, 2.0), signed_labels=False,
     ),
     LOGISTIC: LossFamily(
-        phi=lambda z, y, link: _log1pexp(-y * z),
-        dphi=lambda z, y, link: -y * _sigmoid(-y * z),
+        phi=lambda z, y, link: _logistic_phi(z, y),
+        dphi=lambda z, y, link: _logistic_dphi(z, y),
         # y^2 = 1, so phi'' = sigma(yz) sigma(-yz)
         d2phi=lambda z, y, link: (lambda s: s * (1.0 - s))(_sigmoid(-y * z)),
         reg=1.0, curvature=lambda link, max_abs_y: (0.0, 0.25), signed_labels=True,

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .data import DataSet, ParamSet
-from .losses import LossModel, batch_loss
+from .losses import LossModel, batch_loss, component_losses
 
 
 def soft_min_weights(losses, beta: float) -> np.ndarray:
@@ -21,24 +21,32 @@ def soft_min_weights(losses, beta: float) -> np.ndarray:
     vector (or a batch of them).
 
     ``losses`` has shape (..., k); the returned array has the same shape and
-    rows summing to 1.  The componentwise minimum is subtracted before
-    exponentiation, so losses as large as 1e300 stay finite.
+    layout, and rows summing to 1.  The componentwise minimum is subtracted
+    before exponentiation, so losses as large as 1e300 stay finite.  The
+    work is done on ``losses.T``, whose axis 0 is the component axis at every
+    rank: for the column-major (n, k) matrix of :func:`weight_matrix` that is
+    the contiguous axis.  A NaN loss makes its row's minimum NaN, so only the
+    minima are checked.
     """
     if math.isnan(beta) or beta < 0:
         raise ValueError("beta must be >= 0 (math.inf allowed)")
     losses = np.asarray(losses, dtype=np.float64)
     if losses.shape[-1] < 1:
         raise ValueError("loss vector must have at least one component")
-    if np.any(np.isnan(losses)):
+    per_component = losses.T
+    low = np.min(per_component, axis=0)
+    if np.isnan(low).any():
         raise ValueError("NaN in component losses")
     if math.isinf(beta):
-        idx = np.argmin(losses, axis=-1)
-        out = np.zeros_like(losses)
-        np.put_along_axis(out, np.expand_dims(idx, -1), 1.0, axis=-1)
-        return out
-    shifted = losses - np.min(losses, axis=-1, keepdims=True)
-    w = np.exp(-beta * shifted)
-    return w / np.sum(w, axis=-1, keepdims=True)
+        out = np.zeros_like(per_component)
+        idx = np.argmin(per_component, axis=0)
+        np.put_along_axis(out, np.expand_dims(idx, 0), 1.0, axis=0)
+        return out.T
+    w = per_component - low
+    w *= -beta
+    np.exp(w, out=w)
+    w /= np.sum(w, axis=0)
+    return w.T
 
 
 def loss_matrix(params: ParamSet, dataset: DataSet, model: LossModel) -> np.ndarray:
@@ -48,15 +56,17 @@ def loss_matrix(params: ParamSet, dataset: DataSet, model: LossModel) -> np.ndar
 
 def weight_matrix(
     params: ParamSet, dataset: DataSet, model: LossModel, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Soft-min weight of every component on every sample, and the base
-    losses they were formed from; both of shape (n, k)."""
-    losses = loss_matrix(params, dataset, model)
-    return soft_min_weights(losses, beta), losses
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(weights, losses, Z)``: the soft-min weight of every component on
+    every sample and the base losses they were formed from, both (n, k) and
+    column-major, and the (k, n) predictions Z = Theta X^T of both, which
+    a full-batch :func:`~softmix.em.gradient_em_step` reuses."""
+    Z, losses = component_losses(model, dataset.X, dataset.y, params.thetas)
+    return soft_min_weights(losses, beta), losses, Z
 
 
 def mean_loss(weights: np.ndarray, losses: np.ndarray) -> float:
-    """Mean soft-min loss of a :func:`weight_matrix` pair."""
+    """Mean soft-min loss of :func:`weight_matrix`'s weights and losses."""
     return float(np.mean(np.sum(weights * losses, axis=1)))
 
 
@@ -66,4 +76,5 @@ def empirical_loss(
     """Mean soft-min loss over the dataset."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    return mean_loss(*weight_matrix(params, dataset, model, beta))
+    weights, losses, _ = weight_matrix(params, dataset, model, beta)
+    return mean_loss(weights, losses)

@@ -212,9 +212,9 @@ def step_decomposition(
     comp = int(np.nonzero(perm == 0)[0][0])
     in_region = constants.region_of == 0
 
-    weights, _ = weight_matrix(params, dataset, model, config.beta)
+    weights, _, Z = weight_matrix(params, dataset, model, config.beta)
     # the step rejects gamma=None before the split below divides it
-    stepped = gradient_em_step(params, dataset, model, config, weights)
+    stepped = gradient_em_step(params, dataset, model, config, weights, Z)
     grads = batch_gradient(model, dataset.X, dataset.y, params.theta(comp))
     weighted = weights[:, comp][:, None] * grads
     scale = config.gamma / len(dataset)

@@ -1,5 +1,6 @@
 """Gradient EM: fold partitioning, the simultaneous update, and full runs."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ class TestStep:
         model = LossModel("ridge", lam=0.01)
         params = ParamSet(rng.standard_normal((3, 2)))
         cfg = _config(step_size=0.2, beta=3.0)
-        weights, _ = weight_matrix(params, ds, model, cfg.beta)
+        weights, _, _ = weight_matrix(params, ds, model, cfg.beta)
         out = gradient_em_step(params, ds, model, cfg, weights=weights)
         np.testing.assert_array_equal(out.thetas, gradient_em_step(params, ds, model, cfg).thetas)
 
@@ -386,3 +387,50 @@ class TestTraceReuse:
         _, trace = run_gradient_em(ParamSet(ref.thetas + 0.1), ds, model, cfg, reference=ref)
         assert len(trace.losses) == 7
         assert len(seen) == calls
+
+
+class TestFullBatchProduct:
+    """At full batch each step takes the iterate's product Z = Theta X^T from
+    its weight matrix; a resampled step forms its fold's own."""
+
+    @pytest.mark.parametrize("family, link", MODELS, ids=[f"{f}-{lk}" for f, lk in MODELS])
+    @pytest.mark.parametrize("resample", [False, True], ids=["full", "resample"])
+    def test_step_takes_the_iterates_product(self, family, link, resample, monkeypatch):
+        ds, model, init = TestTraceReuse._instance(family, link)
+        cfg = _config(step_size=0.1, iterations=6, beta=2.0, resample=resample, seed=3)
+        formed, given = [], []
+
+        def weights(*args):
+            triple = weight_matrix(*args)
+            formed.append(triple[2])
+            return triple
+
+        def step(*args, **kwargs):
+            given.append(kwargs.get("Z"))
+            return gradient_em_step(*args, **kwargs)
+
+        monkeypatch.setattr(em, "weight_matrix", weights)
+        monkeypatch.setattr(em, "gradient_em_step", step)
+        final, _ = run_gradient_em(init, ds, model, cfg, reference=init)
+        assert len(given) == cfg.iterations
+        if resample:
+            assert all(Z is None for Z in given)
+        else:
+            # one weight matrix per iterate, whose Z its step takes uncopied
+            assert all(Z is mine for Z, mine in zip(given, formed, strict=True))
+        monkeypatch.undo()
+
+        params = init
+        for rows in (partition_dataset(ds, cfg.iterations, cfg.seed) if resample
+                     else [np.arange(len(ds))] * cfg.iterations):
+            params = gradient_em_step(params, ds.subset(rows), model, cfg)
+        np.testing.assert_array_equal(final.thetas, params.thetas)
+
+    @pytest.mark.parametrize("shape", [(12, 3), (3, 11), (2, 12), (12,)])
+    def test_product_of_wrong_shape_rejected(self, shape):
+        rng = np.random.default_rng(5)
+        ds = DataSet(rng.standard_normal((12, 2)), rng.standard_normal(12))
+        params = ParamSet(rng.standard_normal((3, 2)))
+        want = re.escape(f"Z: shape {shape}, expected (3, 12)")
+        with pytest.raises(ValueError, match=want):
+            gradient_em_step(params, ds, LossModel("ridge", lam=0.01), _config(), Z=np.ones(shape))

@@ -92,7 +92,7 @@ def test_step_matches_per_component_oracle(model_index, seed, n, d, k, beta, gam
     family, link = MODELS[model_index]
     model, ds, params = _instance(family, link, seed, n, d, k)
     config = _config(gamma, beta)
-    weights, _ = weight_matrix(params, ds, model, config.beta)
+    weights, _, _ = weight_matrix(params, ds, model, config.beta)
     spec = FAMILIES[family]
     reg = 2.0 * spec.reg * model.lam
     magnitude = np.zeros((k, d))
@@ -116,7 +116,7 @@ def test_step_matches_per_component_oracle(model_index, seed, n, d, k, beta, gam
 def test_given_weights_give_the_same_step_bitwise(family, link, seed, n, d, k, beta):
     model, ds, params = _instance(family, link, seed, n, d, k)
     config = _config(0.2, beta)
-    weights, _ = weight_matrix(params, ds, model, config.beta)
+    weights, _, _ = weight_matrix(params, ds, model, config.beta)
     given_weights = gradient_em_step(params, ds, model, config, weights=weights)
     np.testing.assert_array_equal(
         given_weights.thetas, gradient_em_step(params, ds, model, config).thetas

@@ -248,7 +248,7 @@ RAISE_ALL = dict(over="raise", invalid="raise", divide="raise")
 
 
 class TestLogisticKernels:
-    """The one-pass logistic kernels against the masked and logaddexp forms."""
+    """The logistic kernels against the masked and logaddexp forms."""
 
     @given(VECTORS)
     @example(np.array([0.0, -0.0, 745.0, -745.0, 37.0, -37.0, 1e-300, -1e-300]))
@@ -268,3 +268,61 @@ class TestLogisticKernels:
             dphi = family.dphi(z, y, None)
         assert _within_ulps(phi, np.logaddexp(0.0, -y * z), 4)
         assert _within_ulps(dphi, -y * _masked_sigmoid(-y * z), 2)
+
+
+def _one_pass_sigmoid(z):
+    """Oracle: the sigmoid as e^-|z| over 1 + e^-|z|, with numerator 1 where z >= 0."""
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= e + 1.0
+    return out
+
+
+def _log1pexp(u):
+    """Oracle: log(1 + e^u) = max(u, 0) + log1p(e^-|u|)."""
+    out = np.log1p(np.exp(-np.abs(u)))
+    out += np.maximum(u, 0.0)
+    return out
+
+
+# the signed zeros, subnormals, the ends of a nonzero e^-|z| and beyond, and
+# the largest finite values, mixed into arbitrary finite draws
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 745.0, -745.0, 800.0, -800.0,
+         1e308, -1e308, np.finfo(np.float64).max, -np.finfo(np.float64).max]
+MARGIN_REALS = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _predictions_and_labels(draw):
+    """A (k, n) prediction matrix and its n labels of +-1."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    z = draw(arrays(np.float64, (k, n), elements=MARGIN_REALS))
+    y = draw(arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+    return z, y
+
+
+class TestLogisticMarginForms:
+    """The margin forms of the logistic phi and phi' equal the forms in
+    -y z they replaced, log1pexp(-y z) and -y sigma(-y z), bit for bit."""
+
+    @given(_predictions_and_labels())
+    @example((np.array([EDGES]), np.ones(len(EDGES))))
+    @example((np.array([EDGES]), -np.ones(len(EDGES))))
+    @settings(deadline=None, max_examples=500)
+    def test_bitwise_equal_to_the_forms_in_minus_y_z(self, zy):
+        z, y = zy
+        family = FAMILIES[LOGISTIC]
+        with np.errstate(**RAISE_ALL):
+            phi = family.phi(z, y, None)
+            dphi = family.dphi(z, y, None)
+        np.testing.assert_array_equal(phi.view(np.int64), _log1pexp(-y * z).view(np.int64))
+        np.testing.assert_array_equal(
+            dphi.view(np.int64), (-y * _one_pass_sigmoid(-y * z)).view(np.int64)
+        )
+
+    def test_predictions_are_not_modified(self):
+        z, y = np.array([[-3.0, 0.5, 2.0]]), np.array([1.0, -1.0, 1.0])
+        before = z.copy()
+        FAMILIES[LOGISTIC].phi(z, y, None)
+        FAMILIES[LOGISTIC].dphi(z, y, None)
+        np.testing.assert_array_equal(z, before)

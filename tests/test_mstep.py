@@ -52,7 +52,7 @@ def instances(draw, models=MODELS):
 
 def _free_energy(params, dataset, model, beta):
     """Phi_beta: the mean of -(1/beta) log sum_j exp(-beta F_ij)."""
-    _, F = weight_matrix(params, dataset, model, beta)
+    _, F, _ = weight_matrix(params, dataset, model, beta)
     low = np.min(F, axis=1)
     return float(np.mean(low - np.log(np.sum(np.exp(-beta * (F - low[:, None])), axis=1)) / beta))
 
@@ -99,9 +99,10 @@ def test_d2phi_matches_finite_differences_of_dphi(family_link, z, y):
 def test_e_step_is_the_weight_matrix_and_its_predictions(instance, beta):
     model, dataset, params = instance
     weights, losses, Z = e_step(params, dataset, model, beta)
-    want_weights, want_losses = weight_matrix(params, dataset, model, beta)
+    want_weights, want_losses, want_Z = weight_matrix(params, dataset, model, beta)
     np.testing.assert_array_equal(weights, want_weights)
     np.testing.assert_array_equal(losses, want_losses)
+    np.testing.assert_array_equal(Z, want_Z)
     np.testing.assert_array_equal(Z, params.thetas @ dataset.X.T)
 
 

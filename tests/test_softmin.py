@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softmix.data import DataSet, ParamSet
 from softmix.losses import LossModel
@@ -100,6 +101,58 @@ class TestSoftMinWeights:
         np.testing.assert_allclose(soft, hard, atol=1e-6)
 
 
+def _row_by_row(losses, beta):
+    """Oracle: the soft-min weights of each (k,) row on its own: shift by
+    the row's minimum, exponentiate, divide by the sum."""
+    rows = losses.reshape(-1, losses.shape[-1])
+    out = np.empty(rows.shape)
+    for i, row in enumerate(rows):
+        if math.isinf(beta):
+            out[i] = 0.0
+            out[i, np.argmin(row)] = 1.0
+        else:
+            out[i] = np.exp(-beta * (row - np.min(row)))
+            out[i] /= np.sum(out[i])
+    return out.reshape(losses.shape)
+
+
+# fewer than 8 components: numpy then sums one row in index order whatever
+# its layout, as the oracle does, while longer contiguous rows are summed pairwise
+@st.composite
+def _loss_batches(draw):
+    """Losses of shape (k,), (n, k) in C or F order, or (a, b, k), up to 1e300."""
+    k = draw(st.integers(1, 7))
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 30)),), (2, 3)]))
+    losses = draw(arrays(np.float64, lead + (k,), elements=st.one_of(
+        st.floats(0.0, 50.0), st.floats(0.0, 1e300), st.sampled_from([0.0, 1e300]),
+    )))
+    return np.asfortranarray(losses) if draw(st.booleans()) else losses
+
+
+class TestSoftMinWeightsLayouts:
+    """Every rank and layout goes through one path and gives the weights of
+    each row on its own, bit for bit, in the input's layout."""
+
+    @given(_loss_batches(), st.sampled_from([0.0, 0.37, 5.0, INF]))
+    @settings(deadline=None, max_examples=400)
+    def test_bitwise_equal_to_the_row_by_row_oracle(self, losses, beta):
+        got = soft_min_weights(losses, beta)
+        want = _row_by_row(losses, beta)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert got.flags.c_contiguous == losses.flags.c_contiguous
+        assert got.flags.f_contiguous == losses.flags.f_contiguous
+
+    @pytest.mark.parametrize("shape, order", [
+        ((3,), "C"), ((5, 3), "C"), ((5, 3), "F"), ((2, 4, 3), "C"),
+    ])
+    @pytest.mark.parametrize("beta", [0.0, 2.0, INF])
+    def test_nan_rejected_in_every_shape(self, shape, order, beta):
+        losses = np.array(np.arange(np.prod(shape), dtype=np.float64).reshape(shape), order=order)
+        losses.flat[len(losses.flat) // 2] = math.nan
+        with pytest.raises(ValueError, match="NaN in component losses"):
+            soft_min_weights(losses, beta)
+
+
 class TestSoftMinLoss:
     def _instance(self, thetas):
         # 1-d ridge with lam=0 so per-component losses are transparent
@@ -168,6 +221,6 @@ class TestEmpiricalLoss:
         ds = self._dataset(n=25)
         model = LossModel("ridge", lam=0.01)
         params = ParamSet([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        W, _ = weight_matrix(params, ds, model, 4.0)
+        W, _, _ = weight_matrix(params, ds, model, 4.0)
         assert W.shape == (25, 3)
         np.testing.assert_allclose(np.sum(W, axis=1), 1.0, atol=1e-12)

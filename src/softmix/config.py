@@ -26,9 +26,9 @@ outside ``glm``, ``init.c_ini`` outside ``perturb_reference``,
 ``explicit`` on generated data, where k comes from the truth); where such a
 key is read, its absence takes the default that its class fills in;
 ``serialize`` walks the same fields and emits a document that reparses to an
-equal config.  The keys that need the size of the data are checked by
-:func:`check_data`: for generated data when the config is built, for a data
-file as soon as it is read.
+equal config.  The two keys that need the size of the data, ``em.resample``
+and ``init.thetas``, are checked by :func:`check_data`: for generated data
+when the config is built, for a data file as soon as it is read.
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ from .data import ParamSet
 from .datagen import SEED_LIMIT, GenSpec
 from .em import EMConfig
 from .losses import LINKS, LinkFunction, LossModel
-from .verify import CHECK_GRID, check_brute_force_budget
 
 
 class ConfigError(ValueError):
@@ -97,7 +96,6 @@ class Checks:
     lemmas: bool = False
     decomposition: bool = False
     gradient_oracle: bool = False
-    brute_force: bool = False
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,9 @@ class ExperimentConfig:
 
 def check_data(config: ExperimentConfig, n: int, d: int, k: int, source: str) -> None:
     """ConfigError unless ``config`` fits ``n`` rows of dimension ``d`` fitted
-    with ``k`` components; ``source`` names the data in the message: ``data``
-    for generated data, else the file's path."""
+    with ``k`` components: ``em.resample`` needs one row per iteration, and
+    ``init.thetas`` the shape ``(k, d)``.  ``source`` names the data in the
+    message: ``data`` for generated data, else the file's path."""
     T = config.em.iterations
     if config.em.resample and n < T:
         raise ConfigError(
@@ -157,11 +156,6 @@ def check_data(config: ExperimentConfig, n: int, d: int, k: int, source: str) ->
     shape = (k, d) if config.init.thetas is None else config.init.thetas.thetas.shape
     if shape != (k, d):
         raise ConfigError(f"init.thetas has shape {shape}, the (k, d) of {source} is {(k, d)}")
-    if config.checks.brute_force:
-        try:
-            check_brute_force_budget(d, k, CHECK_GRID)
-        except ValueError as exc:
-            raise ConfigError(f"checks.brute_force on {source}: {exc}") from exc
 
 
 def _typed(raw, hint, where: str):

@@ -28,7 +28,7 @@ from .datagen import generate, load_csv, uniform_ball
 from . import em
 from .em import ConvergenceTrace, EMConfig, run_gradient_em
 from .losses import certify, default_step_size
-from .softmin import empirical_loss, mean_loss
+from .softmin import mean_loss
 from .theory import (
     ProblemConstants,
     TheoremQuantities,
@@ -37,8 +37,6 @@ from .theory import (
 )
 from .verify import (
     GRADIENT_TOLERANCE,
-    CHECK_GRID,
-    brute_force_minimize,
     check_lemma_bounds,
     step_decomposition,
     worst_gradient_error,
@@ -206,8 +204,8 @@ def _multistart_reference(
 ) -> MultistartSearch:
     """The search for the reference optimizer of agnostic data, whose
     ``reference`` is the fixed point of classical EM with the least soft-min
-    loss (:func:`empirical_loss`, read from its last weight matrix), over
-    :data:`RESTARTS` runs from standard-normal starts.
+    loss (:func:`softmin.empirical_loss`, read from its last weight matrix),
+    over :data:`RESTARTS` runs from standard-normal starts.
 
     A run alternates the E-step (:func:`em.e_step`) with the Newton M-step
     (:func:`em.m_step`) on the full data, which share the E-step's product
@@ -358,16 +356,6 @@ def _run_checks(
         detail = f"total={dec.total:.6g} vs T1+T2={dec.T1 + dec.T2:.6g}"
         results.append(CheckResult("decomposition", ok, detail))
 
-    if config.checks.brute_force:
-        grid = CHECK_GRID
-        best, bf_loss = brute_force_minimize(dataset, model, beta, reference.k, grid)
-        em_loss = result.trace.losses[-1]  # the full-data loss at the fit
-        cell = (grid.hi - grid.lo) / (grid.points - 1)
-        shifted = ParamSet(best.thetas + cell)
-        slack = 2.0 * abs(empirical_loss(shifted, dataset, model, beta) - bf_loss)
-        ok = em_loss <= bf_loss + max(slack, 1e-9)
-        detail = f"EM loss {em_loss:.6g} vs grid optimum {bf_loss:.6g} (slack {slack:.3g})"
-        results.append(CheckResult("brute_force", ok, detail))
     return results
 
 

@@ -1,5 +1,6 @@
-"""Independent oracles: finite differences, brute-force minimization,
-pointwise weight-bound sweeps, and the in/out-of-region step decomposition."""
+"""Independent oracles.  The run's ``checks`` use finite differences, pointwise
+weight-bound sweeps and the in/out-of-region step decomposition; brute-force
+grid minimization, feasible only at toy scale, is the tests' oracle alone."""
 from __future__ import annotations
 
 import itertools
@@ -66,10 +67,6 @@ class GridSpec:
 
     def axis(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)
-
-
-# the grid of the experiment driver's ``brute_force`` check
-CHECK_GRID = GridSpec(-1.5, 1.5, 61)
 
 
 def check_brute_force_budget(d: int, k: int, grid: GridSpec) -> None:

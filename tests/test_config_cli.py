@@ -150,40 +150,6 @@ RANDOM_BALL_LEMMAS = textwrap.dedent(
     """
 )
 
-# d = 1, k = 2: small enough for the brute-force grid of the check
-BRUTE_FORCE = textwrap.dedent(
-    """
-    data:
-      kind: generative_mlr
-      k: 2
-      d: 1
-      n: 400
-      noise_sigma: 0.01
-      covariate: uniform_ball
-      cov_scale: 1.5
-      margin: 1.69
-      truth: [[1.0], [-1.0]]
-    loss:
-      family: ridge
-      lam: 0.001
-    em:
-      iterations: 15
-      beta: 10.0
-    init:
-      mode: perturb_reference
-      c_ini: 0.1
-    checks:
-      brute_force: true
-    repetitions: 2
-    seed: 11
-    """
-)
-
-# d = 2, k = 2: 61^4 candidate ParamSets, over the grid budget
-BRUTE_FORCE_2D = BRUTE_FORCE.replace("d: 1", "d: 2").replace(
-    "[[1.0], [-1.0]]", "[[1.0, 0.0], [-1.0, 0.0]]"
-)
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -333,8 +299,6 @@ def _configs(draw):
         link=draw(links) if family == "glm" else None,
     )
     checks = draw(st.sets(st.sampled_from([f.name for f in dataclasses.fields(Checks)])))
-    if isinstance(data, GenSpec) and d * k > 2:  # over the grid budget
-        checks.discard("brute_force")
     beta = draw(st.just(math.inf) | st.floats(0.0, 1e3))
     if math.isinf(beta):  # the lemma sweep needs a finite beta
         checks.discard("lemmas")
@@ -453,14 +417,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="file"):
             validate_config(bad)
 
-    def test_unknown_check_rejected(self):
-        with pytest.raises(ConfigError, match="unknown keys in checks: spellcheck"):
-            validate_config(MINIMAL + "checks:\n  spellcheck: true\n")
-
-    def test_brute_force_grid_budget_checked_at_validation(self):
-        with pytest.raises(ConfigError, match="grid budget exceeded: 13845841"):
-            validate_config(BRUTE_FORCE_2D)
-        assert validate_config(BRUTE_FORCE).checks == Checks(brute_force=True)
+    # brute_force names no check: the grid search is the tests' oracle alone
+    @pytest.mark.parametrize("key", ["spellcheck", "brute_force"])
+    def test_unknown_check_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"unknown keys in checks: {key}$"):
+            validate_config(MINIMAL + f"checks:\n  {key}: true\n")
 
     def test_round_trip(self):
         for doc in (MINIMAL, TWO_COMPONENT):
@@ -631,21 +592,6 @@ class TestExperimentDriver:
         assert "bound=n/a within_bound=None" in text
         assert "success_frequency: 1.0000 (within=1 violated=0 not_evaluated=1)" in text
 
-    def test_brute_force_check_reuses_repetition_zero_fit(self, monkeypatch):
-        runs = _counted(monkeypatch, "run_gradient_em")
-        cfg = validate_config(BRUTE_FORCE)
-        report = run_experiment(cfg, write=False)
-        assert len(runs) == cfg.repetitions
-        (check,) = report.checks
-        assert check.passed
-        # the reused fit must give what a fresh fit of repetition 0 gives
-        result, context = run_repetition(cfg, 0)
-        losses = _counted(monkeypatch, "empirical_loss")
-        (fresh,) = experiment._run_checks(cfg, context, result)
-        assert check.detail == fresh.detail
-        # the fit's loss is the trace's last, not evaluated again
-        assert losses and not any(params == result.fitted for params, *_ in losses)
-
 
 class TestRepetitionContext:
     """Each repetition's data and reference are built once; the checks reuse
@@ -658,9 +604,12 @@ class TestRepetitionContext:
         references = _counted(monkeypatch, "_multistart_reference")
         partitions = _counted_everywhere(monkeypatch, theory, "partition_regions")
         constants = _counted_everywhere(monkeypatch, theory, "estimate_constants")
+        fits = _counted(monkeypatch, "run_gradient_em")
         cfg = validate_config(AGNOSTIC)
         report = run_experiment(cfg, write=False)
         assert len(generated) == cfg.repetitions
+        # the checks reuse repetition 0's fit: none runs EM again
+        assert len(fits) == cfg.repetitions
         # the default step serves em.gamma, which the config leaves out
         assert len(certified) == len(steps) == cfg.repetitions
         assert len(references) == cfg.repetitions
@@ -932,18 +881,6 @@ class TestCLI:
         assert "\n  constants: " + _format_constants(result.constants) + "\n" in block
         assert "\n  quantities: " + _format_quantities(result.quantities) + "\n" in block
 
-    def test_oversized_brute_force_exits_2_before_any_repetition(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        repetitions = _counted(monkeypatch, "run_repetition")
-        config = self._write(
-            tmp_path, "cfg.yaml", BRUTE_FORCE_2D + f"output_dir: {tmp_path / 'out'}\n"
-        )
-        assert main(["run", config]) == 2
-        assert "grid budget exceeded" in capsys.readouterr().err
-        assert repetitions == []
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("command, text, key", [
         ("run", MINIMAL.replace("iterations: 10", "iterations: 2.7"), "em.iterations"),
         ("gen", "kind: generative_mlr\nk: 1\nd: \"2\"\nn: 30\n", "genspec.d"),
@@ -1056,12 +993,7 @@ class TestCLI:
             "  thetas: [[1.0, 0.0, 0.0]]\n",
             "init.thetas has shape (1, 3), the (k, d) of {source} is (1, 2)",
         ),
-        (
-            "d: 3\nn: 60\n",
-            "em:\n  iterations: 5\nchecks:\n  brute_force: true\nrepetitions: 3\n",
-            "checks.brute_force on {source}: brute force restricted to d <= 2 and k <= 2",
-        ),
-    ], ids=["fewer_rows_than_folds", "thetas_of_other_d", "brute_force_at_d3"])
+    ], ids=["fewer_rows_than_folds", "thetas_of_other_d"])
     def test_file_data_checked_before_certify_and_reference(
         self, tmp_path, capsys, monkeypatch, genspec, lines, message
     ):

@@ -8,7 +8,8 @@ and an E/M pair with the free energy
 Phi_beta(theta) = (1/n) sum_i -(1/beta) log sum_j exp(-beta F_ij),
 which classical EM descends (Neal and Hinton 1998).  A multistart reference
 whose later runs stop at a fixed point already found is compared with the
-one whose every run goes on to the tolerance.
+one whose every run goes on to the tolerance, and its Phi_beta with the
+least Phi_beta on a grid of every pair of components at d = 1.
 """
 import textwrap
 from dataclasses import replace
@@ -26,8 +27,19 @@ from softmix.config import validate_config
 from softmix.data import DataSet, ParamSet
 from softmix.datagen import generate
 from softmix.em import align_to_reference, e_step, m_step, outer_products
-from softmix.losses import FAMILIES, GLM, LINKS, RIDGE, SQUARED_HINGE, LossModel, batch_gradient
+from softmix.losses import (
+    FAMILIES,
+    GLM,
+    LINKS,
+    LOGISTIC,
+    RIDGE,
+    SQUARED_HINGE,
+    LossModel,
+    batch_gradient,
+    batch_loss,
+)
 from softmix.softmin import weight_matrix
+from softmix.verify import GridSpec
 
 MODELS = [(family, None) for family in FAMILIES if family != GLM] + [
     (GLM, link) for link in LINKS
@@ -50,11 +62,17 @@ def instances(draw, models=MODELS):
     return model, DataSet(X, y), ParamSet(thetas)
 
 
+def _soft_min_mean(F, beta):
+    """Phi_beta of the (n, ..., k) losses F_ij: the mean over the rows i of
+    -(1/beta) log sum_j exp(-beta F_ij), as a row minimum plus a log-sum-exp."""
+    low = np.min(F, axis=-1)
+    spread = np.sum(np.exp(-beta * (F - low[..., None])), axis=-1)
+    return np.mean(low - np.log(spread) / beta, axis=0)
+
+
 def _free_energy(params, dataset, model, beta):
-    """Phi_beta: the mean of -(1/beta) log sum_j exp(-beta F_ij)."""
-    _, F, _ = weight_matrix(params, dataset, model, beta)
-    low = np.min(F, axis=1)
-    return float(np.mean(low - np.log(np.sum(np.exp(-beta * (F - low[:, None])), axis=1)) / beta))
+    """Phi_beta at ``params``."""
+    return float(_soft_min_mean(batch_loss(model, dataset.X, dataset.y, params.thetas), beta))
 
 
 def _weighted_gradient(params, dataset, model, weights):
@@ -245,3 +263,43 @@ def test_merged_logistic_reference_matches_every_run_to_tolerance(monkeypatch):
     cfg = validate_config(SMALL_MULTISTART.format(kind="generative_logistic", family="logistic"))
     merged, full = _searches(monkeypatch, cfg, cfg.seed)
     _assert_parity(merged, full)
+
+
+# d = 1, k = 2 instances, small enough to score every pair of grid points
+PHI_GRID = GridSpec(-1.5, 1.5, 61)
+MLR_DATA = {"kind": "generative_mlr", "noise_sigma": 0.1, "truth": [[0.8], [-0.6]]}
+LOGISTIC_DATA = {"kind": "generative_logistic", "truth": [[1.2], [-0.9]]}
+GRID_INSTANCES = {
+    "ridge": (MLR_DATA, {"family": RIDGE, "lam": 0.001}),
+    "glm_identity": (MLR_DATA, {"family": GLM, "link": "identity", "lam": 0.001}),
+    "logistic": (LOGISTIC_DATA, {"family": LOGISTIC, "lam": 0.05}),
+    "squared_hinge": (LOGISTIC_DATA, {"family": SQUARED_HINGE, "lam": 0.05}),
+    # certify rejects the tanh loss at lam = 0.001 on Gaussian covariates;
+    # at lam = 2 the reference's two components meet at one theta
+    "glm_tanh": (
+        {**MLR_DATA, "covariate": "uniform_ball"}, {"family": GLM, "link": "tanh", "lam": 2.0}
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("beta", [2.0, 5.0])
+@pytest.mark.parametrize("name", list(GRID_INSTANCES))
+def test_reference_free_energy_is_at_most_the_grid_minimum(name, beta, seed):
+    data, loss = GRID_INSTANCES[name]
+    doc = {
+        "data": {**data, "k": 2, "d": 1, "n": 400},
+        "loss": loss,
+        "em": {"iterations": 1, "beta": beta},
+        "reference": "multistart",
+        "seed": seed,
+    }
+    cfg = validate_config(yaml.safe_dump(doc))
+    dataset, truth = generate(replace(cfg.data, seed=seed))
+    reference = experiment._multistart_reference(dataset, cfg, truth.k, seed).reference
+    # F of every grid point, paired as (theta_1, theta_2) on the last axis
+    F = batch_loss(cfg.loss, dataset.X, dataset.y, PHI_GRID.axis()[:, None])
+    pairs = np.stack(np.broadcast_arrays(F[:, :, None], F[:, None, :]), axis=-1)
+    grid_min = float(np.min(_soft_min_mean(pairs, beta)))
+    # Phi_beta's minimizer lies at or below every grid point, so no grid slack
+    assert _free_energy(reference, dataset, cfg.loss, beta) <= grid_min + 1e-9

@@ -137,25 +137,33 @@ class ExperimentConfig:
                     f"init.thetas on generated data is read only by mode explicit, "
                     f"not {self.init.mode}"
                 )
-            check_data(self, self.data.n, self.data.d, self.data.k, "data")
+            check_data(self, self.data.n, self.data.d, "data")
         elif self.reference == "truth":
             raise ConfigError("reference=truth requires generated data, not data.file")
 
+    @property
+    def k(self) -> int:
+        """Components fitted: the generator's; on file data init.thetas' rows, else 1."""
+        if isinstance(self.data, GenSpec):
+            return self.data.k
+        return 1 if self.init.thetas is None else self.init.thetas.k
 
-def check_data(config: ExperimentConfig, n: int, d: int, k: int, source: str) -> None:
-    """ConfigError unless ``config`` fits ``n`` rows of dimension ``d`` fitted
-    with ``k`` components: ``em.resample`` needs one row per iteration, and
-    ``init.thetas`` the shape ``(k, d)``.  ``source`` names the data in the
-    message: ``data`` for generated data, else the file's path."""
+
+def check_data(config: ExperimentConfig, n: int, d: int, source: str) -> None:
+    """ConfigError unless ``config`` fits ``n`` rows of dimension ``d``:
+    ``em.resample`` needs one row per iteration, and ``init.thetas`` the shape
+    ``(config.k, d)``.  ``source`` names the data in the message: ``data`` for
+    generated data, else the file's path."""
     T = config.em.iterations
     if config.em.resample and n < T:
         raise ConfigError(
             f"em.resample takes one fold per iteration: em.iterations={T} exceeds "
             f"the {n} rows of {source}"
         )
-    shape = (k, d) if config.init.thetas is None else config.init.thetas.thetas.shape
-    if shape != (k, d):
-        raise ConfigError(f"init.thetas has shape {shape}, the (k, d) of {source} is {(k, d)}")
+    want = (config.k, d)
+    shape = want if config.init.thetas is None else config.init.thetas.thetas.shape
+    if shape != want:
+        raise ConfigError(f"init.thetas has shape {shape}, the (k, d) of {source} is {want}")
 
 
 def _typed(raw, hint, where: str):

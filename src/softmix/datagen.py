@@ -18,9 +18,13 @@ substream, key ``seed * 2**64 + b``.  Within a block the draws are, in order:
    ``random(BLOCK)`` for generative_logistic, none for agnostic_piecewise.
 
 The last block is made whole and then truncated, so sample i does not depend
-on n.  The reserved substream index 2**63 seeds the default truth parameters,
-and the indices 2**62 + t seed trial t of the lemma check
-(:func:`~softmix.verify.check_lemma_bounds`), so no trial shares a block's draws.
+on n.  Every other draw of a run is from the repetition seed's substream at
+an index far above any block's, reserved for one reader: 2**63 the default
+truth (:func:`generate`), 2**63 + 1 a random start (``experiment._build_init``),
+2**63 + 2 the fold shuffle (:func:`~softmix.em.partition_dataset`), 2**63 + 3
+the ``gradient_oracle`` check's cases (``experiment._run_checks``), 2**63 + 4
+the multistart starts (``experiment._multistart_reference``), and 2**62 + t
+trial t of the lemma check (:func:`~softmix.verify.check_lemma_bounds`).
 Layout v1 drew every sample from its own substream (key ``seed * 2**64 + i``);
 a dataset generated under it differs from its layout v2 counterpart.
 """
@@ -45,6 +49,10 @@ KINDS = (GENERATIVE_MLR, GENERATIVE_LOGISTIC, AGNOSTIC_PIECEWISE)
 COVARIATES = ("gaussian", "student_t", "uniform_ball")
 
 _TRUTH_STREAM = 2 ** 63
+_INIT_STREAM = 2 ** 63 + 1
+_FOLD_STREAM = 2 ** 63 + 2
+_ORACLE_STREAM = 2 ** 63 + 3
+_MULTISTART_STREAM = 2 ** 63 + 4
 _LEMMA_STREAM = 2 ** 62  # + trial
 
 # seeds are the high 64 bits of a 128-bit Philox key

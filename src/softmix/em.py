@@ -1,8 +1,8 @@
 """Gradient EM: soft-min weighted gradient steps over disjoint data folds.
 
 :class:`EMConfig`, less its ``seed``, is the ``em:`` section of a config.
-:func:`e_step` and :func:`m_step` are classical EM's two steps, which a
-multistart reference alternates to a fixed point.
+Classical EM's E-step :func:`~softmix.softmin.weight_matrix` and its M-step
+:func:`m_step` are what a multistart reference alternates to a fixed point.
 """
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ from typing import Optional
 import numpy as np
 
 from .data import DataSet, ParamSet
-from .losses import FAMILIES, LossModel, batch_gradient, batch_loss, component_losses
-from .softmin import empirical_loss, mean_loss, soft_min_weights, weight_matrix
+from .datagen import _FOLD_STREAM, _substream
+from .losses import FAMILIES, LossModel, batch_gradient, batch_loss
+from .softmin import empirical_loss, mean_loss, weight_matrix
 
 # m_step: the most halvings of a Newton step, and the relative rise of a
 # weighted loss that counts as rounding rather than ascent
@@ -29,9 +30,9 @@ class EMConfig:
     ``gamma`` is None until the run fixes it (an experiment takes the default
     step size of its data); a step needs it set.  ``beta = math.inf``
     selects the hard min.  ``resample=True`` splits the data into
-    ``iterations`` disjoint folds, shuffled with ``seed``, and consumes fold
-    t at iteration t; ``resample=False`` reuses the full dataset every
-    iteration.
+    ``iterations`` disjoint folds, shuffled by ``seed``'s fold substream,
+    and consumes fold t at iteration t; ``resample=False`` reuses the full
+    dataset every iteration.
     """
 
     iterations: int
@@ -78,8 +79,8 @@ class ConvergenceTrace:
 
 
 def partition_dataset(dataset: DataSet, T: int, seed: int) -> np.ndarray:
-    """Row indices of T disjoint folds of size floor(n/T), from a seeded
-    shuffle: fold t is row t of the returned (T, floor(n/T)) array.
+    """Row indices of T disjoint folds of size floor(n/T), shuffled by ``seed``'s
+    fold substream: fold t is row t of the returned (T, floor(n/T)) array.
 
     Surplus samples (n mod T) are discarded.
     """
@@ -89,7 +90,7 @@ def partition_dataset(dataset: DataSet, T: int, seed: int) -> np.ndarray:
     if n < T:
         raise ValueError(f"need at least T={T} samples, got n={n}")
     fold_size = n // T
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = _substream(seed, _FOLD_STREAM).permutation(n)
     return perm[: T * fold_size].reshape(T, fold_size)
 
 
@@ -169,17 +170,6 @@ def outer_products(X: np.ndarray) -> np.ndarray:
     return (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
 
 
-def e_step(params: ParamSet, dataset: DataSet, model: LossModel, beta: float):
-    """Classical EM's E-step at ``params``: ``(weights, losses, Z)``, the
-    triple :func:`~softmix.softmin.weight_matrix` gives, whose (k, n)
-    predictions Z = Theta X^T :func:`m_step` and the weighted gradient sums
-    reuse.  It is formed here, not through ``weight_matrix``, so that the
-    multistart reference's E-steps and :func:`fixed_point_residual` stay out
-    of the count of weight matrices that gradient EM runs and checks form."""
-    Z, losses = component_losses(model, dataset.X, dataset.y, params.thetas)
-    return soft_min_weights(losses, beta), losses, Z
-
-
 def m_step(
     params: ParamSet,
     dataset: DataSet,
@@ -192,8 +182,8 @@ def m_step(
     """One classical M-step at fixed weights: a Newton step per component on
     its weighted loss L_j(theta) = sum_i W_ij F(x_i, y_i; theta).
 
-    ``weights, losses, Z`` are what :func:`e_step` gives at ``params``, and
-    ``outer`` is :func:`outer_products` of the dataset's covariates.  The
+    ``weights, losses, Z`` are the E-step's (:func:`weight_matrix`) at
+    ``params``, and ``outer`` is :func:`outer_products` of the dataset's covariates.  The
     gradient of L_j is the weighted sum that :func:`gradient_em_step` forms;
     its Hessian sum_i W_ij phi''_ij x_i x_i^T + 2 c lam (sum_i W_ij) I is,
     for all k components, one product with ``outer``.  Where the family's
@@ -237,7 +227,7 @@ def fixed_point_residual(
     """max_j ||theta_j - step(theta)_j|| / gamma for one full-data gradient EM
     step: the largest mean weighted gradient (1/n) ||sum_i W_ij grad F_ij||,
     0 exactly at a fixed point of gradient EM, and so of classical EM."""
-    weights, _, Z = e_step(params, dataset, model, beta)
+    weights, _, Z = weight_matrix(params, dataset, model, beta)
     _, sums = _weighted_gradients(Z, params.thetas, dataset, model, weights)
     return float(np.max(np.linalg.norm(sums, axis=1))) / len(dataset)
 

@@ -3,14 +3,15 @@
 :func:`run_experiment` is the one path from a config to its frozen records,
 for ``softmix run`` and for the loops under ``scripts/``.  Repetition r runs
 with derived seed ``base_seed + r`` so any repetition can be reproduced
-standalone.  Its context (data, ``config.em`` with the step size and the
-seed fixed, reference, constants with the certified (m, M), and start) is
-built once.  A data file is read once per run, checked against the config
-by :func:`~softmix.config.check_data` before any other work, and certified
-once; the checks enabled in ``config.checks`` run on repetition 0's data and
-reference and reuse its context.  Repetitions run in order in the calling
-process, so the CSVs, and the report apart from its wall-clock time, depend
-on the config alone.
+standalone; every random draw is from a substream of that seed (see
+:mod:`softmix.datagen`).  Its context (data, ``config.em`` with the step size
+and the seed fixed, reference, constants with the certified (m, M), and
+start) is built once.  A data file is read once per run, checked against
+the config by :func:`~softmix.config.check_data` before any other work, and
+certified once; the checks enabled in ``config.checks`` run on repetition
+0's data and reference and reuse its context.  Repetitions run in order in
+the calling process, so the CSVs, and the report apart from its wall-clock
+time, depend on the config alone.
 """
 from __future__ import annotations
 
@@ -24,17 +25,13 @@ import numpy as np
 
 from .config import EXPLICIT, RANDOM_BALL, ExperimentConfig, check_data, serialize
 from .data import DataSet, ParamSet
+from .datagen import _INIT_STREAM, _MULTISTART_STREAM, _ORACLE_STREAM, _substream
 from .datagen import generate, load_csv, uniform_ball
 from . import em
 from .em import ConvergenceTrace, EMConfig, run_gradient_em
 from .losses import certify, default_step_size
-from .softmin import mean_loss
-from .theory import (
-    ProblemConstants,
-    TheoremQuantities,
-    estimate_constants,
-    theorem_quantities,
-)
+from .softmin import mean_loss, weight_matrix
+from .theory import ProblemConstants, TheoremQuantities, estimate_constants, theorem_quantities
 from .verify import (
     GRADIENT_TOLERANCE,
     check_lemma_bounds,
@@ -92,7 +89,7 @@ class RepetitionContext:
     em: EMConfig  # the config's, with the step size and ``seed`` fixed
     reference: ParamSet  # the truth, or the multistart reference; its k is the run's
     constants: ProblemConstants  # at ``reference``: (m, M) and ``dataset``'s ``region_of``
-    init: ParamSet  # the start, drawn with ``seed``
+    init: ParamSet  # the start, drawn from ``seed``'s init substream
     search: Optional[MultistartSearch]  # how a multistart reference was found; None for the truth
 
 
@@ -167,32 +164,29 @@ def repetition_context(
     """Generate (or load) repetition ``rep``'s data, certify the loss on it,
     and fix its EM run parameters, reference, constants and start.
 
-    ``k`` comes from the generating truth, else from ``init.thetas``, else 1.
-    A data file is checked against the config (:func:`check_data`) before any
-    other work.  Every repetition reads the same data file, so given
+    A data file is checked against the config (:func:`check_data`) before
+    any other work.  Every repetition reads the same data file, so given
     repetition 0's context ``first``, file data and its certified (m, M) are
     taken from it, and the rest built anew.  The default step size is
     computed only when the config leaves ``em.gamma`` out.
     """
     seed = config.seed + rep
     if first is not None and isinstance(config.data, str):
-        dataset, truth, k = first.dataset, None, first.reference.k
+        dataset, truth = first.dataset, None
         curvature = first.constants.m, first.constants.M
     else:
         if isinstance(config.data, str):
             dataset, truth = load_csv(config.data), None
-            k = 1 if config.init.thetas is None else config.init.thetas.k
-            check_data(config, len(dataset), dataset.d, k, config.data)
+            check_data(config, len(dataset), dataset.d, config.data)
         else:
             dataset, truth = generate(replace(config.data, seed=seed))
-            k = truth.k
         curvature = certify(config.loss, dataset)
     gamma = default_step_size(config.loss, dataset) if config.em.gamma is None else config.em.gamma
     em_config = replace(config.em, gamma=gamma, seed=seed)
     if config.reference == "truth":
         reference, search = truth, None
     else:
-        search = _multistart_reference(dataset, config, k, seed)
+        search = _multistart_reference(dataset, config, config.k, seed)
         reference = search.reference
     constants = estimate_constants(dataset, reference, config.loss, curvature)
     init = _build_init(config, reference, seed)
@@ -205,31 +199,32 @@ def _multistart_reference(
     """The search for the reference optimizer of agnostic data, whose
     ``reference`` is the fixed point of classical EM with the least soft-min
     loss (:func:`softmin.empirical_loss`, read from its last weight matrix),
-    over :data:`RESTARTS` runs from standard-normal starts.
+    over :data:`RESTARTS` runs, run r from slab r of one standard-normal
+    ``(RESTARTS, k, d)`` draw from ``seed``'s multistart substream.
 
-    A run alternates the E-step (:func:`em.e_step`) with the Newton M-step
-    (:func:`em.m_step`) on the full data, which share the E-step's product
-    Theta X^T.  Its end is a fixed point of gradient EM too: both leave theta
-    where sum_i W_ij grad F_ij(theta_j) = 0.  The first run to reach a fixed
-    point stops once no component moves more than :data:`REFERENCE_TOLERANCE`.
-    A later run stops as soon as its move and its aligned distance to a fixed
-    point already found are both at most :data:`MERGE_RADIUS`: it reached
-    that point, and its loss is not computed.  So the reference is the first
-    run to converge to the best fixed point.  A run still moving after
-    :data:`REFERENCE_STEPS` E/M steps raises a ValueError that names the loss
-    family and the fixed-point residual.
+    A run alternates the E-step (:func:`softmin.weight_matrix`) with the Newton
+    M-step (:func:`em.m_step`) on the full data, which share the E-step's
+    product Theta X^T.  Its end is a fixed point of gradient EM too: both leave
+    theta where sum_i W_ij grad F_ij(theta_j) = 0.  The first run to reach a
+    fixed point stops once no component moves more than
+    :data:`REFERENCE_TOLERANCE`.  A later run stops as soon as its move and its
+    aligned distance to a fixed point already found are both at most
+    :data:`MERGE_RADIUS`: it reached that point, and its loss is not computed.
+    So the reference is the first run to converge to the best fixed point.  A
+    run still moving after :data:`REFERENCE_STEPS` E/M steps raises a
+    ValueError that names the loss family and the fixed-point residual.
     """
     model, beta = config.loss, config.em.beta
     outer = em.outer_products(dataset.X)
+    starts = _substream(seed, _MULTISTART_STREAM).standard_normal((RESTARTS, k, dataset.d))
     points, losses_at, reached, em_steps = [], [], [], 0
-    for restart in range(RESTARTS):
-        rng = np.random.default_rng(seed * 1_000_003 + restart)
-        params = ParamSet(rng.standard_normal((k, dataset.d)))
-        weights, losses, Z = em.e_step(params, dataset, model, beta)
+    for restart, start in enumerate(starts):
+        params = ParamSet(start)
+        weights, losses, Z = weight_matrix(params, dataset, model, beta)
         hit = None
         for _ in range(REFERENCE_STEPS):
             fitted = em.m_step(params, dataset, model, weights, losses, Z, outer)
-            weights, losses, Z = em.e_step(fitted, dataset, model, beta)
+            weights, losses, Z = weight_matrix(fitted, dataset, model, beta)
             em_steps += 1
             move = np.max(np.linalg.norm(fitted.thetas - params.thetas, axis=1))
             params = fitted
@@ -269,11 +264,11 @@ def _point_reached(params: ParamSet, points) -> Optional[int]:
 
 
 def _build_init(config: ExperimentConfig, reference: ParamSet, seed: int) -> ParamSet:
-    """The repetition's initial ParamSet about ``reference``, drawn with ``seed``."""
+    """The repetition's start about ``reference``, from ``seed``'s init substream."""
     mode = config.init.mode
     if mode == EXPLICIT:
         return config.init.thetas.copy()
-    rng = np.random.default_rng(seed)
+    rng = _substream(seed, _INIT_STREAM)
     k, d = reference.thetas.shape
     if mode == RANDOM_BALL:
         return ParamSet(reference.thetas + uniform_ball(rng, config.init.radius, k, d))
@@ -328,11 +323,9 @@ def _run_checks(
     beta, constants = config.em.beta, context.constants
 
     if config.checks.gradient_oracle:
-        rng = np.random.default_rng(context.seed)
-        cases = []
-        for _ in range(100):
-            i = int(rng.integers(len(dataset)))
-            cases.append((dataset.X[i], dataset.y[i], rng.standard_normal(dataset.d)))
+        rng = _substream(context.seed, _ORACLE_STREAM)
+        rows = rng.integers(len(dataset), size=100)
+        cases = zip(dataset.X[rows], dataset.y[rows], rng.standard_normal((100, dataset.d)))
         worst = worst_gradient_error(model, cases)
         ok = worst <= GRADIENT_TOLERANCE
         results.append(CheckResult("gradient_oracle", ok, f"worst relative error {worst:.3g}"))

@@ -80,8 +80,9 @@ def test_every_benchmarked_layer_fires(tmp_path, monkeypatch, capsys):
             steps += "decomposition" in shape["checks"]
             assert counts["em.gradient_em_step"] == steps, name
             # one full-data weight matrix per iterate, which also weights the
-            # step out of it, and the decomposition check's own
-            matrices = shape["repetitions"] * (shape["iterations"] + 1)
+            # step out of it, one per repetition for the E-step of the
+            # reference's fixed-point residual, and the decomposition check's own
+            matrices = shape["repetitions"] * (shape["iterations"] + 2)
             matrices += "decomposition" in shape["checks"]
             assert counts["softmin.weight_matrix"] == matrices, name
 

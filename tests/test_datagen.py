@@ -1,6 +1,9 @@
 """Synthetic data generation and the CSV dataset format."""
+import itertools
 import math
 import re
+import sys
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softmix.datagen as datagen
+from softmix.config import validate_config
 from softmix.data import ParamSet
 from softmix.datagen import (
     BLOCK,
@@ -21,6 +25,7 @@ from softmix.datagen import (
     load_csv,
     save_csv,
 )
+from softmix.experiment import run_experiment
 from softmix.losses import LossModel
 from softmix.theory import estimate_constants
 
@@ -282,6 +287,70 @@ class TestLayoutV2:
             generate(spec)
         blocks = [call.args[1] for call in substream.call_args_list]
         assert blocks == list(range(math.ceil(n / BLOCK)))
+
+
+STREAM_CONSUMERS = textwrap.dedent(
+    """
+    data:
+      kind: agnostic_piecewise
+      k: 2
+      d: 2
+      n: 300
+      perturb_amplitude: 0.1
+    loss:
+      family: ridge
+      lam: 0.01
+    em:
+      iterations: 5
+      beta: 2.0
+      resample: true
+    init:
+      mode: perturb_reference
+    reference: multistart
+    checks:
+      lemmas: true
+      gradient_oracle: true
+    repetitions: 2
+    seed: {seed}
+    """
+)
+
+
+# the constants at a multistart reference are not under test
+@pytest.mark.filterwarnings("ignore:separation delta:UserWarning")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_consumer_draws_from_a_substream_of_its_own(monkeypatch, seed):
+    """A run that draws the data, a default truth, a start, the folds, a
+    multistart reference and the cases of both seeded checks keys every draw
+    as ``(seed, index)`` at ``datagen._substream``, with a repetition's seed
+    and at indices no other reader uses, and never makes a numpy default
+    generator.  The restarts of a multistart reference share one stream."""
+    original = datagen._substream
+    indices, seeds = {}, set()
+
+    def recording(key_seed, index):
+        reader = sys._getframe(1).f_code.co_name
+        indices.setdefault(reader, set()).add(index)
+        seeds.add(key_seed)
+        return original(key_seed, index)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("softmix") and getattr(module, "_substream", None) is original:
+            monkeypatch.setattr(module, "_substream", recording)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.random.default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    run_experiment(validate_config(STREAM_CONSUMERS.format(seed=seed)), write=False)
+    assert sorted(indices) == sorted([
+        "_block", "_default_truth", "_build_init", "partition_dataset",
+        "_multistart_reference", "_run_checks", "check_lemma_bounds",
+    ])
+    for (a, first), (b, second) in itertools.combinations(indices.items(), 2):
+        assert not first & second, (a, b)
+    assert seeds == {seed, seed + 1}
+    assert indices["_multistart_reference"] == {datagen._MULTISTART_STREAM}
 
 
 class TestFileFormats:

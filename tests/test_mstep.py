@@ -26,7 +26,7 @@ import softmix.experiment as experiment
 from softmix.config import validate_config
 from softmix.data import DataSet, ParamSet
 from softmix.datagen import generate
-from softmix.em import align_to_reference, e_step, m_step, outer_products
+from softmix.em import align_to_reference, m_step, outer_products
 from softmix.losses import (
     FAMILIES,
     GLM,
@@ -114,13 +114,9 @@ def test_d2phi_matches_finite_differences_of_dphi(family_link, z, y):
 
 @given(instances(), st.floats(min_value=0.0, max_value=10.0))
 @settings(deadline=None, max_examples=100)
-def test_e_step_is_the_weight_matrix_and_its_predictions(instance, beta):
+def test_weight_matrix_predictions_are_theta_x_transpose(instance, beta):
     model, dataset, params = instance
-    weights, losses, Z = e_step(params, dataset, model, beta)
-    want_weights, want_losses, want_Z = weight_matrix(params, dataset, model, beta)
-    np.testing.assert_array_equal(weights, want_weights)
-    np.testing.assert_array_equal(losses, want_losses)
-    np.testing.assert_array_equal(Z, want_Z)
+    _, _, Z = weight_matrix(params, dataset, model, beta)
     np.testing.assert_array_equal(Z, params.thetas @ dataset.X.T)
 
 
@@ -131,7 +127,7 @@ def test_e_step_is_the_weight_matrix_and_its_predictions(instance, beta):
 @settings(deadline=None, max_examples=300)
 def test_quadratic_m_step_is_stationary(instance, beta):
     model, dataset, params = instance
-    weights, losses, Z = e_step(params, dataset, model, beta)
+    weights, losses, Z = weight_matrix(params, dataset, model, beta)
     fitted = m_step(params, dataset, model, weights, losses, Z, outer_products(dataset.X))
     gradient, scale = _weighted_gradient(fitted, dataset, model, weights)
     norms = np.linalg.norm(gradient, axis=1)
@@ -142,7 +138,7 @@ def test_quadratic_m_step_is_stationary(instance, beta):
 @settings(deadline=None, max_examples=300)
 def test_e_m_pair_does_not_raise_the_free_energy(instance, beta):
     model, dataset, params = instance
-    weights, losses, Z = e_step(params, dataset, model, beta)
+    weights, losses, Z = weight_matrix(params, dataset, model, beta)
     fitted = m_step(params, dataset, model, weights, losses, Z, outer_products(dataset.X))
     before = _free_energy(params, dataset, model, beta)
     after = _free_energy(fitted, dataset, model, beta)
@@ -153,7 +149,7 @@ def test_e_m_pair_does_not_raise_the_free_energy(instance, beta):
 @settings(deadline=None, max_examples=200)
 def test_zero_mass_component_keeps_its_theta(instance, data):
     model, dataset, params = instance
-    weights, losses, Z = e_step(params, dataset, model, 1.0)
+    weights, losses, Z = weight_matrix(params, dataset, model, 1.0)
     j = data.draw(st.integers(0, params.k - 1))
     weights[:, j] = 0.0
     fitted = m_step(params, dataset, model, weights, losses, Z, outer_products(dataset.X))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from softmix import theory
+from softmix import datagen, theory
 from softmix.cli import main
 from softmix.config import serialize, validate_config
 from softmix.data import ParamSet
@@ -57,7 +57,7 @@ def _sweep_level_by_hand(amp, n, reps):
         model = LossModel("ridge", lam=1e-3)
         curvature = certify(model, dataset)
         gamma = default_step_size(model, dataset)
-        rng = np.random.default_rng(seed)
+        rng = datagen._substream(seed, datagen._INIT_STREAM)
         offsets = rng.standard_normal(truth.thetas.shape)
         offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
         radii = 0.05 * np.linalg.norm(truth.thetas, axis=1)

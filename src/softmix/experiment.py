@@ -96,8 +96,8 @@ class RepetitionContext:
 @dataclass(frozen=True)
 class RepetitionResult:
     """One repetition's records, each value held once: EM's ``fitted``
-    ParamSet and its ``trace``, the ``constants`` at the reference, the
-    theorem's ``quantities`` and bound from the trace's initial distances
+    ParamSet and its ``trace``, the ``constants`` at the reference, what
+    :func:`theorem_quantities` returned for the trace's initial distances
     (None at beta = inf), the reference's fixed-point residual
     (:func:`em.fixed_point_residual`, 0 at a fixed point of gradient EM),
     and how a multistart reference was found (None for the truth)."""
@@ -186,7 +186,7 @@ def repetition_context(
     if config.reference == "truth":
         reference, search = truth, None
     else:
-        search = _multistart_reference(dataset, config, config.k, seed)
+        search = _multistart_reference(dataset, config, seed)
         reference = search.reference
     constants = estimate_constants(dataset, reference, config.loss, curvature)
     init = _build_init(config, reference, seed)
@@ -194,13 +194,13 @@ def repetition_context(
 
 
 def _multistart_reference(
-    dataset: DataSet, config: ExperimentConfig, k: int, seed: int
+    dataset: DataSet, config: ExperimentConfig, seed: int
 ) -> MultistartSearch:
     """The search for the reference optimizer of agnostic data, whose
     ``reference`` is the fixed point of classical EM with the least soft-min
     loss (:func:`softmin.empirical_loss`, read from its last weight matrix),
     over :data:`RESTARTS` runs, run r from slab r of one standard-normal
-    ``(RESTARTS, k, d)`` draw from ``seed``'s multistart substream.
+    ``(RESTARTS, config.k, d)`` draw from ``seed``'s multistart substream.
 
     A run alternates the E-step (:func:`softmin.weight_matrix`) with the Newton
     M-step (:func:`em.m_step`) on the full data, which share the E-step's
@@ -208,15 +208,16 @@ def _multistart_reference(
     theta where sum_i W_ij grad F_ij(theta_j) = 0.  The first run to reach a
     fixed point stops once no component moves more than
     :data:`REFERENCE_TOLERANCE`.  A later run stops as soon as its move and its
-    aligned distance to a fixed point already found are both at most
-    :data:`MERGE_RADIUS`: it reached that point, and its loss is not computed.
-    So the reference is the first run to converge to the best fixed point.  A
-    run still moving after :data:`REFERENCE_STEPS` E/M steps raises a
-    ValueError that names the loss family and the fixed-point residual.
+    aligned distance to a fixed point already found (:func:`_point_reached`)
+    are both at most :data:`MERGE_RADIUS`: it reached that point, and its loss
+    is not computed.  So the reference is the first run to converge to the
+    best fixed point.  A run still moving after :data:`REFERENCE_STEPS` E/M
+    steps raises a ValueError that names the loss family and the fixed-point
+    residual.
     """
     model, beta = config.loss, config.em.beta
     outer = em.outer_products(dataset.X)
-    starts = _substream(seed, _MULTISTART_STREAM).standard_normal((RESTARTS, k, dataset.d))
+    starts = _substream(seed, _MULTISTART_STREAM).standard_normal((RESTARTS, config.k, dataset.d))
     points, losses_at, reached, em_steps = [], [], [], 0
     for restart, start in enumerate(starts):
         params = ParamSet(start)
@@ -249,17 +250,12 @@ def _multistart_reference(
 
 
 def _point_reached(params: ParamSet, points) -> Optional[int]:
-    """Index of the first of ``points`` that ``params`` is within
-    :data:`MERGE_RADIUS` of, aligned, or None.  A component's distance to
-    its nearest one in a point bounds its aligned distance from below, so
-    only points within the radius by that bound are aligned."""
-    if not points:
-        return None
-    stacked = np.stack([point.thetas for point in points])
-    gaps = np.linalg.norm(params.thetas[None, :, None] - stacked[:, None], axis=3)
-    for i in np.flatnonzero(np.max(np.min(gaps, axis=2), axis=1) <= MERGE_RADIUS):
-        if np.max(em.align_to_reference(params, points[i])[1]) <= MERGE_RADIUS:
-            return int(i)
+    """Index of the first of ``points`` whose aligned distance
+    (:func:`em.align_to_reference`) from ``params`` is at most
+    :data:`MERGE_RADIUS`, or None."""
+    for i, point in enumerate(points):
+        if np.max(em.align_to_reference(params, point)[1]) <= MERGE_RADIUS:
+            return i
     return None
 
 
@@ -279,16 +275,6 @@ def _build_init(config: ExperimentConfig, reference: ParamSet, seed: int) -> Par
     return ParamSet(reference.thetas + radii[:, None] * offsets)
 
 
-def theory_at(context: RepetitionContext, d0: np.ndarray):
-    """The theorem's quantities for a run starting at aligned distances
-    ``d0``; None at beta = inf."""
-    if math.isinf(context.em.beta):
-        return None
-    return theorem_quantities(
-        context.constants, context.em.beta, context.em.gamma, d0, context.em.iterations
-    )
-
-
 def run_repetition(
     config: ExperimentConfig, rep: int, first: Optional[RepetitionContext] = None
 ) -> Tuple[RepetitionResult, RepetitionContext]:
@@ -303,7 +289,10 @@ def run_repetition(
     fitted, trace = run_gradient_em(
         context.init, context.dataset, config.loss, context.em, reference=context.reference
     )
-    quantities = theory_at(context, trace.distances[0])
+    quantities = theorem_quantities(
+        context.constants, context.em.beta, context.em.gamma, trace.distances[0],
+        context.em.iterations,
+    )
     residual = em.fixed_point_residual(
         context.reference, context.dataset, config.loss, config.em.beta
     )

@@ -218,14 +218,17 @@ def predicted_distance_bound(
 
 def theorem_quantities(
     constants: ProblemConstants, beta: float, gamma: float, d0, T: int
-) -> TheoremQuantities:
+) -> Optional[TheoremQuantities]:
     """The quantities for a run of T iterations from aligned distances ``d0``,
     one per component, at the absolute start radius c = max(d0).
 
-    The one place that decides whether the theorem applies: ``bound`` is the
-    max over components of :func:`predicted_distance_bound` when there is a
+    The one place that decides whether the theorem applies: None at beta =
+    inf, where the eta formulas are undefined; otherwise ``bound`` is the max
+    over components of :func:`predicted_distance_bound` when there is a
     contraction, eta' <= 1 and zeta is finite, and None otherwise.
     """
+    if math.isinf(beta):
+        return None
     d0 = np.asarray(d0, dtype=np.float64)
     c = float(np.max(d0))
     eta = compute_eta(constants, beta, c)

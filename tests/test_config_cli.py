@@ -832,7 +832,7 @@ class TestCLI:
     def test_lemma_check_tests_the_weight_bounds_of_the_theorem(
         self, tmp_path, capsys, monkeypatch
     ):
-        quantities = _returned(monkeypatch, experiment, "theory_at")
+        quantities = _returned(monkeypatch, experiment, "theorem_quantities")
         etas = _returned(monkeypatch, verify, "compute_eta")
         eta_primes = _returned(monkeypatch, verify, "compute_eta_prime")
         config = self._write(tmp_path, "cfg.yaml", RANDOM_BALL_LEMMAS)

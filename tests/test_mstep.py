@@ -227,11 +227,11 @@ def _aligned(params, point):
 def _searches(monkeypatch, cfg, seed):
     """The multistart search at ``seed``, and the same search with no
     merging, in which every run goes on to the tolerance."""
-    dataset, truth = generate(replace(cfg.data, seed=seed))
-    merged = experiment._multistart_reference(dataset, cfg, truth.k, seed)
+    dataset, _ = generate(replace(cfg.data, seed=seed))
+    merged = experiment._multistart_reference(dataset, cfg, seed)
     with monkeypatch.context() as patch:
         patch.setattr(experiment, "MERGE_RADIUS", 0.0)
-        full = experiment._multistart_reference(dataset, cfg, truth.k, seed)
+        full = experiment._multistart_reference(dataset, cfg, seed)
     return merged, full
 
 
@@ -291,8 +291,8 @@ def test_reference_free_energy_is_at_most_the_grid_minimum(name, beta, seed):
         "seed": seed,
     }
     cfg = validate_config(yaml.safe_dump(doc))
-    dataset, truth = generate(replace(cfg.data, seed=seed))
-    reference = experiment._multistart_reference(dataset, cfg, truth.k, seed).reference
+    dataset, _ = generate(replace(cfg.data, seed=seed))
+    reference = experiment._multistart_reference(dataset, cfg, seed).reference
     # F of every grid point, paired as (theta_1, theta_2) on the last axis
     F = batch_loss(cfg.loss, dataset.X, dataset.y, PHI_GRID.axis()[:, None])
     pairs = np.stack(np.broadcast_arrays(F[:, :, None], F[:, None, :]), axis=-1)

@@ -16,7 +16,7 @@ from softmix.data import ParamSet
 from softmix.datagen import GenSpec, generate
 from softmix.em import EMConfig, run_gradient_em
 from softmix.losses import LossModel, certify, default_step_size
-from softmix.theory import estimate_constants, predicted_distance_bound, theorem_quantities
+from softmix.theory import estimate_constants, theorem_quantities
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -37,7 +37,8 @@ def test_inline_config_parses_and_reparses_equal(name):
 
 def _sweep_level_by_hand(amp, n, reps):
     """One sweep level from the library parts: generate -> certify ->
-    gradient EM -> constants -> theorem quantities -> distance bound."""
+    gradient EM -> constants -> theorem quantities, whose bound is kept
+    where the library evaluated one."""
     floors, bounds, limits = [], [], []
     for rep in range(reps):
         seed = 200 + rep
@@ -74,8 +75,8 @@ def _sweep_level_by_hand(amp, n, reps):
         constants = estimate_constants(dataset, truth, model, curvature)
         d0 = trace.distances[0]
         q = theorem_quantities(constants, 10.0, gamma, d0, 30)
-        if q.contraction is not None:
-            bounds.append(float(np.max(predicted_distance_bound(d0, q.contraction, q.zeta, 30))))
+        if q.bound is not None:
+            bounds.append(q.bound)
             limits.append(q.zeta / (1.0 - q.contraction))
     return floors, bounds, limits
 
@@ -106,6 +107,8 @@ def test_error_floor_sweep_skips_bounds_not_evaluated(monkeypatch):
     floors, bounds, limits = sweep.run_level(config, 0.0)
     assert len(floors) == 2
     assert bounds == [] and limits == []
+    # the hand oracle reads the same verdict
+    assert (floors, bounds, limits) == _sweep_level_by_hand(0.0, 600, 2)
 
 
 def test_convergence_demo_runs_and_prints_checks(tmp_path, capsys):

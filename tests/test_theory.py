@@ -366,6 +366,11 @@ class TestBundle:
         assert leaky.contraction is not None and leaky.eta_prime > 1.0
         assert leaky.bound is None and leaky.within(0.0) is None
 
+    def test_no_quantities_at_infinite_beta(self):
+        # the eta formulas need a finite beta: the theorem does not apply
+        c = _constants(epsilon=0.1, epsilon1=0.1, delta=2.0)
+        assert theorem_quantities(c, math.inf, 0.05, np.array([0.01, 0.005]), 30) is None
+
     @settings(deadline=None, max_examples=200)
     @given(
         epsilon=st.floats(0.0, 2.0),

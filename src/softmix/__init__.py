@@ -18,9 +18,7 @@ from .theory import (
     theorem_quantities,
 )
 from .verify import (
-    GridSpec,
     LemmaReport,
-    brute_force_minimize,
     check_lemma_bounds,
     finite_diff_gradient,
     step_decomposition,

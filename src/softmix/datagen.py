@@ -18,9 +18,17 @@ substream, key ``seed * 2**64 + b``.  Within a block the draws are, in order:
    ``random(BLOCK)`` for generative_logistic, none for agnostic_piecewise.
 
 The last block is made whole and then truncated, so sample i does not depend
-on n.  Every other draw of a run is from the repetition seed's substream at
-an index far above any block's, reserved for one reader: 2**63 the default
-truth (:func:`generate`), 2**63 + 1 a random start (``experiment._build_init``),
+on n.  The blocks move through these steps in lockstep: every block's
+generator is opened first, in block order, and each redraw round draws the
+missing rows of every block from that block's own generator, then tests the
+margin once over the missing rows of all blocks.  Each block's draws keep
+the order above, so no dataset changed when the blocks, once made one after
+another (the oracle ``generate_by_block`` in ``tests/oracles.py``), began to
+move together.
+
+Every other draw of a run is from the repetition seed's substream at an index
+far above any block's, reserved for one reader: 2**63 the default truth
+(:func:`generate`), 2**63 + 1 a random start (``experiment._build_init``),
 2**63 + 2 the fold shuffle (:func:`~softmix.em.partition_dataset`), 2**63 + 3
 the ``gradient_oracle`` check's cases (``experiment._run_checks``), 2**63 + 4
 the multistart starts (``experiment._multistart_reference``), and 2**62 + t
@@ -146,13 +154,21 @@ def _substream(seed: int, index: int) -> Generator:
     return Generator(Philox(key=seed * 2 ** 64 + index))
 
 
+def _to_ball(directions: np.ndarray, radius, u: np.ndarray) -> np.ndarray:
+    """``directions`` ``(rows, d)``, in place, made points of the ball of
+    ``radius`` (a scalar, or one per row) about 0: each row normalized, then
+    scaled by ``radius * u ** (1/d)`` with ``u`` its uniform."""
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    directions *= (radius * u ** (1.0 / directions.shape[1]))[:, None]
+    return directions
+
+
 def uniform_ball(rng: Generator, radius, rows: int, d: int) -> np.ndarray:
     """``(rows, d)`` points uniform in the ball of ``radius`` (a scalar, or one
     per row) about 0: normalized ``standard_normal((rows, d))`` directions,
     then the radii ``radius * random(rows) ** (1/d)``."""
     directions = rng.standard_normal((rows, d))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    return (radius * rng.random(rows) ** (1.0 / d))[:, None] * directions
+    return _to_ball(directions, radius, rng.random(rows))
 
 
 def _default_truth(spec: GenSpec) -> ParamSet:
@@ -162,12 +178,24 @@ def _default_truth(spec: GenSpec) -> ParamSet:
     return ParamSet(spec.truth_scale * thetas)
 
 
-def _covariates(rng: Generator, spec: GenSpec, rows: int) -> np.ndarray:
-    if spec.covariate == "gaussian":
-        return spec.cov_scale * rng.standard_normal((rows, spec.d))
+def _draw_covariates(rng: Generator, spec: GenSpec, X: np.ndarray, u: np.ndarray) -> None:
+    """Step 2 of the layout for ``len(X)`` rows: their raw draws, written into
+    ``X`` (and, for uniform_ball, the radius uniforms into ``u``).
+    :func:`_scale_covariates` makes them covariates."""
     if spec.covariate == "student_t":
-        return spec.cov_scale * rng.standard_t(spec.t_dof, (rows, spec.d))
-    return uniform_ball(rng, spec.cov_scale, rows, spec.d)
+        X[...] = rng.standard_t(spec.t_dof, X.shape)
+    else:
+        rng.standard_normal(out=X)
+        if spec.covariate == "uniform_ball":
+            rng.random(out=u)
+
+
+def _scale_covariates(spec: GenSpec, X: np.ndarray, u: np.ndarray) -> None:
+    """The raw draws in ``X`` (and ``u``), in place, made ``spec``'s covariates."""
+    if spec.covariate == "uniform_ball":
+        _to_ball(X, spec.cov_scale, u)
+    else:
+        X *= spec.cov_scale
 
 
 def _check_margin_reachable(truth: np.ndarray, weights: np.ndarray, spec: GenSpec) -> None:
@@ -186,68 +214,109 @@ def _check_margin_reachable(truth: np.ndarray, weights: np.ndarray, spec: GenSpe
 
 
 def _misses_margin(preds: np.ndarray, z: np.ndarray, margin: float) -> np.ndarray:
-    """Rows whose squared gap min_{l != z} (pred_l - pred_z)^2 is below ``margin``."""
-    rows = np.arange(len(z))
-    gaps = (preds - preds[rows, z][:, None]) ** 2
-    gaps[rows, z] = math.inf
-    return np.min(gaps, axis=1) < margin
+    """Rows whose squared gap min_{l != z} (pred_l - pred_z)^2 is below ``margin``.
+    A row's own gap (l = z) is 0, so at ``margin`` > 0 it misses when more
+    than one of its gaps lies below."""
+    own = preds[np.arange(len(z)), z]
+    # (k, rows) in C order, so each pass runs along the rows, not along k
+    gaps = np.subtract(preds.T, own, order="C") ** 2
+    return (gaps < margin).sum(axis=0) > 1
 
 
-def _block(spec: GenSpec, b: int, thetas: np.ndarray, cumw: np.ndarray):
-    """Block ``b``'s ``(BLOCK, d)`` covariates and ``(BLOCK,)`` labels."""
-    rng = _substream(spec.seed, b)
-    rows = np.arange(BLOCK)
-    z = np.minimum(np.searchsorted(cumw, rng.random(BLOCK), side="right"), spec.k - 1)
-    X = _covariates(rng, spec, BLOCK)
-    # labels come from the product that losses and tests form, X @ thetas^T,
-    # not a per-row dot product, which rounds differently: noiseless labels
-    # then equal their component's prediction in the tests' shapes bit for bit
-    preds = X @ thetas.T
-    missing = np.flatnonzero(_misses_margin(preds, z, spec.margin))
+def _predictions(X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """``X @ thetas.T`` for ``X`` of whole BLOCK-row slabs, one product per
+    slab, so each row rounds as in its block's own ``(BLOCK, d)`` product.
+    Labels come from that product, as losses and tests form it, so that
+    noiseless labels equal their component's prediction bit for bit.  A
+    product over another row count may round differently: numpy hands one
+    row to gemv, and at d >= 32 OpenBLAS 0.3.31 rounded products of a few
+    hundred rows differently on an AVX-512 Xeon."""
+    slabs = X.reshape(-1, BLOCK, X.shape[1])
+    return (slabs @ thetas.T).reshape(-1, thetas.shape[0])
+
+
+def _fill(streams: list, draw, out: np.ndarray) -> np.ndarray:
+    """``out`` block by block, each block's BLOCK entries from ``draw`` of its
+    own generator."""
+    for rng, start in zip(streams, range(0, len(out), BLOCK)):
+        draw(rng, out=out[start:start + BLOCK])
+    return out
+
+
+def _redraw(streams: list, spec: GenSpec, X: np.ndarray, z: np.ndarray,
+            thetas: np.ndarray, missing: np.ndarray) -> None:
+    """Step 3 for all blocks in lockstep: each round, every block draws new
+    covariates for its ``missing`` rows (global indices, ascending) from its
+    own generator, and one margin test runs over the missing rows of all
+    blocks.  Raises naming the lowest sample still missing after
+    :data:`MAX_REJECTIONS` draws."""
+    slabs = -(-missing.size // BLOCK)
+    # zeros: a slab's rows past the missing ones enter its product and must be finite
+    fresh = np.zeros((slabs * BLOCK, spec.d))
+    u = np.empty(slabs * BLOCK)
+    block_starts = np.arange(len(streams) + 1) * BLOCK
     for _ in range(MAX_REJECTIONS - 1):
-        if missing.size == 0:
-            break
-        X[missing] = _covariates(rng, spec, missing.size)
-        preds = X @ thetas.T
-        missing = missing[_misses_margin(preds[missing], z[missing], spec.margin)]
+        count = missing.size
+        if count == 0:
+            return
+        edges = np.searchsorted(missing, block_starts).tolist()
+        for rng, lo, hi in zip(streams, edges, edges[1:]):
+            if lo < hi:
+                _draw_covariates(rng, spec, fresh[lo:hi], u[lo:hi])
+        _scale_covariates(spec, fresh[:count], u[:count])
+        X[missing] = fresh[:count]
+        preds = _predictions(fresh[: -(-count // BLOCK) * BLOCK], thetas)
+        missing = missing[_misses_margin(preds[:count], z[missing], spec.margin)]
     if missing.size:
         i = missing[0]
         raise ValueError(
-            f"sample {b * BLOCK + i} (component {z[i]}) missed margin {spec.margin:g} "
+            f"sample {i} (component {z[i]}) missed margin {spec.margin:g} "
             f"{MAX_REJECTIONS} times"
         )
-    pred = preds[rows, z]
-    if spec.kind == GENERATIVE_MLR:
-        labels = pred + spec.noise_sigma * rng.standard_normal(BLOCK)
-    elif spec.kind == GENERATIVE_LOGISTIC:
-        with np.errstate(over="ignore"):
-            p_pos = 1.0 / (1.0 + np.exp(-pred))
-        labels = np.where(rng.random(BLOCK) < p_pos, 1.0, -1.0)
-    else:  # AGNOSTIC_PIECEWISE: deterministic, asymmetric, bounded
-        norm_z = np.linalg.norm(thetas, axis=1)[z]
-        unit_pred = np.divide(pred, norm_z, out=np.zeros(BLOCK), where=norm_z > 0)
-        labels = pred + spec.perturb_amplitude * (0.6 + 0.4 * np.tanh(unit_pred))
-    return X, labels
 
 
 def generate(spec: GenSpec) -> tuple[DataSet, ParamSet]:
     """Materialize the dataset and truth ParamSet of a GenSpec (ValueError: margin out of reach)."""
     truth = spec.truth if spec.truth is not None else _default_truth(spec)
+    thetas = truth.thetas
     weights = (
         np.full(spec.k, 1.0 / spec.k)
         if spec.mix_weights is None
         else np.asarray(spec.mix_weights, dtype=np.float64)
     )
-    _check_margin_reachable(truth.thetas, weights, spec)
-    cumw = np.cumsum(weights)
-    X = np.empty((spec.n, spec.d))
-    y = np.empty(spec.n)
-    for b, start in enumerate(range(0, spec.n, BLOCK)):
-        stop = min(start + BLOCK, spec.n)
-        X_block, y_block = _block(spec, b, truth.thetas, cumw)
-        X[start:stop] = X_block[: stop - start]
-        y[start:stop] = y_block[: stop - start]
-    return DataSet(X, y), truth
+    _check_margin_reachable(thetas, weights, spec)
+    # every block's generator, opened in block order; the last block is made whole
+    streams = []
+    for b in range(-(-spec.n // BLOCK)):
+        streams.append(_substream(spec.seed, b))
+    rows = len(streams) * BLOCK
+    picks = _fill(streams, Generator.random, np.empty(rows))
+    z = np.minimum(np.searchsorted(np.cumsum(weights), picks, side="right"), spec.k - 1)
+    X = np.empty((rows, spec.d))
+    u = np.empty(rows)
+    for rng, start in zip(streams, range(0, rows, BLOCK)):
+        _draw_covariates(rng, spec, X[start:start + BLOCK], u[start:start + BLOCK])
+    _scale_covariates(spec, X, u)
+    preds = _predictions(X, thetas)
+    if spec.margin > 0:  # no row misses a zero margin
+        missing = np.flatnonzero(_misses_margin(preds, z, spec.margin))
+        if missing.size:
+            _redraw(streams, spec, X, z, thetas, missing)
+            preds = _predictions(X, thetas)
+    pred = preds[np.arange(rows), z]
+    if spec.kind == GENERATIVE_MLR:
+        y = _fill(streams, Generator.standard_normal, np.empty(rows))
+        y *= spec.noise_sigma
+        y += pred
+    elif spec.kind == GENERATIVE_LOGISTIC:
+        with np.errstate(over="ignore"):
+            p_pos = 1.0 / (1.0 + np.exp(-pred))
+        y = np.where(_fill(streams, Generator.random, np.empty(rows)) < p_pos, 1.0, -1.0)
+    else:  # AGNOSTIC_PIECEWISE: deterministic, asymmetric, bounded
+        norm_z = np.linalg.norm(thetas, axis=1)[z]
+        unit_pred = np.divide(pred, norm_z, out=np.zeros(rows), where=norm_z > 0)
+        y = pred + spec.perturb_amplitude * (0.6 + 0.4 * np.tanh(unit_pred))
+    return DataSet(X[: spec.n], y[: spec.n]), truth
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,7 @@
-"""Independent oracles.  The run's ``checks`` use finite differences, pointwise
-weight-bound sweeps and the in/out-of-region step decomposition; brute-force
-grid minimization, feasible only at toy scale, is the tests' oracle alone."""
+"""Independent oracles for the run's ``checks``: finite differences, pointwise
+weight-bound sweeps and the in/out-of-region step decomposition."""
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,7 +11,7 @@ from .data import DataSet, ParamSet
 from .datagen import _LEMMA_STREAM, _substream, uniform_ball
 from .em import EMConfig, align_to_reference, gradient_em_step
 from .losses import LossModel, batch_gradient, batch_loss
-from .softmin import empirical_loss, weight_matrix
+from .softmin import weight_matrix
 from .theory import ProblemConstants, compute_eta, compute_eta_prime
 
 DEFAULT_FD_STEP = 1e-5
@@ -54,60 +52,6 @@ def worst_gradient_error(model: LossModel, cases) -> float:
         denom = max(float(np.linalg.norm(analytic)), 1.0)
         worst = max(worst, float(np.linalg.norm(analytic - numeric) / denom))
     return worst
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Axis-aligned search grid: ``points`` values per coordinate in
-    [lo, hi]."""
-
-    lo: float
-    hi: float
-    points: int
-
-    def axis(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.points)
-
-
-def check_brute_force_budget(d: int, k: int, grid: GridSpec) -> None:
-    """ValueError unless a brute-force search over ``grid`` is at toy scale:
-    d <= 2, k <= 2 and at most 1e5 candidate ParamSets (about 7 s at n = 400)."""
-    if d > 2 or k > 2:
-        raise ValueError("brute force restricted to d <= 2 and k <= 2")
-    total = grid.points ** (d * k)
-    if total > 10 ** 5:
-        raise ValueError(f"grid budget exceeded: {total} candidate ParamSets")
-
-
-def brute_force_minimize(
-    dataset: DataSet,
-    model: LossModel,
-    beta: float,
-    k: int,
-    grid: GridSpec,
-) -> tuple[ParamSet, float]:
-    """Exhaustive grid search for the minimizer of the empirical soft-min
-    loss at inverse temperature ``beta``; returns ``(best, best_loss)``.
-
-    Only feasible at toy scale (see ``check_brute_force_budget``).
-    """
-    d = dataset.d
-    check_brute_force_budget(d, k, grid)
-    axis = grid.axis()
-    points = (
-        axis[:, None]
-        if d == 1
-        else np.array(list(itertools.product(axis, axis)))
-    )
-    best_loss = math.inf
-    best = None
-    for combo in itertools.product(range(len(points)), repeat=k):
-        params = ParamSet(points[list(combo)])
-        loss = empirical_loss(params, dataset, model, beta)
-        if loss < best_loss:
-            best_loss = loss
-            best = params
-    return best, best_loss
 
 
 def _check_rows(dataset: DataSet, constants: ProblemConstants) -> None:

@@ -29,7 +29,9 @@ from softmix.losses import (
 )
 from softmix.softmin import empirical_loss
 from softmix.theory import estimate_constants, theorem_quantities
-from softmix.verify import GridSpec, brute_force_minimize, check_lemma_bounds, finite_diff_gradient
+from softmix.verify import check_lemma_bounds, finite_diff_gradient
+
+from oracles import GridSpec, brute_force_minimize
 
 # pinned 2-component noiseless instance: well-conditioned covariates with a
 # rejection-sampled predictor margin so the empirical separation is >= 1

@@ -1,4 +1,5 @@
 """Synthetic data generation and the CSV dataset format."""
+import collections
 import itertools
 import math
 import re
@@ -28,6 +29,8 @@ from softmix.datagen import (
 from softmix.experiment import run_experiment
 from softmix.losses import LossModel
 from softmix.theory import estimate_constants
+
+import oracles
 
 
 def _spec(**overrides):
@@ -261,19 +264,22 @@ class TestLayoutV2:
     def test_rejection_cap_names_global_sample_index(self, monkeypatch):
         # the covariates of every block after the first shrink until no
         # draw reaches the margin, so block 1's first row fails first
-        blocks = []
-        substream, covariates = datagen._substream, datagen._covariates
+        blocks, block_of = [], {}
+        substream, draw = datagen._substream, datagen._draw_covariates
 
         def recording(seed, index):
             blocks.append(index)
-            return substream(seed, index)
+            rng = substream(seed, index)
+            block_of[rng] = index
+            return rng
 
-        def shrunk_after_first_block(rng, spec, rows):
-            x = covariates(rng, spec, rows)
-            return x if blocks[-1] == 0 else 1e-3 * x
+        def shrunk_after_first_block(rng, spec, X, u):
+            draw(rng, spec, X, u)
+            if block_of[rng] != 0:
+                X *= 1e-3
 
         monkeypatch.setattr(datagen, "_substream", recording)
-        monkeypatch.setattr(datagen, "_covariates", shrunk_after_first_block)
+        monkeypatch.setattr(datagen, "_draw_covariates", shrunk_after_first_block)
         spec = _spec(margin=0.5, n=BLOCK + 10, truth=_eye_truth(2, 3))
         with pytest.raises(ValueError, match=rf"^sample {BLOCK} \(component \d\) missed margin"):
             generate(spec)
@@ -287,6 +293,101 @@ class TestLayoutV2:
             generate(spec)
         blocks = [call.args[1] for call in substream.call_args_list]
         assert blocks == list(range(math.ceil(n / BLOCK)))
+
+
+def _without(k, zero_at):
+    """Mixture weights, equal but for component ``zero_at``, which has none."""
+    weights = np.full(k, 1.0 / (k - 1))
+    weights[zero_at] = 0.0
+    return tuple(weights)
+
+
+class TestLockstep:
+    """:func:`generate` moves all blocks through the redraw rounds together;
+    the block-by-block generator of ``tests/oracles.py`` is its reference."""
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @settings(deadline=None, max_examples=12)
+    @given(
+        kind=st.sampled_from(KINDS), covariate=st.sampled_from(COVARIATES),
+        margin=st.sampled_from([0.0, 0.5]), k=st.integers(1, 3),
+        extra=st.sampled_from([0, 1, 31]), zero_at=st.none() | st.integers(0, 2),
+        default_truth=st.booleans(), seed=_seeds,
+    )
+    def test_equals_the_block_by_block_oracle(
+        self, n, kind, covariate, margin, k, extra, zero_at, default_truth, seed
+    ):
+        # d = k + 31 reaches the widths at which OpenBLAS rounds a product of
+        # a few rows differently from a block's; a default truth may put two
+        # components too close for a margin, so it runs at margin 0
+        amount = {"generative_mlr": {"noise_sigma": 0.1},
+                  "agnostic_piecewise": {"perturb_amplitude": 0.05}}.get(kind, {})
+        k = min(k, n)  # a spec has n >= k
+        spec = GenSpec(
+            kind, k=k, d=k + extra, n=n, covariate=covariate, cov_scale=1.5, margin=margin,
+            mix_weights=None if zero_at is None or k == 1 else _without(k, zero_at % k),
+            truth=None if default_truth and margin == 0 else _eye_truth(k, k + extra),
+            seed=seed, **amount,
+        )
+        ds, truth = generate(spec)
+        want, want_truth = oracles.generate_by_block(spec)
+        np.testing.assert_array_equal(ds.X, want.X)
+        np.testing.assert_array_equal(ds.y, want.y)
+        np.testing.assert_array_equal(truth.thetas, want_truth.thetas)
+
+    def test_two_blocks_at_the_rejection_cap_name_the_lowest_sample(self, monkeypatch):
+        # blocks 1 and 2 of 3 draw covariates too small to reach the margin,
+        # so both make every draw the cap allows; the oracle stops at block 1.
+        # A cap of 100 draws keeps the test fast
+        cap = 100
+        for module in (datagen, oracles):
+            monkeypatch.setattr(module, "MAX_REJECTIONS", cap)
+        spec = _spec(margin=0.5, n=3 * BLOCK, truth=_eye_truth(2, 3))
+        block_of, draws = {}, collections.Counter()
+
+        def recording(substream):
+            def opened(seed, index):
+                rng = substream(seed, index)
+                block_of[rng] = index
+                return rng
+            return opened
+
+        def shrunk(rng, X):
+            draws[block_of[rng]] += 1
+            if block_of[rng] != 0:
+                X *= 1e-3
+            return X
+
+        draw, covariates = datagen._draw_covariates, oracles._covariates
+
+        def drawn_and_shrunk(rng, spec, X, u):
+            draw(rng, spec, X, u)
+            shrunk(rng, X)
+
+        monkeypatch.setattr(datagen, "_substream", recording(datagen._substream))
+        monkeypatch.setattr(oracles, "_substream", recording(oracles._substream))
+        monkeypatch.setattr(datagen, "_draw_covariates", drawn_and_shrunk)
+        monkeypatch.setattr(oracles, "_covariates",
+                            lambda rng, spec, rows: shrunk(rng, covariates(rng, spec, rows)))
+        with pytest.raises(ValueError) as lockstep:
+            generate(spec)
+        assert draws[1] == draws[2] == cap
+        with pytest.raises(ValueError) as by_block:
+            oracles.generate_by_block(spec)
+        assert str(lockstep.value) == str(by_block.value)
+        assert re.fullmatch(
+            rf"sample {BLOCK} \(component \d\) missed margin 0.5 {cap} times", str(lockstep.value)
+        )
+
+    @settings(deadline=None, max_examples=30)
+    @given(rows=st.integers(1, 5), d=st.integers(1, 6), per_row=st.booleans(), seed=_seeds)
+    def test_uniform_ball_equals_the_oracle(self, rows, d, per_row, seed):
+        # the start and the lemma check draw from uniform_ball, which shares
+        # its ball transform with generate
+        radius = np.linspace(0.5, 2.0, rows) if per_row else 1.5
+        got = datagen.uniform_ball(datagen._substream(seed, 7), radius, rows, d)
+        want = oracles.uniform_ball(datagen._substream(seed, 7), radius, rows, d)
+        np.testing.assert_array_equal(got, want)
 
 
 STREAM_CONSUMERS = textwrap.dedent(
@@ -344,7 +445,7 @@ def test_every_consumer_draws_from_a_substream_of_its_own(monkeypatch, seed):
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     run_experiment(validate_config(STREAM_CONSUMERS.format(seed=seed)), write=False)
     assert sorted(indices) == sorted([
-        "_block", "_default_truth", "_build_init", "partition_dataset",
+        "generate", "_default_truth", "_build_init", "partition_dataset",
         "_multistart_reference", "_run_checks", "check_lemma_bounds",
     ])
     for (a, first), (b, second) in itertools.combinations(indices.items(), 2):

@@ -39,7 +39,8 @@ from softmix.losses import (
     batch_loss,
 )
 from softmix.softmin import weight_matrix
-from softmix.verify import GridSpec
+
+from oracles import GridSpec
 
 MODELS = [(family, None) for family in FAMILIES if family != GLM] + [
     (GLM, link) for link in LINKS

@@ -15,13 +15,12 @@ from softmix.losses import FAMILIES, LossModel, batch_gradient, batch_loss, cert
 from softmix.softmin import empirical_loss
 from softmix.theory import estimate_constants
 from softmix.verify import (
-    GridSpec,
-    brute_force_minimize,
-    check_brute_force_budget,
     check_lemma_bounds,
     finite_diff_gradient,
     step_decomposition,
 )
+
+from oracles import GridSpec, brute_force_minimize, check_brute_force_budget
 
 
 class TestFiniteDifferences:

@@ -71,13 +71,6 @@ class ParamSet:
     def theta(self, j: int) -> np.ndarray:
         return self.thetas[j]
 
-    def permuted(self, perm) -> "ParamSet":
-        perm = np.asarray(perm, dtype=np.intp)
-        return ParamSet(self.thetas[perm])
-
-    def copy(self) -> "ParamSet":
-        return ParamSet(self.thetas.copy())
-
     def __eq__(self, other):
         return isinstance(other, ParamSet) and np.array_equal(self.thetas, other.thetas)
 

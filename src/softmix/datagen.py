@@ -22,9 +22,9 @@ on n.  The blocks move through these steps in lockstep: every block's
 generator is opened first, in block order, and each redraw round draws the
 missing rows of every block from that block's own generator, then tests the
 margin once over the missing rows of all blocks.  Each block's draws keep
-the order above, so no dataset changed when the blocks, once made one after
-another (the oracle ``generate_by_block`` in ``tests/oracles.py``), began to
-move together.
+the order above, so a dataset is bit for bit the one that making the blocks
+one after another gives: ``generate_by_block`` in ``tests/oracles.py`` does
+that, and the tests hold :func:`generate` equal to it.
 
 Every other draw of a run is from the repetition seed's substream at an index
 far above any block's, reserved for one reader: 2**63 the default truth

@@ -129,9 +129,9 @@ def gradient_em_step(
     ``(phi'(Theta X^T) * W^T) @ X`` of shape (k, d), plus the regularizer term
     2 c lam (sum_i W_ij) theta_j.  The (k, n) predictions ``Z = Theta X^T``
     are the ones ``weight_matrix`` formed, or the caller's ``Z``, which must
-    be the third value of ``weight_matrix`` on this very fold: a column slice
-    of a larger product rounds differently.  At k = 1 the step is exact
-    gradient descent: the sum over samples of
+    be the third value of ``weight_matrix`` on this very fold, passed with
+    its ``weights``: a column slice of a larger product rounds differently.
+    At k = 1 the step is exact gradient descent: the sum over samples of
     :func:`~softmix.losses.batch_gradient`, bit for bit.  The input ParamSet
     is not modified.
     """
@@ -144,6 +144,8 @@ def gradient_em_step(
         if given is not None and given.shape != shape:
             raise ValueError(f"{name}: shape {given.shape}, expected {shape}")
     if weights is None:
+        if Z is not None:
+            raise ValueError("Z without weights: a step that forms its own weights forms its own Z")
         weights, _, Z = weight_matrix(params, fold, model, config.beta)
     if params.k == 1:
         # weights of exactly 1.0 (NaN where a loss overflowed) keep plain gradient descent bitwise
@@ -349,7 +351,7 @@ def run_gradient_em(
     else:
         folds = [(dataset, slice(None))] * T
 
-    params = init.copy()
+    params = init
     distances = np.empty((T + 1, reference.k))
     losses = np.empty(T + 1)
     for t, (fold, rows) in enumerate(folds):

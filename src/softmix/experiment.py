@@ -263,7 +263,7 @@ def _build_init(config: ExperimentConfig, reference: ParamSet, seed: int) -> Par
     """The repetition's start about ``reference``, from ``seed``'s init substream."""
     mode = config.init.mode
     if mode == EXPLICIT:
-        return config.init.thetas.copy()
+        return config.init.thetas
     rng = _substream(seed, _INIT_STREAM)
     k, d = reference.thetas.shape
     if mode == RANDOM_BALL:

@@ -1,16 +1,28 @@
-"""Every layer the benchmark requires still fires on every workload.
+"""Two guards on what runs call.
 
+Every layer the benchmark requires still fires on every workload.
 ``perfbench/spans.py`` times a run by replacing softmix functions at every
 module binding that refers to them, and ``perfbench/run.py`` fails a traced
 run in which a span of ``run.must_fire`` never fired.  A refactor that stops
-calling one of them through such a binding would fail the benchmark, so this
-test wraps the same bindings with counters and runs each workload's smoke
-config as the benchmark's child does.  Both files are loaded read-only from
-``perfbench/``, as ``test_bench_outputs.py`` loads them.
+calling one of them through such a binding would fail the benchmark, so
+``test_every_benchmarked_layer_fires`` wraps the same bindings with counters
+and runs each workload's smoke config as the benchmark's child does.  Both
+files are loaded read-only from ``perfbench/``, as ``test_bench_outputs.py``
+loads them.
+
+Every function written in ``src/softmix`` is called by a run.
+``test_every_package_function_is_called_by_a_run`` records calls with
+``sys.setprofile`` over a fixed set of small ``softmix`` runs: the smoke
+configs, the convergence demo, ``softmix gen`` and a run on its file, a
+``glm`` run per link, a squared-hinge run and a hard-min run.  A function
+that none of them reaches fails it, unless ``NOT_CALLED_BY_A_RUN`` gives
+the reason it stays.
 """
 import functools
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 import re
 import sys
 from collections import Counter
@@ -116,3 +128,107 @@ def test_merging_cuts_the_reference_e_m_steps(tmp_path, monkeypatch, capsys):
 
     merged = reference_steps(softmix.experiment.MERGE_RADIUS, tmp_path / "merged")
     assert merged <= 0.8 * reference_steps(0.0, tmp_path / "full")
+
+
+SRC = Path(softmix.cli.__file__).resolve().parent
+
+# functions written in src/softmix that no run calls, each kept for its reason
+NOT_CALLED_BY_A_RUN = {
+    "softmix.data.ParamSet.__eq__": "frozen configs compare GenSpec.truth and InitSpec.thetas "
+    "through it, and serialize's round trip relies on that",
+    "softmix.data.ParamSet.__repr__": "failure messages print it, such as hypothesis's "
+    "ParamSet(k=1, d=1)",
+}
+
+SMALL = {"kind": "generative_mlr", "k": 2, "d": 2, "n": 300, "covariate": "uniform_ball",
+         "cov_scale": 1.5, "truth": [[1.0, 0.0], [-1.0, 0.0]]}
+
+
+def _written_functions():
+    """The qualified name of every function, method and property defined in
+    ``src/softmix``, by code object.  The methods that ``dataclass`` writes
+    are compiled from a string, so their ``co_filename`` leaves them out."""
+    found = []
+    for info in pkgutil.iter_modules([str(SRC)]):
+        module = importlib.import_module(f"softmix.{info.name}")
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for member in vars(obj).values():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        found.append(member.__func__)
+                    elif isinstance(member, property):
+                        found += [member.fget, member.fset, member.fdel]
+                    else:
+                        found.append(member)
+            else:
+                found.append(obj)
+    return {
+        fn.__code__: f"{fn.__module__}.{fn.__qualname__}" for fn in found
+        if inspect.isfunction(fn) and Path(fn.__code__.co_filename).resolve().parent == SRC
+    }
+
+
+def _runs(tmp_path):
+    """The runs whose calls the guard records, as ``(name, config document)``;
+    the file-data run reads a dataset that ``softmix gen`` writes."""
+    for name in sorted(run.WORKLOADS):
+        yield name, run.load_config(name, 0, True)
+    yield "convergence_demo", yaml.safe_load(
+        (PERFBENCH.parent / "scripts" / "convergence_demo.yaml").read_text())
+    genspec = tmp_path / "genspec.yaml"
+    genspec.write_text(yaml.safe_dump({**SMALL, "seed": 3}))
+    data = tmp_path / "data.csv"
+    assert softmix.cli.main(["gen", str(genspec), "-o", str(data)]) == 0
+    yield "file_data", {
+        "data": {"file": str(data)},
+        "loss": {"family": "ridge", "lam": 1e-3},
+        "em": {"iterations": 5, "beta": 5.0},
+        "init": {"mode": "explicit", "thetas": [[0.5, 0.0], [-0.5, 0.0]]},
+        "reference": "multistart",
+    }
+    # lam = 6 lets the tanh and sigmoid links certify on this data, and keeps
+    # the multistart searches short
+    losses = [{"family": "glm", "link": link} for link in ("identity", "tanh", "sigmoid")]
+    losses.append({"family": "squared_hinge"})
+    for loss in losses:
+        signed = loss["family"] == "squared_hinge"
+        yield "_".join(loss.values()), {
+            "data": {**SMALL, "kind": "generative_logistic"} if signed else SMALL,
+            "loss": {**loss, "lam": 6.0},
+            "em": {"iterations": 5, "beta": 2.0},
+            "reference": "multistart",
+        }
+    yield "hard_min", {
+        "data": SMALL,
+        "loss": {"family": "ridge", "lam": 1e-3},
+        "em": {"iterations": 5, "beta": "inf"},
+        "init": {"mode": "random_ball", "radius": 0.5},
+    }
+
+
+@pytest.mark.filterwarnings("ignore:separation delta:UserWarning")
+def test_every_package_function_is_called_by_a_run(tmp_path, capsys):
+    """Every function written in ``src/softmix`` is called by one of a fixed
+    set of small runs, or is on ``NOT_CALLED_BY_A_RUN`` with its reason: a
+    helper that only tests call belongs under ``tests/``."""
+    written = _written_functions()
+    assert set(NOT_CALLED_BY_A_RUN) <= set(written.values())
+    reached = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        for name, doc in _runs(tmp_path):
+            config = tmp_path / f"{name}.yaml"
+            config.write_text(yaml.safe_dump(doc, sort_keys=False))
+            assert softmix.cli.main(["run", str(config), "-o", str(tmp_path / name)]) == 0, name
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    missed = sorted(name for code, name in written.items()
+                    if code not in reached and name not in NOT_CALLED_BY_A_RUN)
+    assert not missed, f"no run calls {', '.join(missed)}"

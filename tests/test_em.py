@@ -131,8 +131,8 @@ class TestStep:
         cfg = _config(step_size=0.2, beta=3.0)
         out = gradient_em_step(params, ds, model, cfg)
         perm = [2, 0, 1]
-        out_perm = gradient_em_step(params.permuted(perm), ds, model, cfg)
-        np.testing.assert_array_equal(out.permuted(perm).thetas, out_perm.thetas)
+        out_perm = gradient_em_step(ParamSet(params.thetas[perm]), ds, model, cfg)
+        np.testing.assert_array_equal(out.thetas[perm], out_perm.thetas)
 
     def test_empty_fold_rejected(self):
         ds = DataSet(np.empty((0, 2)), np.empty(0))
@@ -164,7 +164,7 @@ class TestAlignment:
     def test_permuted_copy_has_zero_distances(self):
         rng = np.random.default_rng(6)
         ref = ParamSet(rng.standard_normal((4, 3)))
-        perm, dists = align_to_reference(ref.permuted([2, 3, 0, 1]), ref)
+        perm, dists = align_to_reference(ParamSet(ref.thetas[[2, 3, 0, 1]]), ref)
         np.testing.assert_array_equal(perm, [2, 3, 0, 1])
         np.testing.assert_allclose(dists, 0.0, atol=1e-15)
 
@@ -274,14 +274,14 @@ class TestRun:
         init = ParamSet(ref.thetas + [[0.1, -0.05], [0.02, 0.08]])
         cfg = _config(step_size=0.1, iterations=4, beta=5.0, resample=False)
         a, _ = run_gradient_em(init, ds, model, cfg, reference=ref)
-        b, _ = run_gradient_em(init.permuted([1, 0]), ds, model, cfg, reference=ref)
-        np.testing.assert_array_equal(a.permuted([1, 0]).thetas, b.thetas)
+        b, _ = run_gradient_em(ParamSet(init.thetas[[1, 0]]), ds, model, cfg, reference=ref)
+        np.testing.assert_array_equal(a.thetas[[1, 0]], b.thetas)
 
     def test_fixed_point_at_reference_on_noiseless_data(self, mlr_instance):
         ds, ref, model = mlr_instance
         gamma = default_step_size(model, ds)
         cfg = _config(step_size=gamma, iterations=10, beta=10.0, resample=False)
-        _, trace = run_gradient_em(ref.copy(), ds, model, cfg, reference=ref)
+        _, trace = run_gradient_em(ParamSet(ref.thetas), ds, model, cfg, reference=ref)
         # the regularizer keeps truth from being an exact stationary point,
         # so distances stay at a gamma * epsilon1 scale, not exactly zero
         assert float(np.max(trace.max_distances())) <= 1e-2
@@ -434,3 +434,12 @@ class TestFullBatchProduct:
         want = re.escape(f"Z: shape {shape}, expected (3, 12)")
         with pytest.raises(ValueError, match=want):
             gradient_em_step(params, ds, LossModel("ridge", lam=0.01), _config(), Z=np.ones(shape))
+
+    def test_product_without_weights_rejected(self):
+        # a step without weights forms its own product, so it would ignore this one
+        rng = np.random.default_rng(5)
+        ds = DataSet(rng.standard_normal((12, 2)), rng.standard_normal(12))
+        params = ParamSet(rng.standard_normal((3, 2)))
+        Z = np.full((3, 12), 1e6)
+        with pytest.raises(ValueError, match="Z without weights"):
+            gradient_em_step(params, ds, LossModel("ridge", lam=0.01), _config(), Z=Z)

@@ -3,6 +3,12 @@
 :class:`EMConfig`, less its ``seed``, is the ``em:`` section of a config.
 Classical EM's E-step :func:`~softmix.softmin.weight_matrix` and its M-step
 :func:`m_step` are what a multistart reference alternates to a fixed point.
+A search checks its inputs once and runs the E-step's kernel
+:func:`~softmix.softmin.e_step` on a (k, d) array; the M-step takes that
+array and returns one, and :func:`m_step_matrix` is formed once per search.
+Where a family's curvature is a constant (ridge, and ``glm`` with the
+identity link) an M-step is one product of the weights with that matrix and
+a k-fold d x d solve.
 """
 from __future__ import annotations
 
@@ -162,65 +168,89 @@ def gradient_em_step(
     return ParamSet(params.thetas - (config.gamma / len(fold)) * step)
 
 
-def outer_products(X: np.ndarray) -> np.ndarray:
-    """Each row's outer product x_i x_i^T, flattened: shape (n, d * d).
+def m_step_matrix(dataset: DataSet, model: LossModel) -> np.ndarray:
+    """The matrix [x_i x_i^T | phi'(0, y_i) x_i | 1] of :func:`m_step`, one
+    row per sample: shape (n, d * d + d + 1), the outer product flattened.
 
-    For per-sample coefficients C of shape (k, n), ``C @ outer_products(X)``
-    holds the k matrices sum_i C_ji x_i x_i^T, one per row.
+    For the (n, k) weights W, ``W.T @ m_step_matrix(dataset, model)`` holds
+    per component the matrix A_j = sum_i W_ij x_i x_i^T, the vector
+    b_j = sum_i W_ij phi'(0, y_i) x_i and the mass m_j = sum_i W_ij.  It
+    depends on the data alone, so a multistart search forms it once.
     """
+    X, y = dataset.X, dataset.y
     n, d = X.shape
-    return (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
+    matrix = np.empty((n, d * d + d + 1))
+    matrix[:, : d * d] = (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
+    family = FAMILIES[model.family]
+    matrix[:, d * d : -1] = family.dphi(np.zeros(n), y, model.link)[:, None] * X
+    matrix[:, -1] = 1.0
+    return matrix
 
 
 def m_step(
-    params: ParamSet,
+    thetas: np.ndarray,
     dataset: DataSet,
     model: LossModel,
     weights: np.ndarray,
     losses: np.ndarray,
     Z: np.ndarray,
-    outer: np.ndarray,
-) -> ParamSet:
-    """One classical M-step at fixed weights: a Newton step per component on
-    its weighted loss L_j(theta) = sum_i W_ij F(x_i, y_i; theta).
+    matrix: np.ndarray,
+) -> np.ndarray:
+    """One classical M-step at fixed weights: the (k, d) minimizers, or a
+    Newton step, of each component's weighted loss
+    L_j(theta) = sum_i W_ij F(x_i, y_i; theta).
 
-    ``weights, losses, Z`` are the E-step's (:func:`weight_matrix`) at
-    ``params``, and ``outer`` is :func:`outer_products` of the dataset's covariates.  The
-    gradient of L_j is the weighted sum that :func:`gradient_em_step` forms;
-    its Hessian sum_i W_ij phi''_ij x_i x_i^T + 2 c lam (sum_i W_ij) I is,
-    for all k components, one product with ``outer``.  Where the family's
-    ``d2phi`` is a constant (ridge, and ``glm`` with the identity link) L_j
-    is quadratic and the full step is its minimizer.  Elsewhere a
-    component's step is halved until L_j does not rise beyond rounding; one
-    that finds no descent in :data:`HALVINGS` halvings keeps its theta, as
-    does a component of zero mass.  The input ParamSet is not modified.
+    ``weights, losses, Z`` are the E-step's (:func:`weight_matrix`) at the
+    (k, d) ``thetas``, and ``matrix`` is :func:`m_step_matrix` of the
+    dataset.  Where the family's ``d2phi`` is a constant a (ridge, and
+    ``glm`` with the identity link), phi'(z, y) = phi'(0, y) + a z, so L_j is
+    quadratic and its minimizer is
+    theta_j = (a A_j / m_j + 2 c lam I)^-1 (-b_j / m_j), with A_j, b_j and
+    the mass m_j all from the one product ``weights.T @ matrix``.  Elsewhere
+    it is one Newton step: the gradient of L_j is the weighted sum that
+    :func:`gradient_em_step` forms, its Hessian
+    sum_i W_ij phi''_ij x_i x_i^T + 2 c lam m_j I is, for all k components,
+    one product with the outer products in ``matrix``, and a component's
+    step is halved until L_j does not rise beyond rounding; one that finds
+    no descent in :data:`HALVINGS` halvings keeps its theta.  A component of
+    zero mass keeps its theta too.  Each Hessian is divided by its mass, so
+    it stays >= 2 c lam I when the weights underflow.  Raises ValueError
+    when a result is not finite; ``thetas`` is not modified.
     """
     family = FAMILIES[model.family]
-    k, d = params.thetas.shape
-    mass, sums = _weighted_gradients(Z, params.thetas, dataset, model, weights)
-    held = mass > 0.0
+    k, d = thetas.shape
+    penalty = 2.0 * family.reg * model.lam * np.eye(d)
     d2phi = family.d2phi(Z, dataset.y, model.link)
-    # divided by the mass, so the Hessian stays >= 2 c lam I when weights underflow
-    hess = ((d2phi * weights.T)[held] @ outer).reshape(-1, d, d) / mass[held, None, None]
-    hess += 2.0 * family.reg * model.lam * np.eye(d)
-    direction = np.zeros((k, d))
-    direction[held] = np.linalg.solve(hess, (sums[held] / mass[held, None])[..., None])[..., 0]
     if np.ndim(d2phi) == 0:
-        return ParamSet(params.thetas - direction)
-
-    ones = np.ones(len(dataset))
-    before = ones @ (weights * losses)
-    scale = np.ones(k)
-    for _ in range(HALVINGS):
-        thetas = params.thetas - scale[:, None] * direction
-        after = ones @ (weights * batch_loss(model, dataset.X, dataset.y, thetas))
-        rose = after > before + DESCENT_SLACK * np.abs(before)
-        if not rose.any():
-            break
-        scale[rose] *= 0.5
+        fitted = thetas.copy()
+        sums = weights.T @ matrix
+        held = sums[:, -1] > 0.0
+        sums = sums[held] / sums[held, -1:]
+        hess = d2phi * sums[:, : d * d].reshape(-1, d, d) + penalty
+        fitted[held] = np.linalg.solve(hess, -sums[:, d * d : -1, None])[..., 0]
     else:
-        thetas[rose] = params.thetas[rose]
-    return ParamSet(thetas)
+        mass, sums = _weighted_gradients(Z, thetas, dataset, model, weights)
+        held = mass > 0.0
+        hess = ((d2phi * weights.T)[held] @ matrix[:, : d * d]).reshape(-1, d, d)
+        hess /= mass[held, None, None]
+        hess += penalty
+        direction = np.zeros((k, d))
+        direction[held] = np.linalg.solve(hess, (sums[held] / mass[held, None])[..., None])[..., 0]
+        ones = np.ones(len(dataset))
+        before = ones @ (weights * losses)
+        scale = np.ones(k)
+        for _ in range(HALVINGS):
+            fitted = thetas - scale[:, None] * direction
+            after = ones @ (weights * batch_loss(model, dataset.X, dataset.y, fitted))
+            rose = after > before + DESCENT_SLACK * np.abs(before)
+            if not rose.any():
+                break
+            scale[rose] *= 0.5
+        else:
+            fitted[rose] = thetas[rose]
+    if not np.all(np.isfinite(fitted)):
+        raise ValueError("M-step parameters contain non-finite entries")
+    return fitted
 
 
 def fixed_point_residual(

@@ -29,8 +29,8 @@ from .datagen import _INIT_STREAM, _MULTISTART_STREAM, _ORACLE_STREAM, _substrea
 from .datagen import generate, load_csv, uniform_ball
 from . import em
 from .em import ConvergenceTrace, EMConfig, run_gradient_em
-from .losses import certify, default_step_size
-from .softmin import mean_loss, weight_matrix
+from .losses import certify, check_inputs, default_step_size
+from .softmin import e_step, mean_loss
 from .theory import ProblemConstants, TheoremQuantities, estimate_constants, theorem_quantities
 from .verify import (
     GRADIENT_TOLERANCE,
@@ -202,48 +202,53 @@ def _multistart_reference(
     over :data:`RESTARTS` runs, run r from slab r of one standard-normal
     ``(RESTARTS, config.k, d)`` draw from ``seed``'s multistart substream.
 
-    A run alternates the E-step (:func:`softmin.weight_matrix`) with the Newton
-    M-step (:func:`em.m_step`) on the full data, which share the E-step's
-    product Theta X^T.  Its end is a fixed point of gradient EM too: both leave
-    theta where sum_i W_ij grad F_ij(theta_j) = 0.  The first run to reach a
-    fixed point stops once no component moves more than
-    :data:`REFERENCE_TOLERANCE`.  A later run stops as soon as its move and its
-    aligned distance to a fixed point already found (:func:`_point_reached`)
-    are both at most :data:`MERGE_RADIUS`: it reached that point, and its loss
-    is not computed.  So the reference is the first run to converge to the
-    best fixed point.  A run still moving after :data:`REFERENCE_STEPS` E/M
-    steps raises a ValueError that names the loss family and the fixed-point
-    residual.
+    A run alternates the E-step with the M-step (:func:`em.m_step`) on the
+    full data, which shares the E-step's product Theta X^T.  The labels and
+    shapes are checked once (:func:`losses.check_inputs`), so each E-step is
+    the kernel :func:`softmin.e_step` of :func:`softmin.weight_matrix` on the
+    (k, d) array theta, which each M-step checks is finite.  The M-step's
+    :func:`em.m_step_matrix` is formed once.  Its end is a fixed point of
+    gradient EM too: both leave theta where
+    sum_i W_ij grad F_ij(theta_j) = 0.  The first run to reach a fixed point
+    stops once no component moves more than :data:`REFERENCE_TOLERANCE`.  A
+    later run stops as soon as its move and its aligned distance to a fixed
+    point already found (:func:`_point_reached`) are both at most
+    :data:`MERGE_RADIUS`: it reached that point, and neither its loss nor
+    the E-step at its last M-step is computed.  So the search forms
+    ``RESTARTS + em_steps - merged`` E-steps, and the reference is the
+    first run to converge to the best fixed point.  A run still moving after
+    :data:`REFERENCE_STEPS` E/M steps raises a ValueError that names the
+    loss family and the fixed-point residual.
     """
     model, beta = config.loss, config.em.beta
-    outer = em.outer_products(dataset.X)
+    matrix = em.m_step_matrix(dataset, model)
     starts = _substream(seed, _MULTISTART_STREAM).standard_normal((RESTARTS, config.k, dataset.d))
+    check_inputs(model, dataset.X, dataset.y, starts[0])
     points, losses_at, reached, em_steps = [], [], [], 0
-    for restart, start in enumerate(starts):
-        params = ParamSet(start)
-        weights, losses, Z = weight_matrix(params, dataset, model, beta)
+    for restart, thetas in enumerate(starts):
+        weights, losses, Z = e_step(thetas, dataset, model, beta)
         hit = None
         for _ in range(REFERENCE_STEPS):
-            fitted = em.m_step(params, dataset, model, weights, losses, Z, outer)
-            weights, losses, Z = weight_matrix(fitted, dataset, model, beta)
+            fitted = em.m_step(thetas, dataset, model, weights, losses, Z, matrix)
             em_steps += 1
-            move = np.max(np.linalg.norm(fitted.thetas - params.thetas, axis=1))
-            params = fitted
+            move = np.max(np.linalg.norm(fitted - thetas, axis=1))
+            thetas = fitted
             if move <= MERGE_RADIUS:
-                hit = _point_reached(params, points)
+                hit = _point_reached(ParamSet(thetas), points)
                 if hit is not None:
                     break
+            weights, losses, Z = e_step(thetas, dataset, model, beta)
             if move <= REFERENCE_TOLERANCE:
                 break
         else:
-            residual = em.fixed_point_residual(params, dataset, model, beta)
+            residual = em.fixed_point_residual(ParamSet(thetas), dataset, model, beta)
             raise ValueError(
                 f"multistart reference: the {model.family} E/M restart {restart} still moved "
                 f"{move:.3g} after {REFERENCE_STEPS} steps (fixed-point residual {residual:.3g})"
             )
         if hit is None:
             hit = len(points)
-            points.append(params)
+            points.append(ParamSet(thetas))
             losses_at.append(mean_loss(weights, losses))
         reached.append(hit)
     return MultistartSearch(tuple(points), tuple(losses_at), tuple(reached), em_steps)

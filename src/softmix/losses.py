@@ -206,9 +206,9 @@ class LossModel:
             object.__setattr__(self, "link", IDENTITY_LINK)
 
 
-def _predictions(model: LossModel, X, y, thetas: np.ndarray):
-    """Validate the inputs once; returns float arrays X, y and the (k, n)
-    Z = thetas X^T, whose rows of length n keep the family maps contiguous."""
+def check_inputs(model: LossModel, X, y, thetas: np.ndarray):
+    """Validate the inputs of a (k, d) stack once; returns X and y as float
+    arrays."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[1] != thetas.shape[1]:
@@ -219,14 +219,16 @@ def _predictions(model: LossModel, X, y, thetas: np.ndarray):
         raise ValueError("theta contains non-finite entries")
     if FAMILIES[model.family].signed_labels and not np.all(np.abs(y) == 1.0):
         raise ValueError(f"{model.family} labels must lie in {{-1, +1}}")
-    return X, y, thetas @ X.T
+    return X, y
 
 
 def component_losses(model: LossModel, X: np.ndarray, y: np.ndarray, thetas: np.ndarray):
-    """``(Z, F)`` for a (k, d) stack: the (k, n) predictions Z = thetas X^T
-    and the (n, k) matrix of every component's losses formed from them."""
+    """``(Z, F)`` for a (k, d) stack whose inputs :func:`check_inputs` has
+    passed: the (k, n) predictions Z = thetas X^T, whose rows of length n
+    keep the family maps contiguous, and the (n, k) matrix of every
+    component's losses formed from them."""
     family = FAMILIES[model.family]
-    X, y, Z = _predictions(model, X, y, thetas)
+    Z = thetas @ X.T
     F = family.phi(Z, y, model.link)
     F += family.reg * model.lam * np.sum(thetas * thetas, axis=1, keepdims=True)
     return Z, F.T
@@ -239,7 +241,9 @@ def batch_loss(model: LossModel, X: np.ndarray, y: np.ndarray, theta: np.ndarray
     stack, giving the (n, k) matrix of :func:`component_losses`.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    _, F = component_losses(model, X, y, np.atleast_2d(theta))
+    thetas = np.atleast_2d(theta)
+    X, y = check_inputs(model, X, y, thetas)
+    _, F = component_losses(model, X, y, thetas)
     return F if theta.ndim == 2 else F[:, 0]
 
 
@@ -247,7 +251,8 @@ def batch_gradient(model: LossModel, X: np.ndarray, y: np.ndarray, theta: np.nda
     """Per-sample gradients of F with respect to one theta, shape (n, d)."""
     theta = np.asarray(theta, dtype=np.float64)
     family = FAMILIES[model.family]
-    X, y, Z = _predictions(model, X, y, theta[None, :])
+    X, y = check_inputs(model, X, y, theta[None, :])
+    Z = theta[None, :] @ X.T
     grads = family.dphi(Z[0], y, model.link)[:, None] * X
     grads += 2.0 * family.reg * model.lam * theta
     return grads

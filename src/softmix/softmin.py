@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .data import DataSet, ParamSet
-from .losses import LossModel, batch_loss, component_losses
+from .losses import LossModel, batch_loss, check_inputs, component_losses
 
 
 def soft_min_weights(losses, beta: float) -> np.ndarray:
@@ -54,6 +54,16 @@ def loss_matrix(params: ParamSet, dataset: DataSet, model: LossModel) -> np.ndar
     return batch_loss(model, dataset.X, dataset.y, params.thetas)
 
 
+def e_step(
+    thetas: np.ndarray, dataset: DataSet, model: LossModel, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`weight_matrix` at the (k, d) array ``thetas``, without the
+    checks of :func:`~softmix.losses.check_inputs`: the E-step kernel, for
+    a caller that checks its inputs once and then runs many E-steps."""
+    Z, losses = component_losses(model, dataset.X, dataset.y, thetas)
+    return soft_min_weights(losses, beta), losses, Z
+
+
 def weight_matrix(
     params: ParamSet, dataset: DataSet, model: LossModel, beta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -61,8 +71,8 @@ def weight_matrix(
     every sample and the base losses they were formed from, both (n, k) and
     column-major, and the (k, n) predictions Z = Theta X^T of both, which
     a full-batch :func:`~softmix.em.gradient_em_step` reuses."""
-    Z, losses = component_losses(model, dataset.X, dataset.y, params.thetas)
-    return soft_min_weights(losses, beta), losses, Z
+    check_inputs(model, dataset.X, dataset.y, params.thetas)
+    return e_step(params.thetas, dataset, model, beta)
 
 
 def mean_loss(weights: np.ndarray, losses: np.ndarray) -> float:

@@ -6,7 +6,10 @@ written: block by block, each block through its own redraw rounds, with one
 transform and the margin test.  ``softmix.datagen.generate`` moves all blocks
 through the rounds in lockstep and must give the same bits.  The brute-force
 grid search, feasible only at toy scale, is the oracle of the multistart
-reference and of the weighted-loss minimizer.
+reference and of the weighted-loss minimizer.  ``newton_m_step`` is the
+constant-curvature M-step as first written, a Newton step from theta with
+the gradient and the Hessian from separate products; ``softmix.em.m_step``
+solves for the minimizer from one product instead.
 """
 from __future__ import annotations
 
@@ -27,7 +30,8 @@ from softmix.datagen import (
     _default_truth,
     _substream,
 )
-from softmix.losses import LossModel
+from softmix.em import _weighted_gradients
+from softmix.losses import FAMILIES, LossModel
 from softmix.softmin import empirical_loss
 
 
@@ -165,3 +169,31 @@ def brute_force_minimize(
             best_loss = loss
             best = params
     return best, best_loss
+
+
+def outer_products(X: np.ndarray) -> np.ndarray:
+    """Each row's outer product x_i x_i^T, flattened: shape (n, d * d)."""
+    n, d = X.shape
+    return (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
+
+
+def newton_m_step(thetas, dataset, model, weights, losses, Z, matrix):
+    """``softmix.em.m_step`` where ``d2phi`` is a constant a: theta - H^-1 g
+    per component, with the mean weighted gradient g_j from the product of
+    the gradient EM step and the Hessian
+    H_j = a sum_i W_ij x_i x_i^T / m_j + 2 c lam I from a product with the
+    outer products.  A component of zero mass keeps its theta.  ``losses``
+    and ``matrix`` are taken, and not read, so that it can stand in for
+    ``m_step``."""
+    family = FAMILIES[model.family]
+    k, d = thetas.shape
+    d2phi = family.d2phi(Z, dataset.y, model.link)
+    if np.ndim(d2phi) != 0:
+        raise ValueError(f"{model.family}: the curvature is not a constant")
+    mass, sums = _weighted_gradients(Z, thetas, dataset, model, weights)
+    held = mass > 0.0
+    hess = ((d2phi * weights.T)[held] @ outer_products(dataset.X)).reshape(-1, d, d)
+    hess = hess / mass[held, None, None] + 2.0 * family.reg * model.lam * np.eye(d)
+    direction = np.zeros((k, d))
+    direction[held] = np.linalg.solve(hess, (sums[held] / mass[held, None])[..., None])[..., 0]
+    return thetas - direction

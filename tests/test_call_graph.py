@@ -14,9 +14,11 @@ Every function written in ``src/softmix`` is called by a run.
 ``test_every_package_function_is_called_by_a_run`` records calls with
 ``sys.setprofile`` over a fixed set of small ``softmix`` runs: the smoke
 configs, the convergence demo, ``softmix gen`` and a run on its file, a
-``glm`` run per link, a squared-hinge run and a hard-min run.  A function
-that none of them reaches fails it, unless ``NOT_CALLED_BY_A_RUN`` gives
-the reason it stays.
+``glm`` run per link, a squared-hinge run, a logistic multistart run and a
+hard-min run.  The functions are those written with ``def`` and the lambdas
+of the ``losses.FAMILIES`` and ``losses.LINKS`` tables.  A function that
+none of them reaches fails it, unless ``NOT_CALLED_BY_A_RUN`` gives the
+reason it stays.
 """
 import functools
 import importlib
@@ -26,6 +28,7 @@ import pkgutil
 import re
 import sys
 from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,7 @@ import yaml
 import softmix.cli
 import softmix.em
 import softmix.experiment
+import softmix.losses
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -130,6 +134,43 @@ def test_merging_cuts_the_reference_e_m_steps(tmp_path, monkeypatch, capsys):
     assert merged <= 0.8 * reference_steps(0.0, tmp_path / "full")
 
 
+@pytest.mark.filterwarnings("ignore:separation delta:UserWarning")
+def test_search_forms_only_the_e_steps_it_reads(tmp_path, monkeypatch, capsys):
+    """On the agnostic_multistart smoke config, each multistart search forms
+    an E-step at each start and after each M-step, except the last M-step of
+    a run that merged: RESTARTS + em_steps - merged per reference, read from
+    the report.  Each E-step evaluates the ridge family's phi once, and
+    nothing else in the search evaluates it."""
+    config = tmp_path / "agnostic_multistart.yaml"
+    config.write_text(yaml.safe_dump(run.load_config("agnostic_multistart", 0, True)))
+    ridge = softmix.losses.FAMILIES["ridge"]
+    search = softmix.experiment._multistart_reference
+    e_steps, searching = [], [False]  # phi's calls per search
+
+    def phi(*args):
+        if searching[0]:
+            e_steps[-1] += 1
+        return ridge.phi(*args)
+
+    def counted(*args):
+        e_steps.append(0)
+        searching[0] = True
+        try:
+            return search(*args)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setitem(softmix.losses.FAMILIES, "ridge", replace(ridge, phi=phi))
+    monkeypatch.setattr(softmix.experiment, "_multistart_reference", counted)
+    assert softmix.cli.main(["run", str(config), "-o", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    report = (tmp_path / "out" / "report.txt").read_text()
+    lines = re.findall(r"^  reference: .* merged=(\d+) em_steps=(\d+)$", report, flags=re.M)
+    expected = [softmix.experiment.RESTARTS + int(steps) - int(merged) for merged, steps in lines]
+    assert e_steps == expected
+    assert any(int(merged) for merged, _ in lines)
+
+
 SRC = Path(softmix.cli.__file__).resolve().parent
 
 # functions written in src/softmix that no run calls, each kept for its reason
@@ -144,10 +185,22 @@ SMALL = {"kind": "generative_mlr", "k": 2, "d": 2, "n": 300, "covariate": "unifo
          "cov_scale": 1.5, "truth": [[1.0, 0.0], [-1.0, 0.0]]}
 
 
+def _table_functions():
+    """``(name, function)`` for each field of the ``losses.FAMILIES`` and
+    ``losses.LINKS`` records, such as ``softmix.losses.FAMILIES['ridge'].phi``:
+    the lambdas written there have no name of their own."""
+    for table in ("FAMILIES", "LINKS"):
+        for key, record in getattr(softmix.losses, table).items():
+            for field in fields(record):
+                yield f"softmix.losses.{table}[{key!r}].{field.name}", getattr(record, field.name)
+
+
 def _written_functions():
     """The qualified name of every function, method and property defined in
-    ``src/softmix``, by code object.  The methods that ``dataclass`` writes
-    are compiled from a string, so their ``co_filename`` leaves them out."""
+    ``src/softmix``, and of every function in the loss tables, by code
+    object.  The methods that ``dataclass`` writes are compiled from a
+    string, so their ``co_filename`` leaves them out."""
+    tables = {fn.__code__: name for name, fn in _table_functions() if inspect.isfunction(fn)}
     found = []
     for info in pkgutil.iter_modules([str(SRC)]):
         module = importlib.import_module(f"softmix.{info.name}")
@@ -162,10 +215,11 @@ def _written_functions():
                         found.append(member)
             else:
                 found.append(obj)
-    return {
+    written = {
         fn.__code__: f"{fn.__module__}.{fn.__qualname__}" for fn in found
         if inspect.isfunction(fn) and Path(fn.__code__.co_filename).resolve().parent == SRC
     }
+    return {**tables, **written}
 
 
 def _runs(tmp_path):
@@ -187,11 +241,12 @@ def _runs(tmp_path):
         "reference": "multistart",
     }
     # lam = 6 lets the tanh and sigmoid links certify on this data, and keeps
-    # the multistart searches short
+    # the multistart searches short; the logistic and squared-hinge searches
+    # take the M-step's Newton branch
     losses = [{"family": "glm", "link": link} for link in ("identity", "tanh", "sigmoid")]
-    losses.append({"family": "squared_hinge"})
+    losses += [{"family": "squared_hinge"}, {"family": "logistic"}]
     for loss in losses:
-        signed = loss["family"] == "squared_hinge"
+        signed = loss["family"] in ("squared_hinge", "logistic")
         yield "_".join(loss.values()), {
             "data": {**SMALL, "kind": "generative_logistic"} if signed else SMALL,
             "loss": {**loss, "lam": 6.0},

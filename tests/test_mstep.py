@@ -1,10 +1,14 @@
-"""Classical EM's Newton M-step and the multistart reference built from it.
+"""Classical EM's M-step and the multistart reference built from it.
 
-``m_step`` takes one Newton step per component on its weighted loss
-L_j(theta) = sum_i W_ij F(x_i, y_i; theta), with the curvature ``d2phi`` of
-each family.  Here the curvature is compared with finite differences of
-``dphi``, the step with the per-component gradient oracle ``batch_gradient``,
-and an E/M pair with the free energy
+``m_step`` minimizes, or takes one Newton step on, each component's
+weighted loss L_j(theta) = sum_i W_ij F(x_i, y_i; theta), with the
+curvature ``d2phi`` of each family.  Where that curvature is a constant it
+solves for the minimizer from one product with ``m_step_matrix``; the
+Newton step it replaces, theta - H^-1 g from separate gradient and Hessian
+products, is ``oracles.newton_m_step``, and the two must agree step by step
+and over whole searches.  Here the curvature is compared with finite
+differences of ``dphi``, the step with the per-component gradient oracle
+``batch_gradient``, and an E/M pair with the free energy
 Phi_beta(theta) = (1/n) sum_i -(1/beta) log sum_j exp(-beta F_ij),
 which classical EM descends (Neal and Hinton 1998).  A multistart reference
 whose later runs stop at a fixed point already found is compared with the
@@ -26,7 +30,7 @@ import softmix.experiment as experiment
 from softmix.config import validate_config
 from softmix.data import DataSet, ParamSet
 from softmix.datagen import generate
-from softmix.em import align_to_reference, m_step, outer_products
+from softmix.em import align_to_reference, m_step, m_step_matrix
 from softmix.losses import (
     FAMILIES,
     GLM,
@@ -40,7 +44,7 @@ from softmix.losses import (
 )
 from softmix.softmin import weight_matrix
 
-from oracles import GridSpec
+from oracles import GridSpec, newton_m_step
 
 MODELS = [(family, None) for family in FAMILIES if family != GLM] + [
     (GLM, link) for link in LINKS
@@ -129,7 +133,8 @@ def test_weight_matrix_predictions_are_theta_x_transpose(instance, beta):
 def test_quadratic_m_step_is_stationary(instance, beta):
     model, dataset, params = instance
     weights, losses, Z = weight_matrix(params, dataset, model, beta)
-    fitted = m_step(params, dataset, model, weights, losses, Z, outer_products(dataset.X))
+    matrix = m_step_matrix(dataset, model)
+    fitted = ParamSet(m_step(params.thetas, dataset, model, weights, losses, Z, matrix))
     gradient, scale = _weighted_gradient(fitted, dataset, model, weights)
     norms = np.linalg.norm(gradient, axis=1)
     assert np.all(norms <= 1e-8 * scale + 1e-12), (norms, scale)
@@ -140,7 +145,8 @@ def test_quadratic_m_step_is_stationary(instance, beta):
 def test_e_m_pair_does_not_raise_the_free_energy(instance, beta):
     model, dataset, params = instance
     weights, losses, Z = weight_matrix(params, dataset, model, beta)
-    fitted = m_step(params, dataset, model, weights, losses, Z, outer_products(dataset.X))
+    matrix = m_step_matrix(dataset, model)
+    fitted = ParamSet(m_step(params.thetas, dataset, model, weights, losses, Z, matrix))
     before = _free_energy(params, dataset, model, beta)
     after = _free_energy(fitted, dataset, model, beta)
     assert after <= before + 1e-9 * (1.0 + abs(before))
@@ -153,8 +159,35 @@ def test_zero_mass_component_keeps_its_theta(instance, data):
     weights, losses, Z = weight_matrix(params, dataset, model, 1.0)
     j = data.draw(st.integers(0, params.k - 1))
     weights[:, j] = 0.0
-    fitted = m_step(params, dataset, model, weights, losses, Z, outer_products(dataset.X))
+    matrix = m_step_matrix(dataset, model)
+    fitted = ParamSet(m_step(params.thetas, dataset, model, weights, losses, Z, matrix))
     assert fitted.theta(j).tobytes() == params.theta(j).tobytes()
+
+
+@given(
+    instances(models=[(RIDGE, None), (GLM, "identity")]),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.data(),
+)
+@settings(deadline=None, max_examples=300)
+def test_quadratic_m_step_matches_the_newton_oracle(instance, beta, data):
+    model, dataset, params = instance
+    weights, losses, Z = weight_matrix(params, dataset, model, beta)
+    if data.draw(st.booleans(), label="zero-mass column"):
+        weights[:, data.draw(st.integers(0, params.k - 1))] = 0.0
+    # a subnormal mass holds weights of a few bits, which neither form can refine
+    mass = np.sum(weights, axis=0)
+    assume(np.all((mass == 0.0) | (mass >= np.finfo(np.float64).tiny)))
+    args = (params.thetas, dataset, model, weights, losses, Z, m_step_matrix(dataset, model))
+    fitted, oracle = m_step(*args), newton_m_step(*args)
+    # relative to the step's scale, on which the oracle's theta - H^-1 g rounds,
+    # and to the condition of H_j = 2 A_j / m_j + 2 lam I, at most
+    # 1 + max ||x||^2 / lam (up to 3.6e4 here), which both solves amplify
+    scale = np.linalg.norm(params.thetas, axis=1) + np.linalg.norm(oracle, axis=1)
+    condition = 1.0 + dataset.max_sq_norm() / model.lam
+    gap = np.linalg.norm(fitted - oracle, axis=1)
+    assert np.all(gap <= max(1e-12, 1e-15 * condition) * scale), (gap, scale, condition)
+    assert np.all(fitted[mass == 0.0] == params.thetas[mass == 0.0])
 
 
 # the constants at these references are not under test, and some are vacuous
@@ -251,6 +284,22 @@ def test_merged_reference_matches_every_run_to_tolerance(monkeypatch, seed):
     doc["data"]["n"] = 300
     merged, full = _searches(monkeypatch, validate_config(yaml.safe_dump(doc)), seed)
     _assert_parity(merged, full)
+
+
+@vacuous_constants
+@pytest.mark.parametrize("seed", range(10))
+def test_search_matches_the_search_with_the_newton_oracle(monkeypatch, seed):
+    doc = yaml.safe_load(AGNOSTIC_MULTISTART.read_text())
+    doc["data"]["n"] = 300
+    cfg = validate_config(yaml.safe_dump(doc))
+    dataset, _ = generate(replace(cfg.data, seed=seed))
+    search = experiment._multistart_reference(dataset, cfg, seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment.em, "m_step", newton_m_step)
+        oracle = experiment._multistart_reference(dataset, cfg, seed)
+    assert (search.reached, search.em_steps) == (oracle.reached, oracle.em_steps)
+    gap = np.linalg.norm(search.reference.thetas - oracle.reference.thetas)
+    assert gap <= 1e-12 * np.linalg.norm(oracle.reference.thetas)
 
 
 def test_merged_logistic_reference_matches_every_run_to_tolerance(monkeypatch):
